@@ -31,9 +31,9 @@ let default_socket = Filename.concat (Filename.get_temp_dir_name ()) "bisad.sock
 
 let load_src ?scale input : Proto.prog_src =
   if Filename.check_suffix input ".cbin" then
-    Proto.Conv_bin (Driver.read_file input)
+    Proto.Conv_bin (Bisa_base.Fs.read_file input)
   else if Filename.check_suffix input ".bbin" then
-    Proto.Block_bin (Driver.read_file input)
+    Proto.Block_bin (Bisa_base.Fs.read_file input)
   else begin
     let src, libs = Driver.read_source ?scale ~component input in
     Proto.Source { src; libs }
@@ -246,14 +246,6 @@ let fresh_tmp name =
   in
   d
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 (* --- selftest ------------------------------------------------------------- *)
 
 (* Start a private server, drive the canonical session against it —
@@ -310,7 +302,7 @@ let selftest input isa functional exec cfg show_output scale jobs expect =
           (match expect with
           | None -> ()
           | Some path ->
-            let want = Driver.read_file path in
+            let want = Bisa_base.Fs.read_file path in
             if cold <> want then begin
               Printf.eprintf
                 "--- one-shot CLI (%s) ---\n%s--- daemon ---\n%s" path want cold;
@@ -366,7 +358,7 @@ let soak requests programs jobs kill keep =
   if requests < programs then
     Diag.fail ~component "--requests must be at least --programs";
   let dir = fresh_tmp "bisad-soak" in
-  rm_rf dir;
+  Bisa_base.Fs.rm_rf dir;
   Unix.mkdir dir 0o755;
   let socket = Filename.concat dir "sock" in
   let spool = Filename.concat dir "spool" in
@@ -413,7 +405,7 @@ let soak requests programs jobs kill keep =
       (try Client.close !conn with _ -> ());
       (try Unix.kill !server Sys.sigkill with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [] !server) with Unix.Unix_error _ -> ());
-      if not keep then rm_rf dir)
+      if not keep then Bisa_base.Fs.rm_rf dir)
     (fun () ->
       for i = 0 to requests - 1 do
         if i = kill_at then begin

@@ -17,9 +17,9 @@ type loaded =
 
 let load ?scale input =
   if Filename.check_suffix input ".cbin" then
-    Lconv (Bisa_isa.Encode.conv_of_bytes (Driver.read_file input))
+    Lconv (Bisa_isa.Encode.conv_of_bytes (Bisa_base.Fs.read_file input))
   else if Filename.check_suffix input ".bbin" then
-    Lblock (Bisa_isa.Encode.block_of_bytes (Driver.read_file input))
+    Lblock (Bisa_isa.Encode.block_of_bytes (Bisa_base.Fs.read_file input))
   else begin
     let src, libs = Driver.read_source ?scale ~component:"bisasim" input in
     Lsource (src, libs)
@@ -165,7 +165,7 @@ let run input isa functional exec (sim_cfg : Proto.sim_cfg) show_output scale
              Printf.sprintf " (%d events beyond the buffer cap dropped)" (Trace.dropped r)
            else "");
         if trace_validate then begin
-          match Trace.validate (Driver.read_file path) with
+          match Trace.validate (Bisa_base.Fs.read_file path) with
           | Ok st ->
             Printf.printf "trace OK: %d events (%d begin/%d end, %d instants, %d counter samples)\n"
               st.events st.begins st.ends st.instants st.counter_events

@@ -24,6 +24,7 @@
    than a retry. *)
 
 module Diag = Bisa_base.Diag
+module Fs = Bisa_base.Fs
 module Rng = Bisa_base.Rng
 module Proto = Bisa_proto.Proto
 module Engine = Bisa_serve.Engine
@@ -86,20 +87,6 @@ let mk_requests programs =
     (List.init programs Fun.id)
 
 (* --- scratch and small file helpers ------------------------------------- *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 (* Multi-process event log: O_APPEND keeps whole small lines intact. *)
 let append_line path line =
@@ -206,7 +193,7 @@ let start_client ~socket ~dir ~seed ~cid ~per_client ~reqs ~expected =
 type action = Kill | Stop | Trunc | Garbage | Loris | Corrupt
 
 let child_pid pid_file =
-  match int_of_string (String.trim (read_file pid_file)) with
+  match int_of_string (String.trim (Fs.read_file pid_file)) with
   | pid when pid > 1 -> Some pid
   | _ -> None
   | exception _ -> None
@@ -286,7 +273,7 @@ let fresh_scratch () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "bisa-chaos-%d" (Unix.getpid ()))
   in
-  rm_rf d;
+  Fs.rm_rf d;
   Unix.mkdir d 0o755;
   d
 
@@ -313,7 +300,7 @@ let campaign ?(seed = 42) ?(requests = 1000) ?dir () =
     | Some d -> (d, fun () -> ())
     | None ->
       let d = fresh_scratch () in
-      (d, fun () -> rm_rf d)
+      (d, fun () -> Fs.rm_rf d)
   in
   let socket = Filename.concat scratch "sock" in
   let spool = Filename.concat scratch "spool" in
@@ -476,7 +463,7 @@ let campaign ?(seed = 42) ?(requests = 1000) ?dir () =
       (* Collect client verdicts. *)
       let verdicts =
         List.init clients (fun cid ->
-            match read_file (Filename.concat scratch (Printf.sprintf "client%d" cid)) with
+            match Fs.read_file (Filename.concat scratch (Printf.sprintf "client%d" cid)) with
             | s -> s
             | exception _ -> "fail client left no verdict")
       in
@@ -506,12 +493,12 @@ let campaign ?(seed = 42) ?(requests = 1000) ?dir () =
         | exception Unix.Unix_error _ -> None
       in
       let sup_report =
-        match String.split_on_char ' ' (String.trim (read_file report_file)) with
+        match String.split_on_char ' ' (String.trim (Fs.read_file report_file)) with
         | [ r; c; h; g ] ->
           Some (int_of_string r, int_of_string c, int_of_string h, bool_of_string g)
         | _ | (exception _) -> None
       in
-      let ev = match read_file events with s -> s | exception _ -> "" in
+      let ev = match Fs.read_file events with s -> s | exception _ -> "" in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
         let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

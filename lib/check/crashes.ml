@@ -132,21 +132,13 @@ let open_camp d =
 
 (* --- scratch directory management ------------------------------------- *)
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 let fresh_scratch () =
   let d =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "bisa-crash-%d" (Unix.getpid ()))
   in
-  rm_rf d;
+  Bisa_base.Fs.rm_rf d;
   Unix.mkdir d 0o755;
   d
 
@@ -224,7 +216,7 @@ let campaign ?(seed = 42) ?dir ?(kill_trials = 6) () =
     | Some d -> (d, fun () -> ())
     | None ->
       let d = fresh_scratch () in
-      (d, fun () -> rm_rf d)
+      (d, fun () -> Bisa_base.Fs.rm_rf d)
   in
   let cells = mk_cells () in
   let golden = render cells None in

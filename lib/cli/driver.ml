@@ -1,12 +1,5 @@
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let read_source ?scale ~component path_or_name =
-  if Sys.file_exists path_or_name then (read_file path_or_name, [])
+  if Sys.file_exists path_or_name then (Bisa_base.Fs.read_file path_or_name, [])
   else begin
     match Bisa_workloads.Workloads.find path_or_name with
     | w -> (Bisa_workloads.Workloads.source ?scale w, w.library_funcs)

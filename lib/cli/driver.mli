@@ -6,8 +6,6 @@
     that knows the toolchain's failure exceptions; a new binary gets the
     whole contract by wrapping its body in [guard ~component]. *)
 
-val read_file : string -> string
-
 val read_source : ?scale:int -> component:string -> string -> string * string list
 (** [read_source ~component path_or_name] returns MiniC source text plus
     the library functions it expects: the file's contents when

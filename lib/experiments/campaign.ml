@@ -15,6 +15,7 @@
      <dir>/cells/<key>.timeout   cell that exceeded the per-cell budget *)
 
 module Config = Bisa_timing.Config
+module Fs = Bisa_base.Fs
 module Checkpoint = Bisa_timing.Checkpoint
 module Metrics = Bisa_timing.Metrics
 
@@ -40,27 +41,16 @@ let meta_string ~scale ~paper_caches =
     (match scale with Some n -> string_of_int n | None -> "default")
     paper_caches
 
-let mkdir_p path =
-  if not (Sys.file_exists path) then
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let open_ ~dir ?(checkpoint_every = default_checkpoint_every) ?timeout_s ~scale
     ~paper_caches () =
   if checkpoint_every <= 0 then
     fail "--checkpoint-every must be positive (got %d)" checkpoint_every;
-  mkdir_p dir;
-  mkdir_p (Filename.concat dir "cells");
+  Fs.mkdir_p dir;
+  Fs.mkdir_p (Filename.concat dir "cells");
   let meta_path = Filename.concat dir "meta" in
   let expected = meta_string ~scale ~paper_caches in
   if Sys.file_exists meta_path then begin
-    let found = read_file meta_path in
+    let found = Fs.read_file meta_path in
     if found <> expected then
       fail
         "campaign %s was created under different settings (found %S, this run \
@@ -94,7 +84,7 @@ let read_done t k =
   let path = cell_path t k ".done" in
   if not (Sys.file_exists path) then None
   else begin
-    let r = Bisa_base.Codec.R.of_string (read_file path) in
+    let r = Bisa_base.Codec.R.of_string (Fs.read_file path) in
     let magic = try Bisa_base.Codec.R.string r with _ -> "" in
     if magic <> cell_magic then fail "cell manifest %s is not a cell manifest" path;
     let v = Bisa_base.Codec.R.int r in

@@ -38,11 +38,7 @@ let chunks n xs =
 
 type cache_key = (int * int * int) option * Config.predictor
 
-(* A memo cell: Busy while the first requester computes; later requesters
-   block on the cell's condition instead of recomputing.  An exception
-   poisons the cell for every waiter. *)
-type 'a cell_state = Busy | Ready of 'a | Poisoned of exn * Printexc.raw_backtrace
-type 'a cell = { cm : Mutex.t; cc : Condition.t; mutable state : 'a cell_state }
+type 'a cell = 'a Pool.Once.cell
 
 type t = {
   scale : int option;
@@ -116,52 +112,27 @@ let benchmarks _ = Workloads.all
 let pool t = t.pool
 let set_compute_hook t hook = t.on_compute <- hook
 
-let wait_cell cell =
-  Mutex.lock cell.cm;
-  let rec go () =
-    match cell.state with
-    | Busy ->
-      Condition.wait cell.cc cell.cm;
-      go ()
-    | Ready v ->
-      Mutex.unlock cell.cm;
-      v
-    | Poisoned (e, bt) ->
-      Mutex.unlock cell.cm;
-      Printexc.raise_with_backtrace e bt
-  in
-  go ()
-
-let fill_cell cell state =
-  Mutex.lock cell.cm;
-  cell.state <- state;
-  Condition.broadcast cell.cc;
-  Mutex.unlock cell.cm
-
-(* Find-or-compute with exactly-once semantics: the requester that
-   installs the Busy cell computes outside [t.lock]; everyone else waits
-   on the cell.  [t.on_compute label] therefore fires exactly once per
-   distinct key. *)
+(* Find-or-compute with exactly-once semantics: the cell is installed
+   under [t.lock] and forced outside it, so one requester computes and
+   everyone else blocks on the cell.  The hook runs inside the cell's
+   thunk, so [t.on_compute label] fires exactly once per distinct key. *)
 let memoize t table key ~label ~compute =
   Mutex.lock t.lock;
-  match Hashtbl.find_opt table key with
-  | Some cell ->
-    Mutex.unlock t.lock;
-    wait_cell cell
-  | None ->
-    let cell = { cm = Mutex.create (); cc = Condition.create (); state = Busy } in
-    Hashtbl.add table key cell;
-    let hook = t.on_compute in
-    Mutex.unlock t.lock;
-    hook label;
-    (match compute () with
-    | v ->
-      fill_cell cell (Ready v);
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      fill_cell cell (Poisoned (e, bt));
-      Printexc.raise_with_backtrace e bt)
+  let cell =
+    match Hashtbl.find_opt table key with
+    | Some cell -> cell
+    | None ->
+      let hook = t.on_compute in
+      let cell =
+        Pool.Once.make (fun () ->
+            hook label;
+            compute ())
+      in
+      Hashtbl.add table key cell;
+      cell
+  in
+  Mutex.unlock t.lock;
+  Pool.Once.force cell
 
 let compiled t (w : Workloads.t) =
   memoize t t.compiled_cache w.name ~label:("compile:" ^ w.name) ~compute:(fun () ->

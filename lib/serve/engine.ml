@@ -1,9 +1,9 @@
 (* The bisad request engine: every request the daemon serves lands here,
    against a content-addressed artifact cache.
 
-   Three cache layers, all exactly-once under concurrency (the Harness
-   memo-cell discipline — one requester computes, the rest block on the
-   cell), all keyed by content, never by name:
+   Three cache layers, all exactly-once under concurrency (Pool.Once
+   cells — one requester computes, the rest block on the cell), all
+   keyed by content, never by name:
 
      - compiled MiniC     keyed by the source hash
      - prepared artifacts keyed by (program hash, exec backend) — the
@@ -93,32 +93,7 @@ let read_entry s =
   in
   (key, { prog_hash; payload })
 
-(* --- memo cells (the Harness discipline) -------------------------------- *)
-
-type 'a cell_state = Busy | Ready of 'a | Poisoned of exn * Printexc.raw_backtrace
-type 'a cell = { cm : Mutex.t; cc : Condition.t; mutable state : 'a cell_state }
-
-let wait_cell cell =
-  Mutex.lock cell.cm;
-  let rec go () =
-    match cell.state with
-    | Busy ->
-      Condition.wait cell.cc cell.cm;
-      go ()
-    | Ready v ->
-      Mutex.unlock cell.cm;
-      v
-    | Poisoned (e, bt) ->
-      Mutex.unlock cell.cm;
-      Printexc.raise_with_backtrace e bt
-  in
-  go ()
-
-let fill_cell cell state =
-  Mutex.lock cell.cm;
-  cell.state <- state;
-  Condition.broadcast cell.cc;
-  Mutex.unlock cell.cm
+type 'a cell = 'a Pool.Once.cell
 
 type t = {
   pool : Pool.t;
@@ -131,7 +106,7 @@ type t = {
   block_arts :
     (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact cell) Hashtbl.t;
   results : (string, entry cell) Hashtbl.t;
-  (* Insertion order of Ready results, for FIFO eviction at [result_cap]. *)
+  (* Insertion order of results, for FIFO eviction at [result_cap]. *)
   order : string Queue.t;
   mutable served : int;
   mutable sim_hits : int;
@@ -153,30 +128,27 @@ let miss t =
   t.sim_misses <- t.sim_misses + 1;
   Mutex.unlock t.lock
 
-let memoize t table key ~compute =
+(* Find-or-compute with exactly-once semantics: the cell is installed
+   under [t.lock] and forced outside it, so one requester computes and
+   the rest block on the cell; an exception poisons it for every waiter.
+   Also says whether this requester installed the cell — the one that
+   accounts a fresh result. *)
+let memo t table key ~compute =
   Mutex.lock t.lock;
-  match Hashtbl.find_opt table key with
-  | Some cell ->
-    Mutex.unlock t.lock;
-    wait_cell cell
-  | None ->
-    let cell = { cm = Mutex.create (); cc = Condition.create (); state = Busy } in
-    Hashtbl.add table key cell;
-    Mutex.unlock t.lock;
-    (match compute () with
-    | v ->
-      fill_cell cell (Ready v);
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      fill_cell cell (Poisoned (e, bt));
-      Printexc.raise_with_backtrace e bt)
+  let cell, fresh =
+    match Hashtbl.find_opt table key with
+    | Some cell -> (cell, false)
+    | None ->
+      let cell = Pool.Once.make compute in
+      Hashtbl.add table key cell;
+      (cell, true)
+  in
+  Mutex.unlock t.lock;
+  (Pool.Once.force cell, fresh)
+
+let memoize t table key ~compute = fst (memo t table key ~compute)
 
 (* --- construction and the spool ----------------------------------------- *)
-
-let mkdir_p path =
-  if not (Sys.file_exists path) then
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
 let spool_path dir key = Filename.concat dir (Codec.hash_hex key ^ ".resp")
 
@@ -200,23 +172,17 @@ let note_result t key entry =
     Mutex.unlock t.lock
 
 let load_spool t dir =
-  mkdir_p dir;
+  Bisa_base.Fs.mkdir_p dir;
   let files = Sys.readdir dir in
   Array.sort compare files;
   Array.iter
     (fun f ->
       if Filename.check_suffix f ".resp" then begin
         let path = Filename.concat dir f in
-        match
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          read_entry s
-        with
+        match read_entry (Bisa_base.Fs.read_file path) with
         | key, entry ->
           if not (Hashtbl.mem t.results key) then begin
-            Hashtbl.add t.results key
-              { cm = Mutex.create (); cc = Condition.create (); state = Ready entry };
+            Hashtbl.add t.results key (Pool.Once.make (Fun.const entry));
             Queue.push key t.order;
             t.spooled <- t.spooled + 1
           end
@@ -382,18 +348,12 @@ let find_result t key =
   Mutex.lock t.lock;
   let cell = Hashtbl.find_opt t.results key in
   Mutex.unlock t.lock;
-  Option.map wait_cell cell
+  Option.map Pool.Once.force cell
 
 let compute_result t key ~compute =
-  let fresh = ref false in
-  let entry =
-    memoize t t.results key ~compute:(fun () ->
-        fresh := true;
-        let e = compute () in
-        e)
-  in
-  if !fresh then note_result t key entry;
-  (entry, not !fresh)
+  let entry, fresh = memo t t.results key ~compute in
+  if fresh then note_result t key entry;
+  (entry, not fresh)
 
 (* Record a result computed outside the memo discipline (a sliced job
    sealed by the server loop).  If the key is already present — a Batch
@@ -403,9 +363,7 @@ let compute_result t key ~compute =
 let insert_result t key entry =
   Mutex.lock t.lock;
   let fresh = not (Hashtbl.mem t.results key) in
-  if fresh then
-    Hashtbl.add t.results key
-      { cm = Mutex.create (); cc = Condition.create (); state = Ready entry };
+  if fresh then Hashtbl.add t.results key (Pool.Once.make (Fun.const entry));
   Mutex.unlock t.lock;
   if fresh then note_result t key entry
 

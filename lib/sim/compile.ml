@@ -575,7 +575,7 @@ module Block = struct
       end
     end
 
-  (* Zero-allocation stepping for the timing pipelines' fast path:
+  (* Zero-allocation stepping for the block timing pipeline:
      mirrors [step] state transition for state transition, but the
      epilogue lands in [r_block]/[r_ops]/[dir] and the reusable scratch
      address array instead of a fresh step record.  Returns [-1] where
@@ -1661,7 +1661,7 @@ module Conv = struct
           }
     end
 
-  (* Zero-allocation stepping for the conventional pipeline's fast path:
+  (* Zero-allocation stepping for the conventional timing pipeline:
      mirrors [step] exactly, but the packet lands in the binding's
      mutable fields ([last_start], [count], [term], [next]) and the
      scratch address array is handed out directly instead of being copied

@@ -68,7 +68,7 @@ module Block : sig
       same traps, same exceptions, same state evolution. *)
 
   val step_into : fetch:int -> t -> int
-  (** Zero-allocation [step] for the timing pipelines' fast path: the
+  (** Zero-allocation [step], the block timing pipeline's drain: the
       same state evolution, but the step lands in mutable fields read
       through the [last_*] accessors instead of a fresh record.  Returns
       [-1] exactly where [step] returns [None], [0] for a committed
@@ -110,12 +110,12 @@ module Conv : sig
       packets across steps). *)
 
   val step_into : t -> bool
-  (** Zero-allocation [step] for the conventional pipeline's fast path:
-      the same state evolution, but the packet lands in mutable fields
-      read through the [last_*] accessors instead of a fresh record.
-      Returns [false] exactly where [step] returns [None].  Results —
-      including the scratch [last_addrs] array — are only valid until
-      the next call. *)
+  (** Zero-allocation [step], the conventional timing pipeline's drain
+      when no trace cache looks ahead: the same state evolution, but the
+      packet lands in mutable fields read through the [last_*] accessors
+      instead of a fresh record.  Returns [false] exactly where [step]
+      returns [None].  Results — including the scratch [last_addrs]
+      array — are only valid until the next call. *)
 
   val last_start : t -> int
   val last_count : t -> int

@@ -191,9 +191,9 @@ type session = {
   m : Metrics.t;
   engine : Engine.t;
   exec : Conv_exec.t;
-  (* The compiled executor binding when the session runs with --exec
-     compiled; the fast path steps it packet-in-place ([step_into])
-     instead of going through the stream's packet records. *)
+  (* The compiled executor bound to [exec], when the session has threaded
+     code.  Without a trace cache, [step] drains it in place
+     ([step_into]) instead of through the stream's packet records. *)
   cexec : Bisa_sim.Compile.Conv.t option;
   stream : Stream.t;
   icache : Cache.t option;
@@ -202,11 +202,6 @@ type session = {
   recent : Recent.t;
   probe : Bisa_obs.Probe.t;
   tracing : bool;
-  (* Probe/injector/trace-cache dispatch hoisted to session creation: when
-     none of them is live, [step] runs a specialized clone with those
-     tests compiled out — the observable behavior is identical (checked by
-     the probe-equivalence test). *)
-  fast : bool;
   inj : Bisa_uarch.Inject.t option;
   mutable next_fetch : int;
   mutable running : bool;
@@ -257,24 +252,24 @@ let session ?tables ?code ?(probe = Bisa_obs.Probe.null) (cfg : Config.t)
     recent;
     probe;
     tracing;
-    fast = (not tracing) && Option.is_none tc && Option.is_none cfg.inject;
     inj = cfg.inject;
     next_fetch = 0;
     running = true;
   }
 
 (* Process one packet fetched at [fc]; [from_tc] packets are supplied by
-   the trace cache (no icache access).  Returns whether its prediction was
-   correct. *)
-let process_packet s ~from_tc (pkt : Conv_exec.packet) =
+   the trace cache (no icache access).  The packet arrives as scalars so
+   records from the stream and the compiled executor's in-place results
+   share this one path.  Returns whether its prediction was correct. *)
+let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next =
   let cfg = s.cfg and m = s.m and probe = s.probe and tracing = s.tracing in
   (* Trace-supplied followers ride the fetch cycle of the trace's first
      packet. *)
   let fc = ref (if from_tc then max 0 (s.next_fetch - 1) else s.next_fetch) in
   (match s.icache with
   | Some c when not from_tc ->
-    let addr = Conv_prog.insn_addr pkt.start in
-    let misses = Cache.access_range c addr (pkt.count * Conv_prog.bytes_per_insn) in
+    let addr = Conv_prog.insn_addr start in
+    let misses = Cache.access_range c addr (count * Conv_prog.bytes_per_insn) in
     if misses > 0 then fc := !fc + (misses * cfg.l2_latency);
     (* Injected transient fault: the line we just fetched drops out, so
        the next visit pays a fresh miss. *)
@@ -283,118 +278,11 @@ let process_packet s ~from_tc (pkt : Conv_exec.packet) =
     | _ -> ())
   | _ -> ());
   m.fetch_units <- m.fetch_units + 1;
-  if tracing then
-    probe.Bisa_obs.Probe.unit_start ~cycle:!fc ~addr:pkt.start ~ops:pkt.count;
-  let nchunks = (pkt.count + cfg.issue_width - 1) / cfg.issue_width in
+  if tracing then probe.Bisa_obs.Probe.unit_start ~cycle:!fc ~addr:start ~ops:count;
+  let nchunks = (count + cfg.issue_width - 1) / cfg.issue_width in
   let last_resolve = ref 0 in
   let first_dispatch = ref (-1) in
   let last_unit_retire = ref 0 in
-  for chunk = 0 to nchunks - 1 do
-    let lo = chunk * cfg.issue_width in
-    let hi = min pkt.count (lo + cfg.issue_width) in
-    let want = !fc + chunk + cfg.decode_depth in
-    let dispatch = Engine.admit s.engine ~want ~op_count:(hi - lo) in
-    Engine.run_unit s.engine ~dispatch ~commit:true s.pd ~lo:(pkt.start + lo)
-      ~len:(hi - lo) ~term:(-1) ~mem_addrs:pkt.mem_addrs ~mem_off:lo;
-    last_resolve := Engine.unit_resolve s.engine;
-    if !first_dispatch < 0 then first_dispatch := dispatch;
-    last_unit_retire := Engine.unit_retire s.engine;
-    if tracing then
-      probe.Bisa_obs.Probe.occupancy ~cycle:!last_unit_retire
-        ~ops:(Engine.occupancy s.engine);
-    m.retired_ops <- m.retired_ops + (hi - lo);
-    s.next_fetch <- max (!fc + chunk + 1) (dispatch - cfg.decode_depth + 1)
-  done;
-  if not from_tc then s.next_fetch <- max s.next_fetch (!fc + 1);
-  m.retired_blocks <- m.retired_blocks + 1;
-  if tracing then
-    probe.Bisa_obs.Probe.unit_retire ~dispatch:!first_dispatch
-      ~resolve:!last_resolve ~retire:!last_unit_retire ~ops:pkt.count
-      ~committed:true;
-  Bisa_base.Stats.Histogram.add m.block_sizes pkt.count;
-  let branch_pc = pkt.start + pkt.count - 1 in
-  (* Injected BTB corruption: a bogus target for this pc.  The predictor
-     only compares BTB contents against the architectural target, so the
-     worst case is a Wrong_target verdict below. *)
-  (match s.inj with
-  | Some i when Bisa_uarch.Inject.corrupt_btb i ->
-    Conv_pred.inject_btb s.pred ~pc:branch_pc
-      ~target:(Bisa_uarch.Inject.rand_int i (Array.length s.prog.insns))
-  | _ -> ());
-  let verdict =
-    match cfg.predictor with
-    | Config.Perfect -> Conv_pred.Correct
-    | Config.Real -> begin
-      match pkt.term with
-      | Conv_exec.Kbr taken ->
-        Conv_pred.on_branch s.pred ~pc:branch_pc ~taken ~target:pkt.next
-      | Conv_exec.Kjmp -> Conv_pred.on_jump s.pred ~pc:branch_pc ~target:pkt.next
-      | Conv_exec.Kcall ->
-        Conv_pred.on_call s.pred ~pc:branch_pc ~target:pkt.next
-          ~return_to:(branch_pc + 1)
-      | Conv_exec.Kret -> Conv_pred.on_return s.pred ~pc:branch_pc ~target:pkt.next
-      | Conv_exec.Kjr -> Conv_pred.on_indirect s.pred ~pc:branch_pc ~target:pkt.next
-      | Conv_exec.Khalt | Conv_exec.Kfall -> Conv_pred.Correct
-    end
-  in
-  (* Injected forced misprediction: the front end redirects even though
-     the predictor was right — pure timing cost. *)
-  let forced_miss =
-    match s.inj with Some i -> Bisa_uarch.Inject.flip_direction i | None -> false
-  in
-  if
-    tracing
-    && cfg.predictor = Config.Real
-    && (match pkt.term with
-       | Conv_exec.Khalt | Conv_exec.Kfall -> false
-       | _ -> true)
-  then
-    probe.Bisa_obs.Probe.predict ~pc:branch_pc ~correct:(verdict = Conv_pred.Correct);
-  let ok = verdict = Conv_pred.Correct && not forced_miss in
-  if not ok then begin
-    m.mispredicts <- m.mispredicts + 1;
-    s.next_fetch <- max s.next_fetch (!last_resolve + cfg.redirect_penalty);
-    if tracing then
-      probe.Bisa_obs.Probe.redirect ~cycle:!last_resolve ~until:s.next_fetch
-        ~cause:Bisa_obs.Probe.Mispredict
-  end;
-  (* Trace fill: remember this packet, and record the longest recent
-     window that fits a trace-cache entry. *)
-  (match s.tc with
-  | Some tc_ ->
-    Recent.push s.recent pkt.start pkt.count;
-    let starts, total = Recent.window s.recent in
-    Trace_cache.fill tc_ ~starts ~total_ops:total;
-    (* Injected trace corruption: a bogus successor sequence keyed at
-       this packet.  Lookups validate traces against the real upcoming
-       packets, so a corrupt entry never gets served. *)
-    (match s.inj with
-    | Some i when Bisa_uarch.Inject.corrupt_trace i ->
-      Trace_cache.corrupt tc_ ~start:pkt.start
-        ~succs:[ Bisa_uarch.Inject.rand_int i (Array.length s.prog.insns) ]
-    | _ -> ());
-    (* A redirect breaks trace continuity. *)
-    if not ok then Recent.clear s.recent
-  | None -> ());
-  ok
-
-(* Specialized clone of [process_packet] for the untraced, uninstrumented
-   configuration (null probe, no trace cache, no injector).  The timing
-   arithmetic is line-for-line the same; only the per-packet probe,
-   injector and trace-fill tests are compiled out, the same hoisting the
-   compiled executors apply to their per-op dispatch. *)
-let process_fast s ~start ~count ~(mem_addrs : int array) ~term ~next =
-  let cfg = s.cfg and m = s.m in
-  let fc = ref s.next_fetch in
-  (match s.icache with
-  | Some c ->
-    let addr = Conv_prog.insn_addr start in
-    let misses = Cache.access_range c addr (count * Conv_prog.bytes_per_insn) in
-    if misses > 0 then fc := !fc + (misses * cfg.l2_latency)
-  | None -> ());
-  m.fetch_units <- m.fetch_units + 1;
-  let nchunks = (count + cfg.issue_width - 1) / cfg.issue_width in
-  let last_resolve = ref 0 in
   for chunk = 0 to nchunks - 1 do
     let lo = chunk * cfg.issue_width in
     let hi = min count (lo + cfg.issue_width) in
@@ -403,13 +291,30 @@ let process_fast s ~start ~count ~(mem_addrs : int array) ~term ~next =
     Engine.run_unit s.engine ~dispatch ~commit:true s.pd ~lo:(start + lo)
       ~len:(hi - lo) ~term:(-1) ~mem_addrs ~mem_off:lo;
     last_resolve := Engine.unit_resolve s.engine;
+    if tracing then begin
+      if !first_dispatch < 0 then first_dispatch := dispatch;
+      last_unit_retire := Engine.unit_retire s.engine;
+      probe.Bisa_obs.Probe.occupancy ~cycle:!last_unit_retire
+        ~ops:(Engine.occupancy s.engine)
+    end;
     m.retired_ops <- m.retired_ops + (hi - lo);
     s.next_fetch <- max (!fc + chunk + 1) (dispatch - cfg.decode_depth + 1)
   done;
-  s.next_fetch <- max s.next_fetch (!fc + 1);
+  if not from_tc then s.next_fetch <- max s.next_fetch (!fc + 1);
   m.retired_blocks <- m.retired_blocks + 1;
+  if tracing then
+    probe.Bisa_obs.Probe.unit_retire ~dispatch:!first_dispatch
+      ~resolve:!last_resolve ~retire:!last_unit_retire ~ops:count ~committed:true;
   Bisa_base.Stats.Histogram.add m.block_sizes count;
   let branch_pc = start + count - 1 in
+  (* Injected BTB corruption: a bogus target for this pc.  The predictor
+     only compares BTB contents against the architectural target, so the
+     worst case is a Wrong_target verdict below. *)
+  (match s.inj with
+  | Some i when Bisa_uarch.Inject.corrupt_btb i ->
+    Conv_pred.inject_btb s.pred ~pc:branch_pc
+      ~target:(Bisa_uarch.Inject.rand_int i (Array.length s.prog.insns))
+  | _ -> ());
   let verdict =
     match cfg.predictor with
     | Config.Perfect -> Conv_pred.Correct
@@ -426,68 +331,87 @@ let process_fast s ~start ~count ~(mem_addrs : int array) ~term ~next =
       | Conv_exec.Khalt | Conv_exec.Kfall -> Conv_pred.Correct
     end
   in
-  if verdict <> Conv_pred.Correct then begin
+  (* Injected forced misprediction: the front end redirects even though
+     the predictor was right — pure timing cost. *)
+  let forced_miss =
+    match s.inj with Some i -> Bisa_uarch.Inject.flip_direction i | None -> false
+  in
+  if
+    tracing
+    && cfg.predictor = Config.Real
+    && (match term with
+       | Conv_exec.Khalt | Conv_exec.Kfall -> false
+       | _ -> true)
+  then
+    probe.Bisa_obs.Probe.predict ~pc:branch_pc ~correct:(verdict = Conv_pred.Correct);
+  let ok = verdict = Conv_pred.Correct && not forced_miss in
+  if not ok then begin
     m.mispredicts <- m.mispredicts + 1;
-    s.next_fetch <- max s.next_fetch (!last_resolve + cfg.redirect_penalty)
-  end
+    s.next_fetch <- max s.next_fetch (!last_resolve + cfg.redirect_penalty);
+    if tracing then
+      probe.Bisa_obs.Probe.redirect ~cycle:!last_resolve ~until:s.next_fetch
+        ~cause:Bisa_obs.Probe.Mispredict
+  end;
+  (* Trace fill: remember this packet, and record the longest recent
+     window that fits a trace-cache entry. *)
+  (match s.tc with
+  | Some tc_ ->
+    Recent.push s.recent start count;
+    let starts, total = Recent.window s.recent in
+    Trace_cache.fill tc_ ~starts ~total_ops:total;
+    (* Injected trace corruption: a bogus successor sequence keyed at
+       this packet.  Lookups validate traces against the real upcoming
+       packets, so a corrupt entry never gets served. *)
+    (match s.inj with
+    | Some i when Bisa_uarch.Inject.corrupt_trace i ->
+      Trace_cache.corrupt tc_ ~start
+        ~succs:[ Bisa_uarch.Inject.rand_int i (Array.length s.prog.insns) ]
+    | _ -> ());
+    (* A redirect breaks trace continuity. *)
+    if not ok then Recent.clear s.recent
+  | None -> ());
+  ok
 
-let process_packet_fast s (pkt : Conv_exec.packet) =
-  process_fast s ~start:pkt.start ~count:pkt.count ~mem_addrs:pkt.mem_addrs
-    ~term:pkt.term ~next:pkt.next
+let process_record s ~from_tc (p : Conv_exec.packet) =
+  process_packet s ~from_tc ~start:p.start ~count:p.count ~mem_addrs:p.mem_addrs
+    ~term:p.term ~next:p.next
 
-let step_fast s =
-  if not s.running then false
-  else if Stream.available s.stream > 0 then begin
-    (* Leftover buffered packets (a restored snapshot can carry them). *)
-    match Stream.pop s.stream with
-    | None ->
-      s.running <- false;
-      false
-    | Some p0 ->
-      process_packet_fast s p0;
-      true
-  end
-  else begin
-    match s.cexec with
-    | Some ce ->
-      (* Packet-in-place drain: no packet record, no address copy. *)
-      if Bisa_sim.Compile.Conv.step_into ce then begin
-        let module C = Bisa_sim.Compile.Conv in
-        process_fast s ~start:(C.last_start ce) ~count:(C.last_count ce)
-          ~mem_addrs:(C.last_addrs ce) ~term:(C.last_term ce)
-          ~next:(C.last_next ce);
-        true
-      end
-      else begin
-        s.running <- false;
-        false
-      end
-    | None -> begin
-      match Stream.pop_direct s.stream with
-      | None ->
-        s.running <- false;
-        false
-      | Some p0 ->
-        process_packet_fast s p0;
-        true
-    end
-  end
+let stop s =
+  s.running <- false;
+  false
 
 (* One front-end iteration: fetch the next packet (serving a whole trace
    when the trace cache confirms one) and run it through the engine.
    Returns false once the program has halted and the stream is drained. *)
-let step_general s =
+let step s =
   if not s.running then false
-  else begin
-    match Stream.pop s.stream with
-    | None ->
-      s.running <- false;
-      false
-    | Some p0 ->
-      (* Try to serve a whole trace this cycle. *)
-      let followers =
-        match s.tc with
-        | Some tc_ -> begin
+  else
+    match (s.tc, s.cexec) with
+    | None, Some ce when Stream.available s.stream = 0 ->
+      (* Nothing looks ahead and nothing is buffered: drain the compiled
+         executor in place, with no packet record and no address copy. *)
+      let module C = Bisa_sim.Compile.Conv in
+      if C.step_into ce then begin
+        ignore
+          (process_packet s ~from_tc:false ~start:(C.last_start ce)
+             ~count:(C.last_count ce) ~mem_addrs:(C.last_addrs ce)
+             ~term:(C.last_term ce) ~next:(C.last_next ce));
+        true
+      end
+      else stop s
+    | None, _ -> begin
+      match Stream.pop_direct s.stream with
+      | None -> stop s
+      | Some p0 ->
+        ignore (process_record s ~from_tc:false p0);
+        true
+    end
+    | Some tc_, _ -> begin
+      match Stream.pop s.stream with
+      | None -> stop s
+      | Some p0 ->
+        (* Try to serve a whole trace this cycle. *)
+        let followers =
           match Trace_cache.lookup tc_ ~start:p0.start with
           | Some succs ->
             let n = List.length succs in
@@ -511,35 +435,29 @@ let step_general s =
             end
             else []
           | None -> []
-        end
-        | None -> []
-      in
-      (match s.tc with
-      | Some _ when s.tracing ->
-        s.probe.Bisa_obs.Probe.tc_lookup ~start:p0.start ~hit:(followers <> [])
-      | _ -> ());
-      let ok0 = process_packet s ~from_tc:false p0 in
-      if followers <> [] then begin
-        s.m.tc_hits <- s.m.tc_hits + 1;
-        (* Followers ride the same fetch cycle unless an earlier packet of
-           the group mispredicted, which demotes the rest to normal
-           fetches at the redirected time. *)
-        let tc_mode = ref ok0 in
-        List.iter
-          (fun p ->
-            if !tc_mode then begin
-              s.m.tc_served_ops <- s.m.tc_served_ops + p.Conv_exec.count;
-              if s.tracing then
-                s.probe.Bisa_obs.Probe.tc_serve ~ops:p.Conv_exec.count
-            end;
-            let ok = process_packet s ~from_tc:!tc_mode p in
-            if not ok then tc_mode := false)
-          followers
-      end;
-      true
-  end
-
-let step s = if s.fast then step_fast s else step_general s
+        in
+        if s.tracing then
+          s.probe.Bisa_obs.Probe.tc_lookup ~start:p0.start ~hit:(followers <> []);
+        let ok0 = process_record s ~from_tc:false p0 in
+        if followers <> [] then begin
+          s.m.tc_hits <- s.m.tc_hits + 1;
+          (* Followers ride the same fetch cycle unless an earlier packet
+             of the group mispredicted, which demotes the rest to normal
+             fetches at the redirected time. *)
+          let tc_mode = ref ok0 in
+          List.iter
+            (fun p ->
+              if !tc_mode then begin
+                s.m.tc_served_ops <- s.m.tc_served_ops + p.Conv_exec.count;
+                if s.tracing then
+                  s.probe.Bisa_obs.Probe.tc_serve ~ops:p.Conv_exec.count
+              end;
+              let ok = process_record s ~from_tc:!tc_mode p in
+              if not ok then tc_mode := false)
+            followers
+        end;
+        true
+    end
 
 let ops s = Conv_exec.dyn_insns s.exec
 

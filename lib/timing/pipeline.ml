@@ -56,7 +56,6 @@ module type S = sig
     val tables : t -> tables
     val code : t -> code option
     val hash : t -> int64
-    val with_code : code -> t -> t
   end
 
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
@@ -100,7 +99,6 @@ module Extend (B : BASE) :
     let tables a = a.a_tables
     let code a = a.a_code
     let hash a = a.a_hash
-    let with_code c a = { a with a_code = Some c }
   end
 
   let bundle ?code ~tables prog =

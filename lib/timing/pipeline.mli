@@ -146,11 +146,6 @@ module type S = sig
     val tables : t -> tables
     val code : t -> code option
     val hash : t -> int64
-
-    val with_code : code -> t -> t
-    (** The same bundle with threaded code attached — how a cache
-        upgrades an interpreter-prepared artifact when a compiled-backend
-        request arrives. *)
   end
 
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
@@ -180,15 +175,6 @@ module type S = sig
       tables and code.  [out_cap] bounds output retention as in
       {!set_out_cap}. *)
 end
-
-(** Derive the artifact layer from the per-pipeline primitives (exposed
-    so scenario variants outside this library can join the contract). *)
-module Extend (B : BASE) :
-  S
-    with type prog = B.prog
-     and type tables = B.tables
-     and type code = B.code
-     and type session = B.session
 
 module Conv :
   S

@@ -147,12 +147,6 @@ let test_textplot () =
     (Astring_free.contains_substring s "g1");
   Alcotest.(check bool) "contains label" true (Astring_free.contains_substring s "a")
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let tmp_target () =
   let dir = Filename.temp_file "bisa_atomic" "" in
   Sys.remove dir;
@@ -166,7 +160,7 @@ let no_temp_residue path =
 let test_atomic_write () =
   let path = tmp_target () in
   Atomic_file.write_string path "hello";
-  Alcotest.(check string) "content" "hello" (read_file path);
+  Alcotest.(check string) "content" "hello" (Fs.read_file path);
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
 
 exception Killed
@@ -182,7 +176,7 @@ let test_atomic_mid_write_kill () =
     (fun () ->
       Alcotest.check_raises "kill propagates" Killed (fun () ->
           Atomic_file.write_string path "half-written update"));
-  Alcotest.(check string) "previous content intact" "previous" (read_file path);
+  Alcotest.(check string) "previous content intact" "previous" (Fs.read_file path);
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
 
 let test_atomic_concurrent_writers () =
@@ -200,7 +194,7 @@ let test_atomic_concurrent_writers () =
   let d2 = Domain.spawn (writer 2) in
   Domain.join d1;
   Domain.join d2;
-  let got = read_file path in
+  let got = Fs.read_file path in
   Alcotest.(check bool)
     "file is one writer's complete payload" true
     (got = payload 1 || got = payload 2);
@@ -214,6 +208,22 @@ let test_atomic_writer_raises () =
           raise Killed));
   Alcotest.(check bool) "target never created" false (Sys.file_exists path);
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
+
+let test_fs_tree () =
+  let root = Filename.dirname (tmp_target ()) in
+  let deep = Filename.concat (Filename.concat root "a") "b" in
+  Fs.mkdir_p deep;
+  Fs.mkdir_p deep;
+  Atomic_file.write_string (Filename.concat deep "f") "x";
+  Alcotest.(check string) "file inside created parents" "x"
+    (Fs.read_file (Filename.concat deep "f"));
+  (match Fs.read_file deep with
+  | _ -> Alcotest.fail "read a directory as a file"
+  | exception Sys_error _ -> ());
+  Fs.rm_rf root;
+  Alcotest.(check bool) "tree removed" false (Sys.file_exists root);
+  (* Removing a path that is already gone is a no-op. *)
+  Fs.rm_rf root
 
 let suite =
   [
@@ -239,4 +249,5 @@ let suite =
     Alcotest.test_case "atomic mid-write kill" `Quick test_atomic_mid_write_kill;
     Alcotest.test_case "atomic writer raises" `Quick test_atomic_writer_raises;
     Alcotest.test_case "atomic concurrent writers" `Quick test_atomic_concurrent_writers;
+    Alcotest.test_case "fs tree" `Quick test_fs_tree;
   ]

@@ -278,15 +278,26 @@ let test_spool_skip_surfaced () =
   let oc = open_out_bin (Filename.concat dir "deadbeef.resp") in
   output_string oc "this is not a spooled result";
   close_out oc;
+  (* A directory opens but cannot be read: skipped like any other damage,
+     and without leaking the descriptor the failed read opened. *)
+  Unix.mkdir (Filename.concat dir "cafef00d.resp") 0o755;
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
+    else 0
+  in
+  let fds = open_fds () in
   let diags = ref [] in
   let b = Engine.create ~spool_dir:dir ~log:(fun d -> diags := d :: !diags) () in
-  Alcotest.(check int) "skip counted in stats" 1
+  Alcotest.(check int) "no descriptor leaked" fds (open_fds ());
+  Alcotest.(check int) "skips counted in stats" 2
     (Engine.stats b).Proto.spool_skipped;
-  (match !diags with
-  | [ d ] ->
+  (match List.rev !diags with
+  | [ d1; d2 ] ->
+    Alcotest.(check bool) "diagnostic names the spool directory" true
+      (contains d1.Diag.message "cafef00d");
     Alcotest.(check bool) "diagnostic names the damaged file" true
-      (contains d.Diag.message "deadbeef")
-  | ds -> Alcotest.failf "expected one skip diagnostic, got %d" (List.length ds));
+      (contains d2.Diag.message "deadbeef")
+  | ds -> Alcotest.failf "expected two skip diagnostics, got %d" (List.length ds));
   (* The intact entry still warms the cache, byte-identically. *)
   let warm, cached = sim_payload (Engine.handle b (sim ())) in
   Alcotest.(check bool) "good entry reloads" true cached;

@@ -188,12 +188,15 @@ let test_metrics_mean_block_size () =
   Alcotest.(check bool) "conv blocks small" true (szc > 2.0 && szc < 16.0);
   Alcotest.(check bool) "enlargement grew blocks" true (szb > szc)
 
-(* --- Fast-path equivalence and allocation discipline ------------------------- *)
+(* --- One-loop equivalence and allocation discipline -------------------------- *)
 
-(* The pipelines hoist probe/injector dispatch to session creation: a null
-   probe selects a specialized step with the tests compiled out.  A live
-   probe (any non-null record) must therefore not change a single metric —
-   only observe.  Checked for both executors on both pipelines. *)
+(* Each pipeline has one step loop for both executors, with or without a
+   probe, a trace cache or an injector.  A live probe (any non-null
+   record) must not change a single metric — only observe — and the
+   compiled executor's in-place drain must agree with the interpreter's
+   step records.  All four runs of each configuration (interp or
+   compiled, null or live probe) must save identical metrics.  The
+   injector is stateful, so every run gets a fresh one. *)
 let test_probe_equivalence () =
   let c = Bisa_compiler.Compiler.compile sample in
   let mbytes m =
@@ -201,32 +204,55 @@ let test_probe_equivalence () =
     Bisa_timing.Metrics.save m w;
     Bisa_base.Codec.W.contents w
   in
-  let check name run =
-    let fast = run Bisa_obs.Probe.null in
-    let fired = ref 0 in
-    let probe =
-      {
-        Bisa_obs.Probe.null with
-        unit_start = (fun ~cycle:_ ~addr:_ ~ops:_ -> incr fired);
-      }
+  let check name (cfg : unit -> Config.t) code run =
+    let runs =
+      List.concat_map
+        (fun (backend, code) ->
+          let fired = ref 0 in
+          let probe =
+            {
+              Bisa_obs.Probe.null with
+              unit_start = (fun ~cycle:_ ~addr:_ ~ops:_ -> incr fired);
+            }
+          in
+          let null = run ?code ~probe:Bisa_obs.Probe.null (cfg ()) in
+          let live = run ?code ~probe (cfg ()) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: probe observed units" name backend)
+            true (!fired > 0);
+          [ (backend ^ "/null", mbytes null); (backend ^ "/live", mbytes live) ])
+        [ ("interp", None); ("compiled", Some code) ]
     in
-    let general = run probe in
-    Alcotest.(check bool) (name ^ ": probe observed units") true (!fired > 0);
-    Alcotest.(check string)
-      (name ^ ": general path metrics == fast path")
-      (mbytes fast) (mbytes general)
+    let reference = snd (List.hd runs) in
+    List.iter
+      (fun (label, bytes) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s metrics == interp/null" name label)
+          reference bytes)
+      runs
   in
-  check "conv interp" (fun probe ->
-      Bisa_timing.Conv_pipeline.run ~probe Config.default c.conv);
-  check "block interp" (fun probe ->
-      Bisa_timing.Block_pipeline.run ~probe Config.default c.block);
+  let default = ("default", fun () -> Config.default) in
+  let inject =
+    ( "inject",
+      fun () -> Config.with_inject (Some (Bisa_uarch.Inject.chaos ~seed:7)) Config.default )
+  in
+  let tc =
+    ( "tc",
+      fun () ->
+        { Config.default with trace_cache = Some Bisa_uarch.Trace_cache.default_config } )
+  in
   let conv_code = Bisa_timing.Pipeline.Conv.compile c.conv in
+  List.iter
+    (fun (cname, cfg) ->
+      check ("conv " ^ cname) cfg conv_code (fun ?code ~probe cfg ->
+          Bisa_timing.Conv_pipeline.run ?code ~probe cfg c.conv))
+    [ default; tc; inject ];
   let block_code = Bisa_timing.Pipeline.Block.compile c.block in
-  check "conv compiled" (fun probe ->
-      Bisa_timing.Conv_pipeline.run ~code:conv_code ~probe Config.default c.conv);
-  check "block compiled" (fun probe ->
-      Bisa_timing.Block_pipeline.run ~code:block_code ~probe Config.default
-        c.block)
+  List.iter
+    (fun (cname, cfg) ->
+      check ("block " ^ cname) cfg block_code (fun ?code ~probe cfg ->
+          Bisa_timing.Block_pipeline.run ?code ~probe cfg c.block))
+    [ default; inject ]
 
 (* A longer-running workload so the steady-state window is thousands of
    steps deep, far past predictor/cache warmup and table growth. *)
@@ -245,9 +271,9 @@ int main() {
 }
 |}
 
-(* The pre-scheduled template fast path must not allocate per step once
-   warm: the conv drain is allocation-free, the block drain is bounded by
-   a few words (output consing and BTB fills).  A regression to
+(* The untraced step loop must not allocate per step once warm: the conv
+   drain is allocation-free, the block drain is bounded by a few words
+   (output consing and BTB fills).  A regression to
    closure-per-step or record-per-step costs tens of words and fails
    loudly here. *)
 let test_steady_state_allocation () =
@@ -275,14 +301,14 @@ let test_steady_state_allocation () =
       ~code:(Bisa_timing.Pipeline.Conv.compile c.conv)
       cfg c.conv
   in
-  words_per_step "conv fast step" conv Bisa_timing.Conv_pipeline.step 2.0;
+  words_per_step "conv step" conv Bisa_timing.Conv_pipeline.step 2.0;
   let block =
     Bisa_timing.Block_pipeline.session
       ~tables:(Bisa_timing.Pipeline.Block.predecode c.block)
       ~code:(Bisa_timing.Pipeline.Block.compile c.block)
       cfg c.block
   in
-  words_per_step "block fast step" block Bisa_timing.Block_pipeline.step 24.0
+  words_per_step "block step" block Bisa_timing.Block_pipeline.step 24.0
 
 let suite =
   [
