@@ -3,17 +3,16 @@
    `bisad serve` runs the daemon: a select-loop server over a Unix
    socket, all requests landing in a content-addressed artifact cache
    (compiled programs, prepared pipeline artifacts, finished results),
-   with finished results spooled crash-safely to disk.  The other
-   subcommands are thin clients that build exactly the same typed
-   request values the one-shot CLIs build, so `bisad sim foo.c` prints
-   byte-for-byte what `bisasim foo.c` prints — cold, cached, or after a
-   kill -9 and restart.
+   with finished results spooled crash-safely to disk.  `bisad supervise`
+   runs it under a self-healing monitor.  The other subcommands are thin
+   clients that build exactly the same typed request values the one-shot
+   CLIs build, so `bisad sim foo.c` prints byte-for-byte what
+   `bisasim foo.c` prints — cold, cached, or after a kill -9 and restart.
 
-   `selftest` and `soak` are the daemon's own harnesses: selftest forks
-   a private server and diffs compile/simulate/replay against expected
-   bytes; soak drives a large request stream (optionally SIGKILLing the
-   server mid-stream) and enforces cache-hit rates, byte-stability and
-   bounded memory. *)
+   The daemon's checks live outside this binary: test/serve_live.ml
+   drives these client subcommands against a forked server, and the
+   chaos campaign (bisafuzz --mode chaos) kills, corrupts and restarts a
+   supervised one under load. *)
 
 module Driver = Bisa_cli.Driver
 module Args = Bisa_cli.Args
@@ -165,21 +164,6 @@ let serve socket jobs spool result_cap max_inflight deadline idle_timeout
         ~path:socket ());
   `Ok ()
 
-(* Fork a private server for the self-driving harnesses.  The parent
-   talks to it as any client would; [finally] reaps it. *)
-let fork_server ?deadline ?idle_timeout ?slice_ops ~socket ~jobs ~spool
-    ~max_inflight () =
-  match Unix.fork () with
-  | 0 ->
-    (try
-       Bisa_base.Pool.run ~workers:jobs (fun pool ->
-           let engine = Engine.create ~pool ?spool_dir:spool ~result_cap:8192 () in
-           Server.serve ~max_inflight ?deadline ?idle_timeout ?slice_ops ~engine
-             ~path:socket ());
-       Unix._exit 0
-     with _ -> Unix._exit 1)
-  | pid -> pid
-
 (* --- supervise ------------------------------------------------------------ *)
 
 (* The self-healing wrapper: fork/exec `bisad serve` as a child of a
@@ -237,236 +221,6 @@ let supervise socket jobs spool result_cap max_inflight deadline idle_timeout
     (if r.health_kills = 1 then "" else "s");
   if r.graceful then `Ok ()
   else Diag.fail ~component "supervision gave up after %d restarts" r.restarts
-
-let fresh_tmp name =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d" name (Unix.getpid ()))
-  in
-  d
-
-(* --- selftest ------------------------------------------------------------- *)
-
-(* Start a private server, drive the canonical session against it —
-   ping, compile, cold simulate, cached replay, stats, graceful
-   shutdown — and require the simulate stdout to match [expect] (a file
-   captured from the real one-shot CLI) byte for byte, cold and
-   cached. *)
-let selftest input isa functional exec cfg show_output scale jobs expect =
-  Driver.guard ~component @@ fun () ->
-  let socket = fresh_tmp "bisad-selftest" ^ ".sock" in
-  let pid = fork_server ~socket ~jobs ~spool:None ~max_inflight:64 () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      try Sys.remove socket with Sys_error _ -> ())
-    (fun () ->
-      let fd = Client.retry_connect socket in
-      Fun.protect
-        ~finally:(fun () -> Client.close fd)
-        (fun () ->
-          let check what ok =
-            if not ok then Diag.fail ~component "selftest: %s failed" what
-          in
-          (match expect_ok (Client.call fd Proto.Ping) with
-          | Proto.Pong { server } -> check "ping version" (server = Proto.version)
-          | _ -> check "ping" false);
-          (match
-             expect_ok
-               (Client.call fd (Proto.Compile { src = load_src ?scale input; isa }))
-           with
-          | Proto.Binary { bytes; _ } -> check "compile" (String.length bytes > 0)
-          | _ -> check "compile" false);
-          let req = sim_request ?scale input isa functional exec cfg show_output in
-          let cold =
-            match expect_ok (Client.call fd req) with
-            | Proto.Sim { stdout; cached; _ } ->
-              check "cold simulate is a miss" (not cached);
-              stdout
-            | _ ->
-              check "simulate" false;
-              ""
-          in
-          let warm =
-            match expect_ok (Client.call fd req) with
-            | Proto.Sim { stdout; cached; _ } ->
-              check "replay is a cache hit" cached;
-              stdout
-            | _ ->
-              check "replay" false;
-              ""
-          in
-          check "cached replay == cold response bytes" (warm = cold);
-          (match expect with
-          | None -> ()
-          | Some path ->
-            let want = Bisa_base.Fs.read_file path in
-            if cold <> want then begin
-              Printf.eprintf
-                "--- one-shot CLI (%s) ---\n%s--- daemon ---\n%s" path want cold;
-              check "daemon response == one-shot CLI bytes" false
-            end);
-          (match expect_ok (Client.call fd Proto.Stats) with
-          | Proto.Stats_r s ->
-            check "stats counted the hit" (s.sim_hits >= 1);
-            check "stats counted the miss" (s.sim_misses >= 1)
-          | _ -> check "stats" false);
-          (match expect_ok (Client.call fd Proto.Shutdown) with
-          | Proto.Bye -> ()
-          | _ -> check "shutdown" false));
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n ->
-        Diag.fail ~component "selftest: server exited with code %d" n
-      | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-        Diag.fail ~component "selftest: server died on a signal");
-      print_endline "bisad selftest OK";
-      `Ok ())
-
-(* --- soak ----------------------------------------------------------------- *)
-
-let soak_source i =
-  Printf.sprintf
-    {|
-int acc[8];
-int main() {
-  int i;
-  int s = %d;
-  for (i = 0; i < 400; i = i + 1) {
-    acc[i & 7] = acc[i & 7] + i * %d;
-    s = s + acc[i & 7];
-    if (s > 50000) { s = s - 49999; }
-  }
-  print_int(s);
-  return s & 255;
-}
-|}
-    (i + 1)
-    ((i * 7) + 3)
-
-(* Drive [requests] simulate requests round-robin over [programs]
-   distinct programs against a private (forked) server.  Enforces: hit
-   rate >= 90%, every response byte-identical to the first response for
-   its program, bounded peak-RSS growth, and — with [--kill] — that a
-   SIGKILL mid-soak loses only in-flight requests: the restarted server
-   answers from its spool, still byte-identically. *)
-let soak requests programs jobs kill keep =
-  Driver.guard ~component @@ fun () ->
-  if requests < programs then
-    Diag.fail ~component "--requests must be at least --programs";
-  let dir = fresh_tmp "bisad-soak" in
-  Bisa_base.Fs.rm_rf dir;
-  Unix.mkdir dir 0o755;
-  let socket = Filename.concat dir "sock" in
-  let spool = Filename.concat dir "spool" in
-  let srcs = Array.init programs soak_source in
-  let golden = Array.make programs "" in
-  let req i =
-    Proto.Simulate
-      {
-        src = Proto.Source { src = srcs.(i mod programs); libs = [] };
-        isa = (if i mod 2 = 0 then Proto.Block else Proto.Conv);
-        mode = Proto.Timing;
-        exec = Bisa_sim.Compile.Interp;
-        cfg = Proto.default_sim_cfg;
-        show_output = true;
-      }
-  in
-  (* Distinct (program, isa) cells: warm-up misses, everything else must
-     hit. *)
-  let distinct = min requests (2 * programs) in
-  let server = ref (fork_server ~socket ~jobs ~spool:(Some spool) ~max_inflight:64 ()) in
-  let conn = ref (Client.retry_connect socket) in
-  let hits = ref 0 in
-  let misses = ref 0 in
-  let retried = ref 0 in
-  let kill_at = if kill then requests / 2 else -1 in
-  let killed = ref false in
-  let baseline_rss = ref 0 in
-  let reconnect () =
-    Client.close !conn;
-    conn := Client.retry_connect socket
-  in
-  let rec call_retrying n r =
-    match Client.call !conn r with
-    | resp -> resp
-    | exception (Diag.Fail _ | Unix.Unix_error _) when n > 0 ->
-      (* The server vanished mid-request (the --kill leg): only this
-         in-flight request is affected; reconnect and replay it. *)
-      incr retried;
-      reconnect ();
-      call_retrying (n - 1) r
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Client.close !conn with _ -> ());
-      (try Unix.kill !server Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] !server) with Unix.Unix_error _ -> ());
-      if not keep then Bisa_base.Fs.rm_rf dir)
-    (fun () ->
-      for i = 0 to requests - 1 do
-        if i = kill_at then begin
-          (* SIGKILL, then restart on the same socket and spool.  The
-             spool must hand back every finished result byte-identically. *)
-          Unix.kill !server Sys.sigkill;
-          ignore (Unix.waitpid [] !server);
-          killed := true;
-          server := fork_server ~socket ~jobs ~spool:(Some spool) ~max_inflight:64 ();
-          reconnect ()
-        end;
-        (match call_retrying 3 (req i) with
-        | Proto.Sim { stdout; cached; _ } ->
-          if cached then incr hits else incr misses;
-          let slot = i mod programs in
-          if golden.(slot) = "" then golden.(slot) <- stdout
-          else if i mod (2 * programs) = slot && stdout <> golden.(slot) then
-            Diag.fail ~component
-              "soak: response for program %d diverged at request %d" slot i
-        | Proto.Err diags -> fail_diags diags
-        | _ -> Diag.fail ~component "soak: unexpected response at request %d" i);
-        if i = distinct then begin
-          match call_retrying 3 Proto.Stats with
-          | Proto.Stats_r s -> baseline_rss := s.rss_kb
-          | _ -> ()
-        end
-      done;
-      let final_stats =
-        match call_retrying 3 Proto.Stats with
-        | Proto.Stats_r s -> Some s
-        | _ -> None
-      in
-      (match expect_ok (call_retrying 3 Proto.Shutdown) with
-      | Proto.Bye -> ()
-      | _ -> Diag.fail ~component "soak: shutdown failed");
-      let _, status = Unix.waitpid [] !server in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Diag.fail ~component "soak: server did not exit cleanly");
-      let total = !hits + !misses in
-      let hit_rate = 100.0 *. float_of_int !hits /. float_of_int (max 1 total) in
-      Printf.printf
-        "soak: %d requests (%d programs), %d hits / %d misses (%.1f%% hit \
-         rate), %d retried after kill%s\n"
-        total programs !hits !misses hit_rate !retried
-        (if !killed then " [server SIGKILLed and restarted mid-soak]" else "");
-      (match final_stats with
-      | Some s ->
-        print_stats s;
-        if !baseline_rss > 0 && s.rss_kb > !baseline_rss * 2 then
-          Diag.fail ~component
-            "soak: peak RSS grew from %d KB to %d KB over the cached phase — \
-             resident memory is not bounded"
-            !baseline_rss s.rss_kb;
-        if !killed && s.spooled = 0 then
-          Diag.fail ~component "soak: restarted server reloaded nothing from the spool"
-      | None -> ());
-      if hit_rate < 90.0 then
-        Diag.fail ~component "soak: hit rate %.1f%% is below the 90%% bar" hit_rate;
-      print_endline "bisad soak OK";
-      `Ok ())
 
 (* --- command line --------------------------------------------------------- *)
 
@@ -652,51 +406,6 @@ let () =
       Term.(
         ret (const cell $ socket $ bench $ Args.isa $ Args.exec $ Args.sim_cfg $ Args.scale))
   in
-  let selftest_cmd =
-    let expect =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "expect" ]
-            ~doc:
-              "File holding the one-shot CLI's stdout for the same request; \
-               the daemon's response must match it byte for byte.")
-    in
-    doc_cmd "selftest"
-      "Start a private server; drive compile + simulate + cached replay + \
-       shutdown; diff against the one-shot CLI's bytes."
-      Term.(
-        ret
-          (const selftest $ input $ Args.isa $ functional $ Args.exec
-         $ Args.sim_cfg $ show_output $ Args.scale $ Args.jobs $ expect))
-  in
-  let soak_cmd =
-    let requests =
-      Arg.(
-        value & opt int 100_000
-        & info [ "requests" ] ~doc:"Total requests to drive (default 100000).")
-    in
-    let programs =
-      Arg.(
-        value & opt int 8
-        & info [ "programs" ] ~doc:"Distinct programs in the round-robin mix.")
-    in
-    let kill_f =
-      Arg.(
-        value & flag
-        & info [ "kill" ]
-            ~doc:
-              "SIGKILL the server mid-soak and restart it on the same spool; \
-               only in-flight requests may be lost.")
-    in
-    let keep =
-      Arg.(value & flag & info [ "keep" ] ~doc:"Keep the scratch directory.")
-    in
-    doc_cmd "soak"
-      "Drive a large request stream against a private server and enforce \
-       cache-hit rate, byte-stability and bounded memory."
-      Term.(ret (const soak $ requests $ programs $ Args.jobs $ kill_f $ keep))
-  in
   let info =
     Cmd.info "bisad" ~doc:"Persistent block-structured ISA simulation service"
   in
@@ -713,6 +422,4 @@ let () =
             verify_cmd;
             sim_cmd;
             cell_cmd;
-            selftest_cmd;
-            soak_cmd;
           ]))

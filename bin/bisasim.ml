@@ -134,26 +134,27 @@ let run input isa functional exec (sim_cfg : Proto.sim_cfg) show_output scale
   end
   else begin
     (* Both ISAs run through the one Pipeline.S contract; the ISA choice
-       only decides which implementation gets packed.  Verification was
+       only decides which implementation [timing] gets.  Verification was
        discharged (or waived) above, so tables are built trusted. *)
-    let (Pipeline.Packed ((module P), _) as packed) =
-      match isa with
-      | Proto.Conv -> Pipeline.pack_conv_trusted ~exec (pick conv_prog "conventional")
-      | Proto.Block ->
-        Pipeline.pack_block_trusted ~exec (pick block_prog "block-structured")
-    in
     let recorder =
       if trace_out <> None || timeline then
         Some (Trace.recorder ~sample:trace_sample ())
       else None
     in
-    let m, out =
-      Pipeline.run_packed ?probe:(Option.map Trace.probe recorder) ?out_cap cfg packed
+    let timing (type p) (module P : Pipeline.S with type prog = p) (prog : p) =
+      let m, out =
+        P.run_artifact ?probe:(Option.map Trace.probe recorder) ?out_cap cfg
+          (P.prepare_trusted ~exec prog)
+      in
+      print_string
+        (Proto.render_timing ~show_output
+           ~out:(Bisa_sim.Output.to_string out)
+           ~summary:(Bisa_timing.Metrics.summary ~name:P.descr m))
     in
-    print_string
-      (Proto.render_timing ~show_output
-         ~out:(Bisa_sim.Output.to_string out)
-         ~summary:(Bisa_timing.Metrics.summary ~name:P.descr m));
+    (match isa with
+    | Proto.Conv -> timing (module Pipeline.Conv) (pick conv_prog "conventional")
+    | Proto.Block ->
+      timing (module Pipeline.Block) (pick block_prog "block-structured"));
     (match recorder with
     | None -> ()
     | Some r ->

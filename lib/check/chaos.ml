@@ -18,8 +18,9 @@
 
    The invariant at the end of all of it: every client converged, every
    response byte-identical to what the engine serves a one-shot caller —
-   the same [Engine.handle] the golden daemon smoke test pins against
-   the real CLI — within a bounded time and with bounded server RSS.
+   the same [Engine.handle] whose bytes the live-server client session
+   (test/serve_live.ml) pins against the real CLI — within a bounded
+   time and with bounded server RSS.
    Crash-only serving means none of the injections above may cost more
    than a retry. *)
 
@@ -46,9 +47,9 @@ type report = {
 
 (* --- workload mix ------------------------------------------------------- *)
 
-(* Small distinct programs (the soak generator's shape): enough spread
-   that the spool holds several entries worth corrupting, small enough
-   that a request is milliseconds. *)
+(* Small distinct programs: enough spread that the spool holds several
+   entries worth corrupting, small enough that a request is
+   milliseconds. *)
 let chaos_source i =
   Printf.sprintf
     {|
@@ -311,8 +312,9 @@ let campaign ?(seed = 42) ?(requests = 1000) ?dir () =
   let rng = Rng.create seed in
   let reqs = Array.of_list (mk_requests programs) in
   (* The golden bytes, from the same engine code path a fresh daemon
-     would run — the daemon smoke test pins that path against the real
-     one-shot CLI, so matching the engine here is matching the CLI. *)
+     would run — the live-server client session pins that path against
+     the real one-shot CLI, so matching the engine here is matching the
+     CLI. *)
   let golden_engine = Engine.create () in
   let expected =
     Array.map

@@ -16,7 +16,8 @@
    runs the verifier); replays are pure, which is what makes the result
    cache sound.  Finished results are additionally spooled to disk
    through Atomic_file, so a SIGKILL loses only in-flight requests: the
-   next start reloads every finished response byte-identically. *)
+   next start reloads finished responses byte-identically, up to the
+   in-memory bound. *)
 
 module Pool = Bisa_base.Pool
 module Diag = Bisa_base.Diag
@@ -177,7 +178,9 @@ let load_spool t dir =
   Array.sort compare files;
   Array.iter
     (fun f ->
-      if Filename.check_suffix f ".resp" then begin
+      (* Reload at most [result_cap] entries, so a restart starts inside
+         the bound; a request for one left on disk recomputes it. *)
+      if Filename.check_suffix f ".resp" && Queue.length t.order < t.result_cap then begin
         let path = Filename.concat dir f in
         match read_entry (Bisa_base.Fs.read_file path) with
         | key, entry ->
@@ -350,137 +353,119 @@ let find_result t key =
   Mutex.unlock t.lock;
   Option.map Pool.Once.force cell
 
-let compute_result t key ~compute =
-  let entry, fresh = memo t t.results key ~compute in
-  if fresh then note_result t key entry;
-  (entry, not fresh)
+(* --- one request path: plan, then run ------------------------------------ *)
 
-(* Record a result computed outside the memo discipline (a sliced job
-   sealed by the server loop).  If the key is already present — a Batch
-   worker raced the same computation through [compute_result] — that path
-   owns the bookkeeping and this insert is dropped; both computed the
-   same pure replay, so nothing is lost. *)
-let insert_result t key entry =
-  Mutex.lock t.lock;
-  let fresh = not (Hashtbl.mem t.results key) in
-  if fresh then Hashtbl.add t.results key (Pool.Once.make (Fun.const entry));
-  Mutex.unlock t.lock;
-  if fresh then note_result t key entry
+(* A simulation under way, whichever machine runs it: [step] advances
+   one fetch unit and says whether the machine is still running, [ops]
+   counts the dynamic operations retired so far, and [finish] seals the
+   halted machine into the payload the cache stores. *)
+type run = { step : unit -> bool; ops : unit -> int; finish : unit -> payload }
 
-(* --- request handlers ---------------------------------------------------- *)
+(* What a Simulate or Cell request resolves to before anything is
+   simulated: a rendered cache hit, or a miss whose [launch] verifies
+   and builds the executor or timing session, and whose [settle] lands a
+   finished run's payload in the result cache and renders it.  [handle]
+   runs a miss to completion inside [settle]; [start] hands it to the
+   server loop as a sliced job. *)
+type plan =
+  | Hit of Proto.response
+  | Miss of {
+      launch : unit -> run;
+      settle : (unit -> payload) -> Proto.response;
+    }
 
-module type FUNC_EXEC = sig
-  type t
-
-  val create : unit -> t
-  val set_budget : t -> int -> unit
-  val set_out_cap : t -> int -> unit
-  val output : t -> Bisa_sim.Output.t
-  val ops : t -> int
-  val trap : t -> Diag.t option
-
-  val stepper : Bisa_sim.Compile.backend -> t -> unit -> bool
-  (** One fetch-unit step under the chosen backend; [false] once halted.
-      The suspendable form both the synchronous path and the server
-      loop's bounded slices drive. *)
-end
-
-let func_conv prog : (module FUNC_EXEC) =
-  (module struct
-    module E = Bisa_sim.Conv_exec
-
-    type t = E.t
-
-    let create () = E.create prog
-    let set_budget = E.set_budget
-    let set_out_cap = E.set_out_cap
-    let output = E.output
-    let ops = E.dyn_insns
-    let trap e = Option.map E.machine_trap_diag (E.machine_trap e)
-
-    let stepper exec e =
-      match exec with
-      | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
-      | Bisa_sim.Compile.Compiled ->
-        let module C = Bisa_sim.Compile.Conv in
-        let ce = C.bind (C.compile_trusted prog) e in
-        fun () -> C.step ce <> None
-  end)
-
-let func_block prog : (module FUNC_EXEC) =
-  (module struct
-    module E = Bisa_sim.Block_exec
-
-    type t = E.t
-
-    let create () = E.create prog
-    let set_budget = E.set_budget
-    let set_out_cap = E.set_out_cap
-    let output = E.output
-    let ops = E.retired_ops
-    let trap e = Option.map E.machine_trap_diag (E.machine_trap e)
-
-    let stepper exec e =
-      match exec with
-      | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
-      | Bisa_sim.Compile.Compiled ->
-        let module C = Bisa_sim.Compile.Block in
-        let ce = C.bind (C.compile_trusted prog) e in
-        fun () -> C.step ce <> None
-  end)
-
-let seal_functional (type s) (module E : FUNC_EXEC with type t = s) (e : s) =
-  let out = E.output e in
-  let notes =
-    match E.trap e with None -> "" | Some d -> Diag.render d ^ "\n"
+(* A miss settles exactly once per key: the requester that installs the
+   result cell computes the payload and accounts the miss, and a raced
+   duplicate (a Batch of identical requests, or a Batch overtaking a
+   sliced job) waits on the cell and accounts a hit. *)
+let settle t key ~prog_hash ~render compute =
+  let entry, fresh =
+    memo t t.results key ~compute:(fun () -> { prog_hash; payload = compute () })
   in
+  if fresh then begin
+    note_result t key entry;
+    miss t
+  end
+  else hit t;
+  render ~cached:(not fresh) entry
+
+(* Look the key up: a hit is accounted and rendered now; a miss becomes
+   a plan that settles under the same key. *)
+let resolve t key ~prog_hash ~render launch =
+  match find_result t key with
+  | Some entry ->
+    hit t;
+    Hit (render ~cached:true entry)
+  | None -> Miss { launch; settle = settle t key ~prog_hash ~render }
+
+(* A timing session over a prepared artifact, with this engine's probe
+   hook consulted once; [payload] seals its metrics and output. *)
+let timing_run (type a) t (module P : Pipeline.S with type artifact = a) config (art : a)
+    ~out_cap payload =
+  let s = P.session_artifact ?probe:(t.probe ()) config art in
+  Option.iter (P.set_out_cap s) out_cap;
+  {
+    step = (fun () -> P.step s);
+    ops = (fun () -> P.ops s);
+    finish = (fun () -> payload (P.finish s));
+  }
+
+let functional_payload ~out ~ops ~trap =
   Fun_r
     {
       out = Bisa_sim.Output.to_string out;
-      ops = E.ops e;
+      ops;
       ret = out.Bisa_sim.Output.ret;
-      notes;
+      notes = (match trap with None -> "" | Some d -> Diag.render d ^ "\n");
     }
 
-let run_functional ~budget ~out_cap ~exec (module E : FUNC_EXEC) =
-  let e = E.create () in
+(* The functional executors, stepped under the request's backend. *)
+let conv_functional prog ~exec ~budget ~out_cap =
+  let module E = Bisa_sim.Conv_exec in
+  let e = E.create prog in
   E.set_budget e budget;
   Option.iter (E.set_out_cap e) out_cap;
-  let step = E.stepper exec e in
-  let rec go () = if step () then go () in
-  go ();
-  seal_functional (module E) e
+  let step =
+    match exec with
+    | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
+    | Bisa_sim.Compile.Compiled ->
+      let module C = Bisa_sim.Compile.Conv in
+      let ce = C.bind (C.compile_trusted prog) e in
+      fun () -> C.step ce <> None
+  in
+  let ops () = E.dyn_insns e in
+  let finish () =
+    functional_payload ~out:(E.output e) ~ops:(ops ())
+      ~trap:(Option.map E.machine_trap_diag (E.machine_trap e))
+  in
+  { step; ops; finish }
 
-let functional_conv prog ~budget ~out_cap ~exec =
-  run_functional ~budget ~out_cap ~exec (func_conv prog)
+let block_functional prog ~exec ~budget ~out_cap =
+  let module E = Bisa_sim.Block_exec in
+  let e = E.create prog in
+  E.set_budget e budget;
+  Option.iter (E.set_out_cap e) out_cap;
+  let step =
+    match exec with
+    | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
+    | Bisa_sim.Compile.Compiled ->
+      let module C = Bisa_sim.Compile.Block in
+      let ce = C.bind (C.compile_trusted prog) e in
+      fun () -> C.step ce <> None
+  in
+  let ops () = E.retired_ops e in
+  let finish () =
+    functional_payload ~out:(E.output e) ~ops:(ops ())
+      ~trap:(Option.map E.machine_trap_diag (E.machine_trap e))
+  in
+  { step; ops; finish }
 
-let functional_block prog ~budget ~out_cap ~exec =
-  run_functional ~budget ~out_cap ~exec (func_block prog)
+let key_clash what =
+  Diag.fail ~component "%s cache entry has another request's payload (key clash)" what
 
-let render_sim ~show_output ~cached ~prog_hash = function
-  | Fun_r { out; ops; ret; notes } ->
-    Proto.Sim
-      {
-        stdout = Proto.render_functional ~show_output ~out ~ops ~ret;
-        notes;
-        prog_hash;
-        cached;
-      }
-  | Tim_r { out; summary } ->
-    Proto.Sim
-      {
-        stdout = Proto.render_timing ~show_output ~out ~summary;
-        notes = "";
-        prog_hash;
-        cached;
-      }
-  | Cell_r _ -> assert false
-
-let simulate (type p a) t
+let plan_sim (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a)
-    ~(functional :
-       p -> budget:int -> out_cap:int option -> exec:Bisa_sim.Compile.backend -> payload)
+    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) ~functional
     (prog : p) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
   let config = Proto.to_config cfg in
   let prog_hash = P.prog_hash prog in
@@ -488,47 +473,47 @@ let simulate (type p a) t
     sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
       ~out_cap:cfg.out_cap
   in
-  match find_result t key with
-  | Some entry ->
-    Mutex.lock t.lock;
-    t.sim_hits <- t.sim_hits + 1;
-    Mutex.unlock t.lock;
-    render_sim ~show_output ~cached:true ~prog_hash:entry.prog_hash entry.payload
-  | None ->
-    let entry, raced =
-      compute_result t key ~compute:(fun () ->
-          let payload =
-            match mode with
-            | Proto.Functional ->
-              (* The functional path has no artifact to hide behind, so
-                 verification is discharged explicitly, exactly as the
-                 one-shot CLI does before running. *)
-              (match P.verify prog with
-              | [] -> ()
-              | ds -> reject "program" ds);
-              functional prog ~budget:cfg.budget ~out_cap:cfg.out_cap ~exec
-            | Proto.Timing ->
-              let _, art = artifact ~exec prog in
-              let m, out =
-                P.run_artifact ?probe:(t.probe ()) ?out_cap:cfg.out_cap config art
-              in
-              Tim_r
-                {
-                  out = Bisa_sim.Output.to_string out;
-                  summary = Metrics.summary ~name:P.descr m;
-                }
-          in
-          { prog_hash; payload })
-    in
-    Mutex.lock t.lock;
-    if raced then t.sim_hits <- t.sim_hits + 1 else t.sim_misses <- t.sim_misses + 1;
-    Mutex.unlock t.lock;
-    render_sim ~show_output ~cached:raced ~prog_hash:entry.prog_hash entry.payload
+  let render ~cached e =
+    match e.payload with
+    | Fun_r { out; ops; ret; notes } ->
+      Proto.Sim
+        {
+          stdout = Proto.render_functional ~show_output ~out ~ops ~ret;
+          notes;
+          prog_hash = e.prog_hash;
+          cached;
+        }
+    | Tim_r { out; summary } ->
+      Proto.Sim
+        {
+          stdout = Proto.render_timing ~show_output ~out ~summary;
+          notes = "";
+          prog_hash = e.prog_hash;
+          cached;
+        }
+    | Cell_r _ -> key_clash "simulate"
+  in
+  resolve t key ~prog_hash ~render (fun () ->
+      match mode with
+      | Proto.Functional ->
+        (* The functional path has no artifact to hide behind, so
+           verification is discharged explicitly, exactly as the
+           one-shot CLI does before running. *)
+        (match P.verify prog with [] -> () | ds -> reject "program" ds);
+        functional prog ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
+      | Proto.Timing ->
+        let _, art = artifact ~exec prog in
+        timing_run t (module P) config art ~out_cap:cfg.out_cap (fun (m, out) ->
+            Tim_r
+              {
+                out = Bisa_sim.Output.to_string out;
+                summary = Metrics.summary ~name:P.descr m;
+              }))
 
 let bench_key ~bench ~scale =
   bench ^ "@" ^ (match scale with None -> "default" | Some n -> string_of_int n)
 
-let cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
+let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
   let w =
     match Bisa_workloads.Workloads.find bench with
     | w -> w
@@ -543,7 +528,12 @@ let cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
         | None -> Bisa_workloads.Workloads.compile w)
   in
   let config = Proto.to_config cfg in
-  let run (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
+  let render ~cached e =
+    match e.payload with
+    | Cell_r { summary } -> Proto.Cell_done { summary; prog_hash = e.prog_hash; cached }
+    | Fun_r _ | Tim_r _ -> key_clash "cell"
+  in
+  let go (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
       ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
     let prog_hash, art = artifact ~exec prog in
     let key =
@@ -552,100 +542,94 @@ let cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
         ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
         ~out_cap:cfg.out_cap
     in
-    match find_result t key with
-    | Some entry -> (entry, true)
-    | None ->
-      compute_result t key ~compute:(fun () ->
-          let m, _out =
-            P.run_artifact ?probe:(t.probe ()) ?out_cap:cfg.out_cap config art
-          in
-          {
-            prog_hash;
-            payload =
-              Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m };
-          })
+    resolve t key ~prog_hash ~render (fun () ->
+        timing_run t (module P) config art ~out_cap:cfg.out_cap (fun (m, _out) ->
+            Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m }))
   in
-  let entry, cached =
-    match isa with
-    | Proto.Conv ->
-      run (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-    | Proto.Block ->
-      run (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
-  in
-  Mutex.lock t.lock;
-  if cached then t.sim_hits <- t.sim_hits + 1 else t.sim_misses <- t.sim_misses + 1;
-  Mutex.unlock t.lock;
-  match entry.payload with
-  | Cell_r { summary } ->
-    Proto.Cell_done { summary; prog_hash = entry.prog_hash; cached }
-  | Fun_r _ | Tim_r _ ->
-    Diag.fail ~component "cell cache entry has a simulate payload (key clash)"
+  match isa with
+  | Proto.Conv -> go (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
+  | Proto.Block -> go (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+
+(* The one place a Simulate or Cell request is resolved: key, lookup and
+   hit accounting here; verification and the executor or session in the
+   miss's [launch]. *)
+let plan t (req : Proto.request) =
+  match req with
+  | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
+    plan_sim t
+      (module Pipeline.Conv)
+      ~artifact:(conv_artifact t) ~functional:conv_functional (conv_prog t src) ~mode
+      ~exec ~cfg ~show_output
+  | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
+    plan_sim t
+      (module Pipeline.Block)
+      ~artifact:(block_artifact t) ~functional:block_functional (block_prog t src)
+      ~mode ~exec ~cfg ~show_output
+  | Proto.Cell { bench; scale; isa; exec; cfg } ->
+    plan_cell t ~bench ~scale ~isa ~exec ~cfg
+  | _ -> invalid_arg "Engine.plan: not a Simulate or Cell request"
 
 (* Every failure a request can legitimately produce becomes a structured
-   Err response; the connection (and the daemon) survives. *)
-let err_of_exn : exn -> Proto.response option = function
-  | Bisa_compiler.Compiler.Compile_error d -> Some (Proto.Err [ d ])
-  | Bisa_isa.Encode.Malformed d -> Some (Proto.Err [ d ])
-  | Diag.Fail d -> Some (Proto.Err [ d ])
-  | Bisa_sim.Conv_exec.Runaway n ->
-    Some (Proto.Err [ Bisa_sim.Conv_exec.runaway_diag n ])
-  | Bisa_sim.Block_exec.Runaway n ->
-    Some (Proto.Err [ Bisa_sim.Block_exec.runaway_diag n ])
+   Err response; the connection (and the daemon) survives.  Anything else
+   is a bug and propagates. *)
+let err_of_exn : exn -> Proto.response = function
+  | Bisa_compiler.Compiler.Compile_error d -> Proto.Err [ d ]
+  | Bisa_isa.Encode.Malformed d -> Proto.Err [ d ]
+  | Diag.Fail d -> Proto.Err [ d ]
+  | Bisa_sim.Conv_exec.Runaway n -> Proto.Err [ Bisa_sim.Conv_exec.runaway_diag n ]
+  | Bisa_sim.Block_exec.Runaway n -> Proto.Err [ Bisa_sim.Block_exec.runaway_diag n ]
   | Bisa_sim.Block_exec.Illegal_fetch { required; requested } ->
-    Some (Proto.Err [ Bisa_sim.Block_exec.illegal_fetch_diag ~required ~requested ])
+    Proto.Err [ Bisa_sim.Block_exec.illegal_fetch_diag ~required ~requested ]
   | Bisa_sim.Memory.Unaligned a ->
-    Some
-      (Proto.Err
-         [ Diag.error ~component (Printf.sprintf "unaligned memory access at 0x%x" a) ])
-  | Sys_error msg -> Some (Proto.Err [ Diag.error ~component msg ])
-  | _ -> None
+    Proto.Err
+      [ Diag.error ~component (Printf.sprintf "unaligned memory access at 0x%x" a) ]
+  | Sys_error msg -> Proto.Err [ Diag.error ~component msg ]
+  | e -> raise e
 
-let guard f =
-  match f () with
-  | resp -> resp
-  | exception e -> (match err_of_exn e with Some r -> r | None -> raise e)
-
-let handle_one t (req : Proto.request) : Proto.response =
+let note_served t =
   Mutex.lock t.lock;
   t.served <- t.served + 1;
-  Mutex.unlock t.lock;
-  guard @@ fun () ->
-  match req with
-  | Proto.Ping -> Proto.Pong { server = Proto.version }
-  | Proto.Stats -> Proto.Stats_r (stats t)
-  | Proto.Shutdown -> Proto.Bye
-  | Proto.Compile { src; isa = Proto.Conv } ->
-    let p = conv_prog t src in
-    let bytes = Bisa_isa.Encode.conv_to_bytes p in
-    Proto.Binary { isa = Proto.Conv; bytes; prog_hash = Codec.fnv1a64 bytes }
-  | Proto.Compile { src; isa = Proto.Block } ->
-    let p = block_prog t src in
-    let bytes = Bisa_isa.Encode.block_to_bytes p in
-    Proto.Binary { isa = Proto.Block; bytes; prog_hash = Codec.fnv1a64 bytes }
-  | Proto.Verify { src } ->
-    (* Verify every executable the source carries, like --verify-only. *)
-    let diags =
-      match src with
-      | Proto.Source _ ->
-        Pipeline.Conv.verify (conv_prog t src)
-        @ Pipeline.Block.verify (block_prog t src)
-      | Proto.Conv_bin _ -> Pipeline.Conv.verify (conv_prog t src)
-      | Proto.Block_bin _ -> Pipeline.Block.verify (block_prog t src)
-    in
-    Proto.Verdict { diags }
-  | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
-    simulate t
-      (module Pipeline.Conv)
-      ~artifact:(conv_artifact t) ~functional:functional_conv (conv_prog t src)
-      ~mode ~exec ~cfg ~show_output
-  | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
-    simulate t
-      (module Pipeline.Block)
-      ~artifact:(block_artifact t) ~functional:functional_block (block_prog t src)
-      ~mode ~exec ~cfg ~show_output
-  | Proto.Cell { bench; scale; isa; exec; cfg } -> cell t ~bench ~scale ~isa ~exec ~cfg
-  | Proto.Batch _ ->
-    Diag.fail ~component "Batch must be handled by the dispatcher, not handle_one"
+  Mutex.unlock t.lock
+
+let handle_one t (req : Proto.request) : Proto.response =
+  note_served t;
+  try
+    match req with
+    | Proto.Ping -> Proto.Pong { server = Proto.version }
+    | Proto.Stats -> Proto.Stats_r (stats t)
+    | Proto.Shutdown -> Proto.Bye
+    | Proto.Compile { src; isa = Proto.Conv } ->
+      let p = conv_prog t src in
+      let bytes = Bisa_isa.Encode.conv_to_bytes p in
+      Proto.Binary { isa = Proto.Conv; bytes; prog_hash = Codec.fnv1a64 bytes }
+    | Proto.Compile { src; isa = Proto.Block } ->
+      let p = block_prog t src in
+      let bytes = Bisa_isa.Encode.block_to_bytes p in
+      Proto.Binary { isa = Proto.Block; bytes; prog_hash = Codec.fnv1a64 bytes }
+    | Proto.Verify { src } ->
+      (* Verify every executable the source carries, like --verify-only. *)
+      let diags =
+        match src with
+        | Proto.Source _ ->
+          Pipeline.Conv.verify (conv_prog t src)
+          @ Pipeline.Block.verify (block_prog t src)
+        | Proto.Conv_bin _ -> Pipeline.Conv.verify (conv_prog t src)
+        | Proto.Block_bin _ -> Pipeline.Block.verify (block_prog t src)
+      in
+      Proto.Verdict { diags }
+    | Proto.Simulate _ | Proto.Cell _ -> (
+      match plan t req with
+      | Hit resp -> resp
+      | Miss { launch; settle } ->
+        settle (fun () ->
+            let run = launch () in
+            while run.step () do
+              ()
+            done;
+            run.finish ()))
+    | Proto.Batch _ ->
+      Diag.fail ~component "Batch must be handled by the dispatcher, not handle_one"
+  with e -> err_of_exn e
 
 (* Batch requests shard across the worker pool; sub-request order is
    preserved ([Pool.map_list]'s determinism contract), so a batch
@@ -655,208 +639,45 @@ let handle t (req : Proto.request) : Proto.response =
   | Proto.Batch reqs -> Proto.Batch_r (Pool.map_list t.pool (handle_one t) reqs)
   | req -> handle_one t req
 
-(* --- sliced jobs: the cooperative form of Simulate and Cell -------------- *)
+(* --- sliced jobs: the server loop's form of the same plan ---------------- *)
 
-(* A simulation the server loop advances in bounded slices between select
-   rounds, so one paper-scale request never monopolizes the daemon.  The
-   closures own the suspended executor or pipeline session; [jstep n]
-   retires up to [n] more dynamic operations and says whether the machine
-   halted, [jseal] finalizes, caches and renders — exactly the bytes the
-   synchronous path would have produced, since both end in the same
-   render helpers over the same payload. *)
-type job = {
-  jkey : string;  (** the result-cache key; the server dedups waiters on it *)
-  jstep : int -> bool;
-  jseal : unit -> Proto.response;
-  jops : unit -> int;
-  mutable jdone : bool;
-}
-
+(* A launched miss the server loop advances in bounded slices between
+   select rounds, so one paper-scale request never monopolizes the
+   daemon.  It seals through the plan's own [settle], so it caches and
+   renders exactly what [handle] would have.  Abandoning one is dropping
+   it: the suspended run holds no locks, no cells, no spool state. *)
+type job = { run : run; seal : unit -> Proto.response }
 type started = Done of Proto.response | Job of job
 
-let job_key j = j.jkey
-let job_ops j = j.jops ()
+let job_ops j = j.run.ops ()
 
-let session_job (type p a) t
-    (module P : Pipeline.S with type prog = p and type artifact = a) ~config
-    ~out_cap ~key (art : a) ~seal =
-  let session = P.session_artifact ?probe:(t.probe ()) config art in
-  Option.iter (P.set_out_cap session) out_cap;
-  let jstep n =
-    let target = P.ops session + n in
-    let rec go () =
-      if P.step session then if P.ops session < target then go () else false
-      else true
-    in
-    go ()
-  in
-  Job
-    {
-      jkey = key;
-      jstep;
-      jseal = (fun () -> seal (P.finish session));
-      jops = (fun () -> P.ops session);
-      jdone = false;
-    }
-
-let simulate_start (type p a) t
-    (module P : Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a)
-    ~(functional : p -> (module FUNC_EXEC)) (prog : p) ~mode ~exec
-    ~(cfg : Proto.sim_cfg) ~show_output =
-  let config = Proto.to_config cfg in
-  let prog_hash = P.prog_hash prog in
-  let key =
-    sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
-      ~out_cap:cfg.out_cap
-  in
-  match find_result t key with
-  | Some entry ->
-    hit t;
-    Done (render_sim ~show_output ~cached:true ~prog_hash:entry.prog_hash entry.payload)
-  | None -> (
-    match mode with
-    | Proto.Functional ->
-      (match P.verify prog with [] -> () | ds -> reject "program" ds);
-      let (module E) = functional prog in
-      let e = E.create () in
-      E.set_budget e cfg.budget;
-      Option.iter (E.set_out_cap e) cfg.out_cap;
-      let step = E.stepper exec e in
-      let jstep n =
-        let target = E.ops e + n in
-        let rec go () =
-          if step () then if E.ops e < target then go () else false else true
-        in
-        go ()
-      in
-      Job
-        {
-          jkey = key;
-          jstep;
-          jseal =
-            (fun () ->
-              let payload = seal_functional (module E) e in
-              insert_result t key { prog_hash; payload };
-              miss t;
-              render_sim ~show_output ~cached:false ~prog_hash payload);
-          jops = (fun () -> E.ops e);
-          jdone = false;
-        }
-    | Proto.Timing ->
-      let _, art = artifact ~exec prog in
-      session_job t
-        (module P)
-        ~config ~out_cap:cfg.out_cap ~key art
-        ~seal:(fun (m, out) ->
-          let payload =
-            Tim_r
-              {
-                out = Bisa_sim.Output.to_string out;
-                summary = Metrics.summary ~name:P.descr m;
-              }
-          in
-          insert_result t key { prog_hash; payload };
-          miss t;
-          render_sim ~show_output ~cached:false ~prog_hash payload))
-
-let cell_start t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
-  let w =
-    match Bisa_workloads.Workloads.find bench with
-    | w -> w
-    | exception Invalid_argument _ ->
-      Diag.fail ~component "no such workload: %s (workloads: %s)" bench
-        (String.concat " " Bisa_workloads.Workloads.names)
-  in
-  let compiled =
-    memoize t t.bench_compiled (bench_key ~bench ~scale) ~compute:(fun () ->
-        match scale with
-        | Some scale -> Bisa_workloads.Workloads.compile ~scale w
-        | None -> Bisa_workloads.Workloads.compile w)
-  in
-  let config = Proto.to_config cfg in
-  let run (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
-      ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
-    let prog_hash, art = artifact ~exec prog in
-    let key =
-      sim_key
-        ~what:(bench_key ~bench ~scale)
-        ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
-        ~out_cap:cfg.out_cap
-    in
-    match find_result t key with
-    | Some entry -> (
-      hit t;
-      match entry.payload with
-      | Cell_r { summary } ->
-        Done (Proto.Cell_done { summary; prog_hash = entry.prog_hash; cached = true })
-      | Fun_r _ | Tim_r _ ->
-        Diag.fail ~component "cell cache entry has a simulate payload (key clash)")
-    | None ->
-      session_job t
-        (module P)
-        ~config ~out_cap:cfg.out_cap ~key art
-        ~seal:(fun (m, _out) ->
-          let summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m in
-          insert_result t key { prog_hash; payload = Cell_r { summary } };
-          miss t;
-          Proto.Cell_done { summary; prog_hash; cached = false })
-  in
-  match isa with
-  | Proto.Conv -> run (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-  | Proto.Block -> run (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
-
-(* [start] is what the server loop calls instead of [handle]: the
-   long-running request shapes come back as suspendable jobs, everything
-   else (and every failure during job construction — a compile error, a
-   verification rejection, an unknown workload) is answered on the
-   spot.  A [Batch] is still scheduled as one synchronous unit across
-   the worker pool; its sub-requests are not sliced. *)
+(* [start] is what the server loop calls instead of [handle]: a Simulate
+   or Cell miss comes back as a suspended job, everything else (and every
+   failure while planning or launching — a compile error, a verification
+   rejection, an unknown workload) is answered on the spot.  A [Batch]
+   is still scheduled as one synchronous unit across the worker pool;
+   its sub-requests are not sliced. *)
 let start t (req : Proto.request) : started =
   match req with
   | Proto.Simulate _ | Proto.Cell _ -> (
-    Mutex.lock t.lock;
-    t.served <- t.served + 1;
-    Mutex.unlock t.lock;
-    match
-      match req with
-      | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
-        simulate_start t
-          (module Pipeline.Conv)
-          ~artifact:(conv_artifact t) ~functional:func_conv (conv_prog t src) ~mode
-          ~exec ~cfg ~show_output
-      | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
-        simulate_start t
-          (module Pipeline.Block)
-          ~artifact:(block_artifact t) ~functional:func_block (block_prog t src)
-          ~mode ~exec ~cfg ~show_output
-      | Proto.Cell { bench; scale; isa; exec; cfg } ->
-        cell_start t ~bench ~scale ~isa ~exec ~cfg
-      | _ -> assert false
-    with
-    | started -> started
-    | exception e -> (
-      match err_of_exn e with Some r -> Done r | None -> raise e))
+    note_served t;
+    try
+      match plan t req with
+      | Hit resp -> Done resp
+      | Miss { launch; settle } ->
+        let run = launch () in
+        Job { run; seal = (fun () -> settle run.finish) }
+    with e -> Done (err_of_exn e))
   | req -> Done (handle t req)
 
 (* Advance one bounded slice.  A mid-flight failure (an op-budget runaway,
-   a machine trap the executor surfaces as an exception) seals the job
-   with a structured [Err] and caches nothing — the same outcome the
-   synchronous path's guard would produce. *)
+   a machine trap the executor surfaces as an exception) ends the job
+   with the structured [Err] [handle] would answer, and caches nothing. *)
 let step_job job ~slice_ops : [ `More | `Done of Proto.response ] =
-  match
-    if job.jstep slice_ops then begin
-      job.jdone <- true;
-      `Done (job.jseal ())
-    end
+  let target = job.run.ops () + slice_ops in
+  let rec go () =
+    if not (job.run.step ()) then `Done (job.seal ())
+    else if job.run.ops () < target then go ()
     else `More
-  with
-  | r -> r
-  | exception e ->
-    job.jdone <- true;
-    (match err_of_exn e with Some r -> `Done r | None -> raise e)
-
-(* Abandoning a job (its last waiter's deadline expired, or its
-   connection died) is just dropping the closures: the suspended session
-   holds no locks, no cells, no spool state. *)
-let abort_job job = job.jdone <- true
+  in
+  try go () with e -> `Done (err_of_exn e)

@@ -10,8 +10,9 @@
     which is what makes the result cache sound.
 
     With a spool directory, every finished result is also written to disk
-    through {!Bisa_base.Atomic_file}, and reloaded on the next [create]:
-    a SIGKILL loses only in-flight requests, never a finished byte. *)
+    through {!Bisa_base.Atomic_file}, and reloaded (up to [result_cap]
+    entries) on the next [create]: a SIGKILL loses only in-flight
+    requests, never a finished byte. *)
 
 type t
 
@@ -27,49 +28,47 @@ val create :
     unreadable entries are skipped, counted in {!stats}'s
     [spool_skipped], and each reported once through [log] (default:
     silently dropped).  [result_cap] (default 4096) bounds the in-memory
-    result cache; eviction is insertion-order FIFO, and evicted entries
-    remain on the spool. *)
+    result cache, a reloaded spool included; eviction is insertion-order
+    FIFO, and evicted entries remain on the spool. *)
 
 val handle : t -> Bisa_proto.Proto.request -> Bisa_proto.Proto.response
 (** Serve one request.  Never raises: every failure — compile error,
     malformed binary, verification rejection, runaway, bad workload
-    name — returns [Err diags].  [Batch] shards across the pool with
-    submission-order results, so batch responses are byte-identical at
-    every worker count.  [Shutdown] returns [Bye]; acting on it is the
-    server loop's job. *)
+    name — returns [Err diags].  A [Simulate] or [Cell] request is
+    resolved once into a cache hit or a miss; a miss runs to completion
+    inside the result cache's exactly-once cell, so identical requests
+    racing across the pool simulate once (one miss, the rest hits).
+    [Batch] shards across the pool with submission-order results, so
+    batch responses are byte-identical at every worker count.
+    [Shutdown] returns [Bye]; acting on it is the server loop's job. *)
 
 (** {1 Sliced jobs}
 
-    The cooperative form of [Simulate] and [Cell]: the server loop
-    advances a suspended simulation in bounded operation slices between
-    select rounds, so one paper-scale request never monopolizes the
-    daemon.  Sealed jobs land in the same result cache and render the
-    same bytes as {!handle} would have. *)
+    The server loop's form of [Simulate] and [Cell]: the same resolved
+    miss {!handle} runs to completion, advanced instead in bounded
+    operation slices between select rounds, so one paper-scale request
+    never monopolizes the daemon.  A sealed job lands in the same result
+    cache and renders the same bytes {!handle} returns.  A job holds no
+    locks, cells or spool state until it seals, so abandoning one is just
+    dropping it. *)
 
 type job
 
 type started = Done of Bisa_proto.Proto.response | Job of job
 
 val start : t -> Bisa_proto.Proto.request -> started
-(** Like {!handle}, but [Simulate] and [Cell] misses come back as
-    suspendable jobs (cache hits, and every failure during job
-    construction, are answered on the spot).  [Batch] remains one
-    synchronous unit across the worker pool — its sub-requests are not
-    sliced.  Never raises. *)
+(** Like {!handle}, but a [Simulate] or [Cell] miss comes back as a
+    suspended job, already verified and launched (cache hits, and every
+    failure while resolving or launching, are answered on the spot).
+    [Batch] remains one synchronous unit across the worker pool — its
+    sub-requests are not sliced.  Never raises. *)
 
 val step_job : job -> slice_ops:int -> [ `More | `Done of Bisa_proto.Proto.response ]
 (** Retire up to [slice_ops] more dynamic operations.  On completion the
-    result is cached, spooled and rendered; a mid-flight failure (an
-    op-budget runaway, a machine trap) seals the job with a structured
-    [Err] and caches nothing.  Never raises; must not be called again
-    after [`Done]. *)
-
-val abort_job : job -> unit
-(** Abandon a job (last waiter gone): drops the suspended session.  No
-    cache or spool state exists to clean up. *)
-
-val job_key : job -> string
-(** The result-cache key — identical requests in flight share one job. *)
+    result is cached, spooled and rendered, and counted as a miss; a
+    mid-flight failure (an op-budget runaway, a machine trap) seals the
+    job with a structured [Err] and caches nothing.  Never raises; must
+    not be called again after [`Done]. *)
 
 val job_ops : job -> int
 (** Dynamic operations retired so far, for deadline-expiry reporting. *)

@@ -283,8 +283,8 @@ let dispatch t conn req now =
       let norm = strip_deadline req in
       match List.find_opt (fun a -> a.norm = norm) t.jobs with
       | Some a ->
-        (* An identical request is already in flight: ride it. *)
-        Engine.abort_job job;
+        (* An identical request is already in flight: ride it, and drop
+           the job just started. *)
         a.waiters <- a.waiters @ [ w ]
       | None ->
         t.jobs <- t.jobs @ [ { job; norm; waiters = [ w ] } ];
@@ -293,7 +293,7 @@ let dispatch t conn req now =
 (* Expire waiters whose deadline has passed (checked before any stepping,
    so a microscopic deadline expires even on a microscopic program) and
    prune waiters whose connection died.  A job nobody is waiting on is
-   aborted. *)
+   dropped, unsealed, so it caches nothing. *)
 let expire_and_prune t now =
   t.jobs <-
     List.filter
@@ -318,11 +318,7 @@ let expire_and_prune t now =
                    ]))
           gone;
         a.waiters <- keep;
-        if keep = [] then begin
-          Engine.abort_job a.job;
-          false
-        end
-        else true)
+        keep <> [])
       t.jobs
 
 (* One bounded slice for one job, rotating round-robin so concurrent

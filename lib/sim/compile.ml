@@ -470,120 +470,16 @@ module Block = struct
       Array.unsafe_set st.flts r (Array.unsafe_get st.sflts r)
     done
 
-  (* Mirrors Block_exec.step line for line; only the element loop is
-     replaced by the chain call. *)
-  let step ?fetch t =
-    let st = t.st in
-    let x = st.x in
-    let nblocks = Array.length t.code.cprog.Block_prog.blocks in
-    if x.Block_exec.halted then None
-    else if x.Block_exec.required < 0 || x.Block_exec.required >= nblocks then begin
-      x.Block_exec.halted <- true;
-      x.Block_exec.mtrap <- Some (Block_exec.Wild_jump x.Block_exec.required);
-      None
-    end
-    else begin
-      let b =
-        match fetch with
-        | None -> x.Block_exec.required
-        | Some f ->
-          if
-            f = x.Block_exec.required
-            || Block_prog.in_group t.code.cprog ~rep:x.Block_exec.required f
-          then f
-          else
-            raise
-              (Block_exec.Illegal_fetch
-                 { required = x.Block_exec.required; requested = f })
-      in
-      if b < 0 || b >= nblocks then begin
-        x.Block_exec.halted <- true;
-        x.Block_exec.mtrap <- Some (Block_exec.Wild_jump b);
-        None
-      end
-      else begin
-        let nelts = t.code.sizes.(b) in
-        st.addrs <- Array.make nelts (-1);
-        let wi = t.code.wr_int.(b) and wf = t.code.wr_flt.(b) in
-        save_written st wi wf;
-        Sbuf.clear x.Block_exec.sbuf;
-        st.fpos <- -1;
-        st.dir <- -1;
-        st.out_rev <- [];
-        try
-          t.code.chains.(b) st;
-          if st.fpos >= 0 then begin
-            (* Fault fired: suppress the whole block. *)
-            let pos = st.fpos and target = st.ftarget in
-            restore_written st wi wf;
-            Sbuf.clear x.Block_exec.sbuf;
-            x.Block_exec.dyn <- x.Block_exec.dyn + pos + 1;
-            if x.Block_exec.dyn > x.Block_exec.budget then
-              raise (Block_exec.Runaway x.Block_exec.dyn);
-            if target < 0 || target >= nblocks then begin
-              x.Block_exec.halted <- true;
-              x.Block_exec.mtrap <- Some (Block_exec.Wild_jump target)
-            end
-            else x.Block_exec.required <- target;
-            Some
-              {
-                Block_exec.block = b;
-                ops_executed = pos + 1;
-                mem_addrs = st.addrs;
-                squashed = true;
-                fault_pos = Some pos;
-                next = target;
-                dir_taken = None;
-              }
-          end
-          else begin
-            (* Terminator already ran at the end of the chain; commit. *)
-            let next = st.next in
-            let dir_taken = if st.dir < 0 then None else Some (st.dir = 1) in
-            Sbuf.flush x.Block_exec.sbuf x.Block_exec.mem;
-            List.iter
-              (fun item -> Output.Sink.push x.Block_exec.sink item)
-              (List.rev st.out_rev);
-            let size = nelts + 1 in
-            x.Block_exec.dyn <- x.Block_exec.dyn + size;
-            x.Block_exec.retired <- x.Block_exec.retired + size;
-            x.Block_exec.retired_blocks <- x.Block_exec.retired_blocks + 1;
-            if x.Block_exec.dyn > x.Block_exec.budget then
-              raise (Block_exec.Runaway x.Block_exec.dyn);
-            if (not x.Block_exec.halted) && (next < 0 || next >= nblocks) then begin
-              x.Block_exec.halted <- true;
-              x.Block_exec.mtrap <- Some (Block_exec.Wild_jump next)
-            end
-            else if not x.Block_exec.halted then x.Block_exec.required <- next;
-            Some
-              {
-                Block_exec.block = b;
-                ops_executed = nelts;
-                mem_addrs = st.addrs;
-                squashed = false;
-                fault_pos = None;
-                next;
-                dir_taken;
-              }
-          end
-        with Memory.Unaligned a ->
-          restore_written st wi wf;
-          Sbuf.clear x.Block_exec.sbuf;
-          x.Block_exec.halted <- true;
-          x.Block_exec.mtrap <- Some (Block_exec.Unaligned_access a);
-          None
-      end
-    end
-
-  (* Zero-allocation stepping for the block timing pipeline:
-     mirrors [step] state transition for state transition, but the
-     epilogue lands in [r_block]/[r_ops]/[dir] and the reusable scratch
-     address array instead of a fresh step record.  Returns [-1] where
-     [step] returns [None], [0] for a committed block, [1] for a fault
-     squash.  The scratch is only valid until the next call, and slots of
-     non-memory ops keep stale values — sound for the engine, which gates
-     every address read on the template's memory kind. *)
-  let step_into ~fetch t =
+  (* One block step, mirroring Block_exec.step line for line with the
+     element loop replaced by the chain call.  The epilogue lands in
+     [r_block]/[r_ops]/[dir] (plus [fpos]/[ftarget] or [next]) and the
+     step's addresses in [addrs]: the reusable scratch, whose slots of
+     non-memory ops keep stale values — sound for the timing engine,
+     which gates every address read on the template's memory kind — or,
+     with [fresh], a new [-1]-filled array a step record can keep.
+     Returns [-1] where Block_exec.step returns [None], [0] for a
+     committed block, [1] for a fault squash. *)
+  let advance ~fresh ~fetch t =
     let st = t.st in
     let x = st.x in
     let nblocks = Array.length t.code.cprog.Block_prog.blocks in
@@ -612,7 +508,7 @@ module Block = struct
       end
       else begin
         let nelts = t.code.sizes.(b) in
-        st.addrs <- st.scratch;
+        st.addrs <- (if fresh then Array.make nelts (-1) else st.scratch);
         let wi = t.code.wr_int.(b) and wf = t.code.wr_flt.(b) in
         save_written st wi wf;
         Sbuf.clear x.Block_exec.sbuf;
@@ -622,6 +518,7 @@ module Block = struct
         try
           t.code.chains.(b) st;
           if st.fpos >= 0 then begin
+            (* Fault fired: suppress the whole block. *)
             let pos = st.fpos and target = st.ftarget in
             restore_written st wi wf;
             Sbuf.clear x.Block_exec.sbuf;
@@ -639,6 +536,7 @@ module Block = struct
             1
           end
           else begin
+            (* Terminator already ran at the end of the chain; commit. *)
             let next = st.next in
             Sbuf.flush x.Block_exec.sbuf x.Block_exec.mem;
             List.iter
@@ -668,6 +566,28 @@ module Block = struct
           -1
       end
     end
+
+  (* Zero-allocation stepping for the block timing pipeline: the results
+     are only valid until the next call. *)
+  let step_into ~fetch t = advance ~fresh:false ~fetch t
+
+  let step ?fetch t =
+    let st = t.st in
+    let fetch = Option.value fetch ~default:st.x.Block_exec.required in
+    match advance ~fresh:true ~fetch t with
+    | -1 -> None
+    | r ->
+      let squashed = r = 1 in
+      Some
+        {
+          Block_exec.block = st.r_block;
+          ops_executed = st.r_ops;
+          mem_addrs = st.addrs;
+          squashed;
+          fault_pos = (if squashed then Some st.fpos else None);
+          next = (if squashed then st.ftarget else st.next);
+          dir_taken = (if st.dir < 0 then None else Some (st.dir = 1));
+        }
 
   let last_block t = t.st.r_block
   let last_ops t = t.st.r_ops
@@ -1619,54 +1539,11 @@ module Conv = struct
         };
     }
 
-  let step t =
-    let st = t.st in
-    let x = st.x in
-    let n = Array.length t.code.cprog.Conv_prog.insns in
-    if x.Conv_exec.halted then None
-    else if x.Conv_exec.pc < 0 || x.Conv_exec.pc >= n then begin
-      x.Conv_exec.halted <- true;
-      x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump x.Conv_exec.pc);
-      None
-    end
-    else begin
-      let start = x.Conv_exec.pc in
-      st.count <- 0;
-      match t.code.threads.(start) st with
-      | exception Memory.Unaligned a ->
-        (* Earlier instructions of the packet committed; the offender
-           halts it — no atomicity in the conventional machine. *)
-        x.Conv_exec.halted <- true;
-        x.Conv_exec.mtrap <- Some (Conv_exec.Unaligned_access a);
-        None
-      | () ->
-        let term, next =
-          if (not x.Conv_exec.halted) && (st.next < 0 || st.next >= n) then begin
-            x.Conv_exec.halted <- true;
-            x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump st.next);
-            (Conv_exec.Khalt, start)
-          end
-          else (st.term, st.next)
-        in
-        x.Conv_exec.pc <- next;
-        (* Fresh array per packet: the conventional pipeline's stream
-           retains packets across steps. *)
-        Some
-          {
-            Conv_exec.start;
-            count = st.count;
-            mem_addrs = Array.sub st.saddrs 0 st.count;
-            term;
-            next;
-          }
-    end
-
-  (* Zero-allocation stepping for the conventional timing pipeline:
-     mirrors [step] exactly, but the packet lands in the binding's
+  (* One packet, mirroring Conv_exec.step: it lands in the binding's
      mutable fields ([last_start], [count], [term], [next]) and the
-     scratch address array is handed out directly instead of being copied
-     into a fresh packet record.  Returns [false] exactly where [step]
-     returns [None]; the results are only valid until the next call. *)
+     scratch address array, valid only until the next call — the
+     conventional timing pipeline's zero-allocation drain.  Returns
+     [false] exactly where Conv_exec.step returns [None]. *)
   let step_into t =
     let st = t.st in
     let x = st.x in
@@ -1682,6 +1559,8 @@ module Conv = struct
       st.count <- 0;
       match t.code.threads.(start) st with
       | exception Memory.Unaligned a ->
+        (* Earlier instructions of the packet committed; the offender
+           halts it — no atomicity in the conventional machine. *)
         x.Conv_exec.halted <- true;
         x.Conv_exec.mtrap <- Some (Conv_exec.Unaligned_access a);
         false
@@ -1697,6 +1576,21 @@ module Conv = struct
         st.last_start <- start;
         true
     end
+
+  (* Fresh array per packet: the conventional pipeline's stream retains
+     packets across steps. *)
+  let step t =
+    let st = t.st in
+    if step_into t then
+      Some
+        {
+          Conv_exec.start = st.last_start;
+          count = st.count;
+          mem_addrs = Array.sub st.saddrs 0 st.count;
+          term = st.term;
+          next = st.next;
+        }
+    else None
 
   let last_start t = t.st.last_start
   let last_count t = t.st.count

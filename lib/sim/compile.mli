@@ -65,7 +65,9 @@ module Block : sig
 
   val step : ?fetch:int -> t -> Block_exec.step option
   (** Drop-in replacement for {!Block_exec.step}: same step records,
-      same traps, same exceptions, same state evolution. *)
+      same traps, same exceptions, same state evolution.  It is
+      [step_into] with the results copied into a record, whose
+      [mem_addrs] is a fresh array holding [-1] in non-memory slots. *)
 
   val step_into : fetch:int -> t -> int
   (** Zero-allocation [step], the block timing pipeline's drain: the
@@ -105,9 +107,10 @@ module Conv : sig
   val exec : t -> Conv_exec.t
 
   val step : t -> Conv_exec.packet option
-  (** Drop-in replacement for {!Conv_exec.step}.  Packets carry fresh
-      [mem_addrs] arrays (the conventional pipeline's stream retains
-      packets across steps). *)
+  (** Drop-in replacement for {!Conv_exec.step}: [step_into] with the
+      results copied into a packet.  Packets carry fresh [mem_addrs]
+      arrays (the conventional pipeline's stream retains packets across
+      steps). *)
 
   val step_into : t -> bool
   (** Zero-allocation [step], the conventional timing pipeline's drain

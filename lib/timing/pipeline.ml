@@ -186,24 +186,3 @@ module Block = Extend (struct
   let save = Block_pipeline.save
   let restore = Block_pipeline.restore
 end)
-
-type packed =
-  | Packed :
-      (module S with type prog = 'p and type tables = 'tb and type artifact = 'a) * 'a
-      -> packed
-
-let pack_conv ?exec prog = Packed ((module Conv), Conv.prepare ?exec prog)
-let pack_block ?exec prog = Packed ((module Block), Block.prepare ?exec prog)
-
-let pack_conv_trusted ?exec prog =
-  Packed ((module Conv), Conv.prepare_trusted ?exec prog)
-
-let pack_block_trusted ?exec prog =
-  Packed ((module Block), Block.prepare_trusted ?exec prog)
-
-let verify_packed (Packed ((module P), art)) = P.verify (P.Artifact.prog art)
-let packed_isa (Packed ((module P), _)) = P.isa
-let packed_hash (Packed ((module P), art)) = P.Artifact.hash art
-
-let run_packed ?probe ?out_cap cfg (Packed ((module P), art)) =
-  P.run_artifact ?probe ?out_cap cfg art

@@ -7,10 +7,9 @@
     optionally compile to threaded code, content-hash), then run many
     configurations against the shared bundle, with an optional
     {!Bisa_obs.Probe.t} observing pipeline events.  {!S} captures that
-    contract; {!Conv} and {!Block} are the two implementations, and
-    {!packed} pairs an implementation with an artifact of its own type so
-    a CLI (or the daemon's cache) can select the ISA at runtime and still
-    dispatch through one code path.
+    contract; {!Conv} and {!Block} are the two implementations, and a
+    consumer that selects the ISA at runtime passes [(module Conv)] or
+    [(module Block)] to one function written against {!S}.
 
     Preparation is the trust boundary: {!S.prepare} statically verifies
     the program (see {!Bisa_verify.Verify}) before building tables whose
@@ -187,42 +186,3 @@ module Block :
     with type prog = Bisa_isa.Block_prog.t
      and type tables = Predecode.blocks
      and type code = Bisa_sim.Compile.Block.code
-
-type packed =
-  | Packed :
-      (module S with type prog = 'p and type tables = 'tb and type artifact = 'a) * 'a
-      -> packed
-      (** A pipeline and a prepared artifact of its program type, with
-          both types hidden — what a CLI (or the daemon's artifact cache)
-          holds after loading input for a user-chosen ISA. *)
-
-val pack_conv : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Conv_prog.t -> packed
-(** Prepare (verifying — raises {!Bisa_base.Diag.Fail} on rejection) and
-    pack.  [exec] (default [Interp]) selects the functional-executor
-    backend baked into the artifact. *)
-
-val pack_block : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Block_prog.t -> packed
-
-val pack_conv_trusted : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Conv_prog.t -> packed
-(** Pack with an artifact built by {!S.prepare_trusted} — the
-    [--no-verify] path. *)
-
-val pack_block_trusted : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Block_prog.t -> packed
-
-val verify_packed : packed -> Bisa_base.Diag.t list
-(** Run the packed program's static verifier (even if packed trusted). *)
-
-val packed_isa : packed -> string
-val packed_hash : packed -> int64
-(** The artifact's identity, for cache keys and reports. *)
-
-val run_packed :
-  ?probe:Bisa_obs.Probe.t ->
-  ?out_cap:int ->
-  Config.t ->
-  packed ->
-  Metrics.t * Bisa_sim.Output.t
-(** Run the packed artifact under [cfg].  [out_cap] bounds output
-    retention as in {!S.set_out_cap}.  The exec backend was chosen when
-    the artifact was prepared; the backends are differentially tested
-    equivalent, so only wall-clock depends on it. *)

@@ -1,15 +1,23 @@
-(* Live-server robustness checks that must fork a real bisad child:
+(* Live-server checks that must fork a real bisad child: the scripted
+   client session (the real `bisad` client binary against a forked
+   server, byte-identical to the one-shot CLI, cold and cached),
    cooperative liveness under a paper-scale job, deadline expiry into the
    structured Err, admission control, and slow-loris idle eviction.
 
    A separate executable (not part of test_main) because Unix.fork is
    forbidden once other domains exist, and the main suite's pool tests
-   create domains.  Run via the serve-live alias, pinned domain-free. *)
+   create domains.  Run via the serve-live alias, pinned domain-free:
+
+     serve_live.exe BISAD TIMING_EXPECT FUNCTIONAL_EXPECT
+
+   where BISAD is the bisad binary and the two files hold bisasim's
+   stdout for the client session's timing and functional legs. *)
 
 module Proto = Bisa_proto.Proto
 module Engine = Bisa_serve.Engine
 module Server = Bisa_serve.Server
 module Client = Bisa_serve.Client
+module Fs = Bisa_base.Fs
 
 let failures = ref 0
 
@@ -42,23 +50,22 @@ let sim ?(s = src) ?deadline () =
       show_output = true;
     }
 
-let tmp_dir name =
+(* A fresh scratch directory for one check, removed when it ends. *)
+let with_tmp_dir name f =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bisa-live-%s-%d" name (Unix.getpid ()))
   in
-  (try
-     Array.iter (fun e -> Sys.remove (Filename.concat d e)) (Sys.readdir d);
-     Unix.rmdir d
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir d 0o755;
-  d
+  Fs.rm_rf d;
+  Fs.mkdir_p d;
+  Fun.protect ~finally:(fun () -> Fs.rm_rf d) (fun () -> f d)
 
 (* Fork a real server child on a fresh socket; wait for the socket to
-   accept, run [f], then SIGKILL the child — these checks must not
-   depend on graceful drain (that is the daemon smoke test's job). *)
+   accept, run [f], then SIGKILL the child — only the client session
+   waits for a graceful exit; the other checks must not depend on it. *)
 let with_server ?deadline ?idle_timeout ?(max_inflight = 4) name f =
-  let path = Filename.concat (tmp_dir name) "sock" in
+  with_tmp_dir name @@ fun dir ->
+  let path = Filename.concat dir "sock" in
   match Unix.fork () with
   | 0 ->
     (try
@@ -73,7 +80,7 @@ let with_server ?deadline ?idle_timeout ?(max_inflight = 4) name f =
     in
     Fun.protect ~finally (fun () ->
         Client.close (Client.retry_connect path);
-        f path)
+        f ~pid path)
 
 (* Park a long job on its own connection without waiting for the reply. *)
 let send_no_wait path req =
@@ -82,10 +89,90 @@ let send_no_wait path req =
   ignore (Unix.write_substring fd frame 0 (String.length frame));
   fd
 
+(* Run the bisad client binary against [path]: its exit code and stdout.
+   BISA_* variables are dropped so the command line alone decides the
+   request. *)
+let run_client ~bisad path cmd args =
+  let out = Filename.concat (Filename.dirname path) "client.out" in
+  let err = Filename.concat (Filename.dirname path) "client.err" in
+  let open_w p =
+    Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let fd_out = open_w out and fd_err = open_w err in
+  let env =
+    Array.of_list
+      (List.filter
+         (fun kv -> not (String.starts_with ~prefix:"BISA_" kv))
+         (Array.to_list (Unix.environment ())))
+  in
+  let pid =
+    Unix.create_process_env bisad
+      (Array.of_list ((bisad :: cmd :: args) @ [ "--socket"; path ]))
+      env Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code =
+    match snd (Unix.waitpid [] pid) with Unix.WEXITED n -> n | _ -> -1
+  in
+  (code, Fs.read_file out)
+
+(* The scripted session through the real client: ping; compile; for each
+   leg, the same `bisad sim` twice, printing bisasim's captured bytes cold
+   and then cached (the server's counters say which); a passed deadline
+   exiting 124; a graceful shutdown the server exits 0 from. *)
+let test_client_session ~bisad ~timing_expect ~fn_expect =
+  with_server "client" @@ fun ~pid path ->
+  let client = run_client ~bisad path in
+  let counts () =
+    match Client.one_shot path Proto.Stats with
+    | Proto.Stats_r s -> (s.Proto.sim_misses, s.Proto.sim_hits)
+    | _ -> (-1, -1)
+  in
+  let code, out = client "ping" [] in
+  check "bisad ping exits 0 and names the protocol version"
+    (code = 0 && String.ends_with ~suffix:(Proto.version ^ "\n") out);
+  let code, out = client "compile" [ "li"; "--scale"; "1"; "--isa"; "block" ] in
+  check "bisad compile exits 0 and prints" (code = 0 && out <> "");
+  let legs =
+    [
+      ("timing", [ "--isa"; "block" ], timing_expect);
+      ("functional", [ "--isa"; "conv"; "--functional" ], fn_expect);
+    ]
+  in
+  List.iteri
+    (fun i (leg, flags, expect) ->
+      let want = Fs.read_file expect in
+      List.iter
+        (fun (pass, misses, hits) ->
+          let what = Printf.sprintf "%s leg, %s" leg pass in
+          let code, out =
+            client "sim" ([ "li"; "--scale"; "1"; "--show-output" ] @ flags)
+          in
+          check (what ^ ": bisad sim exits 0") (code = 0);
+          if out <> want then
+            Printf.eprintf "--- bisasim (%s) ---\n%s--- bisad sim ---\n%s%!" expect
+              want out;
+          check (what ^ ": bisad sim prints bisasim's bytes") (out = want);
+          check
+            (Printf.sprintf "%s: stats count %d misses and %d hits" what misses hits)
+            (counts () = (misses, hits)))
+        [ ("cold", i + 1, i); ("cached", i + 1, i + 1) ])
+    legs;
+  (* Not a key the legs cached, so it becomes a job that expires. *)
+  let code, _ =
+    client "sim" [ "li"; "--scale"; "1"; "--isa"; "conv"; "--deadline"; "0.000001" ]
+  in
+  check "bisad sim past its deadline exits 124" (code = 124);
+  let code, _ = client "shutdown" [] in
+  check "bisad shutdown exits 0" (code = 0);
+  check "the server exits 0 after shutdown"
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
+
 (* A paper-scale job in flight must not cost a concurrent ping more than
    a slice: the cooperative loop's headline guarantee. *)
 let test_ping_under_load () =
-  with_server "ping" @@ fun path ->
+  with_server "ping" @@ fun ~pid:_ path ->
   let fd = send_no_wait path (sim ~s:long_src ()) in
   Unix.sleepf 0.2 (* let the server read, compile, and park the job *);
   let t0 = Unix.gettimeofday () in
@@ -106,7 +193,7 @@ let test_ping_under_load () =
    never retried by the client, never cached by the engine: the same
    request without a deadline then computes the full answer. *)
 let test_deadline_expiry () =
-  with_server "deadline" @@ fun path ->
+  with_server "deadline" @@ fun ~pid:_ path ->
   let with_deadline = sim ~deadline:1e-6 () in
   let r = Client.one_shot path with_deadline in
   check "deadline expiry is the structured Err" (Proto.is_deadline_err r);
@@ -125,7 +212,7 @@ let test_deadline_expiry () =
 (* Admission control refuses work-shaped requests at capacity with the
    busy Err, while ping stays admitted. *)
 let test_admission_busy () =
-  with_server ~max_inflight:1 "busy" @@ fun path ->
+  with_server ~max_inflight:1 "busy" @@ fun ~pid:_ path ->
   let fd = send_no_wait path (sim ~s:long_src ()) in
   Unix.sleepf 0.2;
   let r = Client.one_shot path (sim ~s:src2 ()) in
@@ -138,7 +225,7 @@ let test_admission_busy () =
 (* A slow loris — a connection holding a half-written frame — is evicted
    once idle past the timeout, and the server keeps serving others. *)
 let test_idle_eviction () =
-  with_server ~idle_timeout:0.2 "loris" @@ fun path ->
+  with_server ~idle_timeout:0.2 "loris" @@ fun ~pid:_ path ->
   let fd = Client.connect path in
   ignore (Unix.write_substring fd "\000\000" 0 2);
   Unix.sleepf 0.9 (* > timeout plus a full idle select round *);
@@ -157,6 +244,14 @@ let test_idle_eviction () =
   | _ -> check "server must survive the loris" false
 
 let () =
+  let bisad, timing_expect, fn_expect =
+    match Sys.argv with
+    | [| _; bisad; timing_expect; fn_expect |] -> (bisad, timing_expect, fn_expect)
+    | _ ->
+      prerr_endline "usage: serve_live BISAD TIMING_EXPECT FUNCTIONAL_EXPECT";
+      exit 2
+  in
+  test_client_session ~bisad ~timing_expect ~fn_expect;
   test_ping_under_load ();
   test_deadline_expiry ();
   test_admission_busy ();
@@ -166,5 +261,5 @@ let () =
     exit 1
   end;
   print_endline
-    "serve-live: liveness, deadline expiry, admission control and idle \
-     eviction OK"
+    "serve-live: client session, liveness, deadline expiry, admission control \
+     and idle eviction OK"

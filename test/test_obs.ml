@@ -38,13 +38,24 @@ let compiled = lazy (Bisa_compiler.Compiler.compile source)
 let conv_cfg =
   { Config.default with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
 
-let run_traced ?sample ?max_events packed cfg =
-  let r = Trace.recorder ?sample ?max_events () in
-  let m, _ = Pipeline.run_packed ~probe:(Trace.probe r) cfg packed in
-  (r, m)
+(* The sample prepared for one pipeline and run under [cfg]. *)
+type run = ?probe:Probe.t -> Config.t -> Metrics.t
 
-let pack_conv () = Pipeline.pack_conv (Lazy.force compiled).conv
-let pack_block () = Pipeline.pack_block (Lazy.force compiled).block
+let conv : run =
+ fun ?probe cfg ->
+  fst
+    (Pipeline.Conv.run_artifact ?probe cfg
+       (Pipeline.Conv.prepare (Lazy.force compiled).conv))
+
+let block : run =
+ fun ?probe cfg ->
+  fst
+    (Pipeline.Block.run_artifact ?probe cfg
+       (Pipeline.Block.prepare (Lazy.force compiled).block))
+
+let run_traced ?sample ?max_events (run : run) cfg =
+  let r = Trace.recorder ?sample ?max_events () in
+  (r, run ~probe:(Trace.probe r) cfg)
 
 (* --- registry --- *)
 
@@ -89,13 +100,13 @@ let fingerprint (m : Metrics.t) =
 
 let test_probe_invariance () =
   List.iter
-    (fun (name, packed, cfg) ->
-      let bare, _ = Pipeline.run_packed cfg packed in
-      let _, traced = run_traced packed cfg in
+    (fun (name, (run : run), cfg) ->
+      let bare = run cfg in
+      let _, traced = run_traced run cfg in
       Alcotest.(check string) name (fingerprint bare) (fingerprint traced))
     [
-      ("conv", pack_conv (), conv_cfg);
-      ("block", pack_block (), Config.default);
+      ("conv", conv, conv_cfg);
+      ("block", block, Config.default);
     ]
 
 (* --- reconciliation: event counts == aggregate metrics, by name --- *)
@@ -121,12 +132,12 @@ let check_reconciles name (r : Trace.t) (m : Metrics.t) =
     shared_counters
 
 let test_reconciliation () =
-  let r, m = run_traced (pack_conv ()) conv_cfg in
+  let r, m = run_traced conv conv_cfg in
   check_reconciles "conv" r m;
   (* trace-cache activity must actually be observed on this config *)
   Alcotest.(check bool) "conv sees tc lookups" true
     (Option.value ~default:0 (Registry.find (Trace.registry r) "tc_lookups") > 0);
-  let r, m = run_traced (pack_block ()) Config.default in
+  let r, m = run_traced block Config.default in
   check_reconciles "block" r m;
   Alcotest.(check bool) "block sees btb lookups" true
     (Option.value ~default:0 (Registry.find (Trace.registry r) "btb_lookups") > 0)
@@ -135,8 +146,8 @@ let test_reconciliation () =
 
 let test_chrome_trace_valid () =
   List.iter
-    (fun (name, packed, cfg) ->
-      let r, m = run_traced packed cfg in
+    (fun (name, run, cfg) ->
+      let r, m = run_traced run cfg in
       match Trace.validate (Trace.to_chrome_json ~process_name:"test" r) with
       | Error e -> Alcotest.failf "%s: invalid trace: %s" name e
       | Ok st ->
@@ -148,8 +159,8 @@ let test_chrome_trace_valid () =
           true
           (Trace.dropped r = 0))
     [
-      ("conv", pack_conv (), conv_cfg);
-      ("block", pack_block (), Config.default);
+      ("conv", conv, conv_cfg);
+      ("block", block, Config.default);
     ]
 
 let test_validate_rejects () =
@@ -174,9 +185,8 @@ let test_validate_rejects () =
 (* --- sampling thins the export stream, never the counters --- *)
 
 let test_sampling () =
-  let packed = pack_block () in
-  let full, m_full = run_traced ~sample:1 packed Config.default in
-  let thin, m_thin = run_traced ~sample:8 packed Config.default in
+  let full, m_full = run_traced ~sample:1 block Config.default in
+  let thin, m_thin = run_traced ~sample:8 block Config.default in
   Alcotest.(check string) "metrics identical" (fingerprint m_full) (fingerprint m_thin);
   Alcotest.(check (list (pair string int)))
     "counters exact under sampling" (Trace.counts full) (Trace.counts thin);
@@ -192,7 +202,7 @@ let test_sampling () =
     (et < ef / 4)
 
 let test_max_events_drops () =
-  let r, _ = run_traced ~max_events:16 (pack_block ()) Config.default in
+  let r, _ = run_traced ~max_events:16 block Config.default in
   Alcotest.(check bool) "drop counter advanced" true (Trace.dropped r > 0);
   (* a capped trace must still satisfy the exporter contract *)
   match Trace.validate (Trace.to_chrome_json r) with
@@ -202,7 +212,7 @@ let test_max_events_drops () =
 (* --- occupancy timeline --- *)
 
 let test_timeline () =
-  let r, _ = run_traced (pack_block ()) Config.default in
+  let r, _ = run_traced block Config.default in
   let chart = Trace.occupancy_timeline ~width:40 ~height:6 r in
   Alcotest.(check bool) "timeline non-empty" true (String.length chart > 0);
   Alcotest.(check bool) "timeline is multi-line" true (String.contains chart '\n')

@@ -32,17 +32,15 @@ let sim_payload = function
       (String.concat "; " (List.map Diag.render ds))
   | _ -> Alcotest.fail "not a Sim response"
 
-let tmp_dir name =
+(* A fresh scratch directory for one check, removed when it ends. *)
+let with_tmp_dir name f =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bisa-test-%s-%d" name (Unix.getpid ()))
   in
-  (try
-     Array.iter (fun e -> Sys.remove (Filename.concat d e)) (Sys.readdir d);
-     Unix.rmdir d
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir d 0o755;
-  d
+  Bisa_base.Fs.rm_rf d;
+  Bisa_base.Fs.mkdir_p d;
+  Fun.protect ~finally:(fun () -> Bisa_base.Fs.rm_rf d) (fun () -> f d)
 
 (* --- codec failure contract ---------------------------------------------- *)
 
@@ -94,12 +92,11 @@ let test_round_trip () =
 (* --- cache correctness ---------------------------------------------------- *)
 
 (* The one-shot CLI's stdout for [sim ()], computed the way bisasim
-   computes it: trusted pack, timing run, canonical rendering. *)
+   computes it: trusted artifact, timing run, canonical rendering. *)
 let cli_bytes () =
   let c = Bisa_compiler.Compiler.compile src in
-  let packed = Pipeline.pack_block_trusted c.block in
   let cfg = Proto.to_config Proto.default_sim_cfg in
-  let m, out = Pipeline.run_packed cfg packed in
+  let m, out = Pipeline.Block.run_artifact cfg (Pipeline.Block.prepare_trusted c.block) in
   Proto.render_timing ~show_output:true
     ~out:(Bisa_sim.Output.to_string out)
     ~summary:
@@ -177,7 +174,7 @@ let test_no_key_aliasing () =
 (* Kill the engine, restart on the same spool: the result must come back
    cached with identical bytes. *)
 let test_spool_reload () =
-  let dir = tmp_dir "spool" in
+  with_tmp_dir "spool" @@ fun dir ->
   let a = Engine.create ~spool_dir:dir () in
   let cold, _ = sim_payload (Engine.handle a (sim ())) in
   let b = Engine.create ~spool_dir:dir () in
@@ -186,9 +183,10 @@ let test_spool_reload () =
   Alcotest.(check string) "spool bytes == cold bytes" cold warm;
   Alcotest.(check bool) "stats saw the spool" true ((Engine.stats b).Proto.spooled >= 1)
 
-(* FIFO eviction trims memory but the spool keeps every finished byte. *)
+(* FIFO eviction trims memory but the spool keeps every finished byte;
+   a restart reloads no more of it than the bound allows. *)
 let test_eviction () =
-  let dir = tmp_dir "evict" in
+  with_tmp_dir "evict" @@ fun dir ->
   let e = Engine.create ~spool_dir:dir ~result_cap:2 () in
   let r1, _ = sim_payload (Engine.handle e (sim ())) in
   let _ = Engine.handle e (sim ~s:src2 ()) in
@@ -198,7 +196,69 @@ let test_eviction () =
   Alcotest.(check int) "spool keeps all" 3 s.Proto.spooled;
   (* The evicted first result recomputes (or reloads) byte-identically. *)
   let r1', _ = sim_payload (Engine.handle e (sim ())) in
-  Alcotest.(check string) "evicted result recomputes identically" r1 r1'
+  Alcotest.(check string) "evicted result recomputes identically" r1 r1';
+  let e' = Engine.create ~spool_dir:dir ~result_cap:2 () in
+  Alcotest.(check bool) "spool reload bounded" true
+    ((Engine.stats e').Proto.results <= 2);
+  let r1'', _ = sim_payload (Engine.handle e' (sim ())) in
+  Alcotest.(check string) "bytes identical after a bounded reload" r1 r1''
+
+(* The server's sliced jobs and [handle] run one plan: a job advanced
+   one operation slice at a time answers exactly what [handle] answers on
+   a fresh engine, counts one miss, and leaves a cache hit behind; a job
+   abandoned mid-flight (the server just drops it) caches nothing. *)
+let test_sliced_job () =
+  let cell =
+    Proto.Cell
+      {
+        bench = "li";
+        scale = Some 1;
+        isa = Proto.Conv;
+        exec = Bisa_sim.Compile.Interp;
+        cfg = Proto.default_sim_cfg;
+      }
+  in
+  let job e req =
+    match Engine.start e req with
+    | Engine.Job j -> j
+    | Engine.Done _ -> Alcotest.fail "a miss must start a job"
+  in
+  let cached = function
+    | Proto.Sim { cached; _ } | Proto.Cell_done { cached; _ } -> cached
+    | _ -> Alcotest.fail "not a Sim or Cell_done response"
+  in
+  List.iter
+    (fun (what, req) ->
+      let e = Engine.create () in
+      let j = job e req in
+      let rec drive slices =
+        match Engine.step_job j ~slice_ops:1 with
+        | `More -> drive (slices + 1)
+        | `Done resp -> (resp, slices + 1)
+      in
+      let sliced, slices = drive 0 in
+      Alcotest.(check bool) (what ^ ": more than one slice") true (slices > 1);
+      Alcotest.(check bool) (what ^ ": sliced == handle on a fresh engine") true
+        (sliced = Engine.handle (Engine.create ()) req);
+      let s = Engine.stats e in
+      Alcotest.(check (pair int int))
+        (what ^ ": one miss, no hit") (1, 0) (s.Proto.sim_misses, s.Proto.sim_hits);
+      Alcotest.(check bool) (what ^ ": leaves a cache hit") true
+        (cached (Engine.handle e req));
+      let e = Engine.create () in
+      let j = job e req in
+      (match Engine.step_job j ~slice_ops:1 with
+      | `More -> ()
+      | `Done _ -> Alcotest.fail "one slice finished the run");
+      Alcotest.(check int) (what ^ ": an abandoned job caches nothing") 0
+        (Engine.stats e).Proto.results;
+      Alcotest.(check bool) (what ^ ": so the next request misses") false
+        (cached (Engine.handle e req)))
+    [
+      ("timing", sim ());
+      ("functional", sim ~mode:Proto.Functional ~isa:Proto.Conv ());
+      ("cell", cell);
+    ]
 
 (* Failures come back as structured Err responses, never exceptions. *)
 let test_errors_are_structured () =
@@ -272,7 +332,7 @@ let contains hay needle =
   nn > 0 && go 0
 
 let test_spool_skip_surfaced () =
-  let dir = tmp_dir "skip" in
+  with_tmp_dir "skip" @@ fun dir ->
   let a = Engine.create ~spool_dir:dir () in
   let cold, _ = sim_payload (Engine.handle a (sim ())) in
   let oc = open_out_bin (Filename.concat dir "deadbeef.resp") in
@@ -315,6 +375,7 @@ let suite =
     Alcotest.test_case "no cache-key aliasing" `Quick test_no_key_aliasing;
     Alcotest.test_case "spool reload" `Quick test_spool_reload;
     Alcotest.test_case "eviction keeps spool" `Quick test_eviction;
+    Alcotest.test_case "sliced job == handle" `Quick test_sliced_job;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
