@@ -26,8 +26,9 @@
    [--compare BASELINE.json] re-reads a previous [--json] file and prints
    the per-kernel delta against the current run; any kernel more than 15%
    slower than its baseline makes the process exit nonzero.  The
-   @bench-compare alias (wired into @runtest) runs the smoke kernels
-   against the checked-in BENCH_sim.json this way.
+   @bench-compare alias runs the smoke kernels against the checked-in
+   BENCH_sim.json this way, on demand only: a wall-clock verdict on a
+   shared host is too noisy for @runtest.
 
    [--stream] runs the suspendable-session path on a paper-scale op
    count with bounded output retention and reports throughput and peak

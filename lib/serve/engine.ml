@@ -2,22 +2,27 @@
    against a content-addressed artifact cache.
 
    Three cache layers, all exactly-once under concurrency (Pool.Once
-   cells — one requester computes, the rest block on the cell), all
-   keyed by content, never by name:
+   cells — one requester computes, the rest block on the cell):
 
-     - compiled MiniC     keyed by the source hash
+     - loaded programs    compiled MiniC and decoded binaries keyed by
+                          the request's source hash, workloads by name
+                          and scale; each holds its executables with their
+                          content hashes, computed once as it loads
      - prepared artifacts keyed by (program hash, exec backend) — the
                           Pipeline.Artifact bundle: verified witness,
                           predecode tables, optional threaded code
      - finished results   keyed by program hash x Config.fingerprint x
                           exec backend x request shape (mode, out_cap)
 
-   Trust is decided once, at artifact preparation ([Pipeline.prepare]
-   runs the verifier); replays are pure, which is what makes the result
-   cache sound.  Finished results are additionally spooled to disk
-   through Atomic_file, so a SIGKILL loses only in-flight requests: the
-   next start reloads finished responses byte-identically, up to the
-   in-memory bound. *)
+   A cache hit reads the stored program hash to build its result key, so
+   it costs nothing that grows with the program; artifacts are prepared
+   only on a miss.  Trust is decided once, at artifact preparation
+   ([Pipeline.prepare] runs the verifier); replays are pure, which is
+   what makes the result cache sound.  A failed load stays poisoned in
+   its cell, but a failed run caches nothing.  Finished results are
+   additionally spooled to disk through Atomic_file, so a SIGKILL loses
+   only in-flight requests: the next start reloads finished responses
+   byte-identically, up to the in-memory bound. *)
 
 module Pool = Bisa_base.Pool
 module Diag = Bisa_base.Diag
@@ -96,13 +101,23 @@ let read_entry s =
 
 type 'a cell = 'a Pool.Once.cell
 
+(* A program as the engine holds it: the executable and its content hash
+   ([Pipeline.*.prog_hash]), the hash every artifact and result key built
+   from it carries. *)
+type 'p loaded = { prog : 'p; prog_hash : int64 }
+
+(* A compiled source or workload: one executable per ISA. *)
+type program = { conv : Pipeline.Conv.prog loaded; block : Pipeline.Block.prog loaded }
+
 type t = {
   pool : Pool.t;
   spool_dir : string option;
   result_cap : int;
   lock : Mutex.t;  (* guards the tables and counters, never a computation *)
-  compiled : (int64, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
-  bench_compiled : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
+  sources : (int64, program cell) Hashtbl.t;
+  conv_bins : (int64, Pipeline.Conv.prog loaded cell) Hashtbl.t;
+  block_bins : (int64, Pipeline.Block.prog loaded cell) Hashtbl.t;
+  workloads : (string, program cell) Hashtbl.t;
   conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact cell) Hashtbl.t;
   block_arts :
     (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact cell) Hashtbl.t;
@@ -132,11 +147,11 @@ let miss t =
 (* Find-or-compute with exactly-once semantics: the cell is installed
    under [t.lock] and forced outside it, so one requester computes and
    the rest block on the cell; an exception poisons it for every waiter.
-   Also says whether this requester installed the cell — the one that
-   accounts a fresh result. *)
-let memo t table key ~compute =
+   [install] also says whether this requester installed the cell — the
+   one that accounts a fresh result. *)
+let install t table key ~compute =
   Mutex.lock t.lock;
-  let cell, fresh =
+  let installed =
     match Hashtbl.find_opt table key with
     | Some cell -> (cell, false)
     | None ->
@@ -145,9 +160,9 @@ let memo t table key ~compute =
       (cell, true)
   in
   Mutex.unlock t.lock;
-  (Pool.Once.force cell, fresh)
+  installed
 
-let memoize t table key ~compute = fst (memo t table key ~compute)
+let memoize t table key ~compute = Pool.Once.force (fst (install t table key ~compute))
 
 (* --- construction and the spool ----------------------------------------- *)
 
@@ -215,8 +230,10 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
       spool_dir;
       result_cap;
       lock = Mutex.create ();
-      compiled = Hashtbl.create 64;
-      bench_compiled = Hashtbl.create 16;
+      sources = Hashtbl.create 64;
+      conv_bins = Hashtbl.create 16;
+      block_bins = Hashtbl.create 16;
+      workloads = Hashtbl.create 16;
       conv_arts = Hashtbl.create 64;
       block_arts = Hashtbl.create 64;
       results = Hashtbl.create 256;
@@ -286,14 +303,25 @@ let src_hash = function
   | Proto.Conv_bin b -> Codec.fnv1a64 ("cbin:" ^ b)
   | Proto.Block_bin b -> Codec.fnv1a64 ("bbin:" ^ b)
 
+(* Every program enters its memo cell once and is hashed there — the only
+   place this engine calls [Pipeline.*.prog_hash].  A compile error or a
+   malformed binary poisons its cell, so a repeat fails fast. *)
+let load_conv prog = { prog; prog_hash = Pipeline.Conv.prog_hash prog }
+let load_block prog = { prog; prog_hash = Pipeline.Block.prog_hash prog }
+
+let load_compiled (c : Bisa_compiler.Compiler.compiled) =
+  { conv = load_conv c.conv; block = load_block c.block }
+
 let compile_source t ~src ~libs =
-  memoize t t.compiled (src_hash (Proto.Source { src; libs })) ~compute:(fun () ->
-      Bisa_compiler.Compiler.compile ~library_funcs:libs src)
+  memoize t t.sources (src_hash (Proto.Source { src; libs })) ~compute:(fun () ->
+      load_compiled (Bisa_compiler.Compiler.compile ~library_funcs:libs src))
 
 let conv_prog t (src : Proto.prog_src) =
   match src with
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).conv
-  | Proto.Conv_bin b -> Bisa_isa.Encode.conv_of_bytes b
+  | Proto.Conv_bin b ->
+    memoize t t.conv_bins (src_hash src) ~compute:(fun () ->
+        load_conv (Bisa_isa.Encode.conv_of_bytes b))
   | Proto.Block_bin _ ->
     Diag.fail ~component "this request needs a conventional executable, got a \
                           block-structured binary"
@@ -301,7 +329,9 @@ let conv_prog t (src : Proto.prog_src) =
 let block_prog t (src : Proto.prog_src) =
   match src with
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).block
-  | Proto.Block_bin b -> Bisa_isa.Encode.block_of_bytes b
+  | Proto.Block_bin b ->
+    memoize t t.block_bins (src_hash src) ~compute:(fun () ->
+        load_block (Bisa_isa.Encode.block_of_bytes b))
   | Proto.Conv_bin _ ->
     Diag.fail ~component "this request needs a block-structured executable, got \
                           a conventional binary"
@@ -310,13 +340,13 @@ let block_prog t (src : Proto.prog_src) =
    the memo makes that a per-(program, backend) one-time event.  The
    verification rejection is poisoned into the cell, so repeat requests
    for a bad program fail fast without re-verifying. *)
-let conv_artifact t ~exec prog =
-  let h = Pipeline.Conv.prog_hash prog in
-  (h, memoize t t.conv_arts (h, exec) ~compute:(fun () -> Pipeline.Conv.prepare ~exec prog))
+let conv_artifact t ~exec (l : Pipeline.Conv.prog loaded) =
+  memoize t t.conv_arts (l.prog_hash, exec) ~compute:(fun () ->
+      Pipeline.Conv.prepare ~exec l.prog)
 
-let block_artifact t ~exec prog =
-  let h = Pipeline.Block.prog_hash prog in
-  (h, memoize t t.block_arts (h, exec) ~compute:(fun () -> Pipeline.Block.prepare ~exec prog))
+let block_artifact t ~exec (l : Pipeline.Block.prog loaded) =
+  memoize t t.block_arts (l.prog_hash, exec) ~compute:(fun () ->
+      Pipeline.Block.prepare ~exec l.prog)
 
 (* --- verification ------------------------------------------------------- *)
 
@@ -377,17 +407,30 @@ type plan =
 (* A miss settles exactly once per key: the requester that installs the
    result cell computes the payload and accounts the miss, and a raced
    duplicate (a Batch of identical requests, or a Batch overtaking a
-   sliced job) waits on the cell and accounts a hit. *)
+   sliced job) waits on the cell and accounts a hit.  A run that raises
+   (an op-budget runaway, a machine trap) takes its poisoned cell out of
+   the table — it never entered [t.order], so it could never be evicted —
+   unless a repeat has already replaced it; the next request recomputes. *)
 let settle t key ~prog_hash ~render compute =
-  let entry, fresh =
-    memo t t.results key ~compute:(fun () -> { prog_hash; payload = compute () })
+  let cell, fresh =
+    install t t.results key ~compute:(fun () -> { prog_hash; payload = compute () })
   in
-  if fresh then begin
-    note_result t key entry;
-    miss t
-  end
-  else hit t;
-  render ~cached:(not fresh) entry
+  match Pool.Once.force cell with
+  | entry ->
+    if fresh then begin
+      note_result t key entry;
+      miss t
+    end
+    else hit t;
+    render ~cached:(not fresh) entry
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.lock t.lock;
+    (match Hashtbl.find_opt t.results key with
+    | Some c when c == cell -> Hashtbl.remove t.results key
+    | _ -> ());
+    Mutex.unlock t.lock;
+    Printexc.raise_with_backtrace e bt
 
 (* Look the key up: a hit is accounted and rendered now; a miss becomes
    a plan that settles under the same key. *)
@@ -465,12 +508,11 @@ let key_clash what =
 
 let plan_sim (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) ~functional
-    (prog : p) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
+    ~(artifact : exec:Bisa_sim.Compile.backend -> p loaded -> a) ~functional
+    (l : p loaded) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
   let config = Proto.to_config cfg in
-  let prog_hash = P.prog_hash prog in
   let key =
-    sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
+    sim_key ~what:"sim" ~isa:P.isa ~prog_hash:l.prog_hash ~cfg:config ~exec ~mode
       ~out_cap:cfg.out_cap
   in
   let render ~cached e =
@@ -493,17 +535,17 @@ let plan_sim (type p a) t
         }
     | Cell_r _ -> key_clash "simulate"
   in
-  resolve t key ~prog_hash ~render (fun () ->
+  resolve t key ~prog_hash:l.prog_hash ~render (fun () ->
       match mode with
       | Proto.Functional ->
         (* The functional path has no artifact to hide behind, so
            verification is discharged explicitly, exactly as the
            one-shot CLI does before running. *)
-        (match P.verify prog with [] -> () | ds -> reject "program" ds);
-        functional prog ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
+        (match P.verify l.prog with [] -> () | ds -> reject "program" ds);
+        functional l.prog ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
       | Proto.Timing ->
-        let _, art = artifact ~exec prog in
-        timing_run t (module P) config art ~out_cap:cfg.out_cap (fun (m, out) ->
+        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+          (fun (m, out) ->
             Tim_r
               {
                 out = Bisa_sim.Output.to_string out;
@@ -521,11 +563,9 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
       Diag.fail ~component "no such workload: %s (workloads: %s)" bench
         (String.concat " " Bisa_workloads.Workloads.names)
   in
-  let compiled =
-    memoize t t.bench_compiled (bench_key ~bench ~scale) ~compute:(fun () ->
-        match scale with
-        | Some scale -> Bisa_workloads.Workloads.compile ~scale w
-        | None -> Bisa_workloads.Workloads.compile w)
+  let program =
+    memoize t t.workloads (bench_key ~bench ~scale) ~compute:(fun () ->
+        load_compiled (Bisa_workloads.Workloads.compile ?scale w))
   in
   let config = Proto.to_config cfg in
   let render ~cached e =
@@ -534,21 +574,21 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
     | Fun_r _ | Tim_r _ -> key_clash "cell"
   in
   let go (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
-      ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
-    let prog_hash, art = artifact ~exec prog in
+      ~(artifact : exec:Bisa_sim.Compile.backend -> p loaded -> a) (l : p loaded) =
     let key =
       sim_key
         ~what:(bench_key ~bench ~scale)
-        ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
+        ~isa:P.isa ~prog_hash:l.prog_hash ~cfg:config ~exec ~mode:Proto.Timing
         ~out_cap:cfg.out_cap
     in
-    resolve t key ~prog_hash ~render (fun () ->
-        timing_run t (module P) config art ~out_cap:cfg.out_cap (fun (m, _out) ->
+    resolve t key ~prog_hash:l.prog_hash ~render (fun () ->
+        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+          (fun (m, _out) ->
             Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m }))
   in
   match isa with
-  | Proto.Conv -> go (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-  | Proto.Block -> go (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+  | Proto.Conv -> go (module Pipeline.Conv) ~artifact:(conv_artifact t) program.conv
+  | Proto.Block -> go (module Pipeline.Block) ~artifact:(block_artifact t) program.block
 
 (* The one place a Simulate or Cell request is resolved: key, lookup and
    hit accounting here; verification and the executor or session in the
@@ -599,22 +639,22 @@ let handle_one t (req : Proto.request) : Proto.response =
     | Proto.Stats -> Proto.Stats_r (stats t)
     | Proto.Shutdown -> Proto.Bye
     | Proto.Compile { src; isa = Proto.Conv } ->
-      let p = conv_prog t src in
-      let bytes = Bisa_isa.Encode.conv_to_bytes p in
-      Proto.Binary { isa = Proto.Conv; bytes; prog_hash = Codec.fnv1a64 bytes }
+      let l = conv_prog t src in
+      let bytes = Bisa_isa.Encode.conv_to_bytes l.prog in
+      Proto.Binary { isa = Proto.Conv; bytes; prog_hash = l.prog_hash }
     | Proto.Compile { src; isa = Proto.Block } ->
-      let p = block_prog t src in
-      let bytes = Bisa_isa.Encode.block_to_bytes p in
-      Proto.Binary { isa = Proto.Block; bytes; prog_hash = Codec.fnv1a64 bytes }
+      let l = block_prog t src in
+      let bytes = Bisa_isa.Encode.block_to_bytes l.prog in
+      Proto.Binary { isa = Proto.Block; bytes; prog_hash = l.prog_hash }
     | Proto.Verify { src } ->
       (* Verify every executable the source carries, like --verify-only. *)
       let diags =
         match src with
         | Proto.Source _ ->
-          Pipeline.Conv.verify (conv_prog t src)
-          @ Pipeline.Block.verify (block_prog t src)
-        | Proto.Conv_bin _ -> Pipeline.Conv.verify (conv_prog t src)
-        | Proto.Block_bin _ -> Pipeline.Block.verify (block_prog t src)
+          Pipeline.Conv.verify (conv_prog t src).prog
+          @ Pipeline.Block.verify (block_prog t src).prog
+        | Proto.Conv_bin _ -> Pipeline.Conv.verify (conv_prog t src).prog
+        | Proto.Block_bin _ -> Pipeline.Block.verify (block_prog t src).prog
       in
       Proto.Verdict { diags }
     | Proto.Simulate _ | Proto.Cell _ -> (

@@ -1,13 +1,15 @@
 (** The bisad request engine: typed {!Bisa_proto.Proto.request} values in,
     typed responses out, against a content-addressed artifact cache.
 
-    Three exactly-once cache layers (the Harness memo-cell discipline),
-    all keyed by content, never by name: compiled MiniC by source hash;
+    Three exactly-once cache layers (the Harness memo-cell discipline):
+    loaded programs — compiled MiniC and decoded binaries by source hash,
+    workloads by name and scale — each stored with its program hash;
     prepared {!Bisa_timing.Pipeline.S.Artifact} bundles by
     (program hash, exec backend); finished results by program hash x
     {!Bisa_timing.Config.fingerprint} x exec backend x request shape.
-    Trust is decided once, at artifact preparation — replays are pure,
-    which is what makes the result cache sound.
+    A cache hit reads the stored hash and prepares nothing.  Trust is
+    decided once, at artifact preparation — replays are pure, which is
+    what makes the result cache sound.
 
     With a spool directory, every finished result is also written to disk
     through {!Bisa_base.Atomic_file}, and reloaded (up to [result_cap]
@@ -37,9 +39,10 @@ val handle : t -> Bisa_proto.Proto.request -> Bisa_proto.Proto.response
     name — returns [Err diags].  A [Simulate] or [Cell] request is
     resolved once into a cache hit or a miss; a miss runs to completion
     inside the result cache's exactly-once cell, so identical requests
-    racing across the pool simulate once (one miss, the rest hits).
-    [Batch] shards across the pool with submission-order results, so
-    batch responses are byte-identical at every worker count.
+    racing across the pool simulate once (one miss, the rest hits).  A
+    miss that fails caches nothing, so a repeat recomputes the same
+    [Err].  [Batch] shards across the pool with submission-order
+    results, so batch responses are byte-identical at every worker count.
     [Shutdown] returns [Bye]; acting on it is the server loop's job. *)
 
 (** {1 Sliced jobs}

@@ -25,6 +25,16 @@ let sim ?(s = src) ?(isa = Proto.Block) ?(mode = Proto.Timing) () =
       show_output = true;
     }
 
+let cell ?(isa = Proto.Conv) () =
+  Proto.Cell
+    {
+      bench = "li";
+      scale = Some 1;
+      isa;
+      exec = Bisa_sim.Compile.Interp;
+      cfg = Proto.default_sim_cfg;
+    }
+
 let sim_payload = function
   | Proto.Sim { stdout; cached; _ } -> (stdout, cached)
   | Proto.Err ds ->
@@ -172,16 +182,101 @@ let test_no_key_aliasing () =
   Alcotest.(check bool) "different cfg is a fresh miss" false cached
 
 (* Kill the engine, restart on the same spool: the result must come back
-   cached with identical bytes. *)
+   cached with identical bytes, and a hit prepares no artifact. *)
 let test_spool_reload () =
   with_tmp_dir "spool" @@ fun dir ->
   let a = Engine.create ~spool_dir:dir () in
   let cold, _ = sim_payload (Engine.handle a (sim ())) in
+  let cold_cell = Engine.handle a (cell ()) in
   let b = Engine.create ~spool_dir:dir () in
   let warm, cached = sim_payload (Engine.handle b (sim ())) in
   Alcotest.(check bool) "reloaded from spool" true cached;
   Alcotest.(check string) "spool bytes == cold bytes" cold warm;
-  Alcotest.(check bool) "stats saw the spool" true ((Engine.stats b).Proto.spooled >= 1)
+  Alcotest.(check bool) "stats saw the spool" true ((Engine.stats b).Proto.spooled >= 1);
+  (match (cold_cell, Engine.handle b (cell ())) with
+  | Proto.Cell_done c, Proto.Cell_done w ->
+    Alcotest.(check bool) "cell reloaded from spool" true w.cached;
+    Alcotest.(check string) "cell summary == cold summary" c.summary w.summary;
+    Alcotest.(check int64) "cell prog_hash == cold prog_hash" c.prog_hash w.prog_hash
+  | _ -> Alcotest.fail "not a Cell_done response");
+  Alcotest.(check int) "a spool-warm hit prepares no artifact" 0
+    (Engine.stats b).Proto.artifacts
+
+(* A failed run caches nothing, so failures cannot pile up past
+   [result_cap]; a repeat, or a raced duplicate in a Batch, gets the
+   same Err. *)
+let test_failures_not_cached () =
+  let runaway budget =
+    match sim () with
+    | Proto.Simulate s -> Proto.Simulate { s with cfg = { s.cfg with Proto.budget } }
+    | _ -> assert false
+  in
+  with_pool 4 @@ fun pool ->
+  let e = Engine.create ~pool ~result_cap:2 () in
+  let errs = List.init 10 (fun i -> Engine.handle e (runaway (100 + i))) in
+  List.iter
+    (function
+      | Proto.Err (_ :: _) -> () | _ -> Alcotest.fail "a runaway must yield Err")
+    errs;
+  Alcotest.(check bool) "failed results stay inside the cap" true
+    ((Engine.stats e).Proto.results <= 2);
+  Alcotest.(check bool) "a repeated failure returns the same Err" true
+    (Engine.handle e (runaway 100) = List.hd errs);
+  (match Engine.handle e (Proto.Batch (List.init 6 (fun _ -> runaway 100))) with
+  | Proto.Batch_r rs ->
+    Alcotest.(check bool) "raced duplicates return the same Err" true
+      (List.for_all (fun r -> r = List.hd errs) rs)
+  | _ -> Alcotest.fail "not a batch response");
+  Alcotest.(check bool) "raced failures leave nothing cached" true
+    ((Engine.stats e).Proto.results <= 2)
+
+(* Every reply carries the canonical program hash ([Pipeline.*.prog_hash]
+   of the executable it ran), cold and cached alike, whether the program
+   came as source, as a binary or as a workload. *)
+let test_stored_hashes () =
+  let c = Bisa_compiler.Compiler.compile src in
+  let w = Bisa_workloads.Workloads.(compile ~scale:1 (find "li")) in
+  let conv_h = Pipeline.Conv.prog_hash c.conv
+  and block_h = Pipeline.Block.prog_hash c.block in
+  let source = Proto.Source { src; libs = [] } in
+  let simulate src isa =
+    match sim ~isa () with
+    | Proto.Simulate s -> Proto.Simulate { s with src }
+    | _ -> assert false
+  in
+  let hash_of = function
+    | Proto.Sim { prog_hash; cached; _ } | Proto.Cell_done { prog_hash; cached; _ } ->
+      (prog_hash, cached)
+    | Proto.Err ds ->
+      Alcotest.failf "unexpected Err: %s" (String.concat "; " (List.map Diag.render ds))
+    | _ -> Alcotest.fail "not a Sim or Cell_done response"
+  in
+  List.iter
+    (fun (what, expected, req) ->
+      let e = Engine.create () in
+      let cold = hash_of (Engine.handle e req) in
+      let warm = hash_of (Engine.handle e req) in
+      Alcotest.(check (pair int64 bool)) (what ^ ": cold") (expected, false) cold;
+      Alcotest.(check (pair int64 bool)) (what ^ ": cached") (expected, true) warm)
+    [
+      ("source conv", conv_h, simulate source Proto.Conv);
+      ("source block", block_h, simulate source Proto.Block);
+      ( "conv binary",
+        conv_h,
+        simulate (Proto.Conv_bin (Bisa_isa.Encode.conv_to_bytes c.conv)) Proto.Conv );
+      ( "block binary",
+        block_h,
+        simulate (Proto.Block_bin (Bisa_isa.Encode.block_to_bytes c.block)) Proto.Block );
+      ("cell conv", Pipeline.Conv.prog_hash w.conv, cell ());
+      ("cell block", Pipeline.Block.prog_hash w.block, cell ~isa:Proto.Block ());
+    ];
+  let e = Engine.create () in
+  List.iter
+    (fun (what, expected, isa) ->
+      match Engine.handle e (Proto.Compile { src = source; isa }) with
+      | Proto.Binary { prog_hash; _ } -> Alcotest.(check int64) what expected prog_hash
+      | _ -> Alcotest.fail "not a Binary response")
+    [ ("compile conv", conv_h, Proto.Conv); ("compile block", block_h, Proto.Block) ]
 
 (* FIFO eviction trims memory but the spool keeps every finished byte;
    a restart reloads no more of it than the bound allows. *)
@@ -208,16 +303,6 @@ let test_eviction () =
    a fresh engine, counts one miss, and leaves a cache hit behind; a job
    abandoned mid-flight (the server just drops it) caches nothing. *)
 let test_sliced_job () =
-  let cell =
-    Proto.Cell
-      {
-        bench = "li";
-        scale = Some 1;
-        isa = Proto.Conv;
-        exec = Bisa_sim.Compile.Interp;
-        cfg = Proto.default_sim_cfg;
-      }
-  in
   let job e req =
     match Engine.start e req with
     | Engine.Job j -> j
@@ -257,7 +342,7 @@ let test_sliced_job () =
     [
       ("timing", sim ());
       ("functional", sim ~mode:Proto.Functional ~isa:Proto.Conv ());
-      ("cell", cell);
+      ("cell", cell ());
     ]
 
 (* Failures come back as structured Err responses, never exceptions. *)
@@ -375,6 +460,9 @@ let suite =
     Alcotest.test_case "no cache-key aliasing" `Quick test_no_key_aliasing;
     Alcotest.test_case "spool reload" `Quick test_spool_reload;
     Alcotest.test_case "eviction keeps spool" `Quick test_eviction;
+    Alcotest.test_case "failed results are not cached" `Quick test_failures_not_cached;
+    Alcotest.test_case "replies carry the canonical program hash" `Quick
+      test_stored_hashes;
     Alcotest.test_case "sliced job == handle" `Quick test_sliced_job;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
