@@ -4,25 +4,28 @@
    Three cache layers, all exactly-once under concurrency (Pool.Once
    cells — one requester computes, the rest block on the cell):
 
-     - loaded programs    compiled MiniC and decoded binaries keyed by
-                          the request's source hash, workloads by name
-                          and scale; each holds its executables with their
-                          content hashes, computed once as it loads
+     - loaded programs    compiled MiniC keyed by the source hash,
+                          workloads by name and scale; each holds one
+                          executable per ISA with its content hash,
+                          computed once as it loads
      - prepared artifacts keyed by (program hash, exec backend) — the
                           Pipeline.Artifact bundle: verified witness,
                           predecode tables, optional threaded code
      - finished results   keyed by program hash x Config.fingerprint x
                           exec backend x request shape (mode, out_cap)
 
-   A cache hit reads the stored program hash to build its result key, so
-   it costs nothing that grows with the program; artifacts are prepared
-   only on a miss.  Trust is decided once, at artifact preparation
-   ([Pipeline.prepare] runs the verifier); replays are pure, which is
-   what makes the result cache sound.  A failed load stays poisoned in
-   its cell, but a failed run caches nothing.  Finished results are
-   additionally spooled to disk through Atomic_file, so a SIGKILL loses
-   only in-flight requests: the next start reloads finished responses
-   byte-identically, up to the in-memory bound. *)
+   A source or workload request reads the stored program hash to build
+   its result key, so a hit never re-encodes or re-hashes the executable;
+   a source hit still hashes the request's source text, and only a
+   workload hit costs nothing that grows with the program.  A .cbin/.bbin
+   binary is not held: each request decodes and hashes it.  Artifacts are
+   prepared only on a miss.  Trust is decided once, at artifact
+   preparation ([Pipeline.prepare] runs the verifier); replays are pure,
+   which is what makes the result cache sound.  A failed compile stays
+   poisoned in its cell, but a failed run caches nothing.  Finished
+   results are additionally spooled to disk through Atomic_file, so a
+   SIGKILL loses only in-flight requests: the next start reloads finished
+   responses byte-identically, up to the in-memory bound. *)
 
 module Pool = Bisa_base.Pool
 module Diag = Bisa_base.Diag
@@ -115,8 +118,6 @@ type t = {
   result_cap : int;
   lock : Mutex.t;  (* guards the tables and counters, never a computation *)
   sources : (int64, program cell) Hashtbl.t;
-  conv_bins : (int64, Pipeline.Conv.prog loaded cell) Hashtbl.t;
-  block_bins : (int64, Pipeline.Block.prog loaded cell) Hashtbl.t;
   workloads : (string, program cell) Hashtbl.t;
   conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact cell) Hashtbl.t;
   block_arts :
@@ -231,8 +232,6 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
       result_cap;
       lock = Mutex.create ();
       sources = Hashtbl.create 64;
-      conv_bins = Hashtbl.create 16;
-      block_bins = Hashtbl.create 16;
       workloads = Hashtbl.create 16;
       conv_arts = Hashtbl.create 64;
       block_arts = Hashtbl.create 64;
@@ -297,15 +296,10 @@ let stats t : Proto.stats =
 
 (* --- program loading ----------------------------------------------------- *)
 
-let src_hash = function
-  | Proto.Source { src; libs } ->
-    Codec.fnv1a64 (String.concat "\x00" (("src:" ^ src) :: libs))
-  | Proto.Conv_bin b -> Codec.fnv1a64 ("cbin:" ^ b)
-  | Proto.Block_bin b -> Codec.fnv1a64 ("bbin:" ^ b)
-
-(* Every program enters its memo cell once and is hashed there — the only
-   place this engine calls [Pipeline.*.prog_hash].  A compile error or a
-   malformed binary poisons its cell, so a repeat fails fast. *)
+(* The only place this engine calls [Pipeline.*.prog_hash].  A compiled
+   source or workload is loaded once, inside its memo cell, so a compile
+   error poisons the cell and a repeat fails fast; a binary is decoded
+   and loaded per request, holding nothing once the request is done. *)
 let load_conv prog = { prog; prog_hash = Pipeline.Conv.prog_hash prog }
 let load_block prog = { prog; prog_hash = Pipeline.Block.prog_hash prog }
 
@@ -313,15 +307,14 @@ let load_compiled (c : Bisa_compiler.Compiler.compiled) =
   { conv = load_conv c.conv; block = load_block c.block }
 
 let compile_source t ~src ~libs =
-  memoize t t.sources (src_hash (Proto.Source { src; libs })) ~compute:(fun () ->
+  let key = Codec.fnv1a64 (String.concat "\x00" (("src:" ^ src) :: libs)) in
+  memoize t t.sources key ~compute:(fun () ->
       load_compiled (Bisa_compiler.Compiler.compile ~library_funcs:libs src))
 
 let conv_prog t (src : Proto.prog_src) =
   match src with
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).conv
-  | Proto.Conv_bin b ->
-    memoize t t.conv_bins (src_hash src) ~compute:(fun () ->
-        load_conv (Bisa_isa.Encode.conv_of_bytes b))
+  | Proto.Conv_bin b -> load_conv (Bisa_isa.Encode.conv_of_bytes b)
   | Proto.Block_bin _ ->
     Diag.fail ~component "this request needs a conventional executable, got a \
                           block-structured binary"
@@ -329,9 +322,7 @@ let conv_prog t (src : Proto.prog_src) =
 let block_prog t (src : Proto.prog_src) =
   match src with
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).block
-  | Proto.Block_bin b ->
-    memoize t t.block_bins (src_hash src) ~compute:(fun () ->
-        load_block (Bisa_isa.Encode.block_of_bytes b))
+  | Proto.Block_bin b -> load_block (Bisa_isa.Encode.block_of_bytes b)
   | Proto.Conv_bin _ ->
     Diag.fail ~component "this request needs a block-structured executable, got \
                           a conventional binary"

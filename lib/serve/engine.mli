@@ -2,12 +2,13 @@
     typed responses out, against a content-addressed artifact cache.
 
     Three exactly-once cache layers (the Harness memo-cell discipline):
-    loaded programs — compiled MiniC and decoded binaries by source hash,
-    workloads by name and scale — each stored with its program hash;
+    loaded programs — compiled MiniC by source hash, workloads by name
+    and scale — each stored with its program hash (a binary is decoded
+    and hashed per request, not held);
     prepared {!Bisa_timing.Pipeline.S.Artifact} bundles by
     (program hash, exec backend); finished results by program hash x
     {!Bisa_timing.Config.fingerprint} x exec backend x request shape.
-    A cache hit reads the stored hash and prepares nothing.  Trust is
+    A cache hit prepares nothing.  Trust is
     decided once, at artifact preparation — replays are pure, which is
     what makes the result cache sound.
 
