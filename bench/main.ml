@@ -67,10 +67,11 @@ int main() {
 let micro = Pool.Once.make (fun () -> Bisa_compiler.Compiler.compile micro_source)
 let force_micro () = Pool.Once.force micro
 
-(* Prepared artifacts (tables + threaded code + hash) for the micro
+(* Prepared artifacts (tables + code handle + hash) for the micro
    workload, built (through the verifier) once outside any timed region —
-   the kernels below measure steady-state simulation only, matching how
-   the experiment harness memoizes the same bundle per program. *)
+   the kernels below measure simulation only (each run still builds the
+   closure chains it executes), matching how the experiment harness
+   memoizes the same bundle per program. *)
 let micro_conv_art =
   Pool.Once.make (fun () ->
       Bisa_timing.Pipeline.Conv.prepare ~exec:Bisa_sim.Compile.Compiled
@@ -81,8 +82,10 @@ let micro_block_art =
       Bisa_timing.Pipeline.Block.prepare ~exec:Bisa_sim.Compile.Compiled
         (force_micro ()).block)
 
-(* The compiled-exec kernels time the raw threaded code directly; the
-   artifact always carries it because [prepare] ran under [Compiled]. *)
+(* The compiled-exec kernels time [Compile.{Conv,Block}.run] on the
+   artifact's code handle, which [prepare] under [Compiled] always
+   provides; each timed run builds its own closure chain, so the kernels
+   include that build. *)
 let micro_conv_code () =
   match Bisa_timing.Pipeline.Conv.Artifact.code (Pool.Once.force micro_conv_art) with
   | Some c -> c

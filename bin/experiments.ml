@@ -35,10 +35,10 @@ let run only scale paper_caches with_ablations out verbose jobs exec resume
       ("fig6", fun () -> Bisa_experiments.Figures.fig6 h);
       ("fig7", fun () -> Bisa_experiments.Figures.fig7 h);
       ("prediction_parity", fun () -> Bisa_experiments.Extras.prediction_parity h);
-      ("future_scientific", fun () -> Bisa_experiments.Extras.scientific ~pool ());
-      ("trace_cache", fun () -> Bisa_experiments.Extras.trace_cache_rivalry ~pool ());
-      ("inlining", fun () -> Bisa_experiments.Extras.inlining_study ~pool ());
-      ("predication", fun () -> Bisa_experiments.Extras.predication_study ~pool ());
+      ("future_scientific", fun () -> Bisa_experiments.Extras.scientific ~exec ~pool ());
+      ("trace_cache", fun () -> Bisa_experiments.Extras.trace_cache_rivalry ~exec ~pool ());
+      ("inlining", fun () -> Bisa_experiments.Extras.inlining_study ~exec ~pool ());
+      ("predication", fun () -> Bisa_experiments.Extras.predication_study ~exec ~pool ());
     ]
   in
   let report_thunks =
@@ -87,8 +87,8 @@ let run only scale paper_caches with_ablations out verbose jobs exec resume
       (fun (s : Bisa_experiments.Ablations.study) ->
         Buffer.add_string buf (Printf.sprintf "\n===== %s: %s =====\n" s.id s.title);
         Buffer.add_string buf s.rendered)
-      (Bisa_experiments.Ablations.all ~pool ()
-      @ [ Bisa_experiments.Profile_guided.study ~pool () ]);
+      (Bisa_experiments.Ablations.all ~exec ~pool ()
+      @ [ Bisa_experiments.Profile_guided.study ~exec ~pool () ]);
   print_string (Buffer.contents buf);
   (match out with
   | Some path ->

@@ -64,14 +64,15 @@ let budget =
 let exec =
   Arg.(
     value
-    & opt (enum Bisa_sim.Compile.backends) Bisa_sim.Compile.Interp
+    & opt (enum Bisa_sim.Compile.backends) Bisa_sim.Compile.Compiled
     & info [ "exec" ]
         ~env:(env "BISA_EXEC" "Default for $(b,--exec).")
         ~doc:
-          "Functional-executor backend: $(b,interp) (the dispatching \
-           interpreter, default) or $(b,compiled) (per-block threaded code).  \
-           The backends are differentially tested equivalent — outputs, \
-           metrics and checkpoints are identical; only wall-clock differs.")
+          "Functional-executor backend: $(b,compiled) (per-block threaded \
+           code, default) or $(b,interp) (the dispatching interpreter, the \
+           reference the compiled backend is tested against).  The backends \
+           are differentially tested equivalent — outputs, metrics and \
+           checkpoints are identical; only wall-clock differs.")
 
 let trace_out =
   Arg.(

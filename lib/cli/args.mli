@@ -29,8 +29,8 @@ val budget : int Cmdliner.Term.t
 (** [--budget] / [BISA_BUDGET]: dynamic-operation runaway budget. *)
 
 val exec : Bisa_sim.Compile.backend Cmdliner.Term.t
-(** [--exec] / [BISA_EXEC]: functional-executor backend, [interp]
-    (default) or [compiled].  Equivalent by differential test; only
+(** [--exec] / [BISA_EXEC]: functional-executor backend, [compiled]
+    (default) or [interp].  Equivalent by differential test; only
     wall-clock differs. *)
 
 val trace_out : string option Cmdliner.Term.t

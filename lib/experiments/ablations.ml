@@ -13,6 +13,12 @@ let default_subset = [ "m88ksim"; "perl"; "li" ]
 let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
 let base_config = Config.with_icache (Some scaled_16k) Config.default
 
+(* One block-core timing run of a freshly compiled variant, prepared
+   under the caller's backend. *)
+let run_block ~exec cfg prog =
+  let module P = Bisa_timing.Pipeline.Block in
+  fst (P.run_artifact cfg (P.prepare ~exec prog))
+
 let enlargement_variants =
   [
     ("default", Enlarge.default_config);
@@ -23,7 +29,8 @@ let enlargement_variants =
     ("enlarge-libs", { Enlarge.default_config with enlarge_libraries = true });
   ]
 
-let enlargement_rules ?(workloads = default_subset) ?(pool = Pool.sequential) () =
+let enlargement_rules ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = default_subset)
+    ?(pool = Pool.sequential) () =
   let t =
     Table.create ~title:"Ablation: enlargement termination rules"
       ~headers:
@@ -48,7 +55,7 @@ let enlargement_rules ?(workloads = default_subset) ?(pool = Pool.sequential) ()
       (fun (name, (label, cfg)) ->
         let w = Workloads.find name in
         let c = Workloads.compile ~enlarge:cfg w in
-        let m = Bisa_timing.Block_pipeline.run base_config c.block in
+        let m = run_block ~exec base_config c.block in
         (name, label, m, c.block.code_bytes))
       grid
   in
@@ -89,7 +96,8 @@ let enlargement_rules ?(workloads = default_subset) ?(pool = Pool.sequential) ()
     rendered = Table.to_string t;
   }
 
-let history_policy ?(workloads = default_subset) ?(pool = Pool.sequential) () =
+let history_policy ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = default_subset)
+    ?(pool = Pool.sequential) () =
   let t =
     Table.create ~title:"Ablation: history-update policy (predictor modification 3)"
       ~headers:
@@ -115,7 +123,7 @@ let history_policy ?(workloads = default_subset) ?(pool = Pool.sequential) () =
             Config.block_pred = { base_config.Config.block_pred with naive_history = naive };
           }
         in
-        (name, label, Bisa_timing.Block_pipeline.run cfg c.block))
+        (name, label, run_block ~exec cfg c.block))
       grid
   in
   let rows =
@@ -140,4 +148,4 @@ let history_policy ?(workloads = default_subset) ?(pool = Pool.sequential) () =
     rendered = Table.to_string t;
   }
 
-let all ?pool () = [ enlargement_rules ?pool (); history_policy ?pool () ]
+let all ?exec ?pool () = [ enlargement_rules ?exec ?pool (); history_policy ?exec ?pool () ]

@@ -8,16 +8,27 @@
 
     [history_policy] compares the paper's variable-length history update
     (modification 3) against naively shifting three bits per block,
-    quantifying why the minimum-bits rule exists. *)
+    quantifying why the minimum-bits rule exists.
+
+    [exec] (default [Compiled]) is the functional-executor backend of
+    every timing run; the studies do not depend on it. *)
 
 type row = { label : string; values : (string * float) list }
 
 type study = { id : string; title : string; rows : row list; rendered : string }
 
 val enlargement_rules :
-  ?workloads:string list -> ?pool:Bisa_base.Pool.t -> unit -> study
+  ?exec:Bisa_sim.Compile.backend ->
+  ?workloads:string list ->
+  ?pool:Bisa_base.Pool.t ->
+  unit ->
+  study
 
 val history_policy :
-  ?workloads:string list -> ?pool:Bisa_base.Pool.t -> unit -> study
+  ?exec:Bisa_sim.Compile.backend ->
+  ?workloads:string list ->
+  ?pool:Bisa_base.Pool.t ->
+  unit ->
+  study
 
-val all : ?pool:Bisa_base.Pool.t -> unit -> study list
+val all : ?exec:Bisa_sim.Compile.backend -> ?pool:Bisa_base.Pool.t -> unit -> study list

@@ -3,10 +3,17 @@ module Config = Bisa_timing.Config
 module Workloads = Bisa_workloads.Workloads
 module Cache = Bisa_uarch.Cache
 module Pool = Bisa_base.Pool
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
 
 let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
 
-let scientific ?(pool = Pool.sequential) () =
+(* These studies compile their own variants outside the Harness, so each
+   prepares its programs under the backend the caller selected. *)
+let run_conv ~exec cfg prog = fst (Conv.run_artifact cfg (Conv.prepare ~exec prog))
+let run_block ~exec cfg prog = fst (Block.run_artifact cfg (Block.prepare ~exec prog))
+
+let scientific ?(exec = Bisa_sim.Compile.Compiled) ?(pool = Pool.sequential) () =
   let w = Workloads.scientific in
   let c = Workloads.compile w in
   let cfg = Config.with_icache (Some scaled_16k) Config.default in
@@ -15,8 +22,8 @@ let scientific ?(pool = Pool.sequential) () =
       Pool.map_list pool
         (fun f -> f ())
         [
-          (fun () -> Bisa_timing.Conv_pipeline.run cfg c.conv);
-          (fun () -> Bisa_timing.Block_pipeline.run cfg c.block);
+          (fun () -> run_conv ~exec cfg c.conv);
+          (fun () -> run_block ~exec cfg c.block);
         ]
     with
     | [ mc; mb ] -> (mc, mb)
@@ -66,8 +73,8 @@ let scientific ?(pool = Pool.sequential) () =
         imp;
   }
 
-let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
-    ?(pool = Pool.sequential) () =
+let trace_cache_rivalry ?(exec = Bisa_sim.Compile.Compiled)
+    ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ]) ?(pool = Pool.sequential) () =
   let base = Config.with_icache (Some scaled_16k) Config.default in
   let with_tc =
     { base with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
@@ -90,9 +97,10 @@ let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
       (fun name ->
         let w = Workloads.find name in
         let c = Workloads.compile w in
-        let mc = Bisa_timing.Conv_pipeline.run base c.conv in
-        let mt = Bisa_timing.Conv_pipeline.run with_tc c.conv in
-        let mb = Bisa_timing.Block_pipeline.run base c.block in
+        let conv = Conv.prepare ~exec c.conv in
+        let mc = fst (Conv.run_artifact base conv) in
+        let mt = fst (Conv.run_artifact with_tc conv) in
+        let mb = run_block ~exec base c.block in
         (name, mc, mt, mb))
       workloads
   in
@@ -132,8 +140,8 @@ let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
         mean_tc mean_bsa;
   }
 
-let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.sequential)
-    () =
+let predication_study ?(exec = Bisa_sim.Compile.Compiled)
+    ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.sequential) () =
   let cfg = Config.with_icache (Some scaled_16k) Config.default in
   let t =
     Table.create
@@ -162,7 +170,7 @@ let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.s
         let c =
           Bisa_compiler.Compiler.compile ~ifconvert ~library_funcs:w.library_funcs src
         in
-        (name, label, Bisa_timing.Block_pipeline.run cfg c.block))
+        (name, label, run_block ~exec cfg c.block))
       grid
   in
   let deltas =
@@ -208,7 +216,8 @@ let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.s
              100.0 *. float_of_int (cb - cp) /. float_of_int cb));
   }
 
-let inlining_study ?(workloads = [ "li"; "gcc"; "vortex" ]) ?(pool = Pool.sequential) () =
+let inlining_study ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = [ "li"; "gcc"; "vortex" ])
+    ?(pool = Pool.sequential) () =
   let cfg = Config.with_icache (Some scaled_16k) Config.default in
   let t =
     Table.create ~title:"Section 6: inlining lifts the call/return merge barrier"
@@ -234,7 +243,7 @@ let inlining_study ?(workloads = [ "li"; "gcc"; "vortex" ]) ?(pool = Pool.sequen
         let c =
           Bisa_compiler.Compiler.compile ~inline ~library_funcs:w.library_funcs src
         in
-        let m = Bisa_timing.Block_pipeline.run cfg c.block in
+        let m = run_block ~exec cfg c.block in
         (name, label, m, c.block.code_bytes))
       grid
   in

@@ -57,13 +57,10 @@ type t = {
      configuration and worker domain that simulates it. *)
   pre_conv_cache : (string, Bisa_timing.Predecode.t cell) Hashtbl.t;
   pre_block_cache : (string, Bisa_timing.Predecode.blocks cell) Hashtbl.t;
-  (* Threaded-code forms (Compile.{Conv,Block}.code): like the predecode
-     tables, one per program, shared across configurations and domains. *)
-  code_conv_cache : (string, Bisa_timing.Pipeline.Conv.code cell) Hashtbl.t;
-  code_block_cache : (string, Bisa_timing.Pipeline.Block.code cell) Hashtbl.t;
-  (* Artifact bundles (program witness + tables + code + content hash):
-     the form every timing run consumes.  Memoized so the content hash —
-     an O(program) encode — is computed once, not once per grid cell. *)
+  (* Artifact bundles (program witness + tables + code handle + content
+     hash): the form every timing run consumes.  Memoized so the content
+     hash — an O(program) encode — is computed once, not once per grid
+     cell. *)
   art_conv_cache : (string, Bisa_timing.Pipeline.Conv.artifact cell) Hashtbl.t;
   art_block_cache : (string, Bisa_timing.Pipeline.Block.artifact cell) Hashtbl.t;
   mutable on_compute : string -> unit;
@@ -72,7 +69,7 @@ type t = {
 let scaled_default = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
 
 let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
-    ?(exec = Bisa_sim.Compile.Interp) ?campaign () =
+    ?(exec = Bisa_sim.Compile.Compiled) ?campaign () =
   let default_icache, sweep =
     if paper_caches then
       ( Cache.config_64k,
@@ -97,8 +94,6 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
     run_cache = Hashtbl.create 64;
     pre_conv_cache = Hashtbl.create 16;
     pre_block_cache = Hashtbl.create 16;
-    code_conv_cache = Hashtbl.create 16;
-    code_block_cache = Hashtbl.create 16;
     art_conv_cache = Hashtbl.create 16;
     art_block_cache = Hashtbl.create 16;
     on_compute = ignore;
@@ -151,50 +146,32 @@ let predecoded_block t (w : Workloads.t) =
     ~label:("predecode:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
     ~compute:(fun () -> Bisa_timing.Pipeline.Block.predecode (compiled t w).block)
 
-(* Threaded-code compilation piggybacks on the predecode trust boundary:
-   [predecoded_*] has already verified the very same program, so the
-   trusted compile is sound and the verifier runs once, not twice. *)
-let code_conv t (w : Workloads.t) =
-  memoize t t.code_conv_cache w.name
-    ~label:("compile-exec:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Conv.isa)
-    ~compute:(fun () ->
-      ignore (predecoded_conv t w);
-      Bisa_timing.Pipeline.Conv.compile_trusted (compiled t w).conv)
+(* The artifact memo bundles the predecode memo with the program's
+   content hash and, under ~exec:Compiled, its threaded-code handle: an
+   O(1) value that needs no memo of its own, since each run builds the
+   chains it executes.  The predecode memo has verified the very same
+   program, so the handle is the trusted one.  This is the single value
+   every timing run, campaign cell and checkpoint consumes. *)
+let handle t compile_trusted prog =
+  match t.exec with
+  | Bisa_sim.Compile.Interp -> None
+  | Bisa_sim.Compile.Compiled -> Some (compile_trusted prog)
 
-let code_block t (w : Workloads.t) =
-  memoize t t.code_block_cache w.name
-    ~label:("compile-exec:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
-    ~compute:(fun () ->
-      ignore (predecoded_block t w);
-      Bisa_timing.Pipeline.Block.compile_trusted (compiled t w).block)
-
-(* The artifact memo bundles the predecode and threaded-code memos (code
-   only under ~exec:Compiled) with the program's content hash; trust was
-   discharged by the predecode memo.  This is the single value every
-   timing run, campaign cell and checkpoint consumes. *)
 let artifact_conv t (w : Workloads.t) =
-  memoize t t.art_conv_cache w.name
-    ~label:("artifact:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Conv.isa)
+  let module P = Bisa_timing.Pipeline.Conv in
+  memoize t t.art_conv_cache w.name ~label:("artifact:" ^ w.name ^ "/" ^ P.isa)
     ~compute:(fun () ->
       let tables = predecoded_conv t w in
-      let code =
-        match t.exec with
-        | Bisa_sim.Compile.Interp -> None
-        | Bisa_sim.Compile.Compiled -> Some (code_conv t w)
-      in
-      Bisa_timing.Pipeline.Conv.bundle ?code ~tables (compiled t w).conv)
+      let prog = (compiled t w).conv in
+      P.bundle ?code:(handle t P.compile_trusted prog) ~tables prog)
 
 let artifact_block t (w : Workloads.t) =
-  memoize t t.art_block_cache w.name
-    ~label:("artifact:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
+  let module P = Bisa_timing.Pipeline.Block in
+  memoize t t.art_block_cache w.name ~label:("artifact:" ^ w.name ^ "/" ^ P.isa)
     ~compute:(fun () ->
       let tables = predecoded_block t w in
-      let code =
-        match t.exec with
-        | Bisa_sim.Compile.Interp -> None
-        | Bisa_sim.Compile.Compiled -> Some (code_block t w)
-      in
-      Bisa_timing.Pipeline.Block.bundle ?code ~tables (compiled t w).block)
+      let prog = (compiled t w).block in
+      P.bundle ?code:(handle t P.compile_trusted prog) ~tables prog)
 
 let key_of (cfg : Config.t) : cache_key =
   ( Option.map (fun (c : Cache.config) -> (c.size_bytes, c.assoc, c.line_bytes)) cfg.icache,

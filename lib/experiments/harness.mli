@@ -28,11 +28,13 @@ val create :
   t
 (** [pool] (default {!Bisa_base.Pool.sequential}) is the worker pool the
     experiment modules fan work out on; pass one pool per CLI run.
-    [exec] (default [Interp]) selects the functional-executor backend
-    for every harness-routed timing run; under [Compiled], each program
-    is compiled to threaded code once and shared like the predecode
-    tables.  Metrics are backend-independent (the backends drive
-    identical executor state), so the run cache needs no exec key.
+    [exec] (default [Compiled]) selects the functional-executor backend
+    for every harness-routed timing run; [Interp] selects the
+    dispatching interpreter.  Under [Compiled] each artifact carries a
+    threaded-code handle, and each run builds the closure chains it
+    executes, so no memo holds them.  Metrics are backend-independent
+    (the backends drive identical executor state), so the run cache
+    needs no exec key.
     [campaign] makes every harness-routed timing run crash-safe and
     resumable (see {!Campaign}); without it runs are in-memory only. *)
 
@@ -65,19 +67,10 @@ val predecoded_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.t
 
 val predecoded_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.blocks
 
-val code_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.code
-(** The workload's threaded-code form ({!Bisa_sim.Compile}), built
-    exactly once and shared like the predecode tables.  Forces the
-    predecode memo first so verification is discharged before the
-    trusted compile.  Fires the compute hook with
-    ["compile-exec:<bench>/<isa>"]. *)
-
-val code_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.code
-
 val artifact_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.artifact
 (** The workload's prepared artifact bundle — program witness, memoized
-    predecode tables, threaded code (when the harness was created with
+    predecode tables, threaded-code handle (when the harness runs
     [~exec:Compiled]) and content hash — built exactly once and shared
     like the tables it bundles.  Fires the compute hook with
     ["artifact:<bench>/<isa>"].  This is the value every timing run,

@@ -72,7 +72,8 @@ let compile ?scale (w : Workloads.t) =
   in
   { Bisa_compiler.Compiler.typed; ir; conv; block; enlarged }
 
-let study ?(workloads = [ "gcc"; "go" ]) ?(pool = Bisa_base.Pool.sequential) () =
+let study ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = [ "gcc"; "go" ])
+    ?(pool = Bisa_base.Pool.sequential) () =
   let t =
     Table.create ~title:"Section 6: profile-guided enlargement (unbiased traps kept)"
       ~headers:
@@ -100,8 +101,9 @@ let study ?(workloads = [ "gcc"; "go" ]) ?(pool = Bisa_base.Pool.sequential) () 
       (fun (name, label) ->
         let w = Workloads.find name in
         let c = if label = "default" then Workloads.compile w else compile w in
+        let art = Bisa_timing.Pipeline.Block.prepare ~exec c.Bisa_compiler.Compiler.block in
         (name, label, c.Bisa_compiler.Compiler.block.code_bytes,
-         Bisa_timing.Block_pipeline.run cfg c.Bisa_compiler.Compiler.block))
+         fst (Bisa_timing.Pipeline.Block.run_artifact cfg art)))
       grid
   in
   let rows =

@@ -26,7 +26,13 @@ val compile : ?scale:int -> Bisa_workloads.Workloads.t -> Bisa_compiler.Compiler
 (** The full profile-guided build of a workload surrogate. *)
 
 val study :
-  ?workloads:string list -> ?pool:Bisa_base.Pool.t -> unit -> Ablations.study
+  ?exec:Bisa_sim.Compile.backend ->
+  ?workloads:string list ->
+  ?pool:Bisa_base.Pool.t ->
+  unit ->
+  Ablations.study
 (** Default vs profile-guided enlargement on the paper's two worst icache
     offenders (gcc, go): code size, icache misses at the small cache
-    points, fault squashes, and cycles. *)
+    points, fault squashes, and cycles.  [exec] (default [Compiled]) is
+    the backend of the timing runs; the profiling run stays on the
+    interpreter, whose step records it reads. *)

@@ -111,16 +111,9 @@ module Block = struct
 
   type chain = st -> unit
 
-  type code = {
-    cprog : Block_prog.t;
-    chains : chain array;  (* one per block *)
-    sizes : int array;  (* body elements per block *)
-    (* Registers each block can write (static), per class: the shadow
-       save/restore only touches these instead of blitting the whole
-       register file around every block. *)
-    wr_int : int array array;
-    wr_flt : int array array;
-  }
+  (* A handle on the program: the chains are built by [bind], so they
+     live exactly as long as the binding that executes them. *)
+  type code = { cprog : Block_prog.t }
 
   let prog c = c.cprog
 
@@ -405,28 +398,37 @@ module Block = struct
     (match blk.Ablock.term with Ablock.Call _ -> add Reg.ra | _ -> ());
     (Array.of_list (List.rev !ints), Array.of_list (List.rev !flts))
 
-  let compile_trusted (prog : Block_prog.t) =
-    let written = Array.map written_regs prog.blocks in
-    {
-      cprog = prog;
-      chains = Array.mapi (fun b blk -> compile_block ~self:b blk) prog.blocks;
-      sizes = Array.map (fun blk -> Array.length blk.Ablock.elts) prog.blocks;
-      wr_int = Array.map fst written;
-      wr_flt = Array.map snd written;
-    }
+  let compile_trusted (prog : Block_prog.t) = { cprog = prog }
 
   let compile (w : Bisa_verify.Verify.verified_block_prog) =
     compile_trusted (w :> Block_prog.t)
 
-  type t = { code : code; st : st }
+  type t = {
+    cprog : Block_prog.t;
+    chains : chain array;  (* one per block *)
+    sizes : int array;  (* body elements per block *)
+    (* Registers each block can write (static), per class: the shadow
+       save/restore only touches these instead of blitting the whole
+       register file around every block. *)
+    wr_int : int array array;
+    wr_flt : int array array;
+    st : st;
+  }
 
   let exec t = t.st.x
 
-  let bind code (x : Block_exec.t) =
-    if not (code.cprog == x.Block_exec.prog || code.cprog = x.Block_exec.prog) then
+  let bind (code : code) (x : Block_exec.t) =
+    let prog = code.cprog in
+    if not (prog == x.Block_exec.prog || prog = x.Block_exec.prog) then
       invalid_arg "Compile.Block.bind: code compiled from a different program";
+    let written = Array.map written_regs prog.blocks in
+    let sizes = Array.map (fun blk -> Array.length blk.Ablock.elts) prog.blocks in
     {
-      code;
+      cprog = prog;
+      chains = Array.mapi (fun b blk -> compile_block ~self:b blk) prog.blocks;
+      sizes;
+      wr_int = Array.map fst written;
+      wr_flt = Array.map snd written;
       st =
         {
           x;
@@ -435,8 +437,7 @@ module Block = struct
           sints = Regfile.ints x.Block_exec.shadow;
           sflts = Regfile.flts x.Block_exec.shadow;
           addrs = [||];
-          scratch =
-            Array.make (max 1 (Array.fold_left max 0 code.sizes)) (-1);
+          scratch = Array.make (max 1 (Array.fold_left max 0 sizes)) (-1);
           fpos = -1;
           ftarget = 0;
           next = 0;
@@ -482,7 +483,7 @@ module Block = struct
   let advance ~fresh ~fetch t =
     let st = t.st in
     let x = st.x in
-    let nblocks = Array.length t.code.cprog.Block_prog.blocks in
+    let nblocks = Array.length t.cprog.Block_prog.blocks in
     if x.Block_exec.halted then -1
     else if x.Block_exec.required < 0 || x.Block_exec.required >= nblocks
     then begin
@@ -494,7 +495,7 @@ module Block = struct
       let b =
         if
           fetch = x.Block_exec.required
-          || Block_prog.in_group t.code.cprog ~rep:x.Block_exec.required fetch
+          || Block_prog.in_group t.cprog ~rep:x.Block_exec.required fetch
         then fetch
         else
           raise
@@ -507,16 +508,16 @@ module Block = struct
         -1
       end
       else begin
-        let nelts = t.code.sizes.(b) in
+        let nelts = t.sizes.(b) in
         st.addrs <- (if fresh then Array.make nelts (-1) else st.scratch);
-        let wi = t.code.wr_int.(b) and wf = t.code.wr_flt.(b) in
+        let wi = t.wr_int.(b) and wf = t.wr_flt.(b) in
         save_written st wi wf;
         Sbuf.clear x.Block_exec.sbuf;
         st.fpos <- -1;
         st.dir <- -1;
         st.out_rev <- [];
         try
-          t.code.chains.(b) st;
+          t.chains.(b) st;
           if st.fpos >= 0 then begin
             (* Fault fired: suppress the whole block. *)
             let pos = st.fpos and target = st.ftarget in
@@ -594,7 +595,7 @@ module Block = struct
   let last_addrs t = t.st.addrs
   let last_dir t = t.st.dir
 
-  let run ?(budget = 2_000_000_000) code =
+  let run ?(budget = 2_000_000_000) (code : code) =
     let x = Block_exec.create code.cprog in
     Block_exec.set_budget x budget;
     let t = bind code x in
@@ -622,13 +623,9 @@ module Conv = struct
 
   type thread = st -> unit
 
-  type code = {
-    cprog : Conv_prog.t;
-    threads : thread array;  (* one per pc, plus the off-the-end sentinel *)
-    fast : (st -> unit) array;
-        (* packet-free run-to-halt chains, same layout; the remaining
-           dyn budget travels in [st.fuel] *)
-  }
+  (* A handle on the program, as in [Block]: [bind] builds the packet
+     threads and [run] the run-to-halt chain, each for its own use. *)
+  type code = { cprog : Conv_prog.t }
 
   let prog c = c.cprog
   let kbr_t = Conv_exec.Kbr true
@@ -1442,10 +1439,11 @@ module Conv = struct
         x.Conv_exec.dyn <- x.Conv_exec.budget - (fuel - 1);
         x.Conv_exec.halted <- true
 
-  let compile_trusted (prog : Conv_prog.t) =
+  (* The packet-free run-to-halt chains: one entry per pc, plus the
+     off-the-end sentinel; the remaining dyn budget travels in
+     [st.fuel]. *)
+  let fast_chain (prog : Conv_prog.t) =
     let n = Array.length prog.insns in
-    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
-    Array.iteri (fun pc insn -> threads.(pc) <- compile_insn threads pc insn) prog.insns;
     let fast = Array.make (n + 1) (fun (_ : st) -> assert false) in
     (* Off the end without a control transfer: the same architected
        Wild_jump as the packet sentinel's no-room-left arm. *)
@@ -1497,6 +1495,13 @@ module Conv = struct
          end
          else base)
     done;
+    fast
+
+  (* The packet threads: one per pc, plus the off-the-end sentinel. *)
+  let packet_threads (prog : Conv_prog.t) =
+    let n = Array.length prog.insns in
+    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
+    Array.iteri (fun pc insn -> threads.(pc) <- compile_insn threads pc insn) prog.insns;
     (* Fall-through off the program's end: the same cap check, then the
        same architected Wild_jump trap as the interpreter's loop. *)
     threads.(n) <-
@@ -1511,33 +1516,39 @@ module Conv = struct
           st.term <- Conv_exec.Khalt;
           st.next <- n
         end);
-    { cprog = prog; threads; fast }
+    threads
+
+  let compile_trusted (prog : Conv_prog.t) = { cprog = prog }
 
   let compile (w : Bisa_verify.Verify.verified_conv_prog) =
     compile_trusted (w :> Conv_prog.t)
 
-  type t = { code : code; st : st }
+  type t = {
+    cprog : Conv_prog.t;
+    threads : thread array;
+    st : st;
+  }
 
   let exec t = t.st.x
 
-  let bind code (x : Conv_exec.t) =
-    if not (code.cprog == x.Conv_exec.prog || code.cprog = x.Conv_exec.prog) then
-      invalid_arg "Compile.Conv.bind: code compiled from a different program";
+  let fresh_st (x : Conv_exec.t) =
     {
-      code;
-      st =
-        {
-          x;
-          ints = Regfile.ints x.Conv_exec.regs;
-          flts = Regfile.flts x.Conv_exec.regs;
-          saddrs = Array.make Conv_exec.packet_cap (-1);
-          count = 0;
-          term = Conv_exec.Khalt;
-          next = 0;
-          last_start = -1;
-          fuel = 0;
-        };
+      x;
+      ints = Regfile.ints x.Conv_exec.regs;
+      flts = Regfile.flts x.Conv_exec.regs;
+      saddrs = Array.make Conv_exec.packet_cap (-1);
+      count = 0;
+      term = Conv_exec.Khalt;
+      next = 0;
+      last_start = -1;
+      fuel = 0;
     }
+
+  let bind (code : code) (x : Conv_exec.t) =
+    let prog = code.cprog in
+    if not (prog == x.Conv_exec.prog || prog = x.Conv_exec.prog) then
+      invalid_arg "Compile.Conv.bind: code compiled from a different program";
+    { cprog = prog; threads = packet_threads prog; st = fresh_st x }
 
   (* One packet, mirroring Conv_exec.step: it lands in the binding's
      mutable fields ([last_start], [count], [term], [next]) and the
@@ -1547,7 +1558,7 @@ module Conv = struct
   let step_into t =
     let st = t.st in
     let x = st.x in
-    let n = Array.length t.code.cprog.Conv_prog.insns in
+    let n = Array.length t.cprog.Conv_prog.insns in
     if x.Conv_exec.halted then false
     else if x.Conv_exec.pc < 0 || x.Conv_exec.pc >= n then begin
       x.Conv_exec.halted <- true;
@@ -1557,7 +1568,7 @@ module Conv = struct
     else begin
       let start = x.Conv_exec.pc in
       st.count <- 0;
-      match t.code.threads.(start) st with
+      match t.threads.(start) st with
       | exception Memory.Unaligned a ->
         (* Earlier instructions of the packet committed; the offender
            halts it — no atomicity in the conventional machine. *)
@@ -1598,16 +1609,16 @@ module Conv = struct
   let last_next t = t.st.next
   let last_addrs t = t.st.saddrs
 
-  let run ?(budget = 2_000_000_000) code =
+  let run ?(budget = 2_000_000_000) (code : code) =
     let x = Conv_exec.create code.cprog in
     Conv_exec.set_budget x budget;
-    let t = bind code x in
-    let st = t.st in
+    let fast = fast_chain code.cprog in
+    let st = fresh_st x in
     st.fuel <- budget;
     let n = Array.length code.cprog.Conv_prog.insns in
     let pc = x.Conv_exec.pc in
     (try
-       if pc >= 0 && pc <= n then code.fast.(pc) st
+       if pc >= 0 && pc <= n then fast.(pc) st
        else wild st pc
      with Memory.Unaligned a ->
        (* Committed effects stay (no packet atomicity in this machine);

@@ -4,11 +4,22 @@
     dispatch on instruction structure and build four register-file
     partial applications per operation — that dispatch and allocation is
     essentially the whole cost of functional simulation.  This module
-    removes it: each verified block (and each conventional basic region)
-    is closed, once per program, into a chain of specialized OCaml
-    closures with opcodes, operand {e indices}, literals and fault slots
-    baked in.  Steady-state execution walks the chain by tail calls and
-    allocates only the per-step record the timing model consumes.
+    removes it: each verified block (and each conventional instruction)
+    is closed into a chain of specialized OCaml closures with opcodes,
+    operand {e indices}, literals and fault slots baked in.  Steady-state
+    execution walks the chain by tail calls and allocates only the
+    per-step record the timing model consumes.
+
+    {2 Chain lifetime}
+
+    A [code] is an O(1) handle on the program, not the chains.  The
+    chains live exactly as long as the run that executes them:
+    {!Block.bind} / {!Conv.bind} build the chains of their own binding,
+    and {!Block.run} / {!Conv.run} build theirs.  Building costs about a
+    millisecond at most per program on the workloads, far less than the
+    run it serves, so any cache of handles (artifacts, the experiment
+    harness, the daemon) holds a few words per program rather than its
+    closures.
 
     {2 Equivalence by construction}
 
@@ -44,20 +55,22 @@ val backends : (string * backend) list
 
 module Block : sig
   type code
-  (** Immutable per-program closure chains.  Compiled once, shareable
-      across bindings and worker domains (the {!Bisa_experiments}
-      harness memoizes one per program). *)
+  (** Handle on a program the threaded-code executor may run: O(1) to
+      take, holding only the program.  Shareable across bindings and
+      worker domains. *)
 
   val compile : Bisa_verify.Verify.verified_block_prog -> code
   val compile_trusted : Bisa_isa.Block_prog.t -> code
   val prog : code -> Bisa_isa.Block_prog.t
 
   type t
-  (** [code] bound to one executor's architectural state. *)
+  (** The program's closure chains bound to one executor's
+      architectural state. *)
 
   val bind : code -> Block_exec.t -> t
-  (** Raises [Invalid_argument] unless the executor wraps the program
-      the code was compiled from. *)
+  (** Build the program's closure chains for this executor; they are
+      freed with the binding.  Raises [Invalid_argument] unless the
+      executor wraps the program the code was taken from. *)
 
   val exec : t -> Block_exec.t
   (** The underlying state — output, counters, traps, save/load all go
@@ -90,12 +103,14 @@ module Block : sig
       [-1] none / [0] not taken / [1] taken. *)
 
   val run : ?budget:int -> code -> Output.t * int
-  (** Canonical execution to halt on a fresh state; returns output and
-      retired op count (mirrors {!Block_exec.run}). *)
+  (** Canonical execution to halt on a fresh state, through a binding
+      of its own; returns output and retired op count (mirrors
+      {!Block_exec.run}). *)
 end
 
 module Conv : sig
   type code
+  (** Handle on a program, as {!Block.code}. *)
 
   val compile : Bisa_verify.Verify.verified_conv_prog -> code
   val compile_trusted : Bisa_isa.Conv_prog.t -> code
@@ -104,6 +119,10 @@ module Conv : sig
   type t
 
   val bind : code -> Conv_exec.t -> t
+  (** Build the program's packet threads for this executor; they are
+      freed with the binding.  Raises [Invalid_argument] unless the
+      executor wraps the program the code was taken from. *)
+
   val exec : t -> Conv_exec.t
 
   val step : t -> Conv_exec.packet option
@@ -128,5 +147,6 @@ module Conv : sig
 
   val run : ?budget:int -> code -> Output.t * int
   (** Mirrors {!Conv_exec.run}: returns output and dynamic instruction
-      count. *)
+      count.  Builds its own packet-free run-to-halt chain, which no
+      binding carries. *)
 end

@@ -74,7 +74,7 @@ end
 
 (* Derive the artifact layer from the primitives.  The record is the
    whole design: once a program is inside an artifact, its verification
-   status, tables, optional threaded code and content hash travel as one
+   status, tables, optional code handle and content hash travel as one
    value, so no consumer threads ?tables/?code pairs (or recomputes the
    hash) again. *)
 module Extend (B : BASE) :
@@ -105,24 +105,20 @@ module Extend (B : BASE) :
     { a_prog = prog; a_tables = tables; a_code = code; a_hash = B.prog_hash prog }
 
   (* [predecode] verifies, so the compile below may (and must, to avoid
-     running the verifier twice) be the trusted one. *)
-  let prepare ?(exec = Bisa_sim.Compile.Interp) prog =
-    let tables = B.predecode prog in
-    let code =
-      match exec with
-      | Bisa_sim.Compile.Interp -> None
-      | Bisa_sim.Compile.Compiled -> Some (B.compile_trusted prog)
-    in
-    bundle ?code ~tables prog
+     running the verifier twice) be the trusted one.  The code is a
+     handle: each session builds the threaded code it executes. *)
+  let code_for exec prog =
+    match exec with
+    | Bisa_sim.Compile.Interp -> None
+    | Bisa_sim.Compile.Compiled -> Some (B.compile_trusted prog)
 
-  let prepare_trusted ?(exec = Bisa_sim.Compile.Interp) prog =
+  let prepare ?(exec = Bisa_sim.Compile.Compiled) prog =
+    let tables = B.predecode prog in
+    bundle ?code:(code_for exec prog) ~tables prog
+
+  let prepare_trusted ?(exec = Bisa_sim.Compile.Compiled) prog =
     let tables = B.predecode_trusted prog in
-    let code =
-      match exec with
-      | Bisa_sim.Compile.Interp -> None
-      | Bisa_sim.Compile.Compiled -> Some (B.compile_trusted prog)
-    in
-    bundle ?code ~tables prog
+    bundle ?code:(code_for exec prog) ~tables prog
 
   let session_artifact ?probe cfg a =
     B.session ~tables:a.a_tables ?code:a.a_code ?probe cfg a.a_prog

@@ -4,7 +4,7 @@
     predecode table, and fetch engine, but every consumer — the experiment
     harness, [bisasim], the daemon, the fuzzers — drives them identically:
     {e prepare} a program once into an {!S.artifact} (verify, predecode,
-    optionally compile to threaded code, content-hash), then run many
+    choose the executor backend, content-hash), then run many
     configurations against the shared bundle, with an optional
     {!Bisa_obs.Probe.t} observing pipeline events.  {!S} captures that
     contract; {!Conv} and {!Block} are the two implementations, and a
@@ -30,10 +30,10 @@ module type BASE = sig
   type tables
 
   type code
-  (** Threaded-code form of a program ({!Bisa_sim.Compile}): per-block /
-      per-region closure chains that replace the dispatching interpreter
-      in the functional executor.  Like [tables], compiled once per
-      program and shared across configurations and worker domains. *)
+  (** Handle on a program for the threaded-code executor
+      ({!Bisa_sim.Compile}).  It holds no closure chains: each session
+      (and each functional run) builds the chains it executes and drops
+      them when it ends, so caching a [code] costs a few words. *)
 
   val isa : string
   (** Stable short name ("conv" / "block") — used in cache keys and
@@ -57,13 +57,14 @@ module type BASE = sig
       well-formedness. *)
 
   val compile : prog -> code
-  (** Verify, then compile the program to threaded code (same trust
-      discipline as {!predecode}).  Raises {!Bisa_base.Diag.Fail} with
-      the first diagnostic if {!verify} is non-empty. *)
+  (** Verify, then take the program's threaded-code handle (same trust
+      discipline as {!predecode}).  O(1) after verification.  Raises
+      {!Bisa_base.Diag.Fail} with the first diagnostic if {!verify} is
+      non-empty. *)
 
   val compile_trusted : prog -> code
-  (** Compile without verifying — the caller asserts well-formedness
-      (or has already discharged it, e.g. via {!predecode}). *)
+  (** The handle without verifying — the caller asserts well-formedness
+      (or has already discharged it, e.g. via {!predecode}).  O(1). *)
 
   val prog_hash : prog -> int64
   (** Content hash of the program's canonical byte encoding — what binds
@@ -133,8 +134,9 @@ module type S = sig
 
   type artifact
   (** A prepared program: the verified program witness, its predecode
-      tables, optionally its threaded code, and its content hash, bundled
-      as one value.  Artifacts are {e derived} state — cheap to rebuild,
+      tables, a threaded-code handle when the backend is [Compiled], and
+      its content hash, bundled as one value.  It never holds closure
+      chains: those live only as long as the run that executes them.  Artifacts are {e derived} state — cheap to rebuild,
       deliberately absent from checkpoint snapshot identity — and they
       are what every consumer caches and replays. *)
 
@@ -150,8 +152,9 @@ module type S = sig
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
   (** The single front door: verify the program (raising
       {!Bisa_base.Diag.Fail} with the first diagnostic on rejection),
-      build its tables, compile it to threaded code when [exec] is
-      [Compiled] (default [Interp]), and hash its canonical encoding. *)
+      build its tables, take its threaded-code handle when [exec] is
+      [Compiled] (the default; [Interp] selects the dispatching
+      interpreter), and hash its canonical encoding. *)
 
   val prepare_trusted : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
   (** [prepare] without verification — the caller asserts
@@ -159,8 +162,8 @@ module type S = sig
 
   val bundle : ?code:code -> tables:tables -> prog -> artifact
   (** Assemble an artifact from pieces built elsewhere (e.g. the
-      harness's memoized tables and code) — trust obligations stay with
-      whoever built [tables]. *)
+      harness's memoized tables) — trust obligations stay with whoever
+      built [tables]. *)
 
   val session_artifact : ?probe:Bisa_obs.Probe.t -> Config.t -> artifact -> session
 

@@ -419,6 +419,35 @@ let test_mid_run_backend_switch () =
   Alcotest.(check bool) "conv alternating ≡ interp" true
     (Output.equal (Conv_exec.output cx) cref)
 
+(* --- chain lifetime ---------------------------------------------------------- *)
+
+(* Closure chains live only as long as the binding or run that executes
+   them.  A threaded-code handle reaches nothing beyond its program and
+   its own record, and a compiled artifact reaches no more than an
+   interpreted one plus that handle: a few words, where caching gcc's
+   conv chains would add about 1.7 MB. *)
+let test_artifacts_hold_no_chains () =
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let check (type p a) name
+      (module P : Bisa_timing.Pipeline.S with type prog = p and type artifact = a) (prog : p) =
+    let what = name ^ "/" ^ P.isa in
+    let handle = words (P.compile_trusted prog) - words prog in
+    if handle > 4 then
+      Alcotest.failf "%s: compile_trusted reaches %d words beyond the program" what handle;
+    let extra =
+      words (P.prepare ~exec:Compile.Compiled prog) - words (P.prepare ~exec:Compile.Interp prog)
+    in
+    if extra > 8 then
+      Alcotest.failf "%s: a compiled artifact reaches %d words more than an interpreted one"
+        what extra
+  in
+  List.iter
+    (fun name ->
+      let c = Bisa_workloads.Workloads.compile (Bisa_workloads.Workloads.find name) in
+      check name (module Bisa_timing.Pipeline.Conv) c.conv;
+      check name (module Bisa_timing.Pipeline.Block) c.block)
+    [ "gcc"; "li" ]
+
 (* --- workload sweep ---------------------------------------------------------- *)
 
 let test_workloads_equivalent () =
@@ -444,5 +473,6 @@ let suite =
     Alcotest.test_case "witness gating" `Quick test_witness_gated_compile;
     Alcotest.test_case "bind rejects foreign prog" `Quick test_bind_rejects_foreign_program;
     Alcotest.test_case "mid-run backend switch" `Quick test_mid_run_backend_switch;
+    Alcotest.test_case "artifacts hold no closure chain" `Quick test_artifacts_hold_no_chains;
     Alcotest.test_case "workload sweep" `Quick test_workloads_equivalent;
   ]

@@ -68,6 +68,45 @@ let test_chunks () =
   raises "negative group size" (fun () -> Harness.chunks (-3) [ 1; 2 ]);
   raises "ragged grid" (fun () -> Harness.chunks 2 [ 1; 2; 3 ])
 
+(* The compiled backend is the default wherever one is chosen, and the
+   report sections it feeds render the same bytes under the interpreter.
+   No other tier-1 check runs these sections interpreted. *)
+let test_compiled_default_and_parity () =
+  let cli_default =
+    let open Cmdliner in
+    match
+      Cmd.eval_value ~env:(fun _ -> None) ~argv:[| "test" |]
+        (Cmd.v (Cmd.info "test") Bisa_cli.Args.exec)
+    with
+    | Ok (`Ok exec) -> exec
+    | _ -> Alcotest.fail "cannot evaluate the --exec default"
+  in
+  let backend = Alcotest.testable Fmt.(of_to_string Bisa_sim.Compile.backend_to_string) ( = ) in
+  Alcotest.check backend "--exec default" Bisa_sim.Compile.Compiled cli_default;
+  Alcotest.check backend "harness default" Bisa_sim.Compile.Compiled
+    (Harness.exec_backend (Harness.create ()));
+  let c = Bisa_compiler.Compiler.compile "int main() { print_int(7); return 0; }" in
+  let module Conv = Bisa_timing.Pipeline.Conv in
+  let module Block = Bisa_timing.Pipeline.Block in
+  Alcotest.(check bool) "conv prepare takes a code handle" true
+    (Option.is_some (Conv.Artifact.code (Conv.prepare c.conv)));
+  Alcotest.(check bool) "block prepare takes a code handle" true
+    (Option.is_some (Block.Artifact.code (Block.prepare c.block)));
+  let render ?exec () =
+    let h = Harness.create ~scale:1 ?exec () in
+    let figure (r : Figures.report) = r.rendered ^ r.summary in
+    String.concat "\n"
+      [
+        figure (Figures.table2 h);
+        figure (Figures.fig3 h);
+        figure (Bisa_experiments.Extras.trace_cache_rivalry ?exec ~workloads:[ "compress" ] ());
+        (Bisa_experiments.Ablations.history_policy ?exec ~workloads:[ "compress" ] ()).rendered;
+      ]
+  in
+  Alcotest.(check string) "interp and default render byte-identically"
+    (render ~exec:Bisa_sim.Compile.Interp ())
+    (render ())
+
 (* --- campaign resume ---------------------------------------------------- *)
 
 module Campaign = Bisa_experiments.Campaign
@@ -178,6 +217,7 @@ let suite =
     Alcotest.test_case "headline direction" `Slow test_headline_direction;
     Alcotest.test_case "sweep shape" `Quick test_sweep_shape;
     Alcotest.test_case "chunks" `Quick test_chunks;
+    Alcotest.test_case "compiled default, interp parity" `Slow test_compiled_default_and_parity;
     Alcotest.test_case "campaign resume identical" `Slow test_campaign_resume_identical;
     Alcotest.test_case "campaign meta mismatch" `Quick test_campaign_meta_mismatch;
     Alcotest.test_case "campaign timeout" `Quick test_campaign_timeout;

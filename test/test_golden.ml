@@ -138,9 +138,10 @@ let test_golden_metrics () = check_against_goldens (current_fingerprints ())
 (* The same 18-point grid with the functional executor compiled to
    threaded code (Bisa_sim.Compile) underneath both pipelines, asserted
    against the SAME goldens: the exec backend must be invisible in every
-   counter and histogram bucket.  Each program's code is compiled once
-   and shared by all its grid points — and, in the sharded variant, by
-   all worker domains, covering cross-domain reuse of compiled code. *)
+   counter and histogram bucket.  Each program's code handle is taken
+   once and shared by all its grid points — and, in the sharded variant,
+   by all worker domains — while every run builds the closure chains it
+   executes. *)
 let compiled_grid pool =
   let points =
     List.concat_map
