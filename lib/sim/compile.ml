@@ -7,7 +7,17 @@
    interpreter by construction.  Where the interpreter would raise
    (Runaway, Illegal_fetch, register-class Invalid_argument on trusted
    malformed input), the compiled path raises at the same program point;
-   where it traps (Wild_jump, Unaligned_access), the compiled path traps. *)
+   where it traps (Wild_jump, Unaligned_access), the compiled path traps.
+
+   Three executors are compiled here — the block chain, the conventional
+   packet threads and the conventional run-to-halt chain — from one op
+   compiler: [reg_op] compiles every op that only touches registers, and
+   [int_cond] every integer compare that picks a continuation.  Each
+   executor adds only what its machine does differently: the block core
+   buffers stores and prints until its atomic block commits, the packet
+   threads record each instruction's address slot, and the run chain
+   keeps its budget in [fuel].  [Opsem] stays a separate copy on purpose:
+   it is the oracle the compiled paths are checked against. *)
 
 module Op = Bisa_isa.Op
 module Cmp = Bisa_isa.Cmp
@@ -25,8 +35,8 @@ let backend_to_string = function Interp -> "interp" | Compiled -> "compiled"
 let backend_of_string s =
   match List.assoc_opt s backends with Some b -> Some b | None -> None
 
-(* Comparators specialized to unboxed arguments: resolved once at compile
-   time, so executing a fault/trap/select does one direct int compare. *)
+(* Comparators specialized to unboxed arguments, for [Set] and [Select]:
+   resolved once at compile time. *)
 let icmp : Cmp.t -> int -> int -> bool = function
   | Cmp.Eq -> fun a b -> a = b
   | Cmp.Ne -> fun a b -> a <> b
@@ -34,23 +44,6 @@ let icmp : Cmp.t -> int -> int -> bool = function
   | Cmp.Le -> fun a b -> a <= b
   | Cmp.Gt -> fun a b -> a > b
   | Cmp.Ge -> fun a b -> a >= b
-
-(* Binary ALU function, literal-identical to Op.eval_alu arm by arm. *)
-let alu_fn : Op.alu -> int -> int -> int = function
-  | Op.Add -> ( + )
-  | Op.Sub -> ( - )
-  | Op.Mul -> ( * )
-  | Op.Div -> fun a b -> if b = 0 then 0 else a / b
-  | Op.Rem -> fun a b -> if b = 0 then 0 else a mod b
-  | Op.And -> ( land )
-  | Op.Or -> ( lor )
-  | Op.Xor -> ( lxor )
-  | Op.Sll -> fun a b -> a lsl (b land 63)
-  | Op.Srl -> fun a b -> a lsr (b land 63)
-  | Op.Sra -> fun a b -> a asr (b land 63)
-  | Op.Set c ->
-    let cmp = icmp c in
-    fun a b -> if cmp a b then 1 else 0
 
 (* Does every operand's register class match what the operation reads and
    writes?  Verified programs always pass (the verifier's reg-class
@@ -88,10 +81,276 @@ let ix = Reg.index
    arrays by construction.  The bounds checks these elide sit on the
    per-executed-instruction path of the compiled executor. *)
 
+(* --- the shared op compiler ---------------------------------------------
+
+   [reg_op ~ints ~flts op k] compiles an op that only touches registers
+   into a closure that applies the op to [ints]/[flts] — the register
+   arrays of the one binding the chain is built for — and tail-calls
+   [k].  It is polymorphic in the executor's state, which only [k]
+   reads, so all three executors share it.  Each arm is specialized per
+   opcode and operand form: a closure per ALU function would cost a
+   caml_apply2 per executed ALU op, the most common dynamic kind.  Only
+   ops that pass [classes_ok] come here; memory and print ops are
+   compiled per executor. *)
+let reg_op ~(ints : int array) ~(flts : float array) (op : Op.t) (k : 's -> unit) :
+    's -> unit =
+  match op with
+  | Op.Nop -> k
+  | Op.Mov (d, _)
+  | Op.Li (d, _)
+  | Op.Alu (_, d, _, _)
+  | Op.Fcmp (_, d, _, _)
+  | Op.Ftoi (d, _)
+  | Op.Select (_, d, _, _, _, _)
+    when Reg.equal d Reg.zero ->
+    k (* a write to r0 is dropped *)
+  | Op.Mov (d, s) when Reg.is_int d ->
+    let d = ix d and s = ix s in
+    fun st ->
+      Array.unsafe_set ints d (Array.unsafe_get ints s);
+      k st
+  | Op.Mov (d, s) ->
+    let d = ix d and s = ix s in
+    fun st ->
+      Array.unsafe_set flts d (Array.unsafe_get flts s);
+      k st
+  | Op.Li (d, v) ->
+    let d = ix d in
+    fun st ->
+      Array.unsafe_set ints d v;
+      k st
+  | Op.Lif (d, v) ->
+    let d = ix d in
+    fun st ->
+      Array.unsafe_set flts d v;
+      k st
+  | Op.Alu (a, d, s1, Op.R s2) -> (
+    let d = ix d and s1 = ix s1 and s2 = ix s2 in
+    match a with
+    | Op.Add ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 + Array.unsafe_get ints s2);
+        k st
+    | Op.Sub ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 - Array.unsafe_get ints s2);
+        k st
+    | Op.Mul ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 * Array.unsafe_get ints s2);
+        k st
+    | Op.Div ->
+      fun st ->
+        let y = Array.unsafe_get ints s2 in
+        Array.unsafe_set ints d (if y = 0 then 0 else Array.unsafe_get ints s1 / y);
+        k st
+    | Op.Rem ->
+      fun st ->
+        let y = Array.unsafe_get ints s2 in
+        Array.unsafe_set ints d (if y = 0 then 0 else Array.unsafe_get ints s1 mod y);
+        k st
+    | Op.And ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 land Array.unsafe_get ints s2);
+        k st
+    | Op.Or ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lor Array.unsafe_get ints s2);
+        k st
+    | Op.Xor ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lxor Array.unsafe_get ints s2);
+        k st
+    | Op.Sll ->
+      fun st ->
+        let y = Array.unsafe_get ints s2 land 63 in
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lsl y);
+        k st
+    | Op.Srl ->
+      fun st ->
+        let y = Array.unsafe_get ints s2 land 63 in
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lsr y);
+        k st
+    | Op.Sra ->
+      fun st ->
+        let y = Array.unsafe_get ints s2 land 63 in
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 asr y);
+        k st
+    | Op.Set c ->
+      let cmp = icmp c in
+      fun st ->
+        let y = Array.unsafe_get ints s2 in
+        Array.unsafe_set ints d (if cmp (Array.unsafe_get ints s1) y then 1 else 0);
+        k st)
+  | Op.Alu (a, d, s1, Op.I v) -> (
+    let d = ix d and s1 = ix s1 in
+    match a with
+    | Op.Add ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 + v);
+        k st
+    | Op.Sub ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 - v);
+        k st
+    | Op.Mul ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 * v);
+        k st
+    | Op.Div ->
+      fun st ->
+        Array.unsafe_set ints d (if v = 0 then 0 else Array.unsafe_get ints s1 / v);
+        k st
+    | Op.Rem ->
+      fun st ->
+        Array.unsafe_set ints d (if v = 0 then 0 else Array.unsafe_get ints s1 mod v);
+        k st
+    | Op.And ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 land v);
+        k st
+    | Op.Or ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lor v);
+        k st
+    | Op.Xor ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lxor v);
+        k st
+    | Op.Sll ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lsl (v land 63));
+        k st
+    | Op.Srl ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 lsr (v land 63));
+        k st
+    | Op.Sra ->
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s1 asr (v land 63));
+        k st
+    | Op.Set c ->
+      let cmp = icmp c in
+      fun st ->
+        Array.unsafe_set ints d (if cmp (Array.unsafe_get ints s1) v then 1 else 0);
+        k st)
+  | Op.Fpu (f, d, s1, s2) -> (
+    let d = ix d and s1 = ix s1 and s2 = ix s2 in
+    (* Inlined per arm: an indirect float->float call would box. *)
+    match f with
+    | Op.Fadd ->
+      fun st ->
+        Array.unsafe_set flts d (Array.unsafe_get flts s1 +. Array.unsafe_get flts s2);
+        k st
+    | Op.Fsub ->
+      fun st ->
+        Array.unsafe_set flts d (Array.unsafe_get flts s1 -. Array.unsafe_get flts s2);
+        k st
+    | Op.Fmul ->
+      fun st ->
+        Array.unsafe_set flts d (Array.unsafe_get flts s1 *. Array.unsafe_get flts s2);
+        k st
+    | Op.Fdiv ->
+      fun st ->
+        Array.unsafe_set flts d (Array.unsafe_get flts s1 /. Array.unsafe_get flts s2);
+        k st)
+  | Op.Fcmp (c, d, s1, s2) -> (
+    let d = ix d and s1 = ix s1 and s2 = ix s2 in
+    match c with
+    | Cmp.Eq ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x = y then 1 else 0);
+        k st
+    | Cmp.Ne ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x <> y then 1 else 0);
+        k st
+    | Cmp.Lt ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x < y then 1 else 0);
+        k st
+    | Cmp.Le ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x <= y then 1 else 0);
+        k st
+    | Cmp.Gt ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x > y then 1 else 0);
+        k st
+    | Cmp.Ge ->
+      fun st ->
+        let x = Array.unsafe_get flts s1 and y = Array.unsafe_get flts s2 in
+        Array.unsafe_set ints d (if x >= y then 1 else 0);
+        k st)
+  | Op.Itof (d, s) ->
+    let d = ix d and s = ix s in
+    fun st ->
+      Array.unsafe_set flts d (float_of_int (Array.unsafe_get ints s));
+      k st
+  | Op.Ftoi (d, s) ->
+    let d = ix d and s = ix s in
+    fun st ->
+      Array.unsafe_set ints d (int_of_float (Float.trunc (Array.unsafe_get flts s)));
+      k st
+  | Op.Select (c, d, s1, s2, tr, fr) -> (
+    let cmp = icmp c and s1 = ix s1 in
+    let cond =
+      match s2 with
+      | Op.R r ->
+        let s2 = ix r in
+        fun () -> cmp (Array.unsafe_get ints s1) (Array.unsafe_get ints s2)
+      | Op.I v -> fun () -> cmp (Array.unsafe_get ints s1) v
+    in
+    let int_dest = Reg.is_int d in
+    let d = ix d and tr = ix tr and fr = ix fr in
+    if int_dest then
+      fun st ->
+        Array.unsafe_set ints d (Array.unsafe_get ints (if cond () then tr else fr));
+        k st
+    else
+      fun st ->
+        Array.unsafe_set flts d (Array.unsafe_get flts (if cond () then tr else fr));
+        k st)
+  | Op.Load _ | Op.Loadf _ | Op.Store _ | Op.Storef _ | Op.Print _ | Op.Printf _ ->
+    invalid_arg "Compile.reg_op: memory and print ops are compiled per executor"
+
+(* [int_cond ~regs ~ints c s1 s2 t f] compiles an integer compare that
+   tail-calls [t] if it holds and [f] otherwise: block faults and traps,
+   conventional branches, and the branches folded into the run chain's
+   fused runs.  Specialized per comparator, so a decision is one direct
+   compare; a class-malformed operand reads through [Regfile.get_i] and
+   raises exactly as the interpreter does. *)
+let int_cond ~regs ~(ints : int array) (c : Cmp.t) s1 s2 (t : 's -> unit) (f : 's -> unit) :
+    's -> unit =
+  if not (Reg.is_int s1 && Reg.is_int s2) then
+    fun st ->
+      if Cmp.eval c (Regfile.get_i regs s1) (Regfile.get_i regs s2) then t st else f st
+  else
+    let s1 = ix s1 and s2 = ix s2 in
+    match c with
+    | Cmp.Eq ->
+      fun st -> if Array.unsafe_get ints s1 = Array.unsafe_get ints s2 then t st else f st
+    | Cmp.Ne ->
+      fun st -> if Array.unsafe_get ints s1 <> Array.unsafe_get ints s2 then t st else f st
+    | Cmp.Lt ->
+      fun st -> if Array.unsafe_get ints s1 < Array.unsafe_get ints s2 then t st else f st
+    | Cmp.Le ->
+      fun st -> if Array.unsafe_get ints s1 <= Array.unsafe_get ints s2 then t st else f st
+    | Cmp.Gt ->
+      fun st -> if Array.unsafe_get ints s1 > Array.unsafe_get ints s2 then t st else f st
+    | Cmp.Ge ->
+      fun st -> if Array.unsafe_get ints s1 >= Array.unsafe_get ints s2 then t st else f st
+
 module Block = struct
   (* Per-binding scratch threaded through the chain.  [ints]/[flts]
-     alias the executor's register file arrays; everything else is
-     intra-step state the epilogue consumes. *)
+     alias the executor's register file arrays (the chains close over
+     the same arrays); everything else is intra-step state the epilogue
+     consumes. *)
   type st = {
     x : Block_exec.t;
     ints : int array;
@@ -120,261 +379,120 @@ module Block = struct
   (* Fallback for class-malformed trusted programs: run the interpreter's
      own Opsem on this element so exceptions and evaluation order are
      identical by definition. *)
-  let generic_op ~pos op (k : chain) : chain =
-   fun st ->
-    let x = st.x in
-    st.addrs.(pos) <-
-      Opsem.exec ~regs:x.Block_exec.regs ~mem:x.Block_exec.mem
-        ~sbuf:(Some x.Block_exec.sbuf)
-        ~out:(fun item -> st.out_rev <- item :: st.out_rev)
-        op;
-    k st
+  let generic_op (x : Block_exec.t) ~pos op (k : chain) : chain =
+    let sbuf = Some x.Block_exec.sbuf in
+    fun st ->
+      st.addrs.(pos) <-
+        Opsem.exec ~regs:x.Block_exec.regs ~mem:x.Block_exec.mem ~sbuf
+          ~out:(fun item -> st.out_rev <- item :: st.out_rev)
+          op;
+      k st
 
-  let compile_op ~pos (op : Op.t) (k : chain) : chain =
-    if not (classes_ok op) then generic_op ~pos op k
+  (* What the atomic block changes: memory ops go through the store
+     buffer, so a store waits for commit, and record their address in
+     this step's [addrs]; prints wait in [out_rev] for commit.  Every
+     other op is the shared [reg_op]. *)
+  let compile_op (x : Block_exec.t) ~pos (op : Op.t) (k : chain) : chain =
+    let ints = Regfile.ints x.Block_exec.regs and flts = Regfile.flts x.Block_exec.regs in
+    let sbuf = x.Block_exec.sbuf and mem = x.Block_exec.mem in
+    if not (classes_ok op) then generic_op x ~pos op k
     else
       match op with
-      | Op.Nop -> k
-      | Op.Mov (d, s) when Reg.is_int d ->
-        let d = ix d and s = ix s in
-        if d = 0 then k
-        else
-          fun st ->
-           Array.unsafe_set st.ints (d) ((Array.unsafe_get st.ints (s)));
-           k st
-      | Op.Mov (d, s) ->
-        let d = ix d and s = ix s in
-        fun st ->
-          Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s)));
-          k st
-      | Op.Li (d, v) ->
-        let d = ix d in
-        if d = 0 then k
-        else
-          fun st ->
-           Array.unsafe_set st.ints (d) (v);
-           k st
-      | Op.Lif (d, v) ->
-        let d = ix d in
-        fun st ->
-          Array.unsafe_set st.flts (d) (v);
-          k st
-      | Op.Alu (a, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 in
-        if d = 0 then k
-        else
-          let fn = alu_fn a in
-          match s2 with
-          | Op.R r ->
-            let s2 = ix r in
-            fun st ->
-              Array.unsafe_set st.ints (d) (fn (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2)));
-              k st
-          | Op.I v ->
-            fun st ->
-              Array.unsafe_set st.ints (d) (fn (Array.unsafe_get st.ints (s1)) v);
-              k st)
-      | Op.Fpu (f, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        (* Inlined per arm: an indirect float->float call would box. *)
-        match f with
-        | Op.Fadd ->
-          fun st ->
-            Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) +. (Array.unsafe_get st.flts (s2)));
-            k st
-        | Op.Fsub ->
-          fun st ->
-            Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) -. (Array.unsafe_get st.flts (s2)));
-            k st
-        | Op.Fmul ->
-          fun st ->
-            Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) *. (Array.unsafe_get st.flts (s2)));
-            k st
-        | Op.Fdiv ->
-          fun st ->
-            Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) /. (Array.unsafe_get st.flts (s2)));
-            k st)
-      | Op.Fcmp (c, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        if d = 0 then k
-        else
-          match c with
-          | Cmp.Eq ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) = (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st
-          | Cmp.Ne ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) <> (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st
-          | Cmp.Lt ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) < (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st
-          | Cmp.Le ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) <= (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st
-          | Cmp.Gt ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) > (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st
-          | Cmp.Ge ->
-            fun st ->
-              Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) >= (Array.unsafe_get st.flts (s2)) then 1 else 0));
-              k st)
-      | Op.Itof (d, s) ->
-        let d = ix d and s = ix s in
-        fun st ->
-          Array.unsafe_set st.flts (d) (float_of_int (Array.unsafe_get st.ints (s)));
-          k st
-      | Op.Ftoi (d, s) ->
-        let d = ix d and s = ix s in
-        if d = 0 then k
-        else
-          fun st ->
-           Array.unsafe_set st.ints (d) (int_of_float (Float.trunc (Array.unsafe_get st.flts (s))));
-           k st
-      | Op.Select (c, d, s1, s2, tr, fr) -> (
-        let cmp = icmp c and s1 = ix s1 in
-        let cond =
-          match s2 with
-          | Op.R r ->
-            let s2 = ix r in
-            fun st -> cmp (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2))
-          | Op.I v -> fun st -> cmp (Array.unsafe_get st.ints (s1)) v
-        in
-        if Reg.is_int d then
-          let d = ix d and tr = ix tr and fr = ix fr in
-          if d = 0 then k
-          else
-            fun st ->
-             Array.unsafe_set st.ints (d) ((Array.unsafe_get st.ints (if cond st then tr else fr)));
-             k st
-        else
-          let d = ix d and tr = ix tr and fr = ix fr in
-          fun st ->
-            Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (if cond st then tr else fr)));
-            k st)
       | Op.Load (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          let x = st.x in
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          let v = Sbuf.load x.Block_exec.sbuf x.Block_exec.mem addr in
-          if d <> 0 then Array.unsafe_set st.ints (d) (v);
+          let addr = Array.unsafe_get ints b + off in
+          let v = Sbuf.load sbuf mem addr in
+          if d <> 0 then Array.unsafe_set ints d v;
           st.addrs.(pos) <- addr;
           k st
       | Op.Loadf (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          let x = st.x in
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Array.unsafe_set st.flts (d) (Sbuf.loadf x.Block_exec.sbuf x.Block_exec.mem addr);
+          let addr = Array.unsafe_get ints b + off in
+          Array.unsafe_set flts d (Sbuf.loadf sbuf mem addr);
           st.addrs.(pos) <- addr;
           k st
       | Op.Store (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Sbuf.store st.x.Block_exec.sbuf addr (Array.unsafe_get st.ints (s));
+          let addr = Array.unsafe_get ints b + off in
+          Sbuf.store sbuf addr (Array.unsafe_get ints s);
           st.addrs.(pos) <- addr;
           k st
       | Op.Storef (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Sbuf.storef st.x.Block_exec.sbuf addr (Array.unsafe_get st.flts (s));
+          let addr = Array.unsafe_get ints b + off in
+          Sbuf.storef sbuf addr (Array.unsafe_get flts s);
           st.addrs.(pos) <- addr;
           k st
       | Op.Print s ->
         let s = ix s in
         fun st ->
-          st.out_rev <- Output.Oint (Array.unsafe_get st.ints (s)) :: st.out_rev;
+          st.out_rev <- Output.Oint (Array.unsafe_get ints s) :: st.out_rev;
           k st
       | Op.Printf s ->
         let s = ix s in
         fun st ->
-          st.out_rev <- Output.Oflt (Array.unsafe_get st.flts (s)) :: st.out_rev;
+          st.out_rev <- Output.Oflt (Array.unsafe_get flts s) :: st.out_rev;
           k st
+      | _ -> reg_op ~ints ~flts op k
 
   (* A firing fault records its position and returns without calling the
      continuation — the rest of the block never executes, exactly like
      the interpreter's loop exit. *)
-  let compile_elt ~pos (elt : int Ablock.elt) (k : chain) : chain =
+  let compile_elt (x : Block_exec.t) ~pos (elt : int Ablock.elt) (k : chain) : chain =
     match elt with
-    | Ablock.Op op -> compile_op ~pos op k
+    | Ablock.Op op -> compile_op x ~pos op k
     | Ablock.Fault (c, s1, s2, target) ->
-      if Reg.is_int s1 && Reg.is_int s2 then
-        let cmp = icmp c and s1 = ix s1 and s2 = ix s2 in
-        fun st ->
-          if cmp (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2)) then begin
-            st.fpos <- pos;
-            st.ftarget <- target
-          end
-          else k st
-      else
-        fun st ->
-         (* class-malformed guard: reproduce the interpreter's raise *)
-         if
-           Cmp.eval c
-             (Regfile.get_i st.x.Block_exec.regs s1)
-             (Regfile.get_i st.x.Block_exec.regs s2)
-         then begin
-           st.fpos <- pos;
-           st.ftarget <- target
-         end
-         else k st
+      let regs = x.Block_exec.regs in
+      let fire st =
+        st.fpos <- pos;
+        st.ftarget <- target
+      in
+      int_cond ~regs ~ints:(Regfile.ints regs) c s1 s2 fire k
 
   (* The terminator is the last link of the chain: it only runs when no
      fault fired, mirroring the interpreter's commit path. *)
-  let compile_term ~self (term : int Ablock.terminator) : chain =
+  let compile_term (x : Block_exec.t) ~self (term : int Ablock.terminator) : chain =
+    let regs = x.Block_exec.regs in
+    let ints = Regfile.ints regs in
     match term with
     | Ablock.Trap { cmp; rs1; rs2; taken; not_taken; _ } ->
-      if Reg.is_int rs1 && Reg.is_int rs2 then
-        let c = icmp cmp and s1 = ix rs1 and s2 = ix rs2 in
-        fun st ->
-          if c (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2)) then begin
-            st.next <- taken;
-            st.dir <- 1
-          end
-          else begin
-            st.next <- not_taken;
-            st.dir <- 0
-          end
-      else
-        fun st ->
-         let dir =
-           Cmp.eval cmp
-             (Regfile.get_i st.x.Block_exec.regs rs1)
-             (Regfile.get_i st.x.Block_exec.regs rs2)
-         in
-         st.next <- (if dir then taken else not_taken);
-         st.dir <- (if dir then 1 else 0)
+      let on_taken st =
+        st.next <- taken;
+        st.dir <- 1
+      and on_not_taken st =
+        st.next <- not_taken;
+        st.dir <- 0
+      in
+      int_cond ~regs ~ints cmp rs1 rs2 on_taken on_not_taken
     | Ablock.Goto l -> fun st -> st.next <- l
     | Ablock.Call { callee; ret_to } ->
+      let ra = Reg.index Reg.ra in
       fun st ->
         (* r31: direct write, never the r0 drop (matches Regfile.set_i) *)
-        Array.unsafe_set st.ints (Reg.index Reg.ra) (ret_to);
+        Array.unsafe_set ints ra ret_to;
         st.next <- callee
     | Ablock.Return ->
       let ra = Reg.index Reg.ra in
-      fun st -> st.next <- (Array.unsafe_get st.ints (ra))
+      fun st -> st.next <- Array.unsafe_get ints ra
     | Ablock.Ijump r ->
       if Reg.is_int r then
         let r = ix r in
-        fun st -> st.next <- (Array.unsafe_get st.ints (r))
-      else fun st -> st.next <- Regfile.get_i st.x.Block_exec.regs r
+        fun st -> st.next <- Array.unsafe_get ints r
+      else fun st -> st.next <- Regfile.get_i regs r
     | Ablock.Halt ->
       fun st ->
-        st.x.Block_exec.halted <- true;
+        x.Block_exec.halted <- true;
         st.next <- self
 
-  let compile_block ~self (blk : int Ablock.t) : chain =
+  let compile_block x ~self (blk : int Ablock.t) : chain =
     let n = Array.length blk.Ablock.elts in
     let rec build pos =
-      if pos = n then compile_term ~self blk.Ablock.term
-      else compile_elt ~pos blk.Ablock.elts.(pos) (build (pos + 1))
+      if pos = n then compile_term x ~self blk.Ablock.term
+      else compile_elt x ~pos blk.Ablock.elts.(pos) (build (pos + 1))
     in
     build 0
 
@@ -425,7 +543,7 @@ module Block = struct
     let sizes = Array.map (fun blk -> Array.length blk.Ablock.elts) prog.blocks in
     {
       cprog = prog;
-      chains = Array.mapi (fun b blk -> compile_block ~self:b blk) prog.blocks;
+      chains = Array.mapi (fun b blk -> compile_block x ~self:b blk) prog.blocks;
       sizes;
       wr_int = Array.map fst written;
       wr_flt = Array.map snd written;
@@ -607,18 +725,15 @@ end
 module Conv = struct
   type st = {
     x : Conv_exec.t;
-    ints : int array;
-    flts : float array;
     saddrs : int array;  (* packet_cap-sized scratch; packets copy out *)
     mutable count : int;
     mutable term : Conv_exec.term_kind;
     mutable next : int;
     mutable last_start : int;  (* start pc of the last [step_into] packet *)
-    mutable fuel : int;  (* fast path only: remaining dyn budget,
-                            exact at every thread entry and synced
-                            before any faultable access, so the
-                            Unaligned handler can reconstruct the
-                            exact dyn count *)
+    mutable fuel : int;  (* run chain only: remaining dyn budget, exact at
+                            every thread entry and at every faultable
+                            access, so the Unaligned handler can
+                            reconstruct the exact dyn count *)
   }
 
   type thread = st -> unit
@@ -631,11 +746,45 @@ module Conv = struct
   let kbr_t = Conv_exec.Kbr true
   let kbr_f = Conv_exec.Kbr false
 
-  (* Packet-cap check then budget charge, in the interpreter's order,
-     before every instruction. *)
+  (* Fallback for class-malformed trusted programs, as in [Block]: the
+     interpreter's own Opsem; returns the access address or -1. *)
+  let opsem (x : Conv_exec.t) op =
+    Opsem.exec ~regs:x.Conv_exec.regs ~mem:x.Conv_exec.mem ~sbuf:None
+      ~out:(fun item -> Output.Sink.push x.Conv_exec.sink item)
+      op
+
+  (* Both conventional chains print straight to the sink — there is no
+     atomic block to wait for — and share [reg_op] for the rest. *)
+  let print_or_reg_op (x : Conv_exec.t) (op : Op.t) (k : thread) : thread =
+    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+    match op with
+    | Op.Print s ->
+      let s = ix s in
+      fun st ->
+        Output.Sink.push x.Conv_exec.sink (Output.Oint (Array.unsafe_get ints s));
+        k st
+    | Op.Printf s ->
+      let s = ix s in
+      fun st ->
+        Output.Sink.push x.Conv_exec.sink (Output.Oflt (Array.unsafe_get flts s));
+        k st
+    | _ -> reg_op ~ints ~flts op k
+
+  (* --- packet threads ----------------------------------------------------
+
+     [bind] builds one thread per pc; [step_into] enters the thread of
+     the packet's start and gets back one packet.  Each instruction runs
+     its prologue, then its body: an op falls through to the next pc's
+     thread, a control instruction ends the packet by setting
+     [term]/[next]. *)
+
+  (* Packet-cap check, budget charge and an address slot of [-1] (the
+     scratch array is reused across packets, so it must be written), in
+     the interpreter's order, before every instruction. *)
   let with_prologue pc (body : thread) : thread =
    fun st ->
-    if st.count >= Conv_exec.packet_cap then begin
+    let count = st.count in
+    if count >= Conv_exec.packet_cap then begin
       st.term <- Conv_exec.Kfall;
       st.next <- pc
     end
@@ -644,250 +793,156 @@ module Conv = struct
       x.Conv_exec.dyn <- x.Conv_exec.dyn + 1;
       if x.Conv_exec.dyn > x.Conv_exec.budget then
         raise (Conv_exec.Runaway x.Conv_exec.dyn);
+      st.saddrs.(count) <- -1;
+      st.count <- count + 1;
       body st
     end
 
-  let generic_op op (k : thread) : thread =
-   fun st ->
-    let x = st.x in
-    let a =
-      Opsem.exec ~regs:x.Conv_exec.regs ~mem:x.Conv_exec.mem ~sbuf:None
-        ~out:(fun item -> Output.Sink.push x.Conv_exec.sink item)
-        op
-    in
-    st.saddrs.(st.count) <- a;
-    st.count <- st.count + 1;
-    k st
-
-  (* Non-control ops record their slot (address or -1: the scratch array
-     is reused across packets, so -1 must be written explicitly) and fall
-     through to the next instruction's thread. *)
-  let compile_op (op : Op.t) (k : thread) : thread =
-    if not (classes_ok op) then generic_op op k
-    else
-      let pure (eff : thread) : thread =
-       fun st ->
-        st.saddrs.(st.count) <- -1;
-        st.count <- st.count + 1;
-        eff st;
+  (* A memory op overwrites its instruction's slot with the address. *)
+  let packet_op (x : Conv_exec.t) (op : Op.t) (k : thread) : thread =
+    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+    let mem = x.Conv_exec.mem in
+    if not (classes_ok op) then
+      fun st ->
+        st.saddrs.(st.count - 1) <- opsem x op;
         k st
-      in
+    else
       match op with
-      | Op.Nop ->
-        fun st ->
-          st.saddrs.(st.count) <- -1;
-          st.count <- st.count + 1;
-          k st
-      | Op.Mov (d, s) when Reg.is_int d ->
-        let d = ix d and s = ix s in
-        if d = 0 then pure (fun _ -> ())
-        else pure (fun st -> Array.unsafe_set st.ints (d) ((Array.unsafe_get st.ints (s))))
-      | Op.Mov (d, s) ->
-        let d = ix d and s = ix s in
-        pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s))))
-      | Op.Li (d, v) ->
-        let d = ix d in
-        if d = 0 then pure (fun _ -> ()) else pure (fun st -> Array.unsafe_set st.ints (d) (v))
-      | Op.Lif (d, v) ->
-        let d = ix d in
-        pure (fun st -> Array.unsafe_set st.flts (d) (v))
-      | Op.Alu (a, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 in
-        if d = 0 then pure (fun _ -> ())
-        else
-          let fn = alu_fn a in
-          match s2 with
-          | Op.R r ->
-            let s2 = ix r in
-            pure (fun st -> Array.unsafe_set st.ints (d) (fn (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2))))
-          | Op.I v -> pure (fun st -> Array.unsafe_set st.ints (d) (fn (Array.unsafe_get st.ints (s1)) v)))
-      | Op.Fpu (f, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        match f with
-        | Op.Fadd -> pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) +. (Array.unsafe_get st.flts (s2))))
-        | Op.Fsub -> pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) -. (Array.unsafe_get st.flts (s2))))
-        | Op.Fmul -> pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) *. (Array.unsafe_get st.flts (s2))))
-        | Op.Fdiv -> pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (s1)) /. (Array.unsafe_get st.flts (s2)))))
-      | Op.Fcmp (c, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        if d = 0 then pure (fun _ -> ())
-        else
-          match c with
-          | Cmp.Eq ->
-            pure (fun st -> Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) = (Array.unsafe_get st.flts (s2)) then 1 else 0)))
-          | Cmp.Ne ->
-            pure (fun st ->
-                Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) <> (Array.unsafe_get st.flts (s2)) then 1 else 0)))
-          | Cmp.Lt ->
-            pure (fun st -> Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) < (Array.unsafe_get st.flts (s2)) then 1 else 0)))
-          | Cmp.Le ->
-            pure (fun st ->
-                Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) <= (Array.unsafe_get st.flts (s2)) then 1 else 0)))
-          | Cmp.Gt ->
-            pure (fun st -> Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) > (Array.unsafe_get st.flts (s2)) then 1 else 0)))
-          | Cmp.Ge ->
-            pure (fun st ->
-                Array.unsafe_set st.ints (d) ((if (Array.unsafe_get st.flts (s1)) >= (Array.unsafe_get st.flts (s2)) then 1 else 0))))
-      | Op.Itof (d, s) ->
-        let d = ix d and s = ix s in
-        pure (fun st -> Array.unsafe_set st.flts (d) (float_of_int (Array.unsafe_get st.ints (s))))
-      | Op.Ftoi (d, s) ->
-        let d = ix d and s = ix s in
-        if d = 0 then pure (fun _ -> ())
-        else pure (fun st -> Array.unsafe_set st.ints (d) (int_of_float (Float.trunc (Array.unsafe_get st.flts (s)))))
-      | Op.Select (c, d, s1, s2, tr, fr) -> (
-        let cmp = icmp c and s1 = ix s1 in
-        let cond =
-          match s2 with
-          | Op.R r ->
-            let s2 = ix r in
-            fun st -> cmp (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2))
-          | Op.I v -> fun st -> cmp (Array.unsafe_get st.ints (s1)) v
-        in
-        if Reg.is_int d then
-          let d = ix d and tr = ix tr and fr = ix fr in
-          if d = 0 then pure (fun _ -> ())
-          else pure (fun st -> Array.unsafe_set st.ints (d) ((Array.unsafe_get st.ints (if cond st then tr else fr))))
-        else
-          let d = ix d and tr = ix tr and fr = ix fr in
-          pure (fun st -> Array.unsafe_set st.flts (d) ((Array.unsafe_get st.flts (if cond st then tr else fr)))))
       | Op.Load (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          let v = Memory.load st.x.Conv_exec.mem addr in
-          if d <> 0 then Array.unsafe_set st.ints (d) (v);
-          st.saddrs.(st.count) <- addr;
-          st.count <- st.count + 1;
+          let addr = Array.unsafe_get ints b + off in
+          let v = Memory.load mem addr in
+          if d <> 0 then Array.unsafe_set ints d v;
+          st.saddrs.(st.count - 1) <- addr;
           k st
       | Op.Loadf (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Array.unsafe_set st.flts (d) (Memory.loadf st.x.Conv_exec.mem addr);
-          st.saddrs.(st.count) <- addr;
-          st.count <- st.count + 1;
+          let addr = Array.unsafe_get ints b + off in
+          Array.unsafe_set flts d (Memory.loadf mem addr);
+          st.saddrs.(st.count - 1) <- addr;
           k st
       | Op.Store (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Memory.store st.x.Conv_exec.mem addr (Array.unsafe_get st.ints (s));
-          st.saddrs.(st.count) <- addr;
-          st.count <- st.count + 1;
+          let addr = Array.unsafe_get ints b + off in
+          Memory.store mem addr (Array.unsafe_get ints s);
+          st.saddrs.(st.count - 1) <- addr;
           k st
       | Op.Storef (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          let addr = (Array.unsafe_get st.ints (b)) + off in
-          Memory.storef st.x.Conv_exec.mem addr (Array.unsafe_get st.flts (s));
-          st.saddrs.(st.count) <- addr;
-          st.count <- st.count + 1;
+          let addr = Array.unsafe_get ints b + off in
+          Memory.storef mem addr (Array.unsafe_get flts s);
+          st.saddrs.(st.count - 1) <- addr;
           k st
-      | Op.Print s ->
-        let s = ix s in
-        pure (fun st -> Output.Sink.push st.x.Conv_exec.sink (Output.Oint (Array.unsafe_get st.ints (s))))
-      | Op.Printf s ->
-        let s = ix s in
-        pure (fun st -> Output.Sink.push st.x.Conv_exec.sink (Output.Oflt (Array.unsafe_get st.flts (s))))
+      | _ -> print_or_reg_op x op k
 
-  (* Control instructions end the packet by setting term/next. *)
-  let control (eff : thread) : thread =
-   fun st ->
-    st.saddrs.(st.count) <- -1;
-    st.count <- st.count + 1;
-    eff st
-
-  let compile_insn threads pc (insn : int Insn.t) : thread =
+  let compile_insn (x : Conv_exec.t) ~(next : thread) pc (insn : int Insn.t) : thread =
+    let regs = x.Conv_exec.regs in
+    let ints = Regfile.ints regs in
+    let ra = Reg.index Reg.ra in
     match insn with
-    | Insn.Op op ->
-      with_prologue pc (compile_op op (fun st -> threads.(pc + 1) st))
+    | Insn.Op op -> packet_op x op next
     | Insn.Br (c, s1, s2, target) ->
-      with_prologue pc
-        (if Reg.is_int s1 && Reg.is_int s2 then
-           let cmp = icmp c and s1 = ix s1 and s2 = ix s2 in
-           control (fun st ->
-               if cmp (Array.unsafe_get st.ints (s1)) (Array.unsafe_get st.ints (s2)) then begin
-                 st.term <- kbr_t;
-                 st.next <- target
-               end
-               else begin
-                 st.term <- kbr_f;
-                 st.next <- pc + 1
-               end)
-         else
-           control (fun st ->
-               let taken =
-                 Cmp.eval c
-                   (Regfile.get_i st.x.Conv_exec.regs s1)
-                   (Regfile.get_i st.x.Conv_exec.regs s2)
-               in
-               st.term <- (if taken then kbr_t else kbr_f);
-               st.next <- (if taken then target else pc + 1)))
+      let taken st =
+        st.term <- kbr_t;
+        st.next <- target
+      and not_taken st =
+        st.term <- kbr_f;
+        st.next <- pc + 1
+      in
+      int_cond ~regs ~ints c s1 s2 taken not_taken
     | Insn.Jmp target ->
-      with_prologue pc
-        (control (fun st ->
-             st.term <- Conv_exec.Kjmp;
-             st.next <- target))
+      fun st ->
+        st.term <- Conv_exec.Kjmp;
+        st.next <- target
     | Insn.Call target ->
-      let ra = Reg.index Reg.ra in
-      with_prologue pc
-        (control (fun st ->
-             Array.unsafe_set st.ints (ra) (pc + 1);
-             st.term <- Conv_exec.Kcall;
-             st.next <- target))
+      fun st ->
+        Array.unsafe_set ints ra (pc + 1);
+        st.term <- Conv_exec.Kcall;
+        st.next <- target
     | Insn.Ret ->
-      let ra = Reg.index Reg.ra in
-      with_prologue pc
-        (control (fun st ->
-             st.term <- Conv_exec.Kret;
-             st.next <- (Array.unsafe_get st.ints (ra))))
+      fun st ->
+        st.term <- Conv_exec.Kret;
+        st.next <- Array.unsafe_get ints ra
+    | Insn.Jr r when Reg.is_int r ->
+      let r = ix r in
+      fun st ->
+        st.term <- Conv_exec.Kjr;
+        st.next <- Array.unsafe_get ints r
     | Insn.Jr r ->
-      with_prologue pc
-        (if Reg.is_int r then
-           let r = ix r in
-           control (fun st ->
-               st.term <- Conv_exec.Kjr;
-               st.next <- (Array.unsafe_get st.ints (r)))
-         else
-           control (fun st ->
-               let tgt = Regfile.get_i st.x.Conv_exec.regs r in
-               st.term <- Conv_exec.Kjr;
-               st.next <- tgt))
+      fun st ->
+        let tgt = Regfile.get_i regs r in
+        st.term <- Conv_exec.Kjr;
+        st.next <- tgt
     | Insn.Halt ->
-      with_prologue pc
-        (control (fun st ->
-             st.x.Conv_exec.halted <- true;
-             st.term <- Conv_exec.Khalt;
-             st.next <- pc))
+      fun st ->
+        x.Conv_exec.halted <- true;
+        st.term <- Conv_exec.Khalt;
+        st.next <- pc
 
-  (* --- direct-threaded functional execution ----------------------------
+  (* One thread per pc, built backward so an op's fall-through is a
+     direct call to the next pc's thread, plus the off-the-end sentinel. *)
+  let packet_threads (x : Conv_exec.t) (prog : Conv_prog.t) =
+    let n = Array.length prog.insns in
+    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
+    (* Fall-through off the program's end: the same cap check, then the
+       same architected Wild_jump trap as the interpreter's loop. *)
+    threads.(n) <-
+      (fun st ->
+        if st.count >= Conv_exec.packet_cap then begin
+          st.term <- Conv_exec.Kfall;
+          st.next <- n
+        end
+        else begin
+          st.x.Conv_exec.halted <- true;
+          st.x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump n);
+          st.term <- Conv_exec.Khalt;
+          st.next <- n
+        end);
+    for pc = n - 1 downto 0 do
+      let body = compile_insn x ~next:threads.(pc + 1) pc prog.insns.(pc) in
+      threads.(pc) <- with_prologue pc body
+    done;
+    threads
+
+  (* --- the run-to-halt chain ---------------------------------------------
 
      [run] retains no per-step records, so the packet bookkeeping above
-     (mem_addrs slots, packet-cap splits, one record and one fresh array
+     (address slots, packet-cap splits, one record and one fresh array
      per packet) is pure overhead there.  A second thread array drives
-     run-to-halt directly: every instruction is a single closure that
-     applies its effect to the shared executor state and tail-calls its
-     successor — compiled backward so fall-through is a direct call to
-     the already-built successor closure, and control flow is a computed
-     tail call through the array.
+     run-to-halt directly: every entry applies its instructions to the
+     executor state and tail-calls its successor — compiled backward, so
+     fall-through and forward jumps are direct calls to already-built
+     entries and only back edges and computed targets go through the
+     array.
 
-     The dyn budget lives in [st.fuel] ([fuel] = budget minus ops
-     executed), exact at every thread entry; threads are one-argument
-     closures on purpose — a two-argument call to a statically-unknown
-     closure goes through the shared caml_apply2 stub, whose single
-     indirect jump retargets on every dispatch and defeats the branch
-     predictor.  [x.dyn] is reconstructed at every exit, and [st.fuel]
-     is synced before any access that can raise, which keeps the
-     Runaway point, its payload, and the dyn count after an Unaligned
-     halt exactly the interpreter's.  The packet cap only
-     decides where packets split (no architectural effect), so outputs,
-     dyn counts, machine traps and exceptions are all preserved; the
-     final [pc] is the one field [run] leaves unspecified, and its
+     The dyn budget lives in [st.fuel] ([fuel] = budget minus the
+     instructions paid for), exact at every entry; threads are
+     one-argument closures on purpose — a two-argument call to a
+     statically-unknown closure goes through the shared caml_apply2
+     stub, whose single indirect jump retargets on every dispatch and
+     defeats the branch predictor.  [x.dyn] is reconstructed at every
+     exit, which keeps the Runaway point, its payload, and the dyn count
+     after an Unaligned halt exactly the interpreter's.  The packet cap
+     only decides where packets split (no architectural effect), so
+     outputs, dyn counts, machine traps and exceptions are all preserved;
+     the final [pc] is the one field [run] leaves unspecified, and its
      executor is private to it.  This path is what the oracle's
-     conv-compiled leg fuzzes differentially against the interpreter. *)
+     conv-compiled leg fuzzes differentially against the interpreter.
 
-  type fthread = st -> unit
+     Straight-line fusion: a run of consecutive [Insn.Op]s is one CPS
+     chain of [reg_op]-style closures with a single entry, which checks
+     and pays the whole run's fuel up front and then enters the chain.
+     The branch or jump ending the run folds into it.  If the remaining
+     budget cannot cover the run, the entry falls back to the per-op
+     checked thread, which charges op by op and raises Runaway at exactly
+     the interpreter's instruction — so fusion never changes where the
+     budget runs out.  Runs are capped so the suffix entry built for
+     every pc (any pc can be a computed-jump target) stays linear in
+     program size. *)
 
   (* The insn that would be the (budget+1)-th: raise before its effects,
      with the interpreter's exact dyn value. *)
@@ -904,619 +959,170 @@ module Conv = struct
     x.Conv_exec.halted <- true;
     x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump target)
 
-  (* --- straight-line fusion --------------------------------------------
+  (* A per-instruction thread's charge, inlined into every thread (it is
+     not otherwise: a function call per executed instruction). *)
+  let[@inline] pay1 st =
+    let fuel = st.fuel in
+    if fuel = 0 then runaway st;
+    st.fuel <- fuel - 1
 
-     Runs of consecutive [Insn.Op]s pay one fuel check, one [st.fuel]
-     sync and one successor dispatch for the whole run: each op becomes
-     an effect-only closure ([st -> unit], a cheap one-argument call)
-     sequenced directly inside the run's entry closure.  If the
-     remaining budget cannot cover the run, the entry falls back to the
-     per-op checked chain, which charges op by op and raises Runaway at
-     exactly the interpreter's instruction — so fusion never changes
-     where the budget runs out.  Faultable ops (memory accesses and the
-     class-malformed Opsem fallback) re-sync [st.fuel] by their
-     compile-time distance from the previous sync, so an Unaligned
-     raised mid-run still reconstructs the interpreter's exact dyn
-     count.  Runs are capped so the suffix entry built for every pc (any
-     pc can be a computed-jump target) stays linear in program size. *)
-
-  let noop (_ : st) = ()
-
-  let op_faultable (op : Op.t) =
-    (not (classes_ok op))
-    ||
-    match op with
-    | Op.Load _ | Op.Loadf _ | Op.Store _ | Op.Storef _ -> true
-    | _ -> false
-
-  (* Effect-only compilation: no fuel check, no successor.  [gap] is how
-     many run ops were charged since the last [st.fuel] sync (the run
-     entry or the previous faultable op), counting this one; only
-     faultable arms consume it. *)
-  let compile_op_eff (op : Op.t) ~(gap : int) : st -> unit =
+  (* A run-chain op.  [left] counts the instructions after it in its run:
+     paid for at the run's entry, not executed yet.  A faultable op adds
+     them back around its access, so [st.fuel] is exact if the access
+     raises. *)
+  let run_op (x : Conv_exec.t) ~left (op : Op.t) (k : thread) : thread =
+    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+    let mem = x.Conv_exec.mem in
     if not (classes_ok op) then
       fun st ->
-        st.fuel <- st.fuel - gap;
-        let x = st.x in
-        ignore
-          (Opsem.exec ~regs:x.Conv_exec.regs ~mem:x.Conv_exec.mem ~sbuf:None
-             ~out:(fun item -> Output.Sink.push x.Conv_exec.sink item)
-             op
-            : int)
+        st.fuel <- st.fuel + left;
+        ignore (opsem x op : int);
+        st.fuel <- st.fuel - left;
+        k st
     else
       match op with
-      | Op.Nop -> noop
-      | Op.Mov (d, s) when Reg.is_int d ->
-        let d = ix d and s = ix s in
-        if d = 0 then noop
-        else fun st -> Array.unsafe_set st.ints d (Array.unsafe_get st.ints s)
-      | Op.Mov (d, s) ->
-        let d = ix d and s = ix s in
-        fun st -> Array.unsafe_set st.flts d (Array.unsafe_get st.flts s)
-      | Op.Li (d, v) ->
-        let d = ix d in
-        if d = 0 then noop else fun st -> Array.unsafe_set st.ints d v
-      | Op.Lif (d, v) ->
-        let d = ix d in
-        fun st -> Array.unsafe_set st.flts d v
-      | Op.Alu (a, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 in
-        if d = 0 then noop
-        else
-          (* Specialized per opcode and operand form: an [alu_fn]
-             closure would cost a caml_apply2 per executed ALU op, the
-             most common dynamic instruction kind. *)
-          match s2 with
-          | Op.R r -> (
-            let s2 = ix r in
-            match a with
-            | Op.Add ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x + y)
-            | Op.Sub ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x - y)
-            | Op.Mul ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x * y)
-            | Op.Div ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (if y = 0 then 0 else x / y)
-            | Op.Rem ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (if y = 0 then 0 else x mod y)
-            | Op.And ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x land y)
-            | Op.Or ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x lor y)
-            | Op.Xor ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x lxor y)
-            | Op.Sll ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x lsl (y land 63))
-            | Op.Srl ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x lsr (y land 63))
-            | Op.Sra ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1
-                and y = Array.unsafe_get st.ints s2 in
-                Array.unsafe_set st.ints d (x asr (y land 63))
-            | Op.Set c ->
-              let cmp = icmp c in
-              fun st ->
-                Array.unsafe_set st.ints d
-                  (if cmp (Array.unsafe_get st.ints s1) (Array.unsafe_get st.ints s2)
-                   then 1
-                   else 0))
-          | Op.I v -> (
-            match a with
-            | Op.Add ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x + v)
-            | Op.Sub ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x - v)
-            | Op.Mul ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x * v)
-            | Op.Div ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (if v = 0 then 0 else x / v)
-            | Op.Rem ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (if v = 0 then 0 else x mod v)
-            | Op.And ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x land v)
-            | Op.Or ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x lor v)
-            | Op.Xor ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x lxor v)
-            | Op.Sll ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x lsl (v land 63))
-            | Op.Srl ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x lsr (v land 63))
-            | Op.Sra ->
-              fun st ->
-                let x = Array.unsafe_get st.ints s1 in
-                Array.unsafe_set st.ints d (x asr (v land 63))
-            | Op.Set c ->
-              let cmp = icmp c in
-              fun st ->
-                Array.unsafe_set st.ints d
-                  (if cmp (Array.unsafe_get st.ints s1) v then 1 else 0)))
-      | Op.Fpu (f, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        match f with
-        | Op.Fadd ->
-          fun st ->
-            Array.unsafe_set st.flts d
-              (Array.unsafe_get st.flts s1 +. Array.unsafe_get st.flts s2)
-        | Op.Fsub ->
-          fun st ->
-            Array.unsafe_set st.flts d
-              (Array.unsafe_get st.flts s1 -. Array.unsafe_get st.flts s2)
-        | Op.Fmul ->
-          fun st ->
-            Array.unsafe_set st.flts d
-              (Array.unsafe_get st.flts s1 *. Array.unsafe_get st.flts s2)
-        | Op.Fdiv ->
-          fun st ->
-            Array.unsafe_set st.flts d
-              (Array.unsafe_get st.flts s1 /. Array.unsafe_get st.flts s2))
-      | Op.Fcmp (c, d, s1, s2) -> (
-        let d = ix d and s1 = ix s1 and s2 = ix s2 in
-        if d = 0 then noop
-        else
-          match c with
-          | Cmp.Eq ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 = Array.unsafe_get st.flts s2 then 1 else 0)
-          | Cmp.Ne ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 <> Array.unsafe_get st.flts s2 then 1 else 0)
-          | Cmp.Lt ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 < Array.unsafe_get st.flts s2 then 1 else 0)
-          | Cmp.Le ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 <= Array.unsafe_get st.flts s2 then 1 else 0)
-          | Cmp.Gt ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 > Array.unsafe_get st.flts s2 then 1 else 0)
-          | Cmp.Ge ->
-            fun st ->
-              Array.unsafe_set st.ints d
-                (if Array.unsafe_get st.flts s1 >= Array.unsafe_get st.flts s2 then 1 else 0))
-      | Op.Itof (d, s) ->
-        let d = ix d and s = ix s in
-        fun st -> Array.unsafe_set st.flts d (float_of_int (Array.unsafe_get st.ints s))
-      | Op.Ftoi (d, s) ->
-        let d = ix d and s = ix s in
-        if d = 0 then noop
-        else
-          fun st ->
-           Array.unsafe_set st.ints d
-             (int_of_float (Float.trunc (Array.unsafe_get st.flts s)))
-      | Op.Select (c, d, s1, s2, tr, fr) -> (
-        let cmp = icmp c and s1 = ix s1 in
-        let cond =
-          match s2 with
-          | Op.R r ->
-            let s2 = ix r in
-            fun st -> cmp (Array.unsafe_get st.ints s1) (Array.unsafe_get st.ints s2)
-          | Op.I v -> fun st -> cmp (Array.unsafe_get st.ints s1) v
-        in
-        if Reg.is_int d then
-          let d = ix d and tr = ix tr and fr = ix fr in
-          if d = 0 then noop
-          else
-            fun st ->
-             Array.unsafe_set st.ints d
-               (Array.unsafe_get st.ints (if cond st then tr else fr))
-        else
-          let d = ix d and tr = ix tr and fr = ix fr in
-          fun st ->
-            Array.unsafe_set st.flts d
-              (Array.unsafe_get st.flts (if cond st then tr else fr)))
       | Op.Load (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          st.fuel <- st.fuel - gap;
-          let v = Memory.load st.x.Conv_exec.mem (Array.unsafe_get st.ints b + off) in
-          if d <> 0 then Array.unsafe_set st.ints d v
+          st.fuel <- st.fuel + left;
+          let v = Memory.load mem (Array.unsafe_get ints b + off) in
+          st.fuel <- st.fuel - left;
+          if d <> 0 then Array.unsafe_set ints d v;
+          k st
       | Op.Loadf (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
-          st.fuel <- st.fuel - gap;
-          Array.unsafe_set st.flts d
-            (Memory.loadf st.x.Conv_exec.mem (Array.unsafe_get st.ints b + off))
+          st.fuel <- st.fuel + left;
+          Array.unsafe_set flts d (Memory.loadf mem (Array.unsafe_get ints b + off));
+          st.fuel <- st.fuel - left;
+          k st
       | Op.Store (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          st.fuel <- st.fuel - gap;
-          Memory.store st.x.Conv_exec.mem
-            (Array.unsafe_get st.ints b + off)
-            (Array.unsafe_get st.ints s)
+          st.fuel <- st.fuel + left;
+          Memory.store mem (Array.unsafe_get ints b + off) (Array.unsafe_get ints s);
+          st.fuel <- st.fuel - left;
+          k st
       | Op.Storef (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
-          st.fuel <- st.fuel - gap;
-          Memory.storef st.x.Conv_exec.mem
-            (Array.unsafe_get st.ints b + off)
-            (Array.unsafe_get st.flts s)
-      | Op.Print s ->
-        let s = ix s in
-        fun st -> Output.Sink.push st.x.Conv_exec.sink (Output.Oint (Array.unsafe_get st.ints s))
-      | Op.Printf s ->
-        let s = ix s in
-        fun st -> Output.Sink.push st.x.Conv_exec.sink (Output.Oflt (Array.unsafe_get st.flts s))
+          st.fuel <- st.fuel + left;
+          Memory.storef mem (Array.unsafe_get ints b + off) (Array.unsafe_get flts s);
+          st.fuel <- st.fuel - left;
+          k st
+      | _ -> print_or_reg_op x op k
 
-  (* Per-op checked thread: one budget check and charge around the
-     op's effect.  Faultable effects sync [st.fuel] themselves (their
-     gap of 1 is exactly this op's charge); the rest charge here.  This
-     path only runs for ops that no fused run covers — run suffixes too
-     short to pay off, and runs the remaining budget cannot cover. *)
-  let compile_op_fast (op : Op.t) (k : fthread) : fthread =
-    let e = compile_op_eff op ~gap:1 in
-    if op_faultable op then
-      fun st ->
-        if st.fuel = 0 then runaway st;
-        e st;
-        k st
-    else
-      fun st ->
-        let fuel = st.fuel in
-        if fuel = 0 then runaway st;
-        st.fuel <- fuel - 1;
-        e st;
-        k st
-
-  (* Branch compare specialized per comparator: an [icmp]-returned
-     closure would cost a caml_apply2 per executed branch. *)
-  let br_fin (c : Cmp.t) s1 s2 (taken : st -> unit) (not_taken : st -> unit) : st -> unit =
-    match c with
-    | Cmp.Eq ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 = Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-    | Cmp.Ne ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 <> Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-    | Cmp.Lt ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 < Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-    | Cmp.Le ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 <= Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-    | Cmp.Gt ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 > Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-    | Cmp.Ge ->
-      fun st ->
-        if Array.unsafe_get st.ints s1 >= Array.unsafe_get st.ints s2 then taken st
-        else not_taken st
-
-  (* Longest run fused as one closure; also bounds the per-pc build cost
+  (* Longest run fused as one entry; also bounds the per-pc build cost
      (every pc gets a suffix-run entry, so an unrolled straight-line
      program would otherwise cost quadratic closures). *)
   let fuse_cap = 8
 
-  (* [charge] is the whole run's budget ([m] ops, plus one more when the
-     terminating branch or jump is folded into [fin]); checked once at
-     entry, paid once before [fin].  [slow] — the per-op checked chain —
-     takes over when the remaining budget cannot cover the run. *)
-  let fuse (effs : (st -> unit) list) (slow : fthread) ~(charge : int) (fin : st -> unit) :
-      fthread =
-    match effs with
-    | [ e0 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2; e3 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          e3 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2; e3; e4 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          e3 st;
-          e4 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2; e3; e4; e5 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          e3 st;
-          e4 st;
-          e5 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2; e3; e4; e5; e6 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          e3 st;
-          e4 st;
-          e5 st;
-          e6 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | [ e0; e1; e2; e3; e4; e5; e6; e7 ] ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel < charge then slow st
-        else begin
-          e0 st;
-          e1 st;
-          e2 st;
-          e3 st;
-          e4 st;
-          e5 st;
-          e6 st;
-          e7 st;
-          st.fuel <- fuel - charge;
-          fin st
-        end
-    | _ -> assert false (* [fuse_cap] bounds runs to 1..8 effects *)
-
-  (* [next] is the already-built closure for [pc + 1] (backward
-     compilation), so fall-through and not-taken branches skip the array
-     indirection; only actual jumps go through [fast].  A static target
-     lands on the off-the-end sentinel or a wild-jump closure exactly
-     where the packet driver would trap. *)
-  let compile_insn_fast fast n ~next pc (insn : int Insn.t) : fthread =
-    let goto target : fthread =
-      if target >= 0 && target <= n then fun st -> fast.(target) st
-      else fun st -> wild st target
-    in
-    match insn with
-    | Insn.Op op -> compile_op_fast op next
-    | Insn.Br (c, s1, s2, target) ->
-      let taken = goto target in
-      if Reg.is_int s1 && Reg.is_int s2 then
-        let fin = br_fin c (ix s1) (ix s2) taken next in
-        fun st ->
-          let fuel = st.fuel in
-          if fuel = 0 then runaway st;
-          st.fuel <- fuel - 1;
-          fin st
-      else
-        fun st ->
-         let fuel = st.fuel in
-         if fuel = 0 then runaway st;
-         st.fuel <- fuel - 1;
-         if
-           Cmp.eval c
-             (Regfile.get_i st.x.Conv_exec.regs s1)
-             (Regfile.get_i st.x.Conv_exec.regs s2)
-         then taken st
-         else next st
-    | Insn.Jmp target ->
-      let t = goto target in
-      fun st ->
-        let fuel = st.fuel in
-        if fuel = 0 then runaway st;
-        st.fuel <- fuel - 1;
-        t st
-    | Insn.Call target ->
-      let ra = Reg.index Reg.ra in
-      let t = goto target in
-      fun st ->
-        let fuel = st.fuel in
-        if fuel = 0 then runaway st;
-        st.fuel <- fuel - 1;
-        Array.unsafe_set st.ints (ra) (pc + 1);
-        t st
-    | Insn.Ret ->
-      let ra = Reg.index Reg.ra in
-      fun st ->
-        let fuel = st.fuel in
-        if fuel = 0 then runaway st;
-        st.fuel <- fuel - 1;
-        let t = (Array.unsafe_get st.ints (ra)) in
-        if t >= 0 && t < n then fast.(t) st else wild st t
-    | Insn.Jr r ->
-      if Reg.is_int r then
-        let r = ix r in
-        fun st ->
-          let fuel = st.fuel in
-          if fuel = 0 then runaway st;
-          st.fuel <- fuel - 1;
-          let t = (Array.unsafe_get st.ints (r)) in
-          if t >= 0 && t < n then fast.(t) st else wild st t
-      else
-        fun st ->
-         let fuel = st.fuel in
-         if fuel = 0 then runaway st;
-         st.fuel <- fuel - 1;
-         let t = Regfile.get_i st.x.Conv_exec.regs r in
-         if t >= 0 && t < n then fast.(t) st else wild st t
-    | Insn.Halt ->
-      fun st ->
-        let fuel = st.fuel in
-        if fuel = 0 then runaway st;
-        st.fuel <- fuel - 1;
-        let x = st.x in
-        x.Conv_exec.dyn <- x.Conv_exec.budget - (fuel - 1);
-        x.Conv_exec.halted <- true
-
-  (* The packet-free run-to-halt chains: one entry per pc, plus the
-     off-the-end sentinel; the remaining dyn budget travels in
-     [st.fuel]. *)
-  let fast_chain (prog : Conv_prog.t) =
-    let n = Array.length prog.insns in
+  (* The run-to-halt entries: one per pc, plus the off-the-end sentinel. *)
+  let fast_chain (x : Conv_exec.t) (prog : Conv_prog.t) =
+    let insns = prog.insns in
+    let n = Array.length insns in
+    let regs = x.Conv_exec.regs in
+    let ints = Regfile.ints regs in
+    let ra = Reg.index Reg.ra in
     let fast = Array.make (n + 1) (fun (_ : st) -> assert false) in
     (* Off the end without a control transfer: the same architected
        Wild_jump as the packet sentinel's no-room-left arm. *)
     fast.(n) <- (fun st -> wild st n);
-    (* [runlen.(pc)]: consecutive [Insn.Op]s starting at pc, capped. *)
-    let runlen = Array.make (n + 1) 0 in
+    (* A static target from the entry at [pc]: entries past [pc] are
+       built already, a back edge reads [fast] when taken, and a target
+       outside the program traps where the packet driver would. *)
+    let goto pc target : thread =
+      if target < 0 || target > n then fun st -> wild st target
+      else if target > pc then fast.(target)
+      else fun st -> (Array.unsafe_get fast target) st
+    in
+    let jump st target =
+      if target >= 0 && target <= n then (Array.unsafe_get fast target) st
+      else wild st target
+    in
+    let run = ref 0 in
     for pc = n - 1 downto 0 do
-      (match prog.insns.(pc) with
-      | Insn.Op _ -> runlen.(pc) <- min fuse_cap (runlen.(pc + 1) + 1)
-      | _ -> runlen.(pc) <- 0);
-      let base = compile_insn_fast fast n ~next:fast.(pc + 1) pc prog.insns.(pc) in
-      let m = runlen.(pc) in
+      let next = fast.(pc + 1) in
+      let single : thread =
+        match insns.(pc) with
+        | Insn.Op op ->
+          let body = run_op x ~left:0 op next in
+          fun st ->
+            pay1 st;
+            body st
+        | Insn.Br (c, s1, s2, target) ->
+          let body = int_cond ~regs ~ints c s1 s2 (goto pc target) next in
+          fun st ->
+            pay1 st;
+            body st
+        | Insn.Jmp target ->
+          let t = goto pc target in
+          fun st ->
+            pay1 st;
+            t st
+        | Insn.Call target ->
+          let t = goto pc target in
+          fun st ->
+            pay1 st;
+            Array.unsafe_set ints ra (pc + 1);
+            t st
+        | Insn.Ret ->
+          fun st ->
+            pay1 st;
+            jump st (Array.unsafe_get ints ra)
+        | Insn.Jr r when Reg.is_int r ->
+          let r = ix r in
+          fun st ->
+            pay1 st;
+            jump st (Array.unsafe_get ints r)
+        | Insn.Jr r ->
+          fun st ->
+            pay1 st;
+            jump st (Regfile.get_i regs r)
+        | Insn.Halt ->
+          fun st ->
+            pay1 st;
+            x.Conv_exec.dyn <- x.Conv_exec.budget - st.fuel;
+            x.Conv_exec.halted <- true
+      in
+      (run := match insns.(pc) with Insn.Op _ -> min fuse_cap (!run + 1) | _ -> 0);
+      let m = !run in
+      (* The branch or jump after the run folds into it (one more
+         instruction to pay for) unless the run is capped or falls off
+         the program's end. *)
+      let folded =
+        if m = 0 || m = fuse_cap || pc + m = n then None
+        else
+          match insns.(pc + m) with
+          | Insn.Br (c, s1, s2, target) ->
+            Some (int_cond ~regs ~ints c s1 s2 (goto pc target) fast.(pc + m + 1))
+          | Insn.Jmp target -> Some (goto pc target)
+          | _ -> None
+      in
       fast.(pc) <-
-        (if m >= 1 then begin
-           (* Thread the sync gap left to right: each faultable op's
-              effect rewinds [st.fuel] by its distance from the run
-              entry or the previous faultable op. *)
-           let effs = ref [] and synced = ref 0 in
-           for j = 0 to m - 1 do
-             match prog.insns.(pc + j) with
-             | Insn.Op op ->
-               let gap = j + 1 - !synced in
-               if op_faultable op then synced := j + 1;
-               effs := compile_op_eff op ~gap :: !effs
-             | _ -> assert false
-           done;
-           let effs = List.rev !effs in
-           (* Back-edge targets are not yet built in this backward pass,
-              so a folded jump reads [fast] at transfer time. *)
-           let goto target : st -> unit =
-             if target >= 0 && target <= n then fun st -> (Array.unsafe_get fast target) st
-             else fun st -> wild st target
-           in
-           (* A run of ≥ 2 always fuses; a run of 1 only pays off when
-              its terminator folds in.  The terminating branch or jump
-              joins the run (one more charge unit) unless the run is
-              capped or falls off the program's end. *)
-           let plain () =
-             if m >= 2 then fuse effs base ~charge:m fast.(pc + m) else base
-           in
-           if m = fuse_cap || pc + m = n then plain ()
-           else
-             match prog.insns.(pc + m) with
-             | Insn.Br (c, s1, s2, target) when Reg.is_int s1 && Reg.is_int s2 ->
-               let taken = goto target and not_taken = fast.(pc + m + 1) in
-               fuse effs base ~charge:(m + 1) (br_fin c (ix s1) (ix s2) taken not_taken)
-             | Insn.Jmp target -> fuse effs base ~charge:(m + 1) (goto target)
-             | _ -> plain ()
-         end
-         else base)
+        (match folded with
+        | None when m < 2 -> single (* a lone op only pays off with a fold *)
+        | _ ->
+          let charge, fin =
+            match folded with Some fin -> (m + 1, fin) | None -> (m, fast.(pc + m))
+          in
+          let rec chain j =
+            if j = m then fin
+            else
+              match insns.(pc + j) with
+              | Insn.Op op -> run_op x ~left:(charge - j - 1) op (chain (j + 1))
+              | _ -> assert false
+          in
+          let body = chain 0 in
+          fun st ->
+            let fuel = st.fuel in
+            if fuel < charge then single st
+            else begin
+              st.fuel <- fuel - charge;
+              body st
+            end)
     done;
     fast
-
-  (* The packet threads: one per pc, plus the off-the-end sentinel. *)
-  let packet_threads (prog : Conv_prog.t) =
-    let n = Array.length prog.insns in
-    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
-    Array.iteri (fun pc insn -> threads.(pc) <- compile_insn threads pc insn) prog.insns;
-    (* Fall-through off the program's end: the same cap check, then the
-       same architected Wild_jump trap as the interpreter's loop. *)
-    threads.(n) <-
-      (fun st ->
-        if st.count >= Conv_exec.packet_cap then begin
-          st.term <- Conv_exec.Kfall;
-          st.next <- n
-        end
-        else begin
-          st.x.Conv_exec.halted <- true;
-          st.x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump n);
-          st.term <- Conv_exec.Khalt;
-          st.next <- n
-        end);
-    threads
 
   let compile_trusted (prog : Conv_prog.t) = { cprog = prog }
 
@@ -1534,8 +1140,6 @@ module Conv = struct
   let fresh_st (x : Conv_exec.t) =
     {
       x;
-      ints = Regfile.ints x.Conv_exec.regs;
-      flts = Regfile.flts x.Conv_exec.regs;
       saddrs = Array.make Conv_exec.packet_cap (-1);
       count = 0;
       term = Conv_exec.Khalt;
@@ -1548,7 +1152,7 @@ module Conv = struct
     let prog = code.cprog in
     if not (prog == x.Conv_exec.prog || prog = x.Conv_exec.prog) then
       invalid_arg "Compile.Conv.bind: code compiled from a different program";
-    { cprog = prog; threads = packet_threads prog; st = fresh_st x }
+    { cprog = prog; threads = packet_threads x prog; st = fresh_st x }
 
   (* One packet, mirroring Conv_exec.step: it lands in the binding's
      mutable fields ([last_start], [count], [term], [next]) and the
@@ -1612,7 +1216,7 @@ module Conv = struct
   let run ?(budget = 2_000_000_000) (code : code) =
     let x = Conv_exec.create code.cprog in
     Conv_exec.set_budget x budget;
-    let fast = fast_chain code.cprog in
+    let fast = fast_chain x code.cprog in
     let st = fresh_st x in
     st.fuel <- budget;
     let n = Array.length code.cprog.Conv_prog.insns in
@@ -1623,7 +1227,7 @@ module Conv = struct
      with Memory.Unaligned a ->
        (* Committed effects stay (no packet atomicity in this machine);
           the offending access halts the run, as in [step].  [st.fuel]
-          was synced post-charge just before the access. *)
+          was exact at the access. *)
        x.Conv_exec.dyn <- x.Conv_exec.budget - st.fuel;
        x.Conv_exec.halted <- true;
        x.Conv_exec.mtrap <- Some (Conv_exec.Unaligned_access a));

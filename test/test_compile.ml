@@ -1,7 +1,8 @@
 (* Differential equivalence of the threaded-code executor (Bisa_sim.Compile)
    against the interpreters it replaces: lockstep step-record comparison,
-   per-opcode coverage, machine-trap and exception equivalence, witness
-   gating, and cross-backend state sharing. *)
+   per-opcode coverage (every register-op arm on every compiled path),
+   machine-trap and exception equivalence, the budget edges of both runs,
+   witness gating, and cross-backend state sharing. *)
 
 module Block_exec = Bisa_sim.Block_exec
 module Conv_exec = Bisa_sim.Conv_exec
@@ -190,6 +191,15 @@ let raw_block_prog blocks succ =
     variant_group = Array.make n [||];
   }
 
+let raw_conv_prog insns =
+  {
+    Bisa_isa.Conv_prog.insns = Array.of_list insns;
+    entry = 0;
+    data = [||];
+    data_base = 0;
+    symbols = [];
+  }
+
 let test_r0_write_dropped () =
   let open Bisa_isa in
   (* Writes to r0 are dropped (f0 is writable); loads to r0 still access
@@ -217,6 +227,149 @@ let test_r0_write_dropped () =
   let out, _ = Compile.Block.run (Compile.Block.compile_trusted p) in
   Alcotest.(check bool) "r0 stayed zero, f0 wrote" true
     (out.items = [ Output.Oint 0; Output.Oflt 2.5 ])
+
+(* --- every register-op arm on every compiled path ----------------------------- *)
+
+(* Items compare bitwise, so NaN matches NaN (it is unequal to itself
+   under [=], which [Output.equal] uses) and -0.0 does not match 0.0. *)
+let same_output (a : Output.t) (b : Output.t) =
+  let same_item (i : Output.item) (j : Output.item) =
+    match (i, j) with
+    | Oint x, Oint y -> x = y
+    | Oflt x, Oflt y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || (Float.is_nan x && Float.is_nan y)
+    | _ -> false
+  in
+  a.ret = b.ret && List.equal same_item a.items b.items
+
+(* Straight-line cases, each a short op list that prints what it
+   computed: the 17 ALU ops with a register and an immediate second
+   operand, Fpu, Fcmp, Select (both operand forms, both destination
+   classes), moves, constants and conversions, over edge values (shift
+   amounts around 32 and 64, divisors 0 and ±1, max_int/min_int, ±0.0,
+   NaN, ∞ and 1e300), plus a write to r0 for every op that can name it. *)
+let reg_op_cases () =
+  let open Bisa_isa in
+  let r i = Reg.Int i and f i = Reg.Flt i and r0 = Reg.zero in
+  let ivals = [ 0; 1; -1; 2; -7; 31; 32; 63; 64; 65; max_int; min_int; 0x1234_5678_9abc ] in
+  let fvals = [ 0.0; -0.0; 1.5; -2.25; Float.nan; infinity; neg_infinity; 1e300; -1e300 ] in
+  let pairs vs = List.concat_map (fun a -> List.map (fun b -> (a, b)) vs) vs in
+  let alus =
+    Op.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra ]
+    @ List.map (fun c -> Op.Set c) Cmp.all
+  in
+  let alu =
+    List.concat_map
+      (fun a ->
+        [ Op.Li (r 4, 5); Op.Alu (a, r0, r 4, Op.R (r 4)); Op.Alu (a, r0, r 4, Op.I 3) ]
+        :: [ Op.Print r0 ]
+        :: List.map
+             (fun (x, y) ->
+               Op.
+                 [
+                   Li (r 4, x); Li (r 5, y);
+                   Alu (a, r 6, r 4, R (r 5)); Print (r 6);
+                   Alu (a, r 6, r 4, I y); Print (r 6);
+                 ])
+             (pairs ivals))
+      alus
+  in
+  let fpu =
+    List.concat_map
+      (fun fn ->
+        List.map
+          (fun (x, y) ->
+            Op.[ Lif (f 4, x); Lif (f 5, y); Fpu (fn, f 6, f 4, f 5); Printf (f 6) ])
+          (pairs fvals))
+      Op.[ Fadd; Fsub; Fmul; Fdiv ]
+  in
+  let fcmp =
+    List.concat_map
+      (fun c ->
+        Op.[ Lif (f 4, 1.0); Fcmp (c, r0, f 4, f 4); Print r0 ]
+        :: List.map
+             (fun (x, y) ->
+               Op.[ Lif (f 4, x); Lif (f 5, y); Fcmp (c, r 6, f 4, f 5); Print (r 6) ])
+             (pairs fvals))
+      Cmp.all
+  in
+  let select =
+    List.concat_map
+      (fun c ->
+        Op.[ Li (r 7, 11); Li (r 8, 22); Lif (f 7, 1.25); Lif (f 8, -0.0) ]
+        :: Op.[ Select (c, r0, r 7, R (r 8), r 7, r 8); Select (c, r0, r 7, I 0, r 7, r 8) ]
+        :: [ Op.Print r0 ]
+        :: List.map
+             (fun (x, y) ->
+               Op.
+                 [
+                   Li (r 4, x); Li (r 5, y);
+                   Select (c, r 6, r 4, R (r 5), r 7, r 8); Print (r 6);
+                   Select (c, r 6, r 4, I y, r 7, r 8); Print (r 6);
+                   Select (c, f 6, r 4, R (r 5), f 7, f 8); Printf (f 6);
+                   Select (c, f 6, r 4, I y, f 7, f 8); Printf (f 6);
+                 ])
+             (pairs ivals))
+      Cmp.all
+  in
+  let moves =
+    List.map
+      (fun x ->
+        Op.
+          [
+            Li (r 4, x); Mov (r 6, r 4); Print (r 6); Itof (f 6, r 4); Printf (f 6);
+            Mov (r0, r 4); Li (r0, x); Print r0; Nop;
+          ])
+      ivals
+    @ List.map
+        (fun y ->
+          Op.
+            [
+              Lif (f 4, y); Mov (f 6, f 4); Printf (f 6); Ftoi (r 6, f 4); Print (r 6);
+              Ftoi (r0, f 4); Print r0;
+            ])
+        fvals
+  in
+  alu @ fpu @ fcmp @ select @ moves
+
+(* The conventional program runs the cases back to back; the block
+   program gives each case its own block, chained by gotos. *)
+let reg_op_progs () =
+  let open Bisa_isa in
+  let cases = reg_op_cases () in
+  let n = List.length cases in
+  let block i ops =
+    {
+      Ablock.elts = Array.of_list (List.map (fun op -> Ablock.Op op) ops);
+      term = (if i = n - 1 then Ablock.Halt else Ablock.Goto (i + 1));
+    }
+  in
+  ( raw_conv_prog (List.concat_map (List.map (fun op -> Insn.Op op)) cases @ [ Insn.Halt ]),
+    raw_block_prog
+      (Array.of_list (List.mapi block cases))
+      (Array.init n (fun i -> ((if i = n - 1 then [||] else [| i + 1 |]), [||]))) )
+
+let test_reg_op_arms () =
+  let conv, block = reg_op_progs () in
+  let diverged = ref [] in
+  let check what (ref_out, ref_n) (out, n) =
+    if not (same_output ref_out out && ref_n = n) then diverged := what :: !diverged
+  in
+  let reference = Conv_exec.run conv () in
+  Alcotest.(check bool) "every case printed" true
+    (List.length (fst reference).items > 5_000);
+  check "Conv.run" reference (Compile.Conv.run (Compile.Conv.compile_trusted conv));
+  let x = Conv_exec.create conv in
+  let t = Compile.Conv.bind (Compile.Conv.compile_trusted conv) x in
+  let rec go () = match Compile.Conv.step t with Some _ -> go () | None -> () in
+  go ();
+  check "Conv.step" reference (Conv_exec.output x, Conv_exec.dyn_insns x);
+  check "Block.run" (Block_exec.run block ())
+    (Compile.Block.run (Compile.Block.compile_trusted block));
+  if !diverged <> [] then
+    Alcotest.failf "output or op count differs from the interpreter's on %s"
+      (String.concat ", " (List.rev !diverged))
 
 (* --- machine traps and exceptions ------------------------------------------- *)
 
@@ -307,6 +460,80 @@ let test_runaway_equivalence () =
       Conv_exec.halted Conv_exec.set_budget Conv_exec.create c.conv
   in
   Alcotest.(check bool) "same Runaway payload" true (ei = ec)
+
+(* --- budget edges of both runs ------------------------------------------------ *)
+
+let budget_src =
+  {|
+int buf[4];
+int f(int a) { buf[a & 3] = a; return buf[(a + 1) & 3] + a; }
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 3; i = i + 1) { s = s + f(i); }
+  print_int(s);
+  return s & 255;
+}
+|}
+
+(* Every budget from 0 to two past the run's op count: each compiled
+   run returns the interpreter's output and count, or raises its exact
+   Runaway payload.  The conventional run pays a fused straight-line run
+   at its entry, so this pins where that falls back op by op. *)
+let test_run_budget_edges () =
+  let c = compile budget_src in
+  let sweep what ops interp compiled runaway =
+    for budget = 0 to ops + 2 do
+      let outcome run =
+        match run budget with
+        | out, n -> Ok (out, n)
+        | exception e -> ( match runaway e with Some n -> Error n | None -> raise e)
+      in
+      match (outcome interp, outcome compiled) with
+      | Ok (o1, n1), Ok (o2, n2) when same_output o1 o2 && n1 = n2 -> ()
+      | Error n1, Error n2 when n1 = n2 -> ()
+      | _ -> Alcotest.failf "%s: budget %d diverges from the interpreter" what budget
+    done
+  in
+  let conv_ops = snd (Conv_exec.run c.conv ()) in
+  let code = Compile.Conv.compile_trusted c.conv in
+  sweep "Conv.run" conv_ops
+    (fun budget -> Conv_exec.run c.conv ~budget ())
+    (fun budget -> Compile.Conv.run ~budget code)
+    (function Conv_exec.Runaway n -> Some n | _ -> None);
+  let x = Block_exec.create c.block in
+  let rec go () = match Block_exec.step x with Some _ -> go () | None -> () in
+  go ();
+  let bcode = Compile.Block.compile_trusted c.block in
+  sweep "Block.run" (Block_exec.dyn_ops x)
+    (fun budget -> Block_exec.run c.block ~budget ())
+    (fun budget -> Compile.Block.run ~budget bcode)
+    (function Block_exec.Runaway n -> Some n | _ -> None)
+
+(* An unaligned load at each position of a fused run of memory ops,
+   whose branch folds into it: the op count after the halt is the
+   interpreter's, so fuel refunded around each access is exact. *)
+let test_unaligned_mid_run_count () =
+  let open Bisa_isa in
+  let r i = Reg.Int i in
+  for bad = 0 to 5 do
+    let body =
+      List.init 6 (fun j ->
+          if j = bad then Op.Load (r 7, r 5, 3)
+          else if j mod 2 = 0 then Op.Store (r 6, r 5, 8 * j)
+          else Op.Load (r 7, r 5, 8 * (j - 1)))
+    in
+    let insns =
+      (Insn.Op (Op.Li (r 5, 0x100)) :: Insn.Op (Op.Li (r 6, 77)) :: Insn.Op (Op.Nop)
+       :: List.map (fun op -> Insn.Op op) body)
+      @ [ Insn.Br (Cmp.Eq, r 6, r 6, 11); Insn.Op (Op.Print (r 7)); Insn.Halt ]
+    in
+    let p = raw_conv_prog insns in
+    let out, n = Conv_exec.run p () in
+    let out', n' = Compile.Conv.run (Compile.Conv.compile_trusted p) in
+    Alcotest.(check bool) "same output" true (same_output out out');
+    Alcotest.(check int) (Printf.sprintf "op count, unaligned op %d" bad) n n';
+    lockstep_conv p
+  done
 
 let test_illegal_fetch_equivalence () =
   let c = compile int_ops_src in
@@ -462,12 +689,15 @@ let suite =
   [
     Alcotest.test_case "int opcode classes" `Quick test_int_opcodes;
     Alcotest.test_case "float opcode classes" `Quick test_float_opcodes;
+    Alcotest.test_case "every register-op arm, every path" `Quick test_reg_op_arms;
     Alcotest.test_case "fault slots fire" `Quick test_fault_slots_fire;
     Alcotest.test_case "r0/f0 discipline" `Quick test_r0_write_dropped;
     Alcotest.test_case "wild ijump trap" `Quick test_wild_ijump_trap_equivalence;
     Alcotest.test_case "unaligned trap" `Quick test_unaligned_trap_equivalence;
     Alcotest.test_case "conv partial packet" `Quick test_conv_partial_packet_commits_on_trap;
     Alcotest.test_case "runaway equivalence" `Quick test_runaway_equivalence;
+    Alcotest.test_case "run budget edges" `Quick test_run_budget_edges;
+    Alcotest.test_case "unaligned mid-run op count" `Quick test_unaligned_mid_run_count;
     Alcotest.test_case "illegal fetch" `Quick test_illegal_fetch_equivalence;
     Alcotest.test_case "class-malformed fallback" `Quick test_class_malformed_raises_like_interp;
     Alcotest.test_case "witness gating" `Quick test_witness_gated_compile;
