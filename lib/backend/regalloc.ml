@@ -58,9 +58,17 @@ let build_intervals (f : Ir.func) =
   (* Parameters receive their values from entry-block moves synthesized
      after allocation; anchor them at the entry block start. *)
   List.iter (fun v -> extend v block_start.(f.entry)) f.params;
-  let calls = List.sort compare !calls in
+  (* Call positions, ascending (blocks are numbered in order).  [v]
+     crosses a call iff the first call at or after its start comes
+     before its stop. *)
+  let calls = Array.of_list (List.rev !calls) in
   let crosses v =
-    List.exists (fun c -> c >= istart.(v) && c < istop.(v)) calls
+    let lo = ref 0 and hi = ref (Array.length calls) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if calls.(mid) < istart.(v) then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length calls && calls.(!lo) < istop.(v)
   in
   let ivs = ref [] in
   for v = nv - 1 downto 0 do
@@ -75,7 +83,20 @@ let build_intervals (f : Ir.func) =
         }
         :: !ivs
   done;
-  List.sort (fun a b -> compare (a.start, a.vreg) (b.start, b.vreg)) !ivs
+  List.sort
+    (fun a b -> if a.start <> b.start then Int.compare a.start b.start else Int.compare a.vreg b.vreg)
+    !ivs
+
+(* Each kind's allocatable registers in preference order, and every
+   register's position in its kind's order, by flat index. *)
+let int_order = Array.of_list Frame.int_allocatable
+let flt_order = Array.of_list Frame.flt_allocatable
+
+let slot =
+  let slot = Array.make Reg.flat_count (-1) in
+  Array.iteri (fun k r -> slot.(Reg.flat_index r) <- k) int_order;
+  Array.iteri (fun k r -> slot.(Reg.flat_index r) <- k) flt_order;
+  slot
 
 let allocate (f : Ir.func) =
   let nv = Array.length f.vreg_kinds in
@@ -87,47 +108,56 @@ let allocate (f : Ir.func) =
     s
   in
   let used_callee_saved = ref [] in
+  let noted = Array.make Reg.flat_count false in
   let note_reg r =
-    if Frame.is_callee_saved r && not (List.mem r !used_callee_saved) then
+    if Frame.is_callee_saved r && not noted.(Reg.flat_index r) then begin
+      noted.(Reg.flat_index r) <- true;
       used_callee_saved := r :: !used_callee_saved
+    end
   in
-  (* Free pools, per kind, in preference order. *)
-  let free_int = ref Frame.int_allocatable in
-  let free_flt = ref Frame.flt_allocatable in
-  let pool_of = function Ir.Kint -> free_int | Ir.Kflt -> free_flt in
+  (* Free flags per kind, over that kind's preference order: the first
+     free register is the one the allocator prefers. *)
+  let ints = (int_order, Array.make (Array.length int_order) true) in
+  let flts = (flt_order, Array.make (Array.length flt_order) true) in
+  let pool_of = function Ir.Kint -> ints | Ir.Kflt -> flts in
   (* Active intervals carrying a register, sorted by stop ascending. *)
   let active = ref [] in
   let release iv =
     match loc.(iv.vreg) with
     | Frame.Lreg r ->
-      let pool = pool_of iv.kind in
-      (* Restore preference order on release. *)
-      let order = match iv.kind with
-        | Ir.Kint -> Frame.int_allocatable
-        | Ir.Kflt -> Frame.flt_allocatable
-      in
-      pool := List.filter (fun x -> Reg.equal x r || List.mem x !pool) order
+      let _, free = pool_of iv.kind in
+      free.(slot.(Reg.flat_index r)) <- true
     | Frame.Lspill _ -> ()
   in
-  let expire p =
-    let expired, still = List.partition (fun iv -> iv.stop < p) !active in
-    List.iter release expired;
-    active := still
+  let rec expire p =
+    match !active with
+    | iv :: rest when iv.stop < p ->
+      release iv;
+      active := rest;
+      expire p
+    | _ -> ()
   in
+  (* Keeps [active] sorted; [iv] goes ahead of equal stops, which decides
+     the spill victim among ties below. *)
   let insert_active iv =
-    active := List.sort (fun a b -> compare a.stop b.stop) (iv :: !active)
+    let rec ins = function
+      | a :: rest when a.stop < iv.stop -> a :: ins rest
+      | l -> iv :: l
+    in
+    active := ins !active
   in
   let take_reg iv =
-    let pool = pool_of iv.kind in
-    let candidates =
-      if iv.crosses_call then List.filter Frame.is_callee_saved !pool else !pool
+    let order, free = pool_of iv.kind in
+    let rec first k =
+      if k = Array.length order then None
+      else if free.(k) && ((not iv.crosses_call) || Frame.is_callee_saved order.(k)) then begin
+        free.(k) <- false;
+        note_reg order.(k);
+        Some order.(k)
+      end
+      else first (k + 1)
     in
-    match candidates with
-    | r :: _ ->
-      pool := List.filter (fun x -> not (Reg.equal x r)) !pool;
-      note_reg r;
-      Some r
-    | [] -> None
+    first 0
   in
   let assign iv =
     match take_reg iv with

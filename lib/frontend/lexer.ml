@@ -10,16 +10,24 @@ type t = { tok : token; pos : Ast.pos }
 
 exception Error of string * Ast.pos
 
-let keywords =
-  [
-    "int"; "float"; "void"; "if"; "else"; "while"; "do"; "for"; "switch";
-    "case"; "default"; "return"; "break"; "continue";
-  ]
+let is_keyword = function
+  | "int" | "float" | "void" | "if" | "else" | "while" | "do" | "for" | "switch"
+  | "case" | "default" | "return" | "break" | "continue" ->
+    true
+  | _ -> false
 
-(* Multi-character punctuation first so longest-match wins. *)
-let puncts2 = [ "<="; ">="; "=="; "!="; "&&"; "||"; "<<"; ">>" ]
-let puncts1 = [ "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "=";
-                "("; ")"; "{"; "}"; "["; "]"; ";"; ","; ":" ]
+(* Punctuation: the two-character operators, which win over their
+   one-character prefixes, and the one-character tokens. *)
+let is_punct2 c d =
+  match (c, d) with
+  | ('<' | '>' | '=' | '!'), '=' | '&', '&' | '|', '|' | '<', '<' | '>', '>' -> true
+  | _ -> false
+
+let is_punct1 = function
+  | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '!' | '<' | '>' | '=' | '(' | ')'
+  | '{' | '}' | '[' | ']' | ';' | ',' | ':' ->
+    true
+  | _ -> false
 
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -66,10 +74,12 @@ let tokenize src =
       if is_float then begin
         incr i;
         while !i < n && is_digit src.[!i] do incr i done;
-        (* optional exponent *)
+        (* optional exponent, which needs at least one digit *)
         if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
           incr i;
           if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+          if not (!i < n && is_digit src.[!i]) then
+            error ("float exponent has no digits: " ^ String.sub src start (!i - start)) start;
           while !i < n && is_digit src.[!i] do incr i done
         end;
         let s = String.sub src start (!i - start) in
@@ -86,23 +96,17 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let s = String.sub src start (!i - start) in
-      let tok = if List.mem s keywords then KW s else IDENT s in
+      let tok = if is_keyword s then KW s else IDENT s in
       toks := { tok; pos = pos start } :: !toks
     end
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      if List.mem two puncts2 then begin
-        toks := { tok = PUNCT two; pos = pos !i } :: !toks;
-        i := !i + 2
-      end
-      else begin
-        let one = String.make 1 c in
-        if List.mem one puncts1 then begin
-          toks := { tok = PUNCT one; pos = pos !i } :: !toks;
-          incr i
-        end
+      let len =
+        if !i + 1 < n && is_punct2 c src.[!i + 1] then 2
+        else if is_punct1 c then 1
         else error (Printf.sprintf "unexpected character %C" c) !i
-      end
+      in
+      toks := { tok = PUNCT (String.sub src !i len); pos = pos !i } :: !toks;
+      i := !i + len
     end
   done;
   List.rev ({ tok = EOF; pos = pos !i } :: !toks)

@@ -61,65 +61,49 @@ let base_ty st =
     Ast.Tvoid
   | _ -> error st "expected type"
 
-(* Expressions: precedence climbing.  Level indexes into [levels]. *)
+(* Expressions: precedence climbing.  Each binary operator carries its
+   level, 0 binding loosest; every level is left-associative. *)
 let binop_of_punct = function
-  | "||" -> Some Ast.Lor
-  | "&&" -> Some Ast.Land
-  | "|" -> Some Ast.Bor
-  | "^" -> Some Ast.Bxor
-  | "&" -> Some Ast.Band
-  | "==" -> Some Ast.Eq
-  | "!=" -> Some Ast.Ne
-  | "<" -> Some Ast.Lt
-  | "<=" -> Some Ast.Le
-  | ">" -> Some Ast.Gt
-  | ">=" -> Some Ast.Ge
-  | "<<" -> Some Ast.Shl
-  | ">>" -> Some Ast.Shr
-  | "+" -> Some Ast.Add
-  | "-" -> Some Ast.Sub
-  | "*" -> Some Ast.Mul
-  | "/" -> Some Ast.Div
-  | "%" -> Some Ast.Rem
+  | "||" -> Some (Ast.Lor, 0)
+  | "&&" -> Some (Ast.Land, 1)
+  | "|" -> Some (Ast.Bor, 2)
+  | "^" -> Some (Ast.Bxor, 3)
+  | "&" -> Some (Ast.Band, 4)
+  | "==" -> Some (Ast.Eq, 5)
+  | "!=" -> Some (Ast.Ne, 5)
+  | "<" -> Some (Ast.Lt, 6)
+  | "<=" -> Some (Ast.Le, 6)
+  | ">" -> Some (Ast.Gt, 6)
+  | ">=" -> Some (Ast.Ge, 6)
+  | "<<" -> Some (Ast.Shl, 7)
+  | ">>" -> Some (Ast.Shr, 7)
+  | "+" -> Some (Ast.Add, 8)
+  | "-" -> Some (Ast.Sub, 8)
+  | "*" -> Some (Ast.Mul, 9)
+  | "/" -> Some (Ast.Div, 9)
+  | "%" -> Some (Ast.Rem, 9)
   | _ -> None
-
-let levels : Ast.binop list list =
-  [
-    [ Lor ];
-    [ Land ];
-    [ Bor ];
-    [ Bxor ];
-    [ Band ];
-    [ Eq; Ne ];
-    [ Lt; Le; Gt; Ge ];
-    [ Shl; Shr ];
-    [ Add; Sub ];
-    [ Mul; Div; Rem ];
-  ]
 
 let rec expr st = binary st 0
 
-and binary st level =
-  if level >= List.length levels then unary st
-  else begin
-    let ops = List.nth levels level in
-    let lhs = ref (binary st (level + 1)) in
-    let continue = ref true in
-    while !continue do
-      match peek st with
-      | Lexer.PUNCT p -> begin
-        match binop_of_punct p with
-        | Some op when List.mem op ops ->
-          let p0 = pos st in
-          advance st;
-          let rhs = binary st (level + 1) in
-          lhs := { Ast.e = Ast.Binary (op, !lhs, rhs); epos = p0 }
-        | _ -> continue := false
-      end
+(* An operand followed by every operator of level [min] or tighter. *)
+and binary st min =
+  let lhs = ref (unary st) in
+  let continue = ref true in
+  while !continue do
+    match peek st with
+    | Lexer.PUNCT p -> begin
+      match binop_of_punct p with
+      | Some (op, level) when level >= min ->
+        let p0 = pos st in
+        advance st;
+        let rhs = binary st (level + 1) in
+        lhs := { Ast.e = Ast.Binary (op, !lhs, rhs); epos = p0 }
       | _ -> continue := false
-    done;
-    !lhs
-  end
+    end
+    | _ -> continue := false
+  done;
+  !lhs
 
 and unary st =
   let p0 = pos st in

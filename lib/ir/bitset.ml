@@ -1,42 +1,64 @@
-type t = { bits : Bytes.t; n : int }
+(* Bit [i] lives in word [i / width] at bit [i mod width].  Bits at [n]
+   and above are always clear, so whole words compare and count. *)
+type t = { words : int array; n : int }
 
-let create n = { bits = Bytes.make ((n + 7) / 8) '\000'; n }
+let width = Sys.int_size
+
+let create n = { words = Array.make ((n + width - 1) / width) 0; n }
 
 let mem t i =
   assert (i >= 0 && i < t.n);
-  Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  t.words.(i / width) land (1 lsl (i mod width)) <> 0
 
 let add t i =
   assert (i >= 0 && i < t.n);
-  let b = i lsr 3 in
-  Bytes.set t.bits b (Char.chr (Char.code (Bytes.get t.bits b) lor (1 lsl (i land 7))))
+  let w = i / width in
+  t.words.(w) <- t.words.(w) lor (1 lsl (i mod width))
 
 let remove t i =
   assert (i >= 0 && i < t.n);
-  let b = i lsr 3 in
-  Bytes.set t.bits b
-    (Char.chr (Char.code (Bytes.get t.bits b) land lnot (1 lsl (i land 7)) land 0xff))
+  let w = i / width in
+  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod width))
 
 let union_into ~dst src =
   assert (dst.n = src.n);
   let changed = ref false in
-  for b = 0 to Bytes.length dst.bits - 1 do
-    let old = Char.code (Bytes.get dst.bits b) in
-    let nw = old lor Char.code (Bytes.get src.bits b) in
+  for w = 0 to Array.length dst.words - 1 do
+    let old = dst.words.(w) in
+    let nw = old lor src.words.(w) in
     if nw <> old then begin
-      Bytes.set dst.bits b (Char.chr nw);
+      dst.words.(w) <- nw;
       changed := true
     end
   done;
   !changed
 
-let copy t = { bits = Bytes.copy t.bits; n = t.n }
-let equal a b = a.n = b.n && Bytes.equal a.bits b.bits
+let transfer ~dst ~gen ~kill src =
+  assert (dst.n = src.n && gen.n = src.n && kill.n = src.n);
+  let changed = ref false in
+  for w = 0 to Array.length dst.words - 1 do
+    let nw = gen.words.(w) lor (src.words.(w) land lnot kill.words.(w)) in
+    if nw <> dst.words.(w) then begin
+      dst.words.(w) <- nw;
+      changed := true
+    end
+  done;
+  !changed
+
+let copy t = { words = Array.copy t.words; n = t.n }
+
+let equal a b = a.n = b.n && a.words = b.words
 
 let iter t f =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
+  Array.iteri
+    (fun w bits ->
+      let bits = ref bits and i = ref (w * width) in
+      while !bits <> 0 do
+        if !bits land 1 <> 0 then f !i;
+        bits := !bits lsr 1;
+        incr i
+      done)
+    t.words
 
 let cardinal t =
   let c = ref 0 in
@@ -45,7 +67,5 @@ let cardinal t =
 
 let elements t =
   let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if mem t i then acc := i :: !acc
-  done;
-  !acc
+  iter t (fun i -> acc := i :: !acc);
+  List.rev !acc

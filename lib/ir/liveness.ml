@@ -36,12 +36,8 @@ let analyze (f : Ir.func) =
           if Bitset.union_into ~dst:live_out.(i) live_in.(s) then changed := true)
         succs.(i);
       (* in = use ∪ (out \ def) *)
-      let nin = Bitset.copy use.(i) in
-      Bitset.iter live_out.(i) (fun v -> if not (Bitset.mem def.(i) v) then Bitset.add nin v);
-      if not (Bitset.equal nin live_in.(i)) then begin
-        live_in.(i) <- nin;
+      if Bitset.transfer ~dst:live_in.(i) ~gen:use.(i) ~kill:def.(i) live_out.(i) then
         changed := true
-      end
     done
   done;
   { live_in; live_out }

@@ -34,5 +34,5 @@ let to_string = function
   | Flt i -> "f" ^ string_of_int i
 
 let pp fmt r = Format.pp_print_string fmt (to_string r)
-let equal a b = a = b
+let equal a b = match (a, b) with Int i, Int j | Flt i, Flt j -> i = j | _ -> false
 let compare = Stdlib.compare

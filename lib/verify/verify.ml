@@ -37,12 +37,14 @@ let collector component =
   let emit rule msg = ds := Diag.error ~component (rule ^ ": " ^ msg) :: !ds in
   (ds, emit)
 
+(* [where ()] renders the location a diagnostic names; it runs only when
+   a rule fires, so a clean program formats no location at all. *)
 let check_reg emit ~where r =
   let (Reg.Int i | Reg.Flt i) = r in
   if i < 0 || i >= Reg.count then
     emit "reg-range"
       (spf "%s: register index %d outside 0..%d (fix: re-encode with a real register)"
-         where i (Reg.count - 1))
+         (where ()) i (Reg.count - 1))
 
 (* The executor reads each operand through the register class the
    operation implies (integer vs float register file); a class mismatch
@@ -80,7 +82,7 @@ let check_int emit ~where what r =
   if not (Reg.is_int r) then
     emit "reg-class"
       (spf "%s: %s operand %s must be an integer register (fix: re-encode the class bit)"
-         where what (Reg.to_string r))
+         (where ()) what (Reg.to_string r))
 
 let check_op_regs emit ~where op =
   List.iter (check_reg emit ~where) (Op.defs op);
@@ -88,7 +90,7 @@ let check_op_regs emit ~where op =
   if class_violation op then
     emit "reg-class"
       (spf "%s: %s mixes integer and float register classes (fix: re-encode the class bits)"
-         where (Op.to_string op))
+         (where ()) (Op.to_string op))
 
 (* r31 may be written only by call terminators (hardware) and the
    epilogue reload [Load r31, sp+off] (the compiler's save/restore
@@ -110,7 +112,7 @@ let block_diags (p : Block_prog.t) =
   let target ~where what l =
     if not (in_range l) then
       emit "target-range"
-        (spf "%s: %s target %d is not a block id in 0..%d (fix: relink)" where what l
+        (spf "%s: %s target %d is not a block id in 0..%d (fix: relink)" (where ()) what l
            (nblocks - 1))
   in
   if not (in_range p.entry) then
@@ -131,19 +133,18 @@ let block_diags (p : Block_prog.t) =
   (* Per-block structural rules. *)
   Array.iteri
     (fun bi (blk : int Ablock.t) ->
-      let where = spf "block %d" bi in
-      let at k = spf "block %d op %d" bi k in
+      let at k () = spf "block %d op %d" bi k in
       let size = Ablock.size blk in
       if size > 16 then
         emit "block-size"
-          (spf "%s: %d operations exceed the 16-wide issue limit (fix: split the block)"
-             where size);
+          (spf "block %d: %d operations exceed the 16-wide issue limit (fix: split the block)"
+             bi size);
       let faults = Ablock.fault_count blk in
       if faults > 2 then
         emit "fault-count"
           (spf
-             "%s: %d fault operations exceed the limit of 2 (enlargement rule 2) (fix: stop merging at two faults)"
-             where faults);
+             "block %d: %d fault operations exceed the limit of 2 (enlargement rule 2) (fix: stop merging at two faults)"
+             bi faults);
       Array.iteri
         (fun k elt ->
           let w = at k in
@@ -154,7 +155,7 @@ let block_diags (p : Block_prog.t) =
               emit "ra-discipline"
                 (spf
                    "%s: %s writes r31; only call terminators and 'load r31, sp+off' may (fix: use another register)"
-                   w (Op.to_string op))
+                   (w ()) (Op.to_string op))
           | Ablock.Fault (_, r1, r2, l) ->
             check_reg emit ~where:w r1;
             check_reg emit ~where:w r2;
@@ -174,7 +175,7 @@ let block_diags (p : Block_prog.t) =
         if succ_log2 < 1 || succ_log2 > 3 then
           emit "succ-log2"
             (spf "%s: succ_log2 %d outside 1..3 (fix: clamp to the predictor's history width)"
-               wt succ_log2)
+               (wt ()) succ_log2)
       | Ablock.Goto l -> target ~where:wt "goto" l
       | Ablock.Call { callee; ret_to } ->
         target ~where:wt "call" callee;
@@ -260,7 +261,7 @@ let conv_diags (p : Conv_prog.t) =
     p.symbols;
   Array.iteri
     (fun i insn ->
-      let where = spf "insn %d" i in
+      let where () = spf "insn %d" i in
       List.iter (check_reg emit ~where) (Insn.defs insn);
       List.iter (check_reg emit ~where) (Insn.uses insn);
       (match insn with
@@ -269,12 +270,12 @@ let conv_diags (p : Conv_prog.t) =
           emit "reg-class"
             (spf
                "%s: %s mixes integer and float register classes (fix: re-encode the class bits)"
-               where (Op.to_string op));
+               (where ()) (Op.to_string op));
         if not (ra_ok op) then
           emit "ra-discipline"
             (spf
                "%s: %s writes r31; only call instructions and 'load r31, sp+off' may (fix: use another register)"
-               where (Op.to_string op))
+               (where ()) (Op.to_string op))
       | Insn.Br (_, s1, s2, _) ->
         check_int emit ~where "branch" s1;
         check_int emit ~where "branch" s2
@@ -283,7 +284,7 @@ let conv_diags (p : Conv_prog.t) =
       match Insn.label insn with
       | Some l when l < 0 || l >= n ->
         emit "target-range"
-          (spf "%s: target %d is not an instruction index in 0..%d (fix: relink)" where l
+          (spf "%s: target %d is not an instruction index in 0..%d (fix: relink)" (where ()) l
              (n - 1))
       | _ -> ())
     p.insns;

@@ -1,5 +1,6 @@
 (* Back-end tests: parallel moves, register allocation under pressure,
-   block enlargement rules, and linking. *)
+   block enlargement rules, linking, and pins of the exact bytes the
+   compiler and the verifier emit. *)
 
 module Reg = Bisa_isa.Reg
 module Isel = Bisa_backend.Isel
@@ -328,6 +329,157 @@ int main() {
   Alcotest.(check bool) "block jump table" true
     (blk_out.items = [ Bisa_sim.Output.Oint 222222 ] && blk_out.ret = ret)
 
+(* --- Compiler output pin ------------------------------------------------------- *)
+
+(* What the compiler emits, pinned: the conv and block program hashes of
+   every workload under each of four compile configurations, and one
+   FNV-1a fold over both hashes of 300 generated programs.  A change that
+   only makes the compiler faster must leave every value here unchanged;
+   one that changes code generation on purpose must re-record them. *)
+
+module Compiler = Bisa_compiler.Compiler
+module Workloads = Bisa_workloads.Workloads
+module Pipeline = Bisa_timing.Pipeline
+
+let pin_configs =
+  [
+    ("default", fun ~library_funcs src -> Compiler.compile ~library_funcs src);
+    ("inline", fun ~library_funcs src -> Compiler.compile ~inline:true ~library_funcs src);
+    ("ifconvert", fun ~library_funcs src -> Compiler.compile ~ifconvert:true ~library_funcs src);
+    ("O0", fun ~library_funcs src -> Compiler.compile ~opt:Bisa_opt.Pipeline.O0 ~library_funcs src);
+  ]
+
+(* (workload, configuration, conv prog_hash, block prog_hash) *)
+let pinned_workloads =
+  [
+    ("gcc", "default", 0x39b2513510186cfdL, 0xd23b2aa1b36a23edL);
+    ("gcc", "inline", 0x5fa19ba5ffa9f5a0L, 0x8cf898c7a172daceL);
+    ("gcc", "ifconvert", 0x65ff3fa860075291L, 0x73d1c92ff9552761L);
+    ("gcc", "O0", 0xcb0c01efb76b0a72L, 0xa850cef92b6fa9eaL);
+    ("compress", "default", 0xe33b073046253d7cL, 0x87a4e44194b07827L);
+    ("compress", "inline", 0x77ec399ba421ac3dL, 0xcbbb47d3846f08b7L);
+    ("compress", "ifconvert", 0x52af2eb5c5f73194L, 0x562ca92cea2cfa0bL);
+    ("compress", "O0", 0x2a5782b8ed9c52dL, 0x2496203199c9ee4L);
+    ("go", "default", 0xbb2004f9b8feb065L, 0x2327ccb19df8b918L);
+    ("go", "inline", 0xbb2004f9b8feb065L, 0x2327ccb19df8b918L);
+    ("go", "ifconvert", 0x7e85abc1ded7711fL, 0xacdde4297b73f312L);
+    ("go", "O0", 0xd13a42df701208ccL, 0x249843a9960a7c3bL);
+    ("ijpeg", "default", 0xdf4e3a5c15b1bde0L, 0xdb41e0a23e7431a3L);
+    ("ijpeg", "inline", 0xdf4e3a5c15b1bde0L, 0xdb41e0a23e7431a3L);
+    ("ijpeg", "ifconvert", 0xab74be2bc6ac2a96L, 0xcd2fa03c79f4ae1eL);
+    ("ijpeg", "O0", 0x762e3f0737850858L, 0xb617bb78631ad679L);
+    ("li", "default", 0x86f1c1d3f795bfcdL, 0x26a807ef97b139aaL);
+    ("li", "inline", 0x730702f83cfd0b73L, 0xc83a2322a538658aL);
+    ("li", "ifconvert", 0x435addfe8945f6b9L, 0xd353d5358223cac2L);
+    ("li", "O0", 0x6b496003064623e6L, 0x7f8a815f8c8c9409L);
+    ("m88ksim", "default", 0x8e275240923b3b41L, 0x2a8fe63b60064cdcL);
+    ("m88ksim", "inline", 0x8e275240923b3b41L, 0x2a8fe63b60064cdcL);
+    ("m88ksim", "ifconvert", 0xd65dd0d06c223882L, 0xaa74ba4b866bf09aL);
+    ("m88ksim", "O0", 0xbdf5706ab9d39199L, 0x4157e353f097ea6dL);
+    ("perl", "default", 0x2b24f348b182182L, 0xa59eb0d27780d03cL);
+    ("perl", "inline", 0xde16a97901d2e090L, 0x5f325c2e08b2a69cL);
+    ("perl", "ifconvert", 0x866109c753d1f0d8L, 0x8c3a79eab0f8ed85L);
+    ("perl", "O0", 0x9fdaef0fdc8998e6L, 0xa7424aa732f6f6d7L);
+    ("vortex", "default", 0xb9d4ff4b0cfffef9L, 0xee34e629b1d84777L);
+    ("vortex", "inline", 0x1f6619db83f5f70cL, 0x8b03c22107870453L);
+    ("vortex", "ifconvert", 0x735b7f6c5af0628fL, 0x6b7d0cda48247c56L);
+    ("vortex", "O0", 0x4e401990819ca14dL, 0x226525c42bb57f73L);
+    ("scientific", "default", 0x555b64df55b69ad3L, 0x45585bcefa77d1adL);
+    ("scientific", "inline", 0x555b64df55b69ad3L, 0x45585bcefa77d1adL);
+    ("scientific", "ifconvert", 0xb28a88f36efaed1cL, 0xcae96d23af490ffL);
+    ("scientific", "O0", 0xe8edf6842b69883L, 0x93657a79d7057b84L);
+  ]
+
+(* Programs [Gen.generate (Rng.derive 1 i)] for i in 0..299; each adds its
+   conv then its block hash, little-endian, to the folded bytes. *)
+let pinned_gen_fold = 0xef73d76e5bd43115L
+
+let test_compiler_output_pinned () =
+  List.iter
+    (fun (name, cfg, conv_h, block_h) ->
+      let w = Workloads.find name in
+      let c = (List.assoc cfg pin_configs) ~library_funcs:w.library_funcs (Workloads.source w) in
+      Alcotest.(check (pair int64 int64))
+        (Printf.sprintf "%s %s: conv, block prog_hash" name cfg)
+        (conv_h, block_h)
+        (Pipeline.Conv.prog_hash c.conv, Pipeline.Block.prog_hash c.block))
+    pinned_workloads;
+  let buf = Buffer.create (300 * 16) in
+  for i = 0 to 299 do
+    let src = Bisa_check.Gen.render (Bisa_check.Gen.generate (Bisa_base.Rng.derive 1 i)) in
+    let c = Compiler.compile src in
+    Buffer.add_int64_le buf (Pipeline.Conv.prog_hash c.conv);
+    Buffer.add_int64_le buf (Pipeline.Block.prog_hash c.block)
+  done;
+  Alcotest.(check int64) "300 generated programs: folded hashes" pinned_gen_fold
+    (Bisa_base.Codec.fnv1a64 (Buffer.contents buf))
+
+(* --- Verifier output pin ------------------------------------------------------- *)
+
+(* The verifier's diagnostics, pinned byte for byte: li's programs with
+   registers, targets and fields broken in a fixed pattern, so rules fire
+   at instruction, block, block-element and terminator locations. *)
+
+let corrupt_conv (p : Bisa_isa.Conv_prog.t) =
+  let n = Array.length p.insns in
+  let insns =
+    Array.mapi
+      (fun i (insn : int Bisa_isa.Insn.t) ->
+        match insn with
+        | Br (c, _, s2, l) when i mod 2 = 0 -> Bisa_isa.Insn.Br (c, Reg.Flt 1, s2, l)
+        | Jr _ -> Jr (Reg.Flt 2)
+        | Op op when i mod 13 = 0 -> Op (Bisa_isa.Op.Mov (Reg.ra, List.hd (Bisa_isa.Op.uses op @ [ Reg.zero ])))
+        | _ when i mod 3 = 0 -> Bisa_isa.Insn.map_label (fun l -> l + n) insn
+        | _ -> insn)
+      p.insns
+  in
+  { p with insns; data_base = p.data_base + 4; symbols = List.map (fun (s, i) -> (s, i + n)) p.symbols }
+
+let corrupt_block (p : Bisa_isa.Block_prog.t) =
+  let nb = Array.length p.blocks in
+  let blocks =
+    Array.mapi
+      (fun bi (b : int Ablock.t) ->
+        let b = if bi mod 3 = 0 then Ablock.map_label (fun l -> l + nb) b else b in
+        let elts =
+          Array.map
+            (function
+              | Ablock.Fault (c, _, r2, l) when bi mod 2 = 0 -> Ablock.Fault (c, Reg.Int 40, r2, l)
+              | e -> e)
+            b.elts
+        in
+        let elts = if bi mod 11 = 0 then Array.append elts [| Ablock.Op (Bisa_isa.Op.Li (Reg.ra, 0)) |] else elts in
+        let elts =
+          if bi mod 17 = 0 then Array.append elts (Array.make 3 (Ablock.Fault (Bisa_isa.Cmp.Eq, Reg.zero, Reg.zero, 0)))
+          else elts
+        in
+        let term =
+          match b.term with
+          | Ablock.Trap t when bi mod 4 = 1 -> Ablock.Trap { t with succ_log2 = 5 }
+          | Ablock.Ijump _ -> Ablock.Ijump (Reg.Flt 3)
+          | t -> t
+        in
+        { Ablock.elts; term })
+      p.blocks
+  in
+  let succ_struct =
+    Array.mapi (fun bi (d1, d0) -> if bi mod 5 = 0 then (Array.append d1 [| nb + bi |], d0) else (d1, d0)) p.succ_struct
+  in
+  { p with blocks; succ_struct }
+
+(* Diagnostic count and FNV-1a hash of the rendered lines, conv then block. *)
+let pinned_verify = (271, 0xd017c7e08b1e764dL)
+
+let test_verifier_output_pinned () =
+  let c = Bisa_workloads.Workloads.compile (Workloads.find "li") in
+  let ds =
+    Bisa_verify.Verify.conv_diags (corrupt_conv c.conv)
+    @ Bisa_verify.Verify.block_diags (corrupt_block c.block)
+  in
+  let text = String.concat "\n" (List.map Bisa_base.Diag.render ds) in
+  Alcotest.(check (pair int int64)) "li, corrupted: diagnostics, hash" pinned_verify
+    (List.length ds, Bisa_base.Codec.fnv1a64 text)
+
 let suite =
   [
     Alcotest.test_case "parallel simple" `Quick test_parallel_simple;
@@ -348,4 +500,6 @@ let suite =
     Alcotest.test_case "succ_log2 bounds" `Quick test_succ_log2_bounds;
     Alcotest.test_case "linker symbols" `Quick test_linker_symbols;
     Alcotest.test_case "jump tables" `Quick test_jump_tables_resolved;
+    Alcotest.test_case "compiler output pinned" `Quick test_compiler_output_pinned;
+    Alcotest.test_case "verifier output pinned" `Quick test_verifier_output_pinned;
   ]

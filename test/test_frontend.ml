@@ -53,6 +53,45 @@ let test_lexer_errors () =
   | exception Lexer.Error (m, _) ->
     Alcotest.(check string) "msg" "unterminated comment" m)
 
+(* A malformed float exponent is a located source error, not an escaped
+   [float_of_string] failure. *)
+let test_lexer_float_exponent () =
+  List.iter
+    (fun lit ->
+      let src = Printf.sprintf "int main() { float x = %s; return 0; }" lit in
+      match Bisa_compiler.Compiler.compile src with
+      | _ -> Alcotest.failf "%s: expected a compile error" lit
+      | exception Bisa_compiler.Compiler.Compile_error d ->
+        Alcotest.(check bool)
+          (lit ^ ": located at the literal")
+          true
+          (d.loc = Bisa_base.Diag.Src { line = 1; col = 24 }))
+    [ "1.5e"; "1.5E+"; "2.0e-" ]
+
+(* Every token kind, every keyword and operator, both comment forms and
+   signed exponents in both cases. *)
+let every_token_src =
+  {|/* all */ int g[4]; float h = -1.5e+2;
+int f(int a, float b) { return a; }
+void v() { }
+int main() {
+  int x = 1; float y = 2.5E-1; // line
+  if (x <= 2 && x >= 0 || x != 3) { x = x << 1 >> 1; } else { x = ~x ^ 1 | 2 & 3; }
+  while (x < 0) { break; }
+  do { x = x - 1; continue; } while (x > 9);
+  for (x = 0; x == 1; x = x + 1) { }
+  switch (x % 2) { case 0: x = x * 2 / 1; default: x = !x; }
+  return f(g[0], y);
+}
+|}
+
+let test_every_prefix () =
+  ignore (Parser.parse every_token_src);
+  for n = 0 to String.length every_token_src - 1 do
+    match Parser.parse (String.sub every_token_src 0 n) with
+    | _ | (exception Lexer.Error _) | (exception Parser.Error _) -> ()
+  done
+
 (* --- Parser -------------------------------------------------------------- *)
 
 let test_parser_precedence () =
@@ -214,6 +253,8 @@ let suite =
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer block comment" `Quick test_lexer_block_comment;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
+    Alcotest.test_case "lexer float exponent" `Quick test_lexer_float_exponent;
+    Alcotest.test_case "every prefix lexes or fails located" `Quick test_every_prefix;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
     Alcotest.test_case "parser rejects" `Quick test_parser_rejects;
     Alcotest.test_case "type errors" `Quick test_type_errors;

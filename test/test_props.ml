@@ -245,26 +245,133 @@ let prop_dominators =
 
 module Iset = Set.Make (Int)
 
+module Bitset = Bisa_ir.Bitset
+
+(* Sizes that straddle the first two word edges of the int-word
+   representation, plus an empty set and a multi-word one. *)
+let bitset_sizes =
+  let w = Sys.int_size in
+  [ 0; 1; w - 1; w; w + 1; (2 * w) - 1; 2 * w; (2 * w) + 1; 200 ]
+
+(* A bitset and its reference, filled by the same random adds and removes. *)
+let random_pair rng n =
+  let bs = Bitset.create n in
+  let reference = ref Iset.empty in
+  if n > 0 then
+    for _ = 1 to 2 * n do
+      let v = Rng.int rng n in
+      if Rng.bool rng then begin
+        Bitset.add bs v;
+        reference := Iset.add v !reference
+      end
+      else begin
+        Bitset.remove bs v;
+        reference := Iset.remove v !reference
+      end
+    done;
+  (bs, !reference)
+
 let prop_bitset =
   Q.Test.make ~count:200 ~name:"bitset matches Set"
     Q.(int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let n = 64 in
-      let bs = Bisa_ir.Bitset.create n in
-      let reference = ref Iset.empty in
-      for _ = 1 to 100 do
-        let v = Rng.int rng n in
-        if Rng.bool rng then begin
-          Bisa_ir.Bitset.add bs v;
-          reference := Iset.add v !reference
-        end
-        else begin
-          Bisa_ir.Bitset.remove bs v;
-          reference := Iset.remove v !reference
-        end
-      done;
-      Bisa_ir.Bitset.elements bs = Iset.elements !reference)
+      List.for_all
+        (fun n ->
+          let a, ra = random_pair rng n and b, rb = random_pair rng n in
+          let c, rc = random_pair rng n and d, rd = random_pair rng n in
+          let matches bs r = Bitset.elements bs = Iset.elements r in
+          let iterated bs =
+            let acc = ref [] in
+            Bitset.iter bs (fun v -> acc := v :: !acc);
+            List.rev !acc
+          in
+          let members bs = List.filter (Bitset.mem bs) (List.init n Fun.id) in
+          let a0 = Bitset.copy a in
+          let u = Bitset.copy a in
+          let union_changed = Bitset.union_into ~dst:u b in
+          let ru = Iset.union ra rb in
+          (* dst := gen ∪ (src \ kill), over a dst that held [d]. *)
+          let t = Bitset.copy d in
+          let transfer_changed = Bitset.transfer ~dst:t ~gen:a ~kill:c b in
+          let rt = Iset.union ra (Iset.diff rb rc) in
+          matches a ra && matches b rb && matches c rc && matches d rd
+          && iterated a = Iset.elements ra
+          && members a = Iset.elements ra
+          && Bitset.cardinal a = Iset.cardinal ra
+          && matches a0 ra
+          && Bitset.equal a0 a
+          && Bitset.equal a b = Iset.equal ra rb
+          && matches u ru
+          && union_changed = not (Iset.equal ru ra)
+          && (not (Bitset.union_into ~dst:u b))
+          && matches t rt
+          && transfer_changed = not (Iset.equal rt rd)
+          && (not (Bitset.transfer ~dst:t ~gen:a ~kill:c b))
+          && matches a ra)
+        bitset_sizes)
+
+(* --- Liveness vs a reference fixpoint ---------------------------------------- *)
+
+module Ir = Bisa_ir.Ir
+
+(* Live variables recomputed with [Set.Make (Int)]: per-block uses
+   before any definition, then out = ∪ in(successors) and
+   in = use ∪ (out \ def) iterated until nothing changes. *)
+let reference_liveness (f : Ir.func) =
+  let n = Array.length f.blocks in
+  let use_def (b : Ir.block) =
+    let step (use, def) (uses, defs) =
+      let use = List.fold_left (fun u v -> if Iset.mem v def then u else Iset.add v u) use uses in
+      (use, List.fold_left (fun d v -> Iset.add v d) def defs)
+    in
+    let acc =
+      List.fold_left (fun acc op -> step acc (Ir.op_uses op, Ir.op_defs op)) (Iset.empty, Iset.empty) b.ops
+    in
+    step acc (Ir.term_uses b.term, Ir.term_defs b.term)
+  in
+  let ud = Array.map use_def f.blocks in
+  let live_in = Array.make n Iset.empty and live_out = Array.make n Iset.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let out =
+        List.fold_left (fun acc s -> Iset.union acc live_in.(s)) Iset.empty
+          (Ir.successors f.blocks.(i).term)
+      in
+      let use, def = ud.(i) in
+      let in_ = Iset.union use (Iset.diff out def) in
+      if not (Iset.equal out live_out.(i) && Iset.equal in_ live_in.(i)) then begin
+        live_out.(i) <- out;
+        live_in.(i) <- in_;
+        changed := true
+      end
+    done
+  done;
+  (live_in, live_out)
+
+let liveness_agrees (f : Ir.func) =
+  let live = Bisa_ir.Liveness.analyze f in
+  let ref_in, ref_out = reference_liveness f in
+  let same bs r = Bitset.elements bs = Iset.elements r in
+  let ok = ref true in
+  Array.iteri
+    (fun i _ -> if not (same live.live_in.(i) ref_in.(i) && same live.live_out.(i) ref_out.(i)) then ok := false)
+    f.blocks;
+  !ok
+
+let prop_liveness_reference =
+  Q.Test.make ~count:60 ~name:"liveness matches a Set fixpoint"
+    Q.(int_bound 1_000_000)
+    (fun seed ->
+      let src = Bisa_check.Gen.render (Bisa_check.Gen.generate (Rng.create seed)) in
+      let _, ir = Bisa_compiler.Compiler.frontend src in
+      let before = List.for_all liveness_agrees ir.funcs in
+      Bisa_opt.Pipeline.optimize Bisa_opt.Pipeline.O1 ir;
+      if not (before && List.for_all liveness_agrees ir.funcs) then
+        Q.Test.fail_reportf "liveness differs from the reference on seed %d:\n%s" seed src;
+      true)
 
 (* Encode/decode is the identity on every workload surrogate, for both
    ISAs: the decoded program re-encodes to the same bytes and prints the
@@ -306,6 +413,7 @@ let suite =
       prop_parallel_moves;
       prop_dominators;
       prop_bitset;
+      prop_liveness_reference;
     ]
   @ [
       Alcotest.test_case "encode roundtrip identity on every workload" `Quick

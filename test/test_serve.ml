@@ -366,6 +366,23 @@ let test_errors_are_structured () =
   | Proto.Err (_ :: _) -> ()
   | _ -> Alcotest.fail "bad workload must yield Err"
 
+(* A lexically malformed source is answered with one located Err: the
+   lexer's failure must not escape the engine (and take the daemon down). *)
+let test_malformed_source_err () =
+  let e = Engine.create () in
+  List.iter
+    (fun isa ->
+      match
+        Engine.handle e
+          (Proto.Compile
+             { src = Proto.Source { src = "int main() { float x = 1.5e; return 0; }"; libs = [] }; isa })
+      with
+      | Proto.Err [ d ] ->
+        Alcotest.(check bool) "malformed exponent is located" true
+          (d.Diag.loc = Diag.Src { line = 1; col = 24 })
+      | _ -> Alcotest.fail "malformed float exponent must yield one Err")
+    [ Proto.Conv; Proto.Block ]
+
 (* --- the retrying client's schedule: pure, published, pinned --------------
 
    (The checks that need a live forked server — liveness under load,
@@ -465,6 +482,7 @@ let suite =
       test_stored_hashes;
     Alcotest.test_case "sliced job == handle" `Quick test_sliced_job;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
+    Alcotest.test_case "malformed source answers Err" `Quick test_malformed_source_err;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
     Alcotest.test_case "spool damage is counted and logged" `Quick
