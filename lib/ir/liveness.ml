@@ -41,18 +41,3 @@ let analyze (f : Ir.func) =
     done
   done;
   { live_in; live_out }
-
-let live_across_call (f : Ir.func) t =
-  let nv = Array.length f.vreg_kinds in
-  let acc = Bitset.create nv in
-  Array.iteri
-    (fun i (b : Ir.block) ->
-      match b.term with
-      | Ir.Call { dst; cont; _ } ->
-        (* Live at the continuation, except the value the call itself defines. *)
-        Bitset.iter t.live_in.(cont) (fun v ->
-            if Some v <> dst then Bitset.add acc v);
-        ignore i
-      | _ -> ())
-    f.blocks;
-  acc

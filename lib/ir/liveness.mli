@@ -7,7 +7,3 @@ type t = {
 }
 
 val analyze : Ir.func -> t
-
-val live_across_call : Ir.func -> t -> Bitset.t
-(** Virtual registers live across at least one call site — these prefer
-    callee-saved physical registers. *)

@@ -136,13 +136,13 @@ let account s ~block ~ops_executed ~squashed ~(mem_addrs : int array) ~dir =
       probe.Bisa_obs.Probe.unit_retire ~dispatch ~resolve ~retire:uretire
         ~ops:nops ~committed:(not squashed)
     end;
-    s.next_fetch <- max (!fc + 1) (dispatch - cfg.decode_depth + 1);
+    s.next_fetch <- Int.max (!fc + 1) (dispatch - cfg.decode_depth + 1);
     if squashed then begin
       m.squashed_blocks <- m.squashed_blocks + 1;
       m.squashed_ops <- m.squashed_ops + nops;
       m.fault_squash_redirects <- m.fault_squash_redirects + 1;
       m.mispredicts <- m.mispredicts + 1;
-      s.next_fetch <- max s.next_fetch (resolve + cfg.redirect_penalty);
+      s.next_fetch <- Int.max s.next_fetch (resolve + cfg.redirect_penalty);
       if tracing then begin
         probe.Bisa_obs.Probe.squash ~cycle:resolve ~block ~ops:nops;
         probe.Bisa_obs.Probe.redirect ~cycle:resolve ~until:s.next_fetch
@@ -218,7 +218,7 @@ let step s =
              now-known direction, not blindly the representative (the
              hardware knows the direction once the trap resolves). *)
           m.mispredicts <- m.mispredicts + 1;
-          s.next_fetch <- max s.next_fetch (s.p_resolve + cfg.redirect_penalty);
+          s.next_fetch <- Int.max s.next_fetch (s.p_resolve + cfg.redirect_penalty);
           if s.tracing then
             probe.Bisa_obs.Probe.redirect ~cycle:s.p_resolve ~until:s.next_fetch
               ~cause:Bisa_obs.Probe.Mispredict;

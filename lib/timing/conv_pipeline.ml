@@ -265,7 +265,7 @@ let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next
   let cfg = s.cfg and m = s.m and probe = s.probe and tracing = s.tracing in
   (* Trace-supplied followers ride the fetch cycle of the trace's first
      packet. *)
-  let fc = ref (if from_tc then max 0 (s.next_fetch - 1) else s.next_fetch) in
+  let fc = ref (if from_tc then Int.max 0 (s.next_fetch - 1) else s.next_fetch) in
   (match s.icache with
   | Some c when not from_tc ->
     let addr = Conv_prog.insn_addr start in
@@ -279,17 +279,19 @@ let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next
   | _ -> ());
   m.fetch_units <- m.fetch_units + 1;
   if tracing then probe.Bisa_obs.Probe.unit_start ~cycle:!fc ~addr:start ~ops:count;
-  let nchunks = (count + cfg.issue_width - 1) / cfg.issue_width in
   let last_resolve = ref 0 in
   let first_dispatch = ref (-1) in
   let last_unit_retire = ref 0 in
-  for chunk = 0 to nchunks - 1 do
-    let lo = chunk * cfg.issue_width in
-    let hi = min count (lo + cfg.issue_width) in
-    let want = !fc + chunk + cfg.decode_depth in
-    let dispatch = Engine.admit s.engine ~want ~op_count:(hi - lo) in
-    Engine.run_unit s.engine ~dispatch ~commit:true s.pd ~lo:(start + lo)
-      ~len:(hi - lo) ~term:(-1) ~mem_addrs ~mem_off:lo;
+  (* Chunks of at most [cfg.issue_width] ops, one fetch cycle apart: [lo]
+     is the chunk's first op, [cyc] its fetch cycle. *)
+  let lo = ref 0 and cyc = ref !fc in
+  while !lo < count do
+    let len = Int.min cfg.issue_width (count - !lo) in
+    let dispatch =
+      Engine.admit s.engine ~want:(!cyc + cfg.decode_depth) ~op_count:len
+    in
+    Engine.run_unit s.engine ~dispatch ~commit:true s.pd ~lo:(start + !lo) ~len
+      ~term:(-1) ~mem_addrs ~mem_off:!lo;
     last_resolve := Engine.unit_resolve s.engine;
     if tracing then begin
       if !first_dispatch < 0 then first_dispatch := dispatch;
@@ -297,10 +299,12 @@ let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next
       probe.Bisa_obs.Probe.occupancy ~cycle:!last_unit_retire
         ~ops:(Engine.occupancy s.engine)
     end;
-    m.retired_ops <- m.retired_ops + (hi - lo);
-    s.next_fetch <- max (!fc + chunk + 1) (dispatch - cfg.decode_depth + 1)
+    m.retired_ops <- m.retired_ops + len;
+    s.next_fetch <- Int.max (!cyc + 1) (dispatch - cfg.decode_depth + 1);
+    lo := !lo + cfg.issue_width;
+    incr cyc
   done;
-  if not from_tc then s.next_fetch <- max s.next_fetch (!fc + 1);
+  if not from_tc then s.next_fetch <- Int.max s.next_fetch (!fc + 1);
   m.retired_blocks <- m.retired_blocks + 1;
   if tracing then
     probe.Bisa_obs.Probe.unit_retire ~dispatch:!first_dispatch
@@ -347,7 +351,7 @@ let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next
   let ok = verdict = Conv_pred.Correct && not forced_miss in
   if not ok then begin
     m.mispredicts <- m.mispredicts + 1;
-    s.next_fetch <- max s.next_fetch (!last_resolve + cfg.redirect_penalty);
+    s.next_fetch <- Int.max s.next_fetch (!last_resolve + cfg.redirect_penalty);
     if tracing then
       probe.Bisa_obs.Probe.redirect ~cycle:!last_resolve ~until:s.next_fetch
         ~cause:Bisa_obs.Probe.Mispredict

@@ -72,8 +72,8 @@ let counter t i k = Char.code (Bytes.get t.pht ((counters_per_entry * i) + k))
 
 let train t i k up =
   let c = counter t i k in
-  let c' = if up then min 3 (c + 1) else max 0 (c - 1) in
-  Bytes.set t.pht ((counters_per_entry * i) + k) (Char.chr c')
+  let c' = if up then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
+  Bytes.set t.pht ((counters_per_entry * i) + k) (Char.unsafe_chr c')
 
 (* Variant-index prediction within one direction's list, walking the
    counter tree below the direction node. *)
@@ -84,7 +84,7 @@ let predict_sub t i ~dir ~n =
     if n <= 2 then b1
     else begin
       let b2 = if counter t i (3 + (dir * 2) + b1) >= 2 then 1 else 0 in
-      min (n - 1) (b1 lor (b2 lsl 1))
+      Int.min (n - 1) (b1 lor (b2 lsl 1))
     end
   end
 
@@ -130,7 +130,7 @@ let shift_bits t b =
     | Ablock.Goto _ ->
       let dir1, _ = t.prog.succ_struct.(b) in
       let n = Array.length dir1 in
-      if n <= 1 then 0 else min 3 (bits_for n)
+      if n <= 1 then 0 else Int.min 3 (bits_for n)
     | Ablock.Call _ | Ablock.Return | Ablock.Ijump _ | Ablock.Halt -> 0
   end
 
@@ -180,7 +180,7 @@ let variant_in_group t ~rep =
   else begin
     let i = region_pht_index t rep in
     let sub = predict_sub t i ~dir:1 ~n in
-    let fallback = group.(min sub (n - 1)) in
+    let fallback = group.(Int.min sub (n - 1)) in
     let candidate =
       match Btb.find t.rbtb rep with
       | Some e ->
@@ -270,7 +270,7 @@ let update t ~block ~actual =
            the history register like any other decision (modification 3:
            shift the minimum number of bits that identifies it). *)
         if not t.cfg.naive_history then begin
-          let nbits = min 2 (bits_for n) in
+          let nbits = Int.min 2 (bits_for n) in
           if nbits > 0 then
             t.hist <-
               ((t.hist lsl nbits) lor (sub land ((1 lsl nbits) - 1)))

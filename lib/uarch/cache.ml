@@ -8,7 +8,7 @@ let config_64k = { size_bytes = kb 64; assoc = 4; line_bytes = 32 }
 let null_hook ~addr:_ ~hit:_ = ()
 
 type t = {
-  cfg : config;
+  assoc : int;
   sets : int;
   line_shift : int;
   (* All standard geometries have a power-of-two set count, for which
@@ -28,13 +28,17 @@ let log2i n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
-let create cfg =
+let create (cfg : config) =
+  (* At least one set, and lines of at least two bytes so [line_shift >= 1]
+     keeps every line number non-negative: [access] relies on both. *)
+  if cfg.assoc < 1 || cfg.line_bytes < 2 || cfg.size_bytes < cfg.assoc * cfg.line_bytes
+  then invalid_arg "Cache.create: degenerate geometry";
   if cfg.size_bytes mod (cfg.assoc * cfg.line_bytes) <> 0 then
     invalid_arg "Cache.create: size not divisible by assoc*line";
   let sets = cfg.size_bytes / (cfg.assoc * cfg.line_bytes) in
   let pow2 = sets land (sets - 1) = 0 in
   {
-    cfg;
+    assoc = cfg.assoc;
     sets;
     line_shift = log2i cfg.line_bytes;
     set_mask = (if pow2 then sets - 1 else 0);
@@ -49,35 +53,40 @@ let create cfg =
 
 let set_hook t h = t.hook <- h
 
+(* [line] is non-negative ([line_shift >= 1]), so [set < sets] on both
+   paths and every way index [base + i] with [i < assoc] is below
+   [sets * assoc], the length of [tags] and [lru]: the scans index
+   unsafely. *)
 let access t addr =
   let line = addr lsr t.line_shift in
   let set = if t.set_shift >= 0 then line land t.set_mask else line mod t.sets in
   let tag = if t.set_shift >= 0 then line lsr t.set_shift else line / t.sets in
-  let base = set * t.cfg.assoc in
-  let assoc = t.cfg.assoc in
+  let assoc = t.assoc in
+  let base = set * assoc in
+  let tags = t.tags and lru = t.lru in
   t.n_access <- t.n_access + 1;
   t.tick <- t.tick + 1;
   (* Flat way scan — a capturing local recursion would allocate a closure
      per access under classic ocamlopt, and this is the hottest uarch
      component call. *)
   let i = ref 0 in
-  while !i < assoc && t.tags.(base + !i) <> tag do
+  while !i < assoc && Array.unsafe_get tags (base + !i) <> tag do
     incr i
   done;
   let hit =
     if !i < assoc then begin
-      t.lru.(base + !i) <- t.tick;
+      Array.unsafe_set lru (base + !i) t.tick;
       true
     end
     else begin
       t.n_miss <- t.n_miss + 1;
       (* Evict the least recently used way. *)
-      let victim = ref 0 in
-      for i = 1 to assoc - 1 do
-        if t.lru.(base + i) < t.lru.(base + !victim) then victim := i
+      let victim = ref base in
+      for j = base + 1 to base + assoc - 1 do
+        if Array.unsafe_get lru j < Array.unsafe_get lru !victim then victim := j
       done;
-      t.tags.(base + !victim) <- tag;
-      t.lru.(base + !victim) <- t.tick;
+      Array.unsafe_set tags !victim tag;
+      Array.unsafe_set lru !victim t.tick;
       false
     end
   in
@@ -87,7 +96,7 @@ let access t addr =
 let access_range t addr len =
   assert (len >= 0);
   let first = addr lsr t.line_shift in
-  let last = (addr + max 0 (len - 1)) lsr t.line_shift in
+  let last = (addr + Int.max 0 (len - 1)) lsr t.line_shift in
   let misses = ref 0 in
   for line = first to last do
     if not (access t (line lsl t.line_shift)) then incr misses
@@ -98,8 +107,8 @@ let evict t addr =
   let line = addr lsr t.line_shift in
   let set = if t.set_shift >= 0 then line land t.set_mask else line mod t.sets in
   let tag = if t.set_shift >= 0 then line lsr t.set_shift else line / t.sets in
-  let base = set * t.cfg.assoc in
-  for i = 0 to t.cfg.assoc - 1 do
+  let base = set * t.assoc in
+  for i = 0 to t.assoc - 1 do
     if t.tags.(base + i) = tag then begin
       t.tags.(base + i) <- -1;
       t.lru.(base + i) <- 0
@@ -113,7 +122,7 @@ let reset_stats t =
   t.n_access <- 0;
   t.n_miss <- 0
 
-let lines t = t.sets * t.cfg.assoc
+let lines t = t.sets * t.assoc
 
 (* Checkpointing: tags, LRU stamps, and counters.  The hook is not
    serialized — the owner reattaches it after [load]. *)

@@ -40,8 +40,8 @@ let counter t i = Char.code (Bytes.get t.pht i)
 
 let train t i taken =
   let c = counter t i in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-  Bytes.set t.pht i (Char.chr c')
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
+  Bytes.set t.pht i (Char.unsafe_chr c')
 
 let note t ok =
   t.n_pred <- t.n_pred + 1;
@@ -80,12 +80,8 @@ let on_call t ~pc ~target ~return_to =
 
 let on_return t ~pc ~target =
   ignore pc;
-  let verdict =
-    match Ras.pop t.ras with
-    | Some v when v = target -> Correct
-    | Some _ -> Ras_miss
-    | None -> Ras_miss
-  in
+  let v = Ras.pop_id t.ras in
+  let verdict = if v >= 0 && v = target then Correct else Ras_miss in
   note t (verdict = Correct);
   verdict
 

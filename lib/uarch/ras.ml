@@ -9,9 +9,9 @@ let push t v =
   t.top <- (t.top + 1) mod Array.length t.slots;
   if t.count < Array.length t.slots then t.count <- t.count + 1
 
-(* Int-returning core: -1 = empty.  Return targets are block ids (>= 0),
-   so the sentinel is unambiguous; the predictor's hot path uses this to
-   avoid allocating an option per return. *)
+(* -1 = empty.  Return targets are block ids or instruction indices
+   (>= 0), so the sentinel is unambiguous, and a return allocates no
+   option on the predictors' per-unit paths. *)
 let pop_id t =
   if t.count = 0 then -1
   else begin
@@ -19,10 +19,6 @@ let pop_id t =
     t.count <- t.count - 1;
     t.slots.(t.top)
   end
-
-let pop t =
-  let v = pop_id t in
-  if v < 0 then None else Some v
 
 let depth t = Array.length t.slots
 let occupancy t = t.count

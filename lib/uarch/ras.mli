@@ -5,11 +5,9 @@ type t
 
 val create : depth:int -> t
 val push : t -> int -> unit
-val pop : t -> int option
-(** [None] when empty (predict nothing; counts as a mispredict). *)
-
 val pop_id : t -> int
-(** Allocation-free [pop]: the popped target, or -1 when empty. *)
+(** The popped target, or -1 when empty (predict nothing; counts as a
+    mispredict). *)
 
 val depth : t -> int
 val occupancy : t -> int

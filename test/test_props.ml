@@ -150,44 +150,6 @@ let prop_variant_groups_consistent =
         c.block.variant_group;
       !ok)
 
-(* --- Cache model vs a reference implementation ------------------------------- *)
-
-module Ref_cache = struct
-  (* Straightforward per-set MRU-list model. *)
-  type t = { sets : int list array ref; nsets : int; assoc : int; shift : int }
-
-  let create ~sets ~assoc ~shift = { sets = ref (Array.make sets []); nsets = sets; assoc; shift }
-
-  let access t addr =
-    let line = addr lsr t.shift in
-    let s = line mod t.nsets in
-    let ways = !(t.sets).(s) in
-    let hit = List.mem line ways in
-    let ways' = line :: List.filter (fun l -> l <> line) ways in
-    let ways' = if List.length ways' > t.assoc then List.filteri (fun i _ -> i < t.assoc) ways' else ways' in
-    !(t.sets).(s) <- ways';
-    hit
-end
-
-let prop_cache_matches_reference =
-  Q.Test.make ~count:50 ~name:"cache model = reference LRU"
-    Q.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let cache =
-        Bisa_uarch.Cache.create { size_bytes = 512; assoc = 2; line_bytes = 32 }
-      in
-      (* 512/(2*32) = 8 sets, 32B lines -> shift 5. *)
-      let reference = Ref_cache.create ~sets:8 ~assoc:2 ~shift:5 in
-      let ok = ref true in
-      for _ = 1 to 500 do
-        let addr = Rng.int rng 4096 in
-        let h1 = Bisa_uarch.Cache.access cache addr in
-        let h2 = Ref_cache.access reference addr in
-        if h1 <> h2 then ok := false
-      done;
-      !ok)
-
 (* --- Parallel moves ------------------------------------------------------------ *)
 
 let prop_parallel_moves =
@@ -409,7 +371,6 @@ let suite =
       prop_unopt_equals_opt;
       prop_enlargement_invariants;
       prop_variant_groups_consistent;
-      prop_cache_matches_reference;
       prop_parallel_moves;
       prop_dominators;
       prop_bitset;

@@ -28,6 +28,87 @@ let test_memory_alignment () =
   Alcotest.check_raises "unaligned" (Memory.Unaligned 0x1003) (fun () ->
       ignore (Memory.load m 0x1003))
 
+(* Both page tiers: the flat table (the linker's data segment and the
+   stack below 64 MB) and the hashtable behind it (any other address,
+   negative ones included).  Interleaved stores and loads are checked
+   against a model, and the snapshot must not depend on the order in
+   which pages were first touched. *)
+let test_memory_tiers () =
+  let module Rng = Bisa_base.Rng in
+  let module W = Bisa_base.Codec.W in
+  let rng = Rng.create 7 in
+  let bases = [| 0x1_000_000; 0x3_FF0_000; 0x4_000_000; 0x5_000_000; -0x8000; -(1 lsl 40) |] in
+  (* Up to three 32 KB pages past each base. *)
+  let addr () = Rng.choose rng bases + (8 * Rng.int rng 12_288) in
+  let m = Memory.create () in
+  let ints = Hashtbl.create 64 and flts = Hashtbl.create 64 in
+  let check_int m a =
+    let want = Option.value ~default:0 (Hashtbl.find_opt ints a) in
+    let got = Memory.load m a in
+    if got <> want then Alcotest.failf "load %#x: %d, model %d" a got want
+  in
+  let check_float m a =
+    let want = Option.value ~default:0.0 (Hashtbl.find_opt flts a) in
+    let got = Memory.loadf m a in
+    if got <> want then Alcotest.failf "loadf %#x: %g, model %g" a got want
+  in
+  let check_all m =
+    Hashtbl.iter (fun a _ -> check_int m a) ints;
+    Hashtbl.iter (fun a _ -> check_float m a) flts
+  in
+  for i = 1 to 20_000 do
+    let a = addr () in
+    match Rng.int rng 4 with
+    | 0 ->
+      Memory.store m a i;
+      Hashtbl.replace ints a i
+    | 1 ->
+      let f = float_of_int i /. 4.0 in
+      Memory.storef m a f;
+      Hashtbl.replace flts a f
+    | 2 -> check_int m a
+    | _ -> check_float m a
+  done;
+  check_all m;
+  (* The same final contents stored into fresh memories in two orders
+     (descending address, then shuffled) snapshot to the same bytes.  That
+     snapshot, loaded over [m] after [m] touches one more flat and one more
+     wild page, leaves the same contents and bytes. *)
+  let writes =
+    Array.of_list
+      (Hashtbl.fold (fun a v acc -> (a, `I v) :: acc) ints []
+      @ Hashtbl.fold (fun a f acc -> (a, `F f) :: acc) flts [])
+  in
+  let fill ws =
+    let m = Memory.create () in
+    Array.iter
+      (function a, `I v -> Memory.store m a v | a, `F f -> Memory.storef m a f)
+      ws;
+    m
+  in
+  let snapshot m =
+    let w = W.create () in
+    Memory.save_state m w;
+    W.contents w
+  in
+  Array.sort (fun (a, _) (b, _) -> Int.compare b a) writes;
+  let down = fill writes in
+  Rng.shuffle rng writes;
+  let shuffled = fill writes in
+  let bytes = snapshot down in
+  Alcotest.(check string) "snapshot independent of touch order" bytes (snapshot shuffled);
+  Memory.store m 0x2_000_000 1;
+  Memory.store m (1 lsl 50) 1;
+  Memory.load_state m (Bisa_base.Codec.R.of_string bytes);
+  check_all m;
+  Alcotest.(check string) "snapshot round trip" bytes (snapshot m);
+  (* One 32 KB (4,096-word) page per distinct [addr lsr 15]. *)
+  let pages = Hashtbl.create 64 in
+  Array.iter (fun (a, _) -> Hashtbl.replace pages (a lsr 15) ()) writes;
+  let words = 4096 * Hashtbl.length pages in
+  Alcotest.(check int) "footprint" words (Memory.footprint_words down);
+  Alcotest.(check int) "footprint after load" words (Memory.footprint_words m)
+
 let test_sbuf_forwarding () =
   let m = Memory.create () in
   Memory.store m 0x100 1;
@@ -278,6 +359,7 @@ let suite =
     Alcotest.test_case "memory basic" `Quick test_memory_basic;
     Alcotest.test_case "memory float side" `Quick test_memory_floats_independent;
     Alcotest.test_case "memory alignment" `Quick test_memory_alignment;
+    Alcotest.test_case "memory page tiers" `Quick test_memory_tiers;
     Alcotest.test_case "sbuf forwarding" `Quick test_sbuf_forwarding;
     Alcotest.test_case "sbuf clear" `Quick test_sbuf_clear_discards;
     Alcotest.test_case "conv packets" `Quick test_conv_exec_packets;

@@ -271,11 +271,11 @@ int main() {
 }
 |}
 
-(* The untraced step loop must not allocate per step once warm: the conv
-   drain is allocation-free, the block drain is bounded by a few words
-   (output consing and BTB fills).  A regression to
-   closure-per-step or record-per-step costs tens of words and fails
-   loudly here. *)
+(* The untraced step loop must not allocate per step once warm beyond
+   what it measures today: 0.454 words per conv step and 4.091 per block
+   step (BTB fills and output consing).  Each bound is about twice that:
+   one more option per conv step, or four more words per block step,
+   fails here. *)
 let test_steady_state_allocation () =
   let c = Bisa_compiler.Compiler.compile alloc_sample in
   let words_per_step name session step bound =
@@ -301,14 +301,14 @@ let test_steady_state_allocation () =
       ~code:(Bisa_timing.Pipeline.Conv.compile c.conv)
       cfg c.conv
   in
-  words_per_step "conv step" conv Bisa_timing.Conv_pipeline.step 2.0;
+  words_per_step "conv step" conv Bisa_timing.Conv_pipeline.step 1.0;
   let block =
     Bisa_timing.Block_pipeline.session
       ~tables:(Bisa_timing.Pipeline.Block.predecode c.block)
       ~code:(Bisa_timing.Pipeline.Block.compile c.block)
       cfg c.block
   in
-  words_per_step "block step" block Bisa_timing.Block_pipeline.step 24.0
+  words_per_step "block step" block Bisa_timing.Block_pipeline.step 8.0
 
 let suite =
   [

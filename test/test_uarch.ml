@@ -43,6 +43,71 @@ let test_cache_reset () =
   Cache.reset_stats c;
   Alcotest.(check int) "reset" 0 (Cache.accesses c)
 
+(* [Cache] against a reference LRU written here: per set, the resident
+   lines, most recently used first.  Seeded random streams drive [access],
+   [access_range] and [evict] on power-of-two set counts (mask path) and
+   on others (mod/div path); every hit/miss verdict and the final counters
+   must agree. *)
+let test_cache_reference_lru () =
+  let module Rng = Bisa_base.Rng in
+  let check_geometry (size, assoc, line) =
+    let name = Printf.sprintf "%dB/%d-way/%dB" size assoc line in
+    let c = Cache.create { Cache.size_bytes = size; assoc; line_bytes = line } in
+    let sets = size / (assoc * line) in
+    let model = Array.make sets [] in
+    let accesses = ref 0 and misses = ref 0 in
+    let touch l =
+      let s = l mod sets in
+      let hit = List.mem l model.(s) in
+      model.(s) <- List.filteri (fun i _ -> i < assoc) (l :: List.filter (( <> ) l) model.(s));
+      incr accesses;
+      if not hit then incr misses;
+      hit
+    in
+    let rng = Rng.create (size + assoc) in
+    (* Mostly a working set four times the cache, now and then a far line. *)
+    let addr () = if Rng.chance rng 0.9 then Rng.int rng (4 * size) else Rng.int rng (1 lsl 40) in
+    for i = 1 to 20_000 do
+      let a = addr () in
+      match Rng.int rng 8 with
+      | 0 | 1 ->
+        let len = Rng.int rng (3 * line) in
+        let want = ref 0 in
+        for l = a / line to (a + Int.max 0 (len - 1)) / line do
+          if not (touch l) then incr want
+        done;
+        let got = Cache.access_range c a len in
+        if got <> !want then
+          Alcotest.failf "%s: access_range #%d (%d, %d): %d misses, model %d" name i a len got
+            !want
+      | 2 ->
+        let l = a / line in
+        model.(l mod sets) <- List.filter (( <> ) l) model.(l mod sets);
+        Cache.evict c a
+      | _ ->
+        let want = touch (a / line) in
+        let got = Cache.access c a in
+        if got <> want then Alcotest.failf "%s: access #%d (%d): hit %b, model %b" name i a got want
+    done;
+    Alcotest.(check int) (name ^ " accesses") !accesses (Cache.accesses c);
+    Alcotest.(check int) (name ^ " misses") !misses (Cache.misses c)
+  in
+  (* 8, 128 and 32 sets; 24 and 12 sets. *)
+  List.iter check_geometry
+    [ (512, 2, 32); (16 * 1024, 4, 32); (1024, 1, 32); (3 * 1024, 4, 32); (6 * 1024, 8, 64) ]
+
+(* [access] indexes its way arrays unsafely, so a geometry with no set, or
+   with one-byte lines (a line number that can go negative), is refused. *)
+let test_cache_degenerate_geometry () =
+  let refused name cfg =
+    Alcotest.check_raises name (Invalid_argument "Cache.create: degenerate geometry") (fun () ->
+        ignore (Cache.create cfg))
+  in
+  refused "no set" { Cache.size_bytes = 0; assoc = 4; line_bytes = 32 };
+  refused "smaller than one set" { Cache.size_bytes = 64; assoc = 4; line_bytes = 32 };
+  refused "no way" { Cache.size_bytes = 1024; assoc = 0; line_bytes = 32 };
+  refused "one-byte lines" { Cache.size_bytes = 1024; assoc = 4; line_bytes = 1 }
+
 let test_btb () =
   let b = Btb.create ~sets:4 ~ways:2 in
   Alcotest.(check (option int)) "cold" None (Btb.find b 12);
@@ -59,17 +124,17 @@ let test_btb () =
 
 let test_ras () =
   let r = Ras.create ~depth:3 in
-  Alcotest.(check (option int)) "empty pops None" None (Ras.pop r);
+  Alcotest.(check int) "empty pops -1" (-1) (Ras.pop_id r);
   Ras.push r 1;
   Ras.push r 2;
-  Alcotest.(check (option int)) "lifo" (Some 2) (Ras.pop r);
-  Alcotest.(check (option int)) "lifo2" (Some 1) (Ras.pop r);
+  Alcotest.(check int) "lifo" 2 (Ras.pop_id r);
+  Alcotest.(check int) "lifo2" 1 (Ras.pop_id r);
   (* Overflow wraps: deepest entry lost. *)
   List.iter (Ras.push r) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "top" (Some 4) (Ras.pop r);
-  Alcotest.(check (option int)) "next" (Some 3) (Ras.pop r);
-  Alcotest.(check (option int)) "next2" (Some 2) (Ras.pop r);
-  Alcotest.(check (option int)) "wrapped away" None (Ras.pop r)
+  Alcotest.(check int) "top" 4 (Ras.pop_id r);
+  Alcotest.(check int) "next" 3 (Ras.pop_id r);
+  Alcotest.(check int) "next2" 2 (Ras.pop_id r);
+  Alcotest.(check int) "wrapped away" (-1) (Ras.pop_id r)
 
 let test_conv_pred_learns_bias () =
   let p = Conv_pred.create Conv_pred.default_config in
@@ -194,6 +259,8 @@ let suite =
     Alcotest.test_case "cache lru" `Quick test_cache_lru;
     Alcotest.test_case "cache range" `Quick test_cache_range;
     Alcotest.test_case "cache reset" `Quick test_cache_reset;
+    Alcotest.test_case "cache matches reference LRU" `Quick test_cache_reference_lru;
+    Alcotest.test_case "cache degenerate geometry" `Quick test_cache_degenerate_geometry;
     Alcotest.test_case "btb" `Quick test_btb;
     Alcotest.test_case "ras" `Quick test_ras;
     Alcotest.test_case "conv pred bias" `Quick test_conv_pred_learns_bias;
