@@ -145,7 +145,11 @@ let link_conventional (globals : Ir.global list) (user_funcs : Mir.mfunc list) :
       | Some i -> i
       | None -> invalid_arg ("Linker: undefined function " ^ name))
   in
-  let code = Array.of_list (List.rev_map (Insn.map_label resolve) !insns) in
+  (* [insns] is in reverse, so fill from the end.  The constant initial
+     value keeps [Array.make] from forcing a minor collection, as
+     [Array.of_list] of a young first element does past 256 words. *)
+  let code = Array.make !count Insn.Halt in
+  List.iteri (fun k i -> code.(!count - 1 - k) <- Insn.map_label resolve i) !insns;
   (* Data segment: zeroed globals plus jump tables holding instruction
      indexes. *)
   let data = Array.make lay.data_words 0 in

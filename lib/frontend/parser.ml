@@ -1,10 +1,21 @@
 exception Error of string * Ast.pos
 
-type state = { toks : Lexer.t array; mutable cur : int }
+(* The token stream as a list: [cur] is its head and [rest] the tail.
+   The lexer ends every stream with [EOF] and the parser never advances
+   past it, so [cur] is always a token.  (Copying the list into an array
+   would force a minor collection per parse: [Array.of_list] of more than
+   256 words whose first element is young.) *)
+type state = { mutable cur : Lexer.t; mutable rest : Lexer.t list }
 
-let peek st = st.toks.(st.cur).Lexer.tok
-let pos st = st.toks.(st.cur).Lexer.pos
-let advance st = st.cur <- st.cur + 1
+let peek st = st.cur.Lexer.tok
+let pos st = st.cur.Lexer.pos
+
+let advance st =
+  match st.rest with
+  | t :: rest ->
+    st.cur <- t;
+    st.rest <- rest
+  | [] -> ()
 
 let error st msg =
   raise (Error (Printf.sprintf "%s (found %s)" msg (Lexer.token_to_string (peek st)), pos st))
@@ -384,8 +395,13 @@ let decl st =
     eat_punct st ";";
     Ast.Dglobal { g_ty = ty; g_name = name; g_size = None; g_init = init }
 
+let start src =
+  match Lexer.tokenize src with
+  | cur :: rest -> { cur; rest }
+  | [] -> assert false (* the lexer always ends with EOF *)
+
 let parse src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); cur = 0 } in
+  let st = start src in
   let rec loop acc =
     match peek st with
     | Lexer.EOF -> List.rev acc
@@ -394,7 +410,7 @@ let parse src =
   loop []
 
 let parse_expr src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); cur = 0 } in
+  let st = start src in
   let e = expr st in
   (match peek st with
   | Lexer.EOF -> ()

@@ -48,7 +48,7 @@ type program = { globals : global list; funcs : func list }
 
 let operand_uses = function V v -> [ v ] | Cint _ | Cflt _ -> []
 
-let op_defs = function
+let op_def = function
   | Bin (_, d, _, _)
   | Fbin (_, d, _, _)
   | Cmpset (_, d, _, _)
@@ -60,8 +60,10 @@ let op_defs = function
   | Gaddr (d, _)
   | Load (d, _, _)
   | Loadf (d, _, _) ->
-    [ d ]
-  | Store _ | Storef _ | Print _ | Printflt _ -> []
+    d
+  | Store _ | Storef _ | Print _ | Printflt _ -> -1
+
+let op_defs = function Store _ | Storef _ | Print _ | Printflt _ -> [] | op -> [ op_def op ]
 
 let op_uses = function
   | Bin (_, _, a, b) | Fbin (_, _, a, b) | Cmpset (_, _, a, b) | Fcmpset (_, _, a, b) ->
@@ -80,6 +82,31 @@ let term_uses = function
   | Ret (Some a) -> operand_uses a
   | Switch (a, _, _) -> operand_uses a
   | Jmp _ | Ret None | Halt -> []
+
+let iter_operand f = function V v -> f v | Cint _ | Cflt _ -> ()
+
+let iter_op_uses f = function
+  | Bin (_, _, a, b) | Fbin (_, _, a, b) | Cmpset (_, _, a, b) | Fcmpset (_, _, a, b)
+  | Store (a, b, _) | Storef (a, b, _) ->
+    iter_operand f a;
+    iter_operand f b
+  | Mov (_, a) | Itof (_, a) | Ftoi (_, a) | Load (_, a, _) | Loadf (_, a, _) | Print a
+  | Printflt a ->
+    iter_operand f a
+  | Select (_, _, a, b, t, fl) ->
+    iter_operand f a;
+    iter_operand f b;
+    iter_operand f t;
+    iter_operand f fl
+  | Gaddr _ -> ()
+
+let iter_term_uses f = function
+  | Br (_, a, b, _, _) ->
+    iter_operand f a;
+    iter_operand f b
+  | Call { args; _ } -> List.iter (iter_operand f) args
+  | Ret (Some a) | Switch (a, _, _) -> iter_operand f a
+  | Jmp _ | Ret None | Halt -> ()
 
 let term_defs = function Call { dst = Some d; _ } -> [ d ] | _ -> []
 

@@ -80,6 +80,19 @@ val op_defs : op -> vreg list
 val op_uses : op -> vreg list
 val term_uses : terminator -> vreg list
 val term_defs : terminator -> vreg list
+
+val op_def : op -> vreg
+(** The vreg an op defines, or [-1]: every op defines at most one. *)
+
+val iter_operand : (vreg -> unit) -> operand -> unit
+(** Applies to the vreg of a [V] operand; constants have none. *)
+
+val iter_op_uses : (vreg -> unit) -> op -> unit
+(** [op_uses] in the same order, without building a list. *)
+
+val iter_term_uses : (vreg -> unit) -> terminator -> unit
+(** [term_uses] in the same order, without building a list. *)
+
 val successors : terminator -> label list
 val map_term_labels : (label -> label) -> terminator -> terminator
 val vreg_kind : func -> vreg -> kind

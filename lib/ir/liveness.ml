@@ -4,15 +4,15 @@ type t = { live_in : Bitset.t array; live_out : Bitset.t array }
    (terminator uses count, in block order after the ops). *)
 let block_use_def nv (b : Ir.block) =
   let use = Bitset.create nv and def = Bitset.create nv in
-  let visit_uses vs = List.iter (fun v -> if not (Bitset.mem def v) then Bitset.add use v) vs in
-  let visit_defs vs = List.iter (fun v -> Bitset.add def v) vs in
+  let visit_use v = if not (Bitset.mem def v) then Bitset.add use v in
   List.iter
     (fun op ->
-      visit_uses (Ir.op_uses op);
-      visit_defs (Ir.op_defs op))
+      Ir.iter_op_uses visit_use op;
+      let d = Ir.op_def op in
+      if d >= 0 then Bitset.add def d)
     b.ops;
-  visit_uses (Ir.term_uses b.term);
-  visit_defs (Ir.term_defs b.term);
+  Ir.iter_term_uses visit_use b.term;
+  List.iter (fun v -> Bitset.add def v) (Ir.term_defs b.term);
   (use, def)
 
 let analyze (f : Ir.func) =

@@ -12,29 +12,27 @@ let run (f : Ir.func) =
   let changed = ref false in
   Array.iteri
     (fun i (b : Ir.block) ->
-      (* Walk backwards carrying the live set. *)
+      (* Walk backwards carrying the live set: [sweep] handles the rest
+         of the list before its head, and returns the list itself when
+         none of it is dead. *)
       let live_now = Bitset.copy live.live_out.(i) in
-      List.iter (fun v -> Bitset.add live_now v) (Ir.term_uses b.term);
-      let keep =
-        List.fold_left
-          (fun acc op ->
-            let defs = Ir.op_defs op in
-            let needed =
-              has_side_effect op || defs = []
-              || List.exists (fun v -> Bitset.mem live_now v) defs
-            in
-            if needed then begin
-              List.iter (fun v -> Bitset.remove live_now v) defs;
-              List.iter (fun v -> Bitset.add live_now v) (Ir.op_uses op);
-              op :: acc
-            end
-            else begin
-              changed := true;
-              acc
-            end)
-          []
-          (List.rev b.ops)
+      let add v = Bitset.add live_now v in
+      Ir.iter_term_uses add b.term;
+      let rec sweep = function
+        | [] -> []
+        | op :: rest as ops ->
+          let rest' = sweep rest in
+          let d = Ir.op_def op in
+          if has_side_effect op || d < 0 || Bitset.mem live_now d then begin
+            if d >= 0 then Bitset.remove live_now d;
+            Ir.iter_op_uses add op;
+            if rest' == rest then ops else op :: rest'
+          end
+          else begin
+            changed := true;
+            rest'
+          end
       in
-      b.ops <- keep)
+      b.ops <- sweep b.ops)
     f.blocks;
   !changed

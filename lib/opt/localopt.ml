@@ -1,28 +1,5 @@
 open Bisa_ir
 
-(* --- Copy / constant propagation --------------------------------------- *)
-
-(* Environment: vreg -> operand it currently equals.  Kill rules keep it
-   exact: defining v kills v's binding and any binding whose value reads
-   v. *)
-module Env = struct
-  type t = (int, Ir.operand) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let kill_def (t : t) v =
-    Hashtbl.remove t v;
-    let stale =
-      Hashtbl.fold (fun k value acc -> if value = Ir.V v then k :: acc else acc) t []
-    in
-    List.iter (Hashtbl.remove t) stale
-
-  let subst (t : t) (o : Ir.operand) =
-    match o with
-    | Ir.V v -> ( match Hashtbl.find_opt t v with Some o' -> o' | None -> o)
-    | _ -> o
-end
-
 let map_op_operands f (op : Ir.op) : Ir.op =
   match op with
   | Bin (b, d, x, y) -> Bin (b, d, f x, f y)
@@ -49,27 +26,67 @@ let map_term_operands f (t : Ir.terminator) : Ir.terminator =
   | Switch (x, cases, d) -> Switch (f x, cases, d)
   | (Jmp _ | Ret None | Halt) as t -> t
 
+(* --- Copy / constant propagation --------------------------------------- *)
+
+(* Block-local bindings, vreg -> the operand it currently equals, in one
+   vreg-indexed array per function: [bound.(v)] is v's binding or
+   [unbound].  Defining v kills v's binding and every binding whose value
+   reads v; [readers.(v)] lists those bindings, and possibly some killed
+   since, which the kill re-checks.  [touched] lists the slots to reset
+   when the block ends. *)
+let unbound = Ir.V (-1)
+
 let copyprop (f : Ir.func) =
+  let nv = Array.length f.vreg_kinds in
+  let bound = Array.make nv unbound and readers = Array.make nv [] in
+  let touched = ref [] in
+  let kill v =
+    bound.(v) <- unbound;
+    List.iter
+      (fun d -> match bound.(d) with Ir.V w when w = v -> bound.(d) <- unbound | _ -> ())
+      readers.(v);
+    readers.(v) <- []
+  in
+  let bind d src =
+    bound.(d) <- src;
+    touched := d :: !touched;
+    match src with
+    | Ir.V w ->
+      readers.(w) <- d :: readers.(w);
+      touched := w :: !touched
+    | Ir.Cint _ | Ir.Cflt _ -> ()
+  in
+  (* A change is a substitution made, not a rewritten operand that
+     compares unequal: [Cflt nan <> Cflt nan]. *)
   let changed = ref false in
+  let rewrite o =
+    match o with
+    | Ir.V v when bound.(v) != unbound ->
+      changed := true;
+      bound.(v)
+    | _ -> o
+  in
   Array.iter
     (fun (b : Ir.block) ->
-      let env = Env.create () in
-      let rewrite o =
-        let o' = Env.subst env o in
-        if o' <> o then changed := true;
-        o'
-      in
       b.ops <-
         List.map
           (fun op ->
             let op = map_op_operands rewrite op in
-            List.iter (Env.kill_def env) (Ir.op_defs op);
+            let d = Ir.op_def op in
+            if d >= 0 then kill d;
             (match op with
-            | Mov (d, src) when src <> Ir.V d -> Hashtbl.replace env d src
+            | Mov (d, Ir.V s) when s = d -> ()
+            | Mov (d, src) -> bind d src
             | _ -> ());
             op)
           b.ops;
-      b.term <- map_term_operands rewrite b.term)
+      b.term <- map_term_operands rewrite b.term;
+      List.iter
+        (fun v ->
+          bound.(v) <- unbound;
+          readers.(v) <- [])
+        !touched;
+      touched := [])
     f.blocks;
   !changed
 
@@ -101,68 +118,90 @@ let key_of_op (op : Ir.op) : (key * Ir.vreg) option =
 
 let key_is_load = function Kload _ | Kloadf _ -> true | _ -> false
 
+let iter_key_vregs f = function
+  | Kbin (_, x, y) | Kfbin (_, x, y) | Kcmp (_, x, y) | Kfcmp (_, x, y) ->
+    Ir.iter_operand f x;
+    Ir.iter_operand f y
+  | Kitof x | Kftoi x | Kload (x, _) | Kloadf (x, _) -> Ir.iter_operand f x
+  | Kgaddr _ -> ()
+
+let is_vreg v = function Ir.V w -> w = v | Ir.Cint _ | Ir.Cflt _ -> false
+
 let key_reads_vreg v = function
   | Kbin (_, x, y) | Kfbin (_, x, y) | Kcmp (_, x, y) | Kfcmp (_, x, y) ->
-    x = Ir.V v || y = Ir.V v
-  | Kitof x | Kftoi x -> x = Ir.V v
+    is_vreg v x || is_vreg v y
+  | Kitof x | Kftoi x | Kload (x, _) | Kloadf (x, _) -> is_vreg v x
   | Kgaddr _ -> false
-  | Kload (b, _) | Kloadf (b, _) -> b = Ir.V v
 
+(* Block-local available expressions, key -> holder vreg, in one table
+   per function.  Defining v kills every key held by v or reading v:
+   [by_vreg.(v)] lists those keys, and possibly some killed or re-held
+   since, which the kill re-checks.  A store kills the keys in [loads].
+   [touched] lists the [by_vreg] slots to reset when the block ends. *)
 let cse (f : Ir.func) =
   let changed = ref false in
+  let avail : (key, Ir.vreg) Hashtbl.t = Hashtbl.create 16 in
+  let by_vreg = Array.make (Array.length f.vreg_kinds) [] in
+  let loads = ref [] and touched = ref [] in
+  let note k v =
+    by_vreg.(v) <- k :: by_vreg.(v);
+    touched := v :: !touched
+  in
+  let add k d =
+    Hashtbl.replace avail k d;
+    note k d;
+    iter_key_vregs (note k) k;
+    if key_is_load k then loads := k :: !loads
+  in
+  let kill_vreg v =
+    List.iter
+      (fun k ->
+        match Hashtbl.find_opt avail k with
+        | Some holder when holder = v || key_reads_vreg v k -> Hashtbl.remove avail k
+        | _ -> ())
+      by_vreg.(v);
+    by_vreg.(v) <- []
+  in
+  let kill_loads () =
+    List.iter (Hashtbl.remove avail) !loads;
+    loads := []
+  in
   Array.iter
     (fun (b : Ir.block) ->
-      let avail : (key, Ir.vreg) Hashtbl.t = Hashtbl.create 16 in
-      let kill_vreg v =
-        let stale =
-          Hashtbl.fold
-            (fun k holder acc ->
-              if holder = v || key_reads_vreg v k then k :: acc else acc)
-            avail []
-        in
-        List.iter (Hashtbl.remove avail) stale
-      in
-      let kill_loads () =
-        let stale =
-          Hashtbl.fold (fun k _ acc -> if key_is_load k then k :: acc else acc) avail []
-        in
-        List.iter (Hashtbl.remove avail) stale
-      in
       b.ops <-
         List.map
           (fun op ->
-            if Ir.op_defs op = [] then begin
-              (* Stores / prints: kill load availability, keep op. *)
+            match key_of_op op with
+            | Some (k, d) -> begin
+              (* A key that reads the op's own destination (e.g. a load
+                 whose base register it overwrites) must not be
+                 registered: its ingredients are gone. *)
+              let self_reading = key_reads_vreg d k in
+              match Hashtbl.find_opt avail k with
+              | Some prev when prev <> d ->
+                changed := true;
+                kill_vreg d;
+                if not self_reading then add k d;
+                (* Replace the recomputation by a move from the holder.
+                   The holder still holds the value: kill rules remove
+                   keys whose holder was redefined. *)
+                Ir.Mov (d, Ir.V prev)
+              | _ ->
+                kill_vreg d;
+                if not self_reading then add k d;
+                op
+            end
+            | None ->
               (match op with
               | Store _ | Storef _ -> kill_loads ()
-              | _ -> ());
-              op
-            end
-            else begin
-              match key_of_op op with
-              | Some (k, d) -> begin
-                (* A key that reads the op's own destination (e.g. a load
-                   whose base register it overwrites) must not be
-                   registered: its ingredients are gone. *)
-                let self_reading = key_reads_vreg d k in
-                match Hashtbl.find_opt avail k with
-                | Some prev when prev <> d ->
-                  changed := true;
-                  kill_vreg d;
-                  if not self_reading then Hashtbl.replace avail k d;
-                  (* Replace the recomputation by a move from the holder.
-                     The holder still holds the value: kill rules remove
-                     keys whose holder was redefined. *)
-                  Ir.Mov (d, Ir.V prev)
-                | _ ->
-                  kill_vreg d;
-                  if not self_reading then Hashtbl.replace avail k d;
-                  op
-              end
-              | None ->
-                List.iter kill_vreg (Ir.op_defs op);
-                op
-            end)
-          b.ops)
+              | _ ->
+                let d = Ir.op_def op in
+                if d >= 0 then kill_vreg d);
+              op)
+          b.ops;
+      Hashtbl.clear avail;
+      List.iter (fun v -> by_vreg.(v) <- []) !touched;
+      touched := [];
+      loads := [])
     f.blocks;
   !changed

@@ -22,15 +22,15 @@ let thread_jumps (f : Ir.func) =
       t
     end
   in
+  (* A change is a label redirected, not a terminator that compares
+     unequal: [Ret (Some (Cflt nan))] differs from itself. *)
   let changed = ref false in
-  Array.iter
-    (fun (b : Ir.block) ->
-      let t' = Ir.map_term_labels resolve b.term in
-      if t' <> b.term then begin
-        b.term <- t';
-        changed := true
-      end)
-    f.blocks;
+  let redirect l =
+    let t = resolve l in
+    if t <> l then changed := true;
+    t
+  in
+  Array.iter (fun (b : Ir.block) -> b.term <- Ir.map_term_labels redirect b.term) f.blocks;
   !changed
 
 (* Merge B into A when A ends in Jmp B and B's only predecessor is A. *)

@@ -717,8 +717,9 @@ module Block = struct
     let x = Block_exec.create code.cprog in
     Block_exec.set_budget x budget;
     let t = bind code x in
-    let rec go () = match step t with Some _ -> go () | None -> () in
-    go ();
+    while step_into ~fetch:x.Block_exec.required t >= 0 do
+      ()
+    done;
     (Block_exec.output x, Block_exec.retired_ops x)
 end
 

@@ -414,6 +414,32 @@ let test_compiler_output_pinned () =
   Alcotest.(check int64) "300 generated programs: folded hashes" pinned_gen_fold
     (Bisa_base.Codec.fnv1a64 (Buffer.contents buf))
 
+(* --- No forced minor collection -------------------------------------------- *)
+
+(* OCaml 5's [caml_make_vect] runs a whole minor collection before it
+   allocates an array of more than 256 words from a young initial value,
+   as [Array.of_list] of fresh elements does.  The parser (over its
+   tokens) and the conventional linker (over its instructions) each did
+   that once per program.  Started on an empty minor heap, parsing and
+   linking a program over that size must not collect at all.  Like the
+   allocation tests in [Test_golden], it needs no other domain running. *)
+let test_no_forced_minor_collection () =
+  (* 1,550 tokens and 406 conventional instructions. *)
+  let src = Bisa_check.Gen.render (Bisa_check.Gen.generate (Bisa_base.Rng.derive 1 1)) in
+  let _, ir, mfuncs = Compiler.to_machine src in
+  let collections () = (Gc.quick_stat ()).minor_collections in
+  Gc.minor ();
+  let before = collections () and words = Gc.minor_words () in
+  let ast = Bisa_frontend.Parser.parse src in
+  let conv = Bisa_backend.Linker.link_conventional ir.globals mfuncs in
+  let used = Gc.minor_words () -. words and after = collections () in
+  Alcotest.(check bool) "over 256 tokens" true
+    (List.length (Bisa_frontend.Lexer.tokenize src) > 256 && ast <> []);
+  Alcotest.(check bool) "over 256 instructions" true (Array.length conv.insns > 256);
+  Alcotest.(check bool) "allocation fits the minor heap" true
+    (used < float_of_int (Gc.get ()).minor_heap_size);
+  Alcotest.(check int) "minor collections while parsing and linking" before after
+
 (* --- Verifier output pin ------------------------------------------------------- *)
 
 (* The verifier's diagnostics, pinned byte for byte: li's programs with
@@ -502,4 +528,6 @@ let suite =
     Alcotest.test_case "jump tables" `Quick test_jump_tables_resolved;
     Alcotest.test_case "compiler output pinned" `Quick test_compiler_output_pinned;
     Alcotest.test_case "verifier output pinned" `Quick test_verifier_output_pinned;
+    Alcotest.test_case "parse and link force no minor collection" `Quick
+      test_no_forced_minor_collection;
   ]
