@@ -9,6 +9,9 @@
 
    Run with: dune exec examples/future_work.exe *)
 
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
 let () =
   let w = Bisa_workloads.Workloads.find "gcc" in
   let src = Bisa_workloads.Workloads.source w in
@@ -20,23 +23,25 @@ let () =
       (Bisa_timing.Metrics.mean_block_size m)
       extra
   in
+  let conv cfg prog = fst (Conv.run_artifact cfg (Conv.prepare prog)) in
+  let block cfg prog = fst (Block.run_artifact cfg (Block.prepare prog)) in
 
   (* The paper's baselines. *)
   let base = Bisa_compiler.Compiler.compile ~library_funcs:w.library_funcs src in
-  show "conventional" (Bisa_timing.Conv_pipeline.run cfg base.conv) "";
-  let m_base = Bisa_timing.Block_pipeline.run cfg base.block in
+  show "conventional" (conv cfg base.conv) "";
+  let m_base = block cfg base.block in
   show "block-structured (paper)" m_base "";
   print_newline ();
 
   (* Section 6, proposal by proposal. *)
   let pred = Bisa_compiler.Compiler.compile ~ifconvert:true ~library_funcs:w.library_funcs src in
-  show "  + predicated execution" (Bisa_timing.Block_pipeline.run cfg pred.block) "";
+  show "  + predicated execution" (block cfg pred.block) "";
 
   let inl = Bisa_compiler.Compiler.compile ~inline:true ~library_funcs:w.library_funcs src in
-  show "  + inlining" (Bisa_timing.Block_pipeline.run cfg inl.block) "";
+  show "  + inlining" (block cfg inl.block) "";
 
   let prof = Bisa_experiments.Profile_guided.compile w in
-  let m_prof = Bisa_timing.Block_pipeline.run cfg prof.block in
+  let m_prof = block cfg prof.block in
   show "  + profile-guided enlargement" m_prof
     (Printf.sprintf "  (code %d -> %d bytes)" base.block.code_bytes prof.block.code_bytes);
 
@@ -44,7 +49,7 @@ let () =
   let tc_cfg =
     { cfg with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
   in
-  let m_tc = Bisa_timing.Conv_pipeline.run tc_cfg base.conv in
+  let m_tc = conv tc_cfg base.conv in
   show "conventional + trace cache" m_tc
     (Printf.sprintf "  (%d trace hits)" m_tc.tc_hits);
 
@@ -53,4 +58,4 @@ let () =
     Bisa_compiler.Compiler.compile ~inline:true ~ifconvert:true
       ~library_funcs:w.library_funcs src
   in
-  show "block + predication + inlining" (Bisa_timing.Block_pipeline.run cfg all.block) ""
+  show "block + predication + inlining" (block cfg all.block) ""

@@ -6,6 +6,9 @@
 
    Run with: dune exec examples/icache_pressure.exe *)
 
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
 let sizes_kb = [ 2; 4; 8; 16 ]
 
 let () =
@@ -19,10 +22,12 @@ let () =
         c.block.code_bytes
         (float_of_int c.block.code_bytes
         /. float_of_int (Bisa_isa.Conv_prog.code_bytes c.conv));
+      (* One artifact per executable, shared by every icache size. *)
+      let conv = Conv.prepare c.conv and block = Block.prepare c.block in
+      let run cfg = (fst (Conv.run_artifact cfg conv), fst (Block.run_artifact cfg block)) in
       let perfect =
-        let cfg = { Bisa_timing.Config.default with icache = None } in
-        ( (Bisa_timing.Conv_pipeline.run cfg c.conv).cycles,
-          (Bisa_timing.Block_pipeline.run cfg c.block).cycles )
+        let mc, mb = run { Bisa_timing.Config.default with icache = None } in
+        (mc.cycles, mb.cycles)
       in
       List.iter
         (fun kb ->
@@ -32,8 +37,7 @@ let () =
               icache = Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 };
             }
           in
-          let mc = Bisa_timing.Conv_pipeline.run cfg c.conv in
-          let mb = Bisa_timing.Block_pipeline.run cfg c.block in
+          let mc, mb = run cfg in
           let rel m base = float_of_int (m - base) /. float_of_int base in
           Printf.printf
             "  %2dKB icache: conv +%.3f (misses %6d), block +%.3f (misses %6d)\n" kb

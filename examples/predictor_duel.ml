@@ -6,6 +6,9 @@
 
    Run with: dune exec examples/predictor_duel.exe *)
 
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
 let () =
   let cfg = Bisa_timing.Config.default in
   Printf.printf "%-10s | %21s | %31s\n" "benchmark" "conventional"
@@ -16,8 +19,8 @@ let () =
   List.iter
     (fun (w : Bisa_workloads.Workloads.t) ->
       let c = Bisa_workloads.Workloads.compile w in
-      let mc = Bisa_timing.Conv_pipeline.run cfg c.conv in
-      let mb = Bisa_timing.Block_pipeline.run cfg c.block in
+      let mc, _ = Conv.run_artifact cfg (Conv.prepare c.conv) in
+      let mb, _ = Block.run_artifact cfg (Block.prepare c.block) in
       Printf.printf "%-10s | %10d %10.1f | %10d %10.1f %9d\n" w.name mc.mispredicts
         (Bisa_timing.Metrics.mispredict_rate_per_kop mc)
         mb.mispredicts
@@ -29,12 +32,12 @@ let () =
      bits per block (modification 3). *)
   print_endline "history policy (m88ksim): variable shift (paper) vs naive 3-bit shift";
   let w = Bisa_workloads.Workloads.find "m88ksim" in
-  let c = Bisa_workloads.Workloads.compile w in
+  let block = Block.prepare (Bisa_workloads.Workloads.compile w).block in
   List.iter
     (fun (label, naive) ->
       let cfg =
         { cfg with block_pred = { cfg.block_pred with naive_history = naive } }
       in
-      let m = Bisa_timing.Block_pipeline.run cfg c.block in
+      let m, _ = Block.run_artifact cfg block in
       Printf.printf "  %-18s %8d cycles, %6d mispredicts\n" label m.cycles m.mispredicts)
     [ ("variable (paper)", false); ("naive 3-bit", true) ]

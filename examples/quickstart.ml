@@ -51,10 +51,12 @@ let () =
     (Bisa_sim.Output.to_string block_out) block_ops;
   assert (Bisa_sim.Output.equal conv_out block_out);
 
-  (* Timing: the paper's 16-wide core for both. *)
+  (* Timing: the paper's 16-wide core for both.  [prepare] verifies each
+     executable and bundles what a timing run needs into an artifact. *)
   let cfg = Bisa_timing.Config.default in
-  let mc = Bisa_timing.Conv_pipeline.run cfg compiled.conv in
-  let mb = Bisa_timing.Block_pipeline.run cfg compiled.block in
+  let module P = Bisa_timing.Pipeline in
+  let mc, _ = P.Conv.run_artifact cfg (P.Conv.prepare compiled.conv) in
+  let mb, _ = P.Block.run_artifact cfg (P.Block.prepare compiled.block) in
   print_newline ();
   print_endline (Bisa_timing.Metrics.summary ~name:"conventional    " mc);
   print_endline (Bisa_timing.Metrics.summary ~name:"block-structured" mb);

@@ -16,8 +16,9 @@ let () =
   Printf.printf "output: %s\n\n" (Bisa_sim.Output.to_string conv_out);
 
   let cfg = Bisa_timing.Config.default in
-  let mc = Bisa_timing.Conv_pipeline.run cfg c.conv in
-  let mb = Bisa_timing.Block_pipeline.run cfg c.block in
+  let module P = Bisa_timing.Pipeline in
+  let mc, _ = P.Conv.run_artifact cfg (P.Conv.prepare c.conv) in
+  let mb, _ = P.Block.run_artifact cfg (P.Block.prepare c.block) in
   print_endline (Bisa_timing.Metrics.summary ~name:"conventional    " mc);
   print_endline (Bisa_timing.Metrics.summary ~name:"block-structured" mb);
   let imp = 100.0 *. float_of_int (mc.cycles - mb.cycles) /. float_of_int mc.cycles in

@@ -123,12 +123,12 @@ let check_tri fmt ~budget img =
           ~functional:(fun () ->
             match go () with () -> `Halted | exception E.Runaway _ -> `Budgeted)
           ~timing:(fun () ->
+            let module P = Bisa_timing.Pipeline.Conv in
             match
-              Bisa_timing.Conv_pipeline.run
-                ~tables:(Bisa_timing.Predecode.of_conv w)
-                (timing_cfg budget) p
+              P.run_artifact (timing_cfg budget)
+                (P.bundle ~tables:(Bisa_timing.Predecode.of_conv w) p)
             with
-            | (_ : Bisa_timing.Metrics.t) -> ()
+            | (_ : Bisa_timing.Metrics.t * Bisa_sim.Output.t) -> ()
             | exception E.Runaway _ -> ())
           ~trapped:(fun () -> E.machine_trap t <> None)
           "conv"
@@ -153,12 +153,12 @@ let check_tri fmt ~budget img =
           ~functional:(fun () ->
             match go () with () -> `Halted | exception E.Runaway _ -> `Budgeted)
           ~timing:(fun () ->
+            let module P = Bisa_timing.Pipeline.Block in
             match
-              Bisa_timing.Block_pipeline.run
-                ~tables:(Bisa_timing.Predecode.of_block w)
-                (timing_cfg budget) p
+              P.run_artifact (timing_cfg budget)
+                (P.bundle ~tables:(Bisa_timing.Predecode.of_block w) p)
             with
-            | (_ : Bisa_timing.Metrics.t) -> ()
+            | (_ : Bisa_timing.Metrics.t * Bisa_sim.Output.t) -> ()
             | exception E.Runaway _ -> ())
           ~trapped:(fun () -> E.machine_trap t <> None)
           "block"

@@ -7,6 +7,8 @@
 module Compiler = Bisa_compiler.Compiler
 module Output = Bisa_sim.Output
 module Inject = Bisa_uarch.Inject
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
 
 type report = {
   runs : int;  (** injected timing runs executed (2 per seed) *)
@@ -30,7 +32,11 @@ let campaign ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(pool = Bisa_base.Pool.sequential)
      independent jobs; the injected grid is seeds x pipelines.  Every
      run's chaos stream comes from its own [Inject.chaos ~seed] instance
      — per work item, no shared generator — so sharding across the pool
-     changes nothing in the report. *)
+     changes nothing in the report.  Each ISA's interpreting artifact is
+     prepared once and shared by its clean run and every injected one. *)
+  let conv = Conv.prepare ~exec:Bisa_sim.Compile.Interp c.Compiler.conv in
+  let block = Block.prepare ~exec:Bisa_sim.Compile.Interp c.Compiler.block in
+  let run_conv cf = Conv.run_artifact cf conv and run_block cf = Block.run_artifact cf block in
   let conv_ref, block_ref, clean_conv, clean_block =
     match
       Bisa_base.Pool.map_list pool
@@ -38,11 +44,8 @@ let campaign ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(pool = Bisa_base.Pool.sequential)
         [
           (fun () -> `Out (fst (Bisa_sim.Conv_exec.run c.Compiler.conv ~budget ())));
           (fun () -> `Out (fst (Bisa_sim.Block_exec.run c.Compiler.block ~budget ())));
-          (fun () ->
-            `Metrics (fst (Bisa_timing.Conv_pipeline.run_full (cfg ~inject:None) c.Compiler.conv)));
-          (fun () ->
-            `Metrics
-              (fst (Bisa_timing.Block_pipeline.run_full (cfg ~inject:None) c.Compiler.block)));
+          (fun () -> `Metrics (fst (run_conv (cfg ~inject:None))));
+          (fun () -> `Metrics (fst (run_block (cfg ~inject:None))));
         ]
     with
     | [ `Out cr; `Out br; `Metrics cc; `Metrics cb ] -> (cr, br, cc, cb)
@@ -51,9 +54,9 @@ let campaign ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(pool = Bisa_base.Pool.sequential)
   let clean_miss =
     clean_conv.Bisa_timing.Metrics.mispredicts + clean_block.Bisa_timing.Metrics.mispredicts
   in
-  let one (name, reference, seed, run_full) =
+  let one (name, reference, seed, run) =
     let inj = Inject.chaos ~seed in
-    match run_full (cfg ~inject:(Some inj)) with
+    match run (cfg ~inject:(Some inj)) with
     | exception exn ->
       Error
         (Printf.sprintf "%s under injection (seed %d) raised %s" name seed
@@ -72,10 +75,8 @@ let campaign ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(pool = Bisa_base.Pool.sequential)
     List.concat_map
       (fun seed ->
         [
-          ( "conv-timing", conv_ref, seed,
-            fun cf -> Bisa_timing.Conv_pipeline.run_full cf c.Compiler.conv );
-          ( "block-timing", block_ref, seed * 7919,
-            fun cf -> Bisa_timing.Block_pipeline.run_full cf c.Compiler.block );
+          ("conv-timing", conv_ref, seed, run_conv);
+          ("block-timing", block_ref, seed * 7919, run_block);
         ])
       seeds
   in

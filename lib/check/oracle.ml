@@ -10,6 +10,8 @@ module Output = Bisa_sim.Output
 module Interp = Bisa_frontend.Interp
 module Conv_exec = Bisa_sim.Conv_exec
 module Block_exec = Bisa_sim.Block_exec
+module Compile = Bisa_sim.Compile
+module Pipeline = Bisa_timing.Pipeline
 
 (* Generated programs execute a few thousand operations; these bounds are
    three orders of magnitude above that, so hitting one is always a bug
@@ -39,6 +41,12 @@ let timing_cfg ?inject () =
     inject;
   }
 
+(* A timing pipeline's functional result, through the front door under
+   the given executor backend. *)
+let timing (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
+    ~exec (prog : p) =
+  snd (P.run_artifact (timing_cfg ()) (P.prepare ~exec prog))
+
 let default_engines () =
   [
     {
@@ -51,56 +59,41 @@ let default_engines () =
     };
     {
       name = "conv-timing";
-      run =
-        (fun c -> snd (Bisa_timing.Conv_pipeline.run_full (timing_cfg ()) c.Compiler.conv));
+      run = (fun c -> timing (module Pipeline.Conv) ~exec:Compile.Interp c.Compiler.conv);
     };
     {
       name = "block-timing";
-      run =
-        (fun c ->
-          snd (Bisa_timing.Block_pipeline.run_full (timing_cfg ()) c.Compiler.block));
+      run = (fun c -> timing (module Pipeline.Block) ~exec:Compile.Interp c.Compiler.block);
     };
   ]
 
 (* The threaded-code legs: the compiled functional executors, plus both
-   timing pipelines re-run with the compiled backend underneath.  The
-   compiles go through the verifier (Pipeline.S.compile), so the witness
-   discipline is exercised on every generated program too. *)
+   timing pipelines re-run with the compiled backend underneath.  Every
+   leg goes through the verifier, so the witness discipline is exercised
+   on every generated program too. *)
+let conv_code (c : Compiler.compiled) =
+  Compile.Conv.compile (Bisa_verify.Verify.conv_exn c.conv)
+
+let block_code (c : Compiler.compiled) =
+  Compile.Block.compile (Bisa_verify.Verify.block_exn c.block)
+
 let compiled_legs () =
   [
     {
       name = "conv-compiled";
-      run =
-        (fun c ->
-          fst
-            (Bisa_sim.Compile.Conv.run ~budget:exec_budget
-               (Bisa_timing.Pipeline.Conv.compile c.Compiler.conv)));
+      run = (fun c -> fst (Compile.Conv.run ~budget:exec_budget (conv_code c)));
     };
     {
       name = "block-compiled";
-      run =
-        (fun c ->
-          fst
-            (Bisa_sim.Compile.Block.run ~budget:exec_budget
-               (Bisa_timing.Pipeline.Block.compile c.Compiler.block)));
+      run = (fun c -> fst (Compile.Block.run ~budget:exec_budget (block_code c)));
     };
     {
       name = "conv-timing-compiled";
-      run =
-        (fun c ->
-          snd
-            (Bisa_timing.Conv_pipeline.run_full
-               ~code:(Bisa_timing.Pipeline.Conv.compile c.Compiler.conv)
-               (timing_cfg ()) c.Compiler.conv));
+      run = (fun c -> timing (module Pipeline.Conv) ~exec:Compile.Compiled c.Compiler.conv);
     };
     {
       name = "block-timing-compiled";
-      run =
-        (fun c ->
-          snd
-            (Bisa_timing.Block_pipeline.run_full
-               ~code:(Bisa_timing.Pipeline.Block.compile c.Compiler.block)
-               (timing_cfg ()) c.Compiler.block));
+      run = (fun c -> timing (module Pipeline.Block) ~exec:Compile.Compiled c.Compiler.block);
     };
   ]
 
@@ -119,9 +112,7 @@ let first_divergence (c : Compiler.compiled) =
     let b = Conv_exec.create c.Compiler.conv in
     Conv_exec.set_budget a exec_budget;
     Conv_exec.set_budget b exec_budget;
-    let cb =
-      Bisa_sim.Compile.Conv.bind (Bisa_timing.Pipeline.Conv.compile c.Compiler.conv) b
-    in
+    let cb = Compile.Conv.bind (conv_code c) b in
     let rec go i =
       let pa = try Ok (Conv_exec.step a) with e -> Error (show_exn e) in
       let pb = try Ok (Bisa_sim.Compile.Conv.step cb) with e -> Error (show_exn e) in
@@ -145,11 +136,7 @@ let first_divergence (c : Compiler.compiled) =
     let b = Block_exec.create c.Compiler.block in
     Block_exec.set_budget a exec_budget;
     Block_exec.set_budget b exec_budget;
-    let cb =
-      Bisa_sim.Compile.Block.bind
-        (Bisa_timing.Pipeline.Block.compile c.Compiler.block)
-        b
-    in
+    let cb = Compile.Block.bind (block_code c) b in
     let rec go i =
       let pa = try Ok (Block_exec.step a) with e -> Error (show_exn e) in
       let pb = try Ok (Bisa_sim.Compile.Block.step cb) with e -> Error (show_exn e) in

@@ -3,8 +3,8 @@
     One generated program is executed by the reference interpreter (the
     semantic ground truth) and by every engine: the conventional and
     block-structured functional executors plus both cycle-level timing
-    pipelines (whose functional results come from {!Bisa_timing.Conv_pipeline.run_full}
-    / {!Bisa_timing.Block_pipeline.run_full}).  All five must produce
+    pipelines (whose functional results come from
+    {!Bisa_timing.Pipeline.S.run_artifact}).  Every engine must produce
     identical outputs and exit values, and the two ISAs' final data
     segments must match word-for-word.  On a finding, the fuzzer greedily
     shrinks to a (locally) minimal failing program. *)

@@ -53,14 +53,10 @@ type t = {
   lock : Mutex.t;  (* guards all tables (not the cells' contents) *)
   compiled_cache : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
   run_cache : (string * string * cache_key, Bisa_timing.Metrics.t cell) Hashtbl.t;
-  (* Predecoded op-template tables: one per program, shared by every grid
-     configuration and worker domain that simulates it. *)
-  pre_conv_cache : (string, Bisa_timing.Predecode.t cell) Hashtbl.t;
-  pre_block_cache : (string, Bisa_timing.Predecode.blocks cell) Hashtbl.t;
-  (* Artifact bundles (program witness + tables + code handle + content
-     hash): the form every timing run consumes.  Memoized so the content
-     hash — an O(program) encode — is computed once, not once per grid
-     cell. *)
+  (* Artifacts (program witness + predecode tables + code handle +
+     content hash): the form every timing run consumes, prepared once per
+     program and shared by every grid configuration and worker domain
+     that simulates it. *)
   art_conv_cache : (string, Bisa_timing.Pipeline.Conv.artifact cell) Hashtbl.t;
   art_block_cache : (string, Bisa_timing.Pipeline.Block.artifact cell) Hashtbl.t;
   mutable on_compute : string -> unit;
@@ -92,8 +88,6 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
     lock = Mutex.create ();
     compiled_cache = Hashtbl.create 16;
     run_cache = Hashtbl.create 64;
-    pre_conv_cache = Hashtbl.create 16;
-    pre_block_cache = Hashtbl.create 16;
     art_conv_cache = Hashtbl.create 16;
     art_block_cache = Hashtbl.create 16;
     on_compute = ignore;
@@ -101,7 +95,6 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
 
 let base_config t = t.base
 let exec_backend t = t.exec
-let campaign t = t.campaign
 let sweep_caches t = t.sweep
 let benchmarks _ = Workloads.all
 let pool t = t.pool
@@ -136,74 +129,43 @@ let compiled t (w : Workloads.t) =
       | Some scale -> Workloads.compile ~scale w
       | None -> Workloads.compile w)
 
-let predecoded_conv t (w : Workloads.t) =
-  memoize t t.pre_conv_cache w.name
-    ~label:("predecode:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Conv.isa)
-    ~compute:(fun () -> Bisa_timing.Pipeline.Conv.predecode (compiled t w).conv)
+(* One cell per (workload, isa): [prepare] verifies, predecodes, takes
+   the code handle [t.exec] asks for and hashes, exactly once. *)
+let artifact (type p a) t
+    (module P : Bisa_timing.Pipeline.S with type prog = p and type artifact = a) table
+    (prog : Bisa_compiler.Compiler.compiled -> p) (w : Workloads.t) : a =
+  memoize t table w.name ~label:("artifact:" ^ w.name ^ "/" ^ P.isa) ~compute:(fun () ->
+      P.prepare ~exec:t.exec (prog (compiled t w)))
 
-let predecoded_block t (w : Workloads.t) =
-  memoize t t.pre_block_cache w.name
-    ~label:("predecode:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
-    ~compute:(fun () -> Bisa_timing.Pipeline.Block.predecode (compiled t w).block)
+let artifact_conv t =
+  artifact t (module Bisa_timing.Pipeline.Conv) t.art_conv_cache (fun c -> c.conv)
 
-(* The artifact memo bundles the predecode memo with the program's
-   content hash and, under ~exec:Compiled, its threaded-code handle: an
-   O(1) value that needs no memo of its own, since each run builds the
-   chains it executes.  The predecode memo has verified the very same
-   program, so the handle is the trusted one.  This is the single value
-   every timing run, campaign cell and checkpoint consumes. *)
-let handle t compile_trusted prog =
-  match t.exec with
-  | Bisa_sim.Compile.Interp -> None
-  | Bisa_sim.Compile.Compiled -> Some (compile_trusted prog)
-
-let artifact_conv t (w : Workloads.t) =
-  let module P = Bisa_timing.Pipeline.Conv in
-  memoize t t.art_conv_cache w.name ~label:("artifact:" ^ w.name ^ "/" ^ P.isa)
-    ~compute:(fun () ->
-      let tables = predecoded_conv t w in
-      let prog = (compiled t w).conv in
-      P.bundle ?code:(handle t P.compile_trusted prog) ~tables prog)
-
-let artifact_block t (w : Workloads.t) =
-  let module P = Bisa_timing.Pipeline.Block in
-  memoize t t.art_block_cache w.name ~label:("artifact:" ^ w.name ^ "/" ^ P.isa)
-    ~compute:(fun () ->
-      let tables = predecoded_block t w in
-      let prog = (compiled t w).block in
-      P.bundle ?code:(handle t P.compile_trusted prog) ~tables prog)
+let artifact_block t =
+  artifact t (module Bisa_timing.Pipeline.Block) t.art_block_cache (fun c -> c.block)
 
 let key_of (cfg : Config.t) : cache_key =
   ( Option.map (fun (c : Cache.config) -> (c.size_bytes, c.assoc, c.line_bytes)) cfg.icache,
     cfg.predictor )
 
-let run t (w : Workloads.t) (cfg : Config.t) ~isa ~f =
-  let key = (w.name, isa, key_of cfg) in
-  memoize t t.run_cache key
-    ~label:(Printf.sprintf "run:%s/%s" w.name isa)
-    ~compute:(fun () ->
-      log "[run] %s/%s icache=%s pred=%s" w.name isa
-        (match cfg.icache with
-        | Some c -> string_of_int (c.size_bytes / 1024) ^ "KB"
-        | None -> "perfect")
-        (match cfg.predictor with Config.Real -> "real" | Config.Perfect -> "perfect");
-      f (compiled t w))
-
 (* Both ISAs run through the one [Pipeline.S] contract; only the artifact
    memo differs per instantiation.  With a campaign attached, every cell
    goes through its crash-safe path: finished cells are read back from
    their manifests, interrupted ones resume from their snapshots. *)
-let run_pipe (type p a) t
+let run (type p a) t
     (module P : Bisa_timing.Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : Workloads.t -> a) (w : Workloads.t) cfg =
-  run t w cfg ~isa:P.isa ~f:(fun _cm ->
+    ~(artifact : Workloads.t -> a) (w : Workloads.t) (cfg : Config.t) =
+  memoize t t.run_cache (w.name, P.isa, key_of cfg)
+    ~label:(Printf.sprintf "run:%s/%s" w.name P.isa)
+    ~compute:(fun () ->
+      log "[run] %s/%s icache=%s pred=%s" w.name P.isa
+        (match cfg.icache with
+        | Some c -> string_of_int (c.size_bytes / 1024) ^ "KB"
+        | None -> "perfect")
+        (match cfg.predictor with Config.Real -> "real" | Config.Perfect -> "perfect");
       let art = artifact w in
       match t.campaign with
       | Some camp -> Campaign.run_cell camp (module P) ~bench:w.name cfg art
       | None -> fst (P.run_artifact cfg art))
 
-let run_conv t w cfg =
-  run_pipe t (module Bisa_timing.Pipeline.Conv) ~artifact:(artifact_conv t) w cfg
-
-let run_block t w cfg =
-  run_pipe t (module Bisa_timing.Pipeline.Block) ~artifact:(artifact_block t) w cfg
+let run_conv t w cfg = run t (module Bisa_timing.Pipeline.Conv) ~artifact:(artifact_conv t) w cfg
+let run_block t w cfg = run t (module Bisa_timing.Pipeline.Block) ~artifact:(artifact_block t) w cfg

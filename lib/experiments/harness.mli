@@ -40,8 +40,6 @@ val create :
 
 val exec_backend : t -> Bisa_sim.Compile.backend
 
-val campaign : t -> Campaign.t option
-
 val chunks : int -> 'a list -> 'a list list
 (** [chunks n xs] splits grid results back into consecutive per-benchmark
     groups of [n].  Raises [Invalid_argument] when [n <= 0], or unless
@@ -58,52 +56,34 @@ val benchmarks : t -> Bisa_workloads.Workloads.t list
 
 val pool : t -> Bisa_base.Pool.t
 
-val compiled : t -> Bisa_workloads.Workloads.t -> Bisa_compiler.Compiler.compiled
-
-val predecoded_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.t
-(** The workload's predecoded op-template table, built exactly once and
-    shared by every grid configuration (and worker domain) that simulates
-    it.  Fires the compute hook with ["predecode:<bench>/<isa>"]. *)
-
-val predecoded_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.blocks
-
 val artifact_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.artifact
-(** The workload's prepared artifact bundle — program witness, memoized
-    predecode tables, threaded-code handle (when the harness runs
-    [~exec:Compiled]) and content hash — built exactly once and shared
-    like the tables it bundles.  Fires the compute hook with
+(** The workload's artifact, [Pipeline.Conv.prepare ~exec] of its
+    compiled program — program witness, predecode tables, threaded-code
+    handle (when the harness runs [~exec:Compiled]) and content hash —
+    built exactly once and shared by every grid configuration and worker
+    domain that simulates it.  Fires the compute hook with
     ["artifact:<bench>/<isa>"].  This is the value every timing run,
     campaign cell and checkpoint consumes. *)
 
 val artifact_block :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.artifact
 
-val run_pipe :
-  t ->
-  (module Bisa_timing.Pipeline.S with type prog = 'p and type artifact = 'a) ->
-  artifact:(Bisa_workloads.Workloads.t -> 'a) ->
-  Bisa_workloads.Workloads.t ->
-  Bisa_timing.Config.t ->
-  Bisa_timing.Metrics.t
-(** Timing run through any {!Bisa_timing.Pipeline.S} implementation,
-    memoized on (benchmark, [P.isa], icache, predictor).  [artifact]
-    supplies the prepared bundle (normally {!artifact_conv} /
-    {!artifact_block}).  Safe to call concurrently from pool workers; a
-    given cell compiles and simulates exactly once.  {!run_conv} and
-    {!run_block} are its two standard instantiations. *)
-
 val run_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Config.t -> Bisa_timing.Metrics.t
+(** Timing run of the workload's {!artifact_conv}, memoized on
+    (benchmark, isa, icache, predictor).  Safe to call concurrently from
+    pool workers; a given cell compiles and simulates exactly once.  With
+    a campaign attached the run goes through {!Campaign.run_cell}. *)
 
 val run_block :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Config.t -> Bisa_timing.Metrics.t
 
 val set_compute_hook : t -> (string -> unit) -> unit
 (** Observe cache misses: the hook fires exactly once per distinct cell,
-    with ["compile:<bench>"] or ["run:<bench>/<isa>"], before the
-    computation runs.  Used by the thread-safety tests; defaults to
-    [ignore]. *)
+    with ["compile:<bench>"], ["artifact:<bench>/<isa>"] or
+    ["run:<bench>/<isa>"], before the computation runs.  Used by the
+    thread-safety tests; defaults to [ignore]. *)
 
 val verbose : bool ref
 (** When set, each cache miss logs a progress line to stderr.  Lines are

@@ -92,25 +92,30 @@ let copyprop (f : Ir.func) =
 
 (* --- Local common subexpression elimination ----------------------------- *)
 
+(* The table compares keys with [compare], under which 0.0 equals -0.0
+   and every NaN equals every other, so a float key also carries its
+   operands' bits. *)
 type key =
   | Kbin of Ir.binop * Ir.operand * Ir.operand
-  | Kfbin of Ir.fbinop * Ir.operand * Ir.operand
+  | Kfbin of Ir.fbinop * Ir.operand * Ir.operand * int64 * int64
   | Kcmp of Bisa_isa.Cmp.t * Ir.operand * Ir.operand
-  | Kfcmp of Bisa_isa.Cmp.t * Ir.operand * Ir.operand
+  | Kfcmp of Bisa_isa.Cmp.t * Ir.operand * Ir.operand * int64 * int64
   | Kitof of Ir.operand
-  | Kftoi of Ir.operand
+  | Kftoi of Ir.operand * int64
   | Kgaddr of string
   | Kload of Ir.operand * int
   | Kloadf of Ir.operand * int
 
+let fbits = function Ir.Cflt f -> Int64.bits_of_float f | Ir.V _ | Ir.Cint _ -> 0L
+
 let key_of_op (op : Ir.op) : (key * Ir.vreg) option =
   match op with
   | Bin (b, d, x, y) -> Some (Kbin (b, x, y), d)
-  | Fbin (b, d, x, y) -> Some (Kfbin (b, x, y), d)
+  | Fbin (b, d, x, y) -> Some (Kfbin (b, x, y, fbits x, fbits y), d)
   | Cmpset (c, d, x, y) -> Some (Kcmp (c, x, y), d)
-  | Fcmpset (c, d, x, y) -> Some (Kfcmp (c, x, y), d)
+  | Fcmpset (c, d, x, y) -> Some (Kfcmp (c, x, y, fbits x, fbits y), d)
   | Itof (d, x) -> Some (Kitof x, d)
-  | Ftoi (d, x) -> Some (Kftoi x, d)
+  | Ftoi (d, x) -> Some (Kftoi (x, fbits x), d)
   | Gaddr (d, g) -> Some (Kgaddr g, d)
   | Load (d, b, off) -> Some (Kload (b, off), d)
   | Loadf (d, b, off) -> Some (Kloadf (b, off), d)
@@ -119,18 +124,18 @@ let key_of_op (op : Ir.op) : (key * Ir.vreg) option =
 let key_is_load = function Kload _ | Kloadf _ -> true | _ -> false
 
 let iter_key_vregs f = function
-  | Kbin (_, x, y) | Kfbin (_, x, y) | Kcmp (_, x, y) | Kfcmp (_, x, y) ->
+  | Kbin (_, x, y) | Kfbin (_, x, y, _, _) | Kcmp (_, x, y) | Kfcmp (_, x, y, _, _) ->
     Ir.iter_operand f x;
     Ir.iter_operand f y
-  | Kitof x | Kftoi x | Kload (x, _) | Kloadf (x, _) -> Ir.iter_operand f x
+  | Kitof x | Kftoi (x, _) | Kload (x, _) | Kloadf (x, _) -> Ir.iter_operand f x
   | Kgaddr _ -> ()
 
 let is_vreg v = function Ir.V w -> w = v | Ir.Cint _ | Ir.Cflt _ -> false
 
 let key_reads_vreg v = function
-  | Kbin (_, x, y) | Kfbin (_, x, y) | Kcmp (_, x, y) | Kfcmp (_, x, y) ->
+  | Kbin (_, x, y) | Kfbin (_, x, y, _, _) | Kcmp (_, x, y) | Kfcmp (_, x, y, _, _) ->
     is_vreg v x || is_vreg v y
-  | Kitof x | Kftoi x | Kload (x, _) | Kloadf (x, _) -> is_vreg v x
+  | Kitof x | Kftoi (x, _) | Kload (x, _) | Kloadf (x, _) -> is_vreg v x
   | Kgaddr _ -> false
 
 (* Block-local available expressions, key -> holder vreg, in one table

@@ -352,10 +352,6 @@ let reject what diags =
 
 (* --- the result cache ---------------------------------------------------- *)
 
-let exec_name = function
-  | Bisa_sim.Compile.Interp -> "interp"
-  | Bisa_sim.Compile.Compiled -> "compiled"
-
 (* The serving cache key (DESIGN.md section 16): program content hash x
    configuration fingerprint x exec backend x request shape.  The exec
    backend is in the key even though the backends are differentially
@@ -364,7 +360,7 @@ let exec_name = function
 let sim_key ~what ~isa ~prog_hash ~cfg ~exec ~mode ~out_cap =
   Printf.sprintf "%s|%s|%016Lx|%016Lx|%s|%s|%s" what isa prog_hash
     (Bisa_timing.Config.fingerprint cfg)
-    (exec_name exec)
+    (Bisa_sim.Compile.backend_to_string exec)
     (match mode with Proto.Timing -> "timing" | Proto.Functional -> "functional")
     (match out_cap with None -> "full" | Some n -> string_of_int n)
 

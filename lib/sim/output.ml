@@ -2,7 +2,17 @@ type item = Oint of int | Oflt of float
 
 type t = { ret : int; items : item list }
 
-let equal a b = a.ret = b.ret && a.items = b.items
+(* Floats compare by their bits, except that any NaN matches any NaN:
+   [=] would equate 0.0 with -0.0 and tell a NaN from itself. *)
+let equal_item i j =
+  match (i, j) with
+  | Oint x, Oint y -> x = y
+  | Oflt x, Oflt y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    || (Float.is_nan x && Float.is_nan y)
+  | Oint _, Oflt _ | Oflt _, Oint _ -> false
+
+let equal a b = a.ret = b.ret && List.equal equal_item a.items b.items
 
 let item_to_string = function
   | Oint v -> string_of_int v

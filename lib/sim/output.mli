@@ -8,6 +8,9 @@ type item = Oint of int | Oflt of float
 type t = { ret : int; items : item list }
 
 val equal : t -> t -> bool
+(** Same exit value and items; floats compare by their bits (so 0.0 and
+    -0.0 differ), except that any NaN matches any NaN. *)
+
 val to_string : t -> string
 
 (** Bounded output accumulation for paper-scale streamed runs.

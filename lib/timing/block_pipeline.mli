@@ -14,65 +14,45 @@
     paper's block-structured advantage grows from 12% to 19-20% in
     figure 4.
 
-    [tables] is the program's predecoded op-template table; when omitted it
-    is built on entry (cheap — one pass over the static program).  Pass a
-    memoized table (see {!Predecode.of_block} and the experiment harness)
-    to share one across many configurations. *)
+    Private to [bisa_timing]: every consumer reaches this core through
+    {!Pipeline.Block}, whose artifact supplies the session's inputs. *)
 
-(** [probe] (default {!Bisa_obs.Probe.null}) receives pipeline events —
+type session
+(** An in-flight run, advanced one fetched block at a time — the
+    suspendable form of a whole run that checkpointing is built on. *)
+
+val session :
+  ?probe:Bisa_obs.Probe.t ->
+  Config.t ->
+  tables:Predecode.blocks ->
+  code:Bisa_sim.Compile.Block.code option ->
+  Bisa_isa.Block_prog.t ->
+  session
+(** A session over a verified program's predecoded op-template [tables].
+
+    [code] (see {!Bisa_sim.Compile.Block}) swaps the dispatching
+    interpreter for the program's threaded-code executor.  Both backends
+    drive the identical {!Bisa_sim.Block_exec.t} state, so metrics,
+    outputs and checkpoints are independent of the choice.
+
+    [probe] (default {!Bisa_obs.Probe.null}) receives pipeline events —
     fetch-unit start/retire, prediction outcomes, redirects, fault
     squashes, cache/BTB activity, window occupancy.  The null probe is
     free: one physical-equality test on entry disables every emission, so
     the hot path is unchanged (checked by the allocation-budget test). *)
-
-(** [code] (see {!Bisa_sim.Compile.Block}) swaps the dispatching
-    interpreter for the program's threaded-code executor.  Both backends
-    drive the identical {!Bisa_sim.Block_exec.t} state, so metrics,
-    outputs and checkpoints are independent of the choice. *)
-
-val run :
-  ?tables:Predecode.blocks ->
-  ?code:Bisa_sim.Compile.Block.code ->
-  ?probe:Bisa_obs.Probe.t ->
-  Config.t ->
-  Bisa_isa.Block_prog.t ->
-  Metrics.t
-
-val run_full :
-  ?tables:Predecode.blocks ->
-  ?code:Bisa_sim.Compile.Block.code ->
-  ?probe:Bisa_obs.Probe.t ->
-  Config.t ->
-  Bisa_isa.Block_prog.t ->
-  Metrics.t * Bisa_sim.Output.t
-(** As {!run}, also returning the functional output of the underlying
-    executor — the differential fuzzer compares it against the canonical
-    execution to prove fault injection cannot alter architectural
-    results. *)
-
-type session
-(** An in-flight run, advanced one fetched block at a time — the
-    suspendable form of [run_full] that checkpointing is built on. *)
-
-val session :
-  ?tables:Predecode.blocks ->
-  ?code:Bisa_sim.Compile.Block.code ->
-  ?probe:Bisa_obs.Probe.t ->
-  Config.t ->
-  Bisa_isa.Block_prog.t ->
-  session
 
 val step : session -> bool
 (** Advance by one fetched block; false once the machine has halted.
     Checkpoints are only meaningful between steps. *)
 
 val ops : session -> int
-val set_out_cap : session -> int -> unit
 (** Dynamic operations executed so far (drives checkpoint cadence). *)
 
+val set_out_cap : session -> int -> unit
+(** Retain only the first [n] output items (see {!Pipeline.S.set_out_cap}). *)
+
 val finish : session -> Metrics.t * Bisa_sim.Output.t
-(** Run the remaining steps and seal the metrics.  [finish (session cfg
-    prog)] equals [run_full cfg prog] exactly. *)
+(** Run the remaining steps and seal the metrics. *)
 
 val save : session -> Bisa_base.Codec.W.t -> unit
 val restore : session -> Bisa_base.Codec.R.t -> unit

@@ -207,14 +207,9 @@ type session = {
   mutable running : bool;
 }
 
-let session ?tables ?code ?(probe = Bisa_obs.Probe.null) (cfg : Config.t)
+let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
     (prog : Conv_prog.t) : session =
   let engine = Engine.create cfg in
-  let pd =
-    match tables with
-    | Some t -> t
-    | None -> Predecode.of_conv (Bisa_verify.Verify.conv_exn prog)
-  in
   let exec = Conv_exec.create prog in
   Conv_exec.set_budget exec cfg.op_budget;
   let cexec = Option.map (fun c -> Bisa_sim.Compile.Conv.bind c exec) code in
@@ -240,7 +235,7 @@ let session ?tables ?code ?(probe = Bisa_obs.Probe.null) (cfg : Config.t)
   {
     cfg;
     prog;
-    pd;
+    pd = tables;
     m = Metrics.create ();
     engine;
     exec;
@@ -524,10 +519,3 @@ let restore s r =
   Conv_pred.load s.pred r;
   opt_side "injector" (R.bool r) s.inj (fun i -> Bisa_uarch.Inject.load i r);
   Metrics.load s.m r
-
-let run_full ?tables ?code ?probe (cfg : Config.t) (prog : Conv_prog.t) :
-    Metrics.t * Bisa_sim.Output.t =
-  finish (session ?tables ?code ?probe cfg prog)
-
-let run ?tables ?code ?probe cfg prog =
-  fst (run_full ?tables ?code ?probe cfg prog)

@@ -1,8 +1,7 @@
 module Verify = Bisa_verify.Verify
 
-(* The per-pipeline primitives: everything except the artifact layer,
-   which [Extend] derives uniformly for both cores. *)
-module type BASE = sig
+(* What the artifact layer keeps of the per-pipeline primitives. *)
+module type CORE = sig
   type prog
   type tables
   type code
@@ -10,32 +9,12 @@ module type BASE = sig
   val isa : string
   val descr : string
   val verify : prog -> Bisa_base.Diag.t list
-  val predecode : prog -> tables
   val predecode_trusted : prog -> tables
-  val compile : prog -> code
   val compile_trusted : prog -> code
   val prog_hash : prog -> int64
 
-  val run :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t
-
-  val run_full :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t * Bisa_sim.Output.t
-
   type session
 
-  val session :
-    ?tables:tables -> ?code:code -> ?probe:Bisa_obs.Probe.t -> Config.t -> prog -> session
   val step : session -> bool
   val ops : session -> int
   val set_out_cap : session -> int -> unit
@@ -44,8 +23,25 @@ module type BASE = sig
   val restore : session -> Bisa_base.Codec.R.t -> unit
 end
 
+(* The primitives [Extend] derives the artifact layer from: a verifying
+   [predecode], and a core's [session] over loose pieces.  [S] hides
+   both, so a session comes only from an artifact. *)
+module type BASE = sig
+  include CORE
+
+  val predecode : prog -> tables
+
+  val session :
+    ?probe:Bisa_obs.Probe.t ->
+    Config.t ->
+    tables:tables ->
+    code:code option ->
+    prog ->
+    session
+end
+
 module type S = sig
-  include BASE
+  include CORE
 
   type artifact
 
@@ -53,7 +49,6 @@ module type S = sig
     type t = artifact
 
     val prog : t -> prog
-    val tables : t -> tables
     val code : t -> code option
     val hash : t -> int64
   end
@@ -75,8 +70,8 @@ end
 (* Derive the artifact layer from the primitives.  The record is the
    whole design: once a program is inside an artifact, its verification
    status, tables, optional code handle and content hash travel as one
-   value, so no consumer threads ?tables/?code pairs (or recomputes the
-   hash) again. *)
+   value, so no consumer threads tables and code handles (or recomputes
+   the hash) again. *)
 module Extend (B : BASE) :
   S
     with type prog = B.prog
@@ -96,7 +91,6 @@ module Extend (B : BASE) :
     type t = artifact
 
     let prog a = a.a_prog
-    let tables a = a.a_tables
     let code a = a.a_code
     let hash a = a.a_hash
   end
@@ -121,7 +115,7 @@ module Extend (B : BASE) :
     bundle ?code:(code_for exec prog) ~tables prog
 
   let session_artifact ?probe cfg a =
-    B.session ~tables:a.a_tables ?code:a.a_code ?probe cfg a.a_prog
+    B.session ?probe cfg ~tables:a.a_tables ~code:a.a_code a.a_prog
 
   let run_artifact ?probe ?out_cap cfg a =
     let s = session_artifact ?probe cfg a in
@@ -139,21 +133,10 @@ module Conv = Extend (struct
   let verify = Verify.conv_diags
   let predecode prog = Predecode.of_conv (Verify.conv_exn prog)
   let predecode_trusted = Predecode.of_conv_trusted
-  let compile prog = Bisa_sim.Compile.Conv.compile (Verify.conv_exn prog)
   let compile_trusted = Bisa_sim.Compile.Conv.compile_trusted
   let prog_hash prog = Bisa_base.Codec.fnv1a64 (Bisa_isa.Encode.conv_to_bytes prog)
-  let run = Conv_pipeline.run
-  let run_full = Conv_pipeline.run_full
 
-  type session = Conv_pipeline.session
-
-  let session = Conv_pipeline.session
-  let step = Conv_pipeline.step
-  let ops = Conv_pipeline.ops
-  let set_out_cap = Conv_pipeline.set_out_cap
-  let finish = Conv_pipeline.finish
-  let save = Conv_pipeline.save
-  let restore = Conv_pipeline.restore
+  include Conv_pipeline
 end)
 
 module Block = Extend (struct
@@ -166,19 +149,8 @@ module Block = Extend (struct
   let verify = Verify.block_diags
   let predecode prog = Predecode.of_block (Verify.block_exn prog)
   let predecode_trusted = Predecode.of_block_trusted
-  let compile prog = Bisa_sim.Compile.Block.compile (Verify.block_exn prog)
   let compile_trusted = Bisa_sim.Compile.Block.compile_trusted
   let prog_hash prog = Bisa_base.Codec.fnv1a64 (Bisa_isa.Encode.block_to_bytes prog)
-  let run = Block_pipeline.run
-  let run_full = Block_pipeline.run_full
 
-  type session = Block_pipeline.session
-
-  let session = Block_pipeline.session
-  let step = Block_pipeline.step
-  let ops = Block_pipeline.ops
-  let set_out_cap = Block_pipeline.set_out_cap
-  let finish = Block_pipeline.finish
-  let save = Block_pipeline.save
-  let restore = Block_pipeline.restore
+  include Block_pipeline
 end)

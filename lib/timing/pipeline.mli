@@ -19,13 +19,10 @@
     preparation time, so replaying an artifact is pure — the property the
     serving layer's cache is built on. *)
 
-(** The per-pipeline primitives.  The [?tables]/[?code] optional
-    arguments on [run]/[run_full]/[session] are the pre-artifact API and
-    are {b deprecated} for new code: thread an {!S.artifact} (via
-    {!S.prepare} / {!S.bundle}) and use {!S.run_artifact} /
-    {!S.session_artifact} instead, so the program witness, its derived
-    state and its content hash cannot drift apart. *)
-module type BASE = sig
+(** What every consumer drives.  A session comes only from an artifact
+    ({!S.session_artifact} / {!S.run_artifact}), so the program witness,
+    its derived state and its content hash cannot drift apart. *)
+module type S = sig
   type prog
   type tables
 
@@ -46,63 +43,24 @@ module type BASE = sig
   (** All static well-formedness violations; [[]] means the program may
       be predecoded and simulated. *)
 
-  val predecode : prog -> tables
-  (** Verify, then build the program's predecoded op-template tables (one
-      cheap pass; memoize to share across configurations).  Raises
-      {!Bisa_base.Diag.Fail} with the first diagnostic if {!verify} is
-      non-empty. *)
-
   val predecode_trusted : prog -> tables
-  (** Build tables without verifying — the caller asserts
-      well-formedness. *)
-
-  val compile : prog -> code
-  (** Verify, then take the program's threaded-code handle (same trust
-      discipline as {!predecode}).  O(1) after verification.  Raises
-      {!Bisa_base.Diag.Fail} with the first diagnostic if {!verify} is
-      non-empty. *)
+  (** Build the program's predecoded op-template tables without
+      verifying — the caller asserts well-formedness.  {!prepare} is the
+      verifying path. *)
 
   val compile_trusted : prog -> code
-  (** The handle without verifying — the caller asserts well-formedness
-      (or has already discharged it, e.g. via {!predecode}).  O(1). *)
+  (** The threaded-code handle without verifying — the caller asserts
+      well-formedness.  O(1). *)
 
   val prog_hash : prog -> int64
   (** Content hash of the program's canonical byte encoding — what binds
       a checkpoint snapshot (and a served artifact) to the exact program
       it was built from. *)
 
-  val run :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t
-  (** Deprecated entry point; prefer {!S.run_artifact}. *)
-
-  val run_full :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t * Bisa_sim.Output.t
-  (** Deprecated entry point; prefer {!S.run_artifact}.  With [?code] the
-      functional executor runs compiled; without it, interpreted.  The
-      two backends drive the identical executor state and are
-      differentially tested equivalent, so metrics, outputs and
-      checkpoints do not depend on the choice — only wall-clock does.
-      The exec backend is deliberately absent from
-      {!Config.fingerprint}: a checkpoint taken under either backend
-      resumes under the other. *)
-
   type session
   (** An in-flight run, advanced one fetch unit at a time — the
-      suspendable form of [run_full] that checkpointing is built on. *)
-
-  val session :
-    ?tables:tables -> ?code:code -> ?probe:Bisa_obs.Probe.t -> Config.t -> prog -> session
-  (** Deprecated entry point; prefer {!S.session_artifact}. *)
+      suspendable form of {!run_artifact} that checkpointing is built
+      on. *)
 
   val step : session -> bool
   (** Advance by one fetch unit; false once the machine has halted.
@@ -119,32 +77,28 @@ module type BASE = sig
       marked truncated. *)
 
   val finish : session -> Metrics.t * Bisa_sim.Output.t
-  (** Run the remaining steps and seal the metrics.  [finish (session
-      cfg prog)] equals [run_full cfg prog] exactly. *)
+  (** Run the remaining steps and seal the metrics.  [finish
+      (session_artifact cfg a)] equals [run_artifact cfg a] exactly. *)
 
   val save : session -> Bisa_base.Codec.W.t -> unit
   val restore : session -> Bisa_base.Codec.R.t -> unit
   (** Serialize/restore all inter-step state.  [restore] requires a fresh
       session built from the same program, tables and configuration; use
       {!Checkpoint} for the validated on-disk form. *)
-end
-
-module type S = sig
-  include BASE
 
   type artifact
   (** A prepared program: the verified program witness, its predecode
       tables, a threaded-code handle when the backend is [Compiled], and
       its content hash, bundled as one value.  It never holds closure
-      chains: those live only as long as the run that executes them.  Artifacts are {e derived} state — cheap to rebuild,
-      deliberately absent from checkpoint snapshot identity — and they
-      are what every consumer caches and replays. *)
+      chains: those live only as long as the run that executes them.
+      Artifacts are {e derived} state — cheap to rebuild, deliberately
+      absent from checkpoint snapshot identity — and they are what every
+      consumer caches and replays. *)
 
   module Artifact : sig
     type t = artifact
 
     val prog : t -> prog
-    val tables : t -> tables
     val code : t -> code option
     val hash : t -> int64
   end
@@ -161,11 +115,19 @@ module type S = sig
       well-formedness (the [--no-verify] escape hatch, fuzzers). *)
 
   val bundle : ?code:code -> tables:tables -> prog -> artifact
-  (** Assemble an artifact from pieces built elsewhere (e.g. the
-      harness's memoized tables) — trust obligations stay with whoever
-      built [tables]. *)
+  (** Assemble an artifact from pieces built elsewhere; without [code]
+      its runs interpret.  Trust obligations stay with whoever built
+      [tables]. *)
 
   val session_artifact : ?probe:Bisa_obs.Probe.t -> Config.t -> artifact -> session
+  (** A fresh session running the artifact under [cfg], with the
+      interpreter or threaded code as the artifact's backend says.  The
+      two backends drive the identical executor state and are
+      differentially tested equivalent, so metrics, outputs and
+      checkpoints do not depend on the choice — only wall-clock does.
+      The exec backend is deliberately absent from
+      {!Config.fingerprint}: a checkpoint taken under either backend
+      resumes under the other. *)
 
   val run_artifact :
     ?probe:Bisa_obs.Probe.t ->
@@ -173,9 +135,8 @@ module type S = sig
     Config.t ->
     artifact ->
     Metrics.t * Bisa_sim.Output.t
-  (** Run the artifact under [cfg]; equals [run_full] with the bundle's
-      tables and code.  [out_cap] bounds output retention as in
-      {!set_out_cap}. *)
+  (** Run the artifact under [cfg] to the end.  [out_cap] bounds output
+      retention as in {!set_out_cap}. *)
 end
 
 module Conv :

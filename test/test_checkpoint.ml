@@ -10,6 +10,7 @@ module Checkpoint = Bisa_timing.Checkpoint
 module Metrics = Bisa_timing.Metrics
 module Pipeline = Bisa_timing.Pipeline
 module Output = Bisa_sim.Output
+module Compile = Bisa_sim.Compile
 
 (* --- codec -------------------------------------------------------------- *)
 
@@ -102,11 +103,11 @@ let check_metrics what expected got =
 (* Run [steps] steps, snapshot, restore into a fresh session, finish both
    the restored session and an untouched full run, and require identical
    metrics and program output. *)
-let checkpoint_equivalence (type p tb)
-    (module P : Pipeline.S with type prog = p and type tables = tb) cfg
+let checkpoint_equivalence (type p) (module P : Pipeline.S with type prog = p) cfg
     (prog : p) ~steps =
-  let m_full, out_full = P.run_full cfg prog in
-  let s = P.session cfg prog in
+  let art = P.prepare ~exec:Compile.Interp prog in
+  let m_full, out_full = P.run_artifact cfg art in
+  let s = P.session_artifact cfg art in
   let live = ref true in
   for _ = 1 to steps do
     if !live then live := P.step s
@@ -115,7 +116,7 @@ let checkpoint_equivalence (type p tb)
     (P.isa ^ ": snapshot taken mid-run") true !live;
   let w = Codec.W.create () in
   P.save s w;
-  let s2 = P.session cfg prog in
+  let s2 = P.session_artifact cfg art in
   P.restore s2 (Codec.R.of_string (Codec.W.contents w));
   Alcotest.(check int) (P.isa ^ ": ops restored") (P.ops s) (P.ops s2);
   let m2, out2 = P.finish s2 in
@@ -155,19 +156,18 @@ let test_session_roundtrip_perfect () =
    under one must resume under the other bit-for-bit.  Check every leg
    (interp->compiled, compiled->interp, compiled->compiled) against an
    uninterrupted interpreter run. *)
-let cross_backend_equivalence (type p tb c)
-    (module P : Pipeline.S with type prog = p and type tables = tb and type code = c)
-    cfg (prog : p) ~steps =
-  let code = P.compile prog in
-  let m_full, out_full = P.run_full cfg prog in
-  let m_comp, out_comp = P.run_full ~code cfg prog in
+let cross_backend_equivalence (type p) (module P : Pipeline.S with type prog = p) cfg
+    (prog : p) ~steps =
+  let interp = P.prepare ~exec:Compile.Interp prog and compiled = P.prepare prog in
+  let m_full, out_full = P.run_artifact cfg interp in
+  let m_comp, out_comp = P.run_artifact cfg compiled in
   check_metrics (P.isa ^ ": uninterrupted compiled metrics == interp") m_full m_comp;
   Alcotest.(check bool)
     (P.isa ^ ": uninterrupted compiled output == interp")
     true
     (Output.equal out_full out_comp);
-  let leg what ~save_code ~resume_code =
-    let s = P.session ?code:save_code cfg prog in
+  let leg what ~save ~resume =
+    let s = P.session_artifact cfg save in
     let live = ref true in
     for _ = 1 to steps do
       if !live then live := P.step s
@@ -175,7 +175,7 @@ let cross_backend_equivalence (type p tb c)
     Alcotest.(check bool) (P.isa ^ ": " ^ what ^ " snapshot taken mid-run") true !live;
     let w = Codec.W.create () in
     P.save s w;
-    let s2 = P.session ?code:resume_code cfg prog in
+    let s2 = P.session_artifact cfg resume in
     P.restore s2 (Codec.R.of_string (Codec.W.contents w));
     let m2, out2 = P.finish s2 in
     check_metrics (P.isa ^ ": " ^ what ^ " metrics == uninterrupted") m_full m2;
@@ -184,9 +184,9 @@ let cross_backend_equivalence (type p tb c)
       true
       (Output.equal out_full out2)
   in
-  leg "interp->compiled" ~save_code:None ~resume_code:(Some code);
-  leg "compiled->interp" ~save_code:(Some code) ~resume_code:None;
-  leg "compiled->compiled" ~save_code:(Some code) ~resume_code:(Some code)
+  leg "interp->compiled" ~save:interp ~resume:compiled;
+  leg "compiled->interp" ~save:compiled ~resume:interp;
+  leg "compiled->compiled" ~save:compiled ~resume:compiled
 
 let test_cross_backend_roundtrip () =
   let c = Lazy.force compiled in
@@ -199,14 +199,12 @@ let test_cross_backend_roundtrip () =
    from the snapshot identity), and a killed templated run must resume
    into a fresh session — tables rebuilt, not restored — and finish with
    the uninterrupted run's exact metrics and output. *)
-let template_checkpoint_equivalence (type p tb c)
-    (module P : Pipeline.S with type prog = p and type tables = tb and type code = c)
+let template_checkpoint_equivalence (type p) (module P : Pipeline.S with type prog = p)
     cfg (prog : p) ~steps =
-  let tables = P.predecode_trusted prog in
-  let code = P.compile_trusted prog in
-  let m_full, out_full = P.run_full ~tables ~code cfg prog in
-  let s_plain = P.session cfg prog in
-  let s_tab = P.session ~tables ~code cfg prog in
+  let templated = P.prepare_trusted prog in
+  let m_full, out_full = P.run_artifact cfg templated in
+  let s_plain = P.session_artifact cfg (P.prepare ~exec:Compile.Interp prog) in
+  let s_tab = P.session_artifact cfg templated in
   let live = ref true in
   for _ = 1 to steps do
     if !live then begin
@@ -225,7 +223,7 @@ let template_checkpoint_equivalence (type p tb c)
   Alcotest.(check string)
     (P.isa ^ ": templated snapshot == plain snapshot")
     (bytes s_plain) (bytes s_tab);
-  let s2 = P.session ~tables:(P.predecode_trusted prog) ~code cfg prog in
+  let s2 = P.session_artifact cfg (P.prepare_trusted prog) in
   P.restore s2 (Codec.R.of_string (bytes s_tab));
   let m2, out2 = P.finish s2 in
   check_metrics (P.isa ^ ": resumed metrics == uninterrupted") m_full m2;
@@ -288,10 +286,11 @@ let test_snapshot_header_validation () =
 let test_drive_resume () =
   let c = Lazy.force compiled in
   let cfg = Config.default in
-  let m_full, _ = Pipeline.Conv.run_full cfg c.conv in
+  let interp = Pipeline.Conv.prepare ~exec:Compile.Interp c.conv in
+  let m_full, _ = Pipeline.Conv.run_artifact cfg interp in
   let path = tmp_path () in
   (* Plant a genuine mid-run snapshot, as a killed run would leave. *)
-  let s = Pipeline.Conv.session cfg c.conv in
+  let s = Pipeline.Conv.session_artifact cfg interp in
   for _ = 1 to 50 do
     ignore (Pipeline.Conv.step s : bool)
   done;
@@ -313,7 +312,9 @@ let test_drive_resume () =
 let test_drive_deadline () =
   let c = Lazy.force compiled in
   let cfg = Config.default in
-  let m_full, _ = Pipeline.Block.run_full cfg c.block in
+  let m_full, _ =
+    Pipeline.Block.run_artifact cfg (Pipeline.Block.prepare ~exec:Compile.Interp c.block)
+  in
   let path = tmp_path () in
   (* A deadline that fires almost immediately: the driver must stop,
      persist a final snapshot, and report the ops completed. *)
@@ -358,18 +359,13 @@ let with_crash_at n f =
    never lands and the first complete one is what a real mid-write kill
    would leave.  Resume from it — possibly under the other backend — and
    require byte-identical metrics and output. *)
-let drive_crash_equivalence (type p tb c a)
-    (module P : Pipeline.S
-      with type prog = p
-       and type tables = tb
-       and type code = c
-       and type artifact = a) cfg (prog : p) ~crash_code ~resume_code what =
-  let m_full, out_full = P.run_full cfg prog in
-  (* The two legs may deliberately carry different backends: bundle one
-     artifact per leg over shared tables (the snapshot is backend-blind). *)
-  let tables = P.predecode prog in
-  let crash_art = P.bundle ?code:crash_code ~tables prog in
-  let resume_art = P.bundle ?code:resume_code ~tables prog in
+let drive_crash_equivalence (type p a)
+    (module P : Pipeline.S with type prog = p and type artifact = a) cfg (prog : p) ~crash
+    ~resume what =
+  let m_full, out_full = P.run_artifact cfg (P.prepare ~exec:Compile.Interp prog) in
+  (* The two legs may deliberately carry different backends: one artifact
+     per leg (the snapshot is backend-blind). *)
+  let crash_art = P.prepare ~exec:crash prog and resume_art = P.prepare ~exec:resume prog in
   let path = tmp_path () in
   (match
      with_crash_at 2 (fun () ->
@@ -392,20 +388,17 @@ let drive_crash_equivalence (type p tb c a)
 
 let test_drive_crash_compiled () =
   let c = Lazy.force compiled in
-  let ccode = Some (Pipeline.Conv.compile c.conv) in
-  let bcode = Some (Pipeline.Block.compile c.block) in
   drive_crash_equivalence (module Pipeline.Conv) Config.default c.conv
-    ~crash_code:ccode ~resume_code:ccode "conv compiled crash+resume";
+    ~crash:Compile.Compiled ~resume:Compile.Compiled "conv compiled crash+resume";
   drive_crash_equivalence (module Pipeline.Block) Config.default c.block
-    ~crash_code:bcode ~resume_code:bcode "block compiled crash+resume"
+    ~crash:Compile.Compiled ~resume:Compile.Compiled "block compiled crash+resume"
 
 let test_drive_crash_cross_backend () =
   let c = Lazy.force compiled in
-  let ccode = Some (Pipeline.Conv.compile c.conv) in
   drive_crash_equivalence (module Pipeline.Conv) Config.default c.conv
-    ~crash_code:None ~resume_code:ccode "interp crash, compiled resume";
+    ~crash:Compile.Interp ~resume:Compile.Compiled "interp crash, compiled resume";
   drive_crash_equivalence (module Pipeline.Conv) Config.default c.conv
-    ~crash_code:ccode ~resume_code:None "compiled crash, interp resume"
+    ~crash:Compile.Compiled ~resume:Compile.Interp "compiled crash, interp resume"
 
 (* --- streamed output ---------------------------------------------------- *)
 
@@ -431,10 +424,11 @@ let test_session_out_cap () =
   (* Retention after a capped paper-style run is the cap, not the output
      length — the invariant that keeps RSS independent of op count. *)
   let c = Lazy.force compiled in
-  let s = Pipeline.Conv.session Config.default c.conv in
+  let art = Pipeline.Conv.prepare ~exec:Compile.Interp c.conv in
+  let s = Pipeline.Conv.session_artifact Config.default art in
   Pipeline.Conv.set_out_cap s 4;
   let _, out = Pipeline.Conv.finish s in
-  let _, out_full = Pipeline.Conv.run_full Config.default c.conv in
+  let _, out_full = Pipeline.Conv.run_artifact Config.default art in
   Alcotest.(check int) "retained items = cap" 4 (List.length out.Output.items);
   Alcotest.(check bool) "uncapped run keeps more" true
     (List.length out_full.Output.items > 4);

@@ -230,19 +230,6 @@ let test_r0_write_dropped () =
 
 (* --- every register-op arm on every compiled path ----------------------------- *)
 
-(* Items compare bitwise, so NaN matches NaN (it is unequal to itself
-   under [=], which [Output.equal] uses) and -0.0 does not match 0.0. *)
-let same_output (a : Output.t) (b : Output.t) =
-  let same_item (i : Output.item) (j : Output.item) =
-    match (i, j) with
-    | Oint x, Oint y -> x = y
-    | Oflt x, Oflt y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-      || (Float.is_nan x && Float.is_nan y)
-    | _ -> false
-  in
-  a.ret = b.ret && List.equal same_item a.items b.items
-
 (* Straight-line cases, each a short op list that prints what it
    computed: the 17 ALU ops with a register and an immediate second
    operand, Fpu, Fcmp, Select (both operand forms, both destination
@@ -354,7 +341,7 @@ let test_reg_op_arms () =
   let conv, block = reg_op_progs () in
   let diverged = ref [] in
   let check what (ref_out, ref_n) (out, n) =
-    if not (same_output ref_out out && ref_n = n) then diverged := what :: !diverged
+    if not (Output.equal ref_out out && ref_n = n) then diverged := what :: !diverged
   in
   let reference = Conv_exec.run conv () in
   Alcotest.(check bool) "every case printed" true
@@ -489,7 +476,7 @@ let test_run_budget_edges () =
         | exception e -> ( match runaway e with Some n -> Error n | None -> raise e)
       in
       match (outcome interp, outcome compiled) with
-      | Ok (o1, n1), Ok (o2, n2) when same_output o1 o2 && n1 = n2 -> ()
+      | Ok (o1, n1), Ok (o2, n2) when Output.equal o1 o2 && n1 = n2 -> ()
       | Error n1, Error n2 when n1 = n2 -> ()
       | _ -> Alcotest.failf "%s: budget %d diverges from the interpreter" what budget
     done
@@ -530,7 +517,7 @@ let test_unaligned_mid_run_count () =
     let p = raw_conv_prog insns in
     let out, n = Conv_exec.run p () in
     let out', n' = Compile.Conv.run (Compile.Conv.compile_trusted p) in
-    Alcotest.(check bool) "same output" true (same_output out out');
+    Alcotest.(check bool) "same output" true (Output.equal out out');
     Alcotest.(check int) (Printf.sprintf "op count, unaligned op %d" bad) n n';
     lockstep_conv p
   done

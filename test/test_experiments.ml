@@ -195,7 +195,10 @@ let test_campaign_timeout () =
     Campaign.open_ ~dir:d ~checkpoint_every:500 ~scale:(Some 1) ~paper_caches:false ()
   in
   let m = Campaign.run_cell camp2 (module Bisa_timing.Pipeline.Conv) ~bench:"slow" cfg art in
-  let m_direct = Bisa_timing.Pipeline.Conv.run cfg c.conv in
+  let m_direct =
+    let module P = Bisa_timing.Pipeline.Conv in
+    fst (P.run_artifact cfg (P.prepare ~exec:Bisa_sim.Compile.Interp c.conv))
+  in
   Alcotest.(check string) "retry result == direct run"
     (Bisa_timing.Metrics.summary ~name:"x" m_direct)
     (Bisa_timing.Metrics.summary ~name:"x" m);

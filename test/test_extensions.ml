@@ -4,6 +4,11 @@
 module Inline = Bisa_opt.Inline
 module Trace_cache = Bisa_uarch.Trace_cache
 module Ir = Bisa_ir.Ir
+module Conv = Bisa_timing.Pipeline.Conv
+
+(* An interpreted conventional timing run through the front door. *)
+let run_conv cfg prog =
+  fst (Conv.run_artifact cfg (Conv.prepare ~exec:Bisa_sim.Compile.Interp prog))
 
 (* --- Inliner -------------------------------------------------------------- *)
 
@@ -124,8 +129,8 @@ let test_ifconvert_removes_mispredicts () =
   let base = Bisa_compiler.Compiler.compile hammock_src in
   let pred = Bisa_compiler.Compiler.compile ~ifconvert:true hammock_src in
   let cfg = Bisa_timing.Config.default in
-  let m0 = Bisa_timing.Conv_pipeline.run cfg base.conv in
-  let m1 = Bisa_timing.Conv_pipeline.run cfg pred.conv in
+  let m0 = run_conv cfg base.conv in
+  let m1 = run_conv cfg pred.conv in
   Alcotest.(check bool)
     (Printf.sprintf "fewer mispredicts (%d -> %d)" m0.mispredicts m1.mispredicts)
     true
@@ -189,8 +194,8 @@ let test_trace_cache_speeds_up_conv () =
   let with_tc =
     { base with trace_cache = Some Trace_cache.default_config }
   in
-  let m0 = Bisa_timing.Conv_pipeline.run base c.conv in
-  let m1 = Bisa_timing.Conv_pipeline.run with_tc c.conv in
+  let m0 = run_conv base c.conv in
+  let m1 = run_conv with_tc c.conv in
   Alcotest.(check bool) "tc hits happen" true (m1.tc_hits > 100);
   Alcotest.(check bool) "tc not slower" true (m1.cycles <= m0.cycles);
   Alcotest.(check int) "same work retired" m0.retired_ops m1.retired_ops

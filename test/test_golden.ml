@@ -13,6 +13,9 @@
 module Config = Bisa_timing.Config
 module Metrics = Bisa_timing.Metrics
 module Workloads = Bisa_workloads.Workloads
+module Compile = Bisa_sim.Compile
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
 
 (* The 512-iteration micro kernel (the bench harness uses a 2048-entry
    variant; the goldens were recorded at 512 to keep the suite fast). *)
@@ -101,62 +104,23 @@ let programs () =
   ]
 
 (* The recorded grid: conv = (real|perfect) x (no trace cache | default
-   trace cache), block = (real|perfect); default icache/dcache throughout. *)
-let current_fingerprints () =
-  List.concat_map
-    (fun (name, (c : Bisa_compiler.Compiler.compiled)) ->
-      let conv predictor trace_cache =
-        Bisa_timing.Conv_pipeline.run
-          { Config.default with predictor; trace_cache }
-          c.conv
-      in
-      let block predictor =
-        Bisa_timing.Block_pipeline.run { Config.default with predictor } c.block
-      in
-      let tc = Some Bisa_uarch.Trace_cache.default_config in
-      [
-        (name ^ "/conv/real/notc", fingerprint (conv Config.Real None));
-        (name ^ "/conv/real/tc", fingerprint (conv Config.Real tc));
-        (name ^ "/block/real", fingerprint (block Config.Real));
-        (name ^ "/conv/perfect/notc", fingerprint (conv Config.Perfect None));
-        (name ^ "/conv/perfect/tc", fingerprint (conv Config.Perfect tc));
-        (name ^ "/block/perfect", fingerprint (block Config.Perfect));
-      ])
-    (programs ())
-
-let check_against_goldens got =
-  Alcotest.(check int) "grid size" (List.length goldens) (List.length got);
-  List.iter
-    (fun (key, expect) ->
-      match List.assoc_opt key got with
-      | None -> Alcotest.failf "missing grid point %s" key
-      | Some fp -> Alcotest.(check string) key expect fp)
-    goldens
-
-let test_golden_metrics () = check_against_goldens (current_fingerprints ())
-
-(* The same 18-point grid with the functional executor compiled to
-   threaded code (Bisa_sim.Compile) underneath both pipelines, asserted
-   against the SAME goldens: the exec backend must be invisible in every
-   counter and histogram bucket.  Each program's code handle is taken
-   once and shared by all its grid points — and, in the sharded variant,
-   by all worker domains — while every run builds the closure chains it
-   executes. *)
-let compiled_grid pool =
+   trace cache), block = (real|perfect); default icache/dcache throughout.
+   [exec] picks the functional executor underneath both pipelines, and
+   both backends are asserted against the SAME goldens: the backend must
+   be invisible in every counter and histogram bucket.  Each program is
+   prepared once and its artifacts are shared by all its grid points —
+   and, in the sharded variant, by all worker domains — while every run
+   builds the closure chains it executes. *)
+let grid ~exec pool =
   let points =
     List.concat_map
       (fun (name, (c : Bisa_compiler.Compiler.compiled)) ->
-        let ccode = Bisa_timing.Pipeline.Conv.compile c.conv in
-        let bcode = Bisa_timing.Pipeline.Block.compile c.block in
+        let conv_art = Conv.prepare ~exec c.conv and block_art = Block.prepare ~exec c.block in
         let conv predictor trace_cache () =
-          Bisa_timing.Conv_pipeline.run ~code:ccode
-            { Config.default with predictor; trace_cache }
-            c.conv
+          fst (Conv.run_artifact { Config.default with predictor; trace_cache } conv_art)
         in
         let block predictor () =
-          Bisa_timing.Block_pipeline.run ~code:bcode
-            { Config.default with predictor }
-            c.block
+          fst (Block.run_artifact { Config.default with predictor } block_art)
         in
         let tc = Some Bisa_uarch.Trace_cache.default_config in
         [
@@ -171,12 +135,24 @@ let compiled_grid pool =
   in
   Bisa_base.Pool.map_list pool (fun (key, run) -> (key, fingerprint (run ()))) points
 
+let check_against_goldens got =
+  Alcotest.(check int) "grid size" (List.length goldens) (List.length got);
+  List.iter
+    (fun (key, expect) ->
+      match List.assoc_opt key got with
+      | None -> Alcotest.failf "missing grid point %s" key
+      | Some fp -> Alcotest.(check string) key expect fp)
+    goldens
+
+let test_golden_metrics () =
+  check_against_goldens (grid ~exec:Compile.Interp Bisa_base.Pool.sequential)
+
 let test_golden_metrics_compiled () =
-  check_against_goldens (compiled_grid Bisa_base.Pool.sequential)
+  check_against_goldens (grid ~exec:Compile.Compiled Bisa_base.Pool.sequential)
 
 let test_golden_metrics_compiled_sharded () =
   Bisa_base.Pool.run ~workers:4 @@ fun pool ->
-  check_against_goldens (compiled_grid pool)
+  check_against_goldens (grid ~exec:Compile.Compiled pool)
 
 (* Bytes allocated per simulated op.  The timing engine's hot path is
    allocation-free; what remains is the functional executor's trace
@@ -195,14 +171,10 @@ let per_op run =
 
 let test_allocation_budget () =
   let c = Bisa_compiler.Compiler.compile micro_source in
-  let conv_tables = Bisa_timing.Pipeline.Conv.predecode c.conv in
-  let block_tables = Bisa_timing.Pipeline.Block.predecode c.block in
-  let conv () =
-    Bisa_timing.Conv_pipeline.run ~tables:conv_tables Config.default c.conv
-  in
-  let block () =
-    Bisa_timing.Block_pipeline.run ~tables:block_tables Config.default c.block
-  in
+  let conv_art = Conv.prepare ~exec:Compile.Interp c.conv in
+  let block_art = Block.prepare ~exec:Compile.Interp c.block in
+  let conv ?probe () = fst (Conv.run_artifact ?probe Config.default conv_art) in
+  let block ?probe () = fst (Block.run_artifact ?probe Config.default block_art) in
   let pc = per_op conv and pb = per_op block in
   if pc > alloc_bound then
     Alcotest.failf "conv pipeline allocates %.1f bytes/op (bound %.0f)" pc alloc_bound;
@@ -214,15 +186,7 @@ let test_allocation_budget () =
      a paired delta would flake; the zero-allocation property of the probe
      itself is asserted exactly below). *)
   let null_probe = Bisa_obs.Probe.null in
-  let pc' =
-    per_op (fun () ->
-        Bisa_timing.Conv_pipeline.run ~tables:conv_tables ~probe:null_probe
-          Config.default c.conv)
-  and pb' =
-    per_op (fun () ->
-        Bisa_timing.Block_pipeline.run ~tables:block_tables ~probe:null_probe
-          Config.default c.block)
-  in
+  let pc' = per_op (conv ~probe:null_probe) and pb' = per_op (block ~probe:null_probe) in
   if pc' > alloc_bound then
     Alcotest.failf "conv + null probe allocates %.1f bytes/op (bound %.0f)" pc' alloc_bound;
   if pb' > alloc_bound then
@@ -241,19 +205,9 @@ let compiled_alloc_bound_block = 240.0
 
 let test_compiled_allocation_budget () =
   let c = Bisa_compiler.Compiler.compile micro_source in
-  let conv_tables = Bisa_timing.Pipeline.Conv.predecode c.conv in
-  let block_tables = Bisa_timing.Pipeline.Block.predecode c.block in
-  let ccode = Bisa_timing.Pipeline.Conv.compile c.conv in
-  let bcode = Bisa_timing.Pipeline.Block.compile c.block in
-  let pc =
-    per_op (fun () ->
-        Bisa_timing.Conv_pipeline.run ~tables:conv_tables ~code:ccode
-          Config.default c.conv)
-  and pb =
-    per_op (fun () ->
-        Bisa_timing.Block_pipeline.run ~tables:block_tables ~code:bcode
-          Config.default c.block)
-  in
+  let conv_art = Conv.prepare c.conv and block_art = Block.prepare c.block in
+  let pc = per_op (fun () -> fst (Conv.run_artifact Config.default conv_art))
+  and pb = per_op (fun () -> fst (Block.run_artifact Config.default block_art)) in
   if pc > compiled_alloc_bound_conv then
     Alcotest.failf "compiled conv pipeline allocates %.1f bytes/op (bound %.0f)"
       pc compiled_alloc_bound_conv;

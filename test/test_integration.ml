@@ -2,6 +2,16 @@
    module test covers. *)
 
 module Output = Bisa_sim.Output
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
+(* Interpreted timing runs of the default configuration. *)
+let interp = Bisa_sim.Compile.Interp
+let run_conv prog =
+  fst (Conv.run_artifact Bisa_timing.Config.default (Conv.prepare ~exec:interp prog))
+
+let run_block prog =
+  fst (Block.run_artifact Bisa_timing.Config.default (Block.prepare ~exec:interp prog))
 
 let run_all_three src =
   let c = Bisa_compiler.Compiler.compile src in
@@ -39,6 +49,31 @@ int depth(int n, int acc) {
 }
 int main() { print_int(depth(300, 2)); return 0; }
 |}
+
+(* Signed zero through CSE: with x = -0.0, [x + 0.0] is 0.0 but [x + z]
+   with z = -0.0 is -0.0, so the optimizer must not merge the two adds. *)
+let test_signed_zero_cse () =
+  let src =
+    {|
+float neg0() { return 0.0 * -1.0; }
+int main() {
+  float x = neg0();
+  float z = 0.0 * -1.0;
+  float a = x + 0.0;
+  float b = x + z;
+  print_float(a);
+  print_float(b);
+  return 0;
+}
+|}
+  in
+  check_agree "signed zero" src;
+  let _, interp, conv, block = run_all_three src in
+  Alcotest.(check string) "interp prints 0 then -0" "ret=0 [0; -0]" (Output.to_string interp);
+  Alcotest.(check string) "conv prints what interp prints" (Output.to_string interp)
+    (Output.to_string conv);
+  Alcotest.(check string) "block prints what interp prints" (Output.to_string interp)
+    (Output.to_string block)
 
 (* Mutual recursion: the inliner's recursion guard is direct-only, so the
    growth budget has to stop mutual chains (MiniC needs no forward
@@ -170,8 +205,8 @@ let test_binary_then_timing () =
   let decoded =
     Bisa_isa.Encode.block_of_bytes (Bisa_isa.Encode.block_to_bytes c.block)
   in
-  let m = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default decoded in
-  let m0 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
+  let m = run_block decoded in
+  let m0 = run_block c.block in
   Alcotest.(check int) "identical timing after roundtrip" m0.cycles m.cycles
 
 (* Timing determinism: the cycle count is a pure function of program and
@@ -180,12 +215,12 @@ let test_binary_then_timing () =
 let test_pinned_checksums () =
   let w = Bisa_workloads.Workloads.find "compress" in
   let c = Bisa_workloads.Workloads.compile ~scale:1 w in
-  let m1 = Bisa_timing.Conv_pipeline.run Bisa_timing.Config.default c.conv in
-  let m2 = Bisa_timing.Conv_pipeline.run Bisa_timing.Config.default c.conv in
+  let m1 = run_conv c.conv in
+  let m2 = run_conv c.conv in
   Alcotest.(check int) "cycles reproducible" m1.cycles m2.cycles;
   Alcotest.(check int) "mispredicts reproducible" m1.mispredicts m2.mispredicts;
-  let b1 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
-  let b2 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
+  let b1 = run_block c.block in
+  let b2 = run_block c.block in
   Alcotest.(check int) "block cycles reproducible" b1.cycles b2.cycles
 
 let test_determinism_across_isas () =
@@ -214,6 +249,7 @@ let suite =
     Alcotest.test_case "nested switch" `Quick test_nested_switch;
     Alcotest.test_case "continue through switch" `Quick test_continue_through_switch;
     Alcotest.test_case "float pressure" `Quick test_float_pressure;
+    Alcotest.test_case "signed zero survives CSE" `Quick test_signed_zero_cse;
     Alcotest.test_case "binary then timing" `Quick test_binary_then_timing;
     Alcotest.test_case "timing determinism" `Quick test_pinned_checksums;
     Alcotest.test_case "all passes agree" `Slow test_determinism_across_isas;

@@ -354,6 +354,21 @@ let test_regfile () =
   Alcotest.(check (float 0.0)) "copy isolated" 2.5
     (Bisa_sim.Regfile.get_f r2 (Bisa_isa.Reg.Flt 3))
 
+(* Outputs compare floats by their bits, except that NaN matches NaN. *)
+let test_output_equal_floats () =
+  let out items = { Output.ret = 0; items = List.map (fun f -> Output.Oflt f) items } in
+  let check what expect a b =
+    Alcotest.(check bool) what expect (Output.equal (out a) (out b))
+  in
+  check "0.0 vs -0.0" false [ 0.0 ] [ -0.0 ];
+  check "-0.0 vs -0.0" true [ -0.0 ] [ -0.0 ];
+  check "nan vs nan" true [ Float.nan ] [ Float.nan ];
+  check "nan vs -nan" true [ Float.nan ] [ -.Float.nan ];
+  check "nan vs 1.0" false [ Float.nan ] [ 1.0 ];
+  check "1.5 vs 1.5" true [ 1.5 ] [ 1.5 ];
+  Alcotest.(check bool) "int vs float" false
+    (Output.equal { ret = 0; items = [ Oint 0 ] } (out [ 0.0 ]))
+
 let suite =
   [
     Alcotest.test_case "memory basic" `Quick test_memory_basic;
@@ -372,4 +387,5 @@ let suite =
     Alcotest.test_case "block unaligned traps" `Quick test_block_unaligned_traps;
     Alcotest.test_case "conv wild jr traps" `Quick test_conv_wild_jr_traps;
     Alcotest.test_case "regfile" `Quick test_regfile;
+    Alcotest.test_case "output equal compares float bits" `Quick test_output_equal_floats;
   ]

@@ -5,6 +5,13 @@ module Engine = Bisa_timing.Engine
 module Predecode = Bisa_timing.Predecode
 module Config = Bisa_timing.Config
 module Opclass = Bisa_isa.Opclass
+module Compile = Bisa_sim.Compile
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
+(* Interpreted timing runs through the front door. *)
+let run_conv cfg prog = fst (Conv.run_artifact cfg (Conv.prepare ~exec:Compile.Interp prog))
+let run_block cfg prog = fst (Block.run_artifact cfg (Block.prepare ~exec:Compile.Interp prog))
 
 let tiny_config =
   {
@@ -138,8 +145,8 @@ int main() {
 let test_pipeline_sanity_bounds () =
   let c = Bisa_compiler.Compiler.compile sample in
   let cfg = Config.default in
-  let mc = Bisa_timing.Conv_pipeline.run cfg c.conv in
-  let mb = Bisa_timing.Block_pipeline.run cfg c.block in
+  let mc = run_conv cfg c.conv in
+  let mb = run_block cfg c.block in
   (* Cycles bounded below by fetch bandwidth and above by total latency. *)
   Alcotest.(check bool) "conv lower bound" true
     (mc.cycles >= mc.retired_ops / cfg.issue_width);
@@ -156,11 +163,11 @@ let test_perfect_pred_not_slower () =
     (fun icache ->
       let real = { Config.default with icache } in
       let perfect = { real with predictor = Config.Perfect } in
-      let r = Bisa_timing.Conv_pipeline.run real c.conv in
-      let p = Bisa_timing.Conv_pipeline.run perfect c.conv in
+      let r = run_conv real c.conv in
+      let p = run_conv perfect c.conv in
       Alcotest.(check bool) "conv: perfect <= real" true (p.cycles <= r.cycles);
-      let rb = Bisa_timing.Block_pipeline.run real c.block in
-      let pb = Bisa_timing.Block_pipeline.run perfect c.block in
+      let rb = run_block real c.block in
+      let pb = run_block perfect c.block in
       Alcotest.(check bool) "block: perfect <= real" true (pb.cycles <= rb.cycles))
     [ None; Config.default.icache ]
 
@@ -173,7 +180,7 @@ let test_bigger_icache_not_slower () =
         icache = Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 };
       }
     in
-    (Bisa_timing.Block_pipeline.run cfg c.block).cycles
+    (run_block cfg c.block).cycles
   in
   let c2 = at 2 and c8 = at 8 and c64 = at 64 in
   Alcotest.(check bool) "8KB <= 2KB" true (c8 <= c2);
@@ -181,8 +188,8 @@ let test_bigger_icache_not_slower () =
 
 let test_metrics_mean_block_size () =
   let c = Bisa_compiler.Compiler.compile sample in
-  let mc = Bisa_timing.Conv_pipeline.run Config.default c.conv in
-  let mb = Bisa_timing.Block_pipeline.run Config.default c.block in
+  let mc = run_conv Config.default c.conv in
+  let mb = run_block Config.default c.block in
   let szc = Bisa_timing.Metrics.mean_block_size mc in
   let szb = Bisa_timing.Metrics.mean_block_size mb in
   Alcotest.(check bool) "conv blocks small" true (szc > 2.0 && szc < 16.0);
@@ -204,10 +211,10 @@ let test_probe_equivalence () =
     Bisa_timing.Metrics.save m w;
     Bisa_base.Codec.W.contents w
   in
-  let check name (cfg : unit -> Config.t) code run =
+  let check name (cfg : unit -> Config.t) legs =
     let runs =
       List.concat_map
-        (fun (backend, code) ->
+        (fun (backend, run) ->
           let fired = ref 0 in
           let probe =
             {
@@ -215,13 +222,13 @@ let test_probe_equivalence () =
               unit_start = (fun ~cycle:_ ~addr:_ ~ops:_ -> incr fired);
             }
           in
-          let null = run ?code ~probe:Bisa_obs.Probe.null (cfg ()) in
-          let live = run ?code ~probe (cfg ()) in
+          let null = run ~probe:Bisa_obs.Probe.null (cfg ()) in
+          let live = run ~probe (cfg ()) in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: probe observed units" name backend)
             true (!fired > 0);
           [ (backend ^ "/null", mbytes null); (backend ^ "/live", mbytes live) ])
-        [ ("interp", None); ("compiled", Some code) ]
+        legs
     in
     let reference = snd (List.hd runs) in
     List.iter
@@ -241,18 +248,18 @@ let test_probe_equivalence () =
       fun () ->
         { Config.default with trace_cache = Some Bisa_uarch.Trace_cache.default_config } )
   in
-  let conv_code = Bisa_timing.Pipeline.Conv.compile c.conv in
-  List.iter
-    (fun (cname, cfg) ->
-      check ("conv " ^ cname) cfg conv_code (fun ?code ~probe cfg ->
-          Bisa_timing.Conv_pipeline.run ?code ~probe cfg c.conv))
-    [ default; tc; inject ];
-  let block_code = Bisa_timing.Pipeline.Block.compile c.block in
-  List.iter
-    (fun (cname, cfg) ->
-      check ("block " ^ cname) cfg block_code (fun ?code ~probe cfg ->
-          Bisa_timing.Block_pipeline.run ?code ~probe cfg c.block))
-    [ default; inject ]
+  (* One artifact per backend, shared by every configuration. *)
+  let legs (type p) (module P : Bisa_timing.Pipeline.S with type prog = p) (prog : p) =
+    List.map
+      (fun (backend, exec) ->
+        let art = P.prepare ~exec prog in
+        (backend, fun ~probe cfg -> fst (P.run_artifact ~probe cfg art)))
+      [ ("interp", Compile.Interp); ("compiled", Compile.Compiled) ]
+  in
+  let conv = legs (module Conv) c.conv in
+  List.iter (fun (cname, cfg) -> check ("conv " ^ cname) cfg conv) [ default; tc; inject ];
+  let block = legs (module Block) c.block in
+  List.iter (fun (cname, cfg) -> check ("block " ^ cname) cfg block) [ default; inject ]
 
 (* A longer-running workload so the steady-state window is thousands of
    steps deep, far past predictor/cache warmup and table growth. *)
@@ -295,20 +302,10 @@ let test_steady_state_allocation () =
       (per_step <= bound)
   in
   let cfg = Config.default in
-  let conv =
-    Bisa_timing.Conv_pipeline.session
-      ~tables:(Bisa_timing.Pipeline.Conv.predecode c.conv)
-      ~code:(Bisa_timing.Pipeline.Conv.compile c.conv)
-      cfg c.conv
-  in
-  words_per_step "conv step" conv Bisa_timing.Conv_pipeline.step 1.0;
-  let block =
-    Bisa_timing.Block_pipeline.session
-      ~tables:(Bisa_timing.Pipeline.Block.predecode c.block)
-      ~code:(Bisa_timing.Pipeline.Block.compile c.block)
-      cfg c.block
-  in
-  words_per_step "block step" block Bisa_timing.Block_pipeline.step 8.0
+  let conv = Conv.session_artifact cfg (Conv.prepare c.conv) in
+  words_per_step "conv step" conv Conv.step 1.0;
+  let block = Block.session_artifact cfg (Block.prepare c.block) in
+  words_per_step "block step" block Block.step 8.0
 
 let suite =
   [
