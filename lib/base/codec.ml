@@ -1,7 +1,7 @@
 (* Compact binary state codec for checkpoint snapshots.
 
-   The writer appends zigzag-varint integers (full 63-bit range — the
-   encoding goes through Int64, so max_int-magnitude values round-trip),
+   The writer appends zigzag-varint integers (the zigzag of the value
+   sign-extended to 64 bits, so max_int-magnitude values round-trip),
    IEEE-754 floats, strings and arrays to a growable buffer; the reader
    mirrors it and turns every malformed read into a structured
    {!Diag.Fail} instead of an exception from the depths of [String].
@@ -22,24 +22,41 @@ module W = struct
   let contents = Buffer.contents
   let length = Buffer.length
 
+  (* LEB128 of a non-negative native int, low 7 bits first. *)
+  let rec uint b v =
+    if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (v land 0x7F lor 0x80));
+      uint b (v lsr 7)
+    end
+
+  (* A varint whose first group is [low] and whose remaining groups
+     encode [rest]: the caller cuts the first group from its wide value,
+     and the rest, below 2^57, continues in native ints, so no byte
+     boxes an Int64. *)
+  let groups b low rest =
+    if rest = 0 then Buffer.add_char b (Char.unsafe_chr low)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (low lor 0x80));
+      uint b rest
+    end
+
   let u64 b v =
-    let v = ref v in
-    let continue_ = ref true in
-    while !continue_ do
-      let low = Int64.to_int (Int64.logand !v 0x7FL) in
-      v := Int64.shift_right_logical !v 7;
-      if Int64.equal !v 0L then begin
-        Buffer.add_char b (Char.chr low);
-        continue_ := false
-      end
-      else Buffer.add_char b (Char.chr (low lor 0x80))
-    done
+    groups b
+      (Int64.to_int (Int64.logand v 0x7FL))
+      (Int64.to_int (Int64.shift_right_logical v 7))
 
   let i64 b v =
     (* zigzag so small negative ints stay short *)
     u64 b Int64.(logxor (shift_left v 1) (shift_right v 63))
 
-  let int b v = i64 b (Int64.of_int v)
+  (* [i64 b (Int64.of_int v)] without the Int64: with [u] the magnitude
+     folded to [v] or [-v-1], the zigzag is [2u + sign], so its first
+     group is [(2u + sign) land 0x7F] and the rest is [u lsr 6]. *)
+  let int b v =
+    let u = v lxor (v asr (Sys.int_size - 1)) in
+    groups b (((u lsl 1) lor (v lsr (Sys.int_size - 1))) land 0x7F) (u lsr 6)
+
   let bool b v = int b (if v then 1 else 0)
   let float b v = u64 b (Int64.bits_of_float v)
 
@@ -126,14 +143,65 @@ module R = struct
 end
 
 (* FNV-1a over the bytes, for content-hash binding of snapshots to the
-   program and configuration they were taken under. *)
-let fnv1a64 s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
-  !h
+   program and configuration they were taken under, and for the daemon's
+   cache keys.  Every loop keeps the running hash in a local [ref] that
+   no closure captures, so the compiler holds it unboxed: a byte costs
+   one xor and one multiply and allocates nothing. *)
+module Fnv = struct
+  let prime = 0x100000001B3L
+  let[@inline] step h byte = Int64.mul (Int64.logxor h (Int64.of_int byte)) prime
 
-let hash_hex s = Printf.sprintf "%016Lx" (fnv1a64 s)
+  (* Between pieces the hash sits in bytes 0-7 of a buffer, read and
+     written unboxed, so feeding a piece allocates nothing either; bytes
+     8-27 hold an int's digits while [int] feeds them. *)
+  type t = Bytes.t
+
+  let create () =
+    let t = Bytes.create 28 in
+    Bytes.set_int64_ne t 0 0xCBF29CE484222325L;
+    t
+
+  let value t = Bytes.get_int64_ne t 0
+
+  let feed t pos len s =
+    let h = ref (Bytes.get_int64_ne t 0) in
+    for i = pos to pos + len - 1 do
+      h := step !h (Char.code (Bytes.unsafe_get s i))
+    done;
+    Bytes.set_int64_ne t 0 !h
+
+  let string t s = feed t 0 (String.length s) (Bytes.unsafe_of_string s)
+
+  (* The bytes of [string_of_int n].  The digits are written right to
+     left into the scratch bytes, taken from [-|n|], which [min_int] has
+     too (19 digits and a sign fit in 20 bytes). *)
+  let int t n =
+    let m = ref (if n < 0 then n else -n) and pos = ref 28 in
+    while !pos = 28 || !m <> 0 do
+      decr pos;
+      Bytes.unsafe_set t !pos (Char.unsafe_chr (Char.code '0' - (!m mod 10)));
+      m := !m / 10
+    done;
+    if n < 0 then begin
+      decr pos;
+      Bytes.unsafe_set t !pos '-'
+    end;
+    feed t !pos (28 - !pos) t
+end
+
+let fnv1a64 s =
+  let t = Fnv.create () in
+  Fnv.string t s;
+  Fnv.value t
+
+let hex_digits = "0123456789abcdef"
+
+let hex64 v =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    let d = Int64.to_int (Int64.shift_right_logical v (60 - (4 * i))) land 15 in
+    Bytes.unsafe_set b i (String.unsafe_get hex_digits d)
+  done;
+  Bytes.unsafe_to_string b
+
+let hash_hex s = hex64 (fnv1a64 s)

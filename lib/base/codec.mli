@@ -50,8 +50,28 @@ module R : sig
 end
 
 val fnv1a64 : string -> int64
-(** FNV-1a content hash, used to bind snapshots to the exact program
-    bytes and configuration they were taken under. *)
+(** FNV-1a 64 content hash, used to bind snapshots to the exact program
+    bytes and configuration they were taken under, and to key the
+    daemon's caches.  Allocates a 28-byte {!Fnv} state and its result;
+    the bytes themselves allocate nothing. *)
+
+(** FNV-1a 64 fed piece by piece: feeding [a] then [b] gives
+    [fnv1a64 (a ^ b)] without building [a ^ b], and no feed allocates. *)
+module Fnv : sig
+  type t
+
+  val create : unit -> t
+  val string : t -> string -> unit
+
+  val int : t -> int -> unit
+  (** The bytes of [string_of_int n]. *)
+
+  val value : t -> int64
+  (** The hash of everything fed so far. *)
+end
+
+val hex64 : int64 -> string
+(** 16 lowercase hex digits, two's complement (as [%016Lx] prints). *)
 
 val hash_hex : string -> string
-(** [fnv1a64] rendered as 16 lowercase hex digits. *)
+(** [hex64 (fnv1a64 s)]. *)

@@ -206,10 +206,11 @@ let round_trip () =
   | () -> Ok ()
   | exception Failure e -> Error e
 
-let corpus =
-  lazy
-    (List.map (fun r -> (Proto.encode_request r, `Req)) requests
-    @ List.map (fun r -> (Proto.encode_response r, `Resp)) responses)
+(* Built once per campaign, before the mutants shard across the pool,
+   so no worker domain forces shared lazy state. *)
+let corpus () =
+  List.map (fun r -> (Proto.encode_request r, `Req)) requests
+  @ List.map (fun r -> (Proto.encode_response r, `Resp)) responses
 
 let decode_of = function
   | `Req -> fun s -> ignore (Proto.decode_request s : Proto.request)
@@ -218,8 +219,7 @@ let decode_of = function
 (* One mutant: pick a corpus payload, mutate it, decode it; every third
    mutant instead mutates a framed two-payload stream and runs it through
    the chunked framing loop. *)
-let check_one rng =
-  let payloads = Lazy.force corpus in
+let check_one payloads rng =
   let pick () = List.nth payloads (Rng.int rng (List.length payloads)) in
   let payload, kind = pick () in
   if Rng.int rng 3 = 0 then begin
@@ -242,9 +242,12 @@ let run ?(pool = Bisa_base.Pool.sequential) ~seed ~count () =
   | Ok () ->
     (* Mutant [i] is seeded from [Rng.derive seed i], so the campaign
        shards across the pool deterministically (see Decode_fuzz). *)
+    let payloads = corpus () in
     let indices = List.init count Fun.id in
     let outcomes =
-      Bisa_base.Pool.map_list pool (fun i -> (i, check_one (Rng.derive seed i))) indices
+      Bisa_base.Pool.map_list pool
+        (fun i -> (i, check_one payloads (Rng.derive seed i)))
+        indices
     in
     let decoded = ref 0 and rejected = ref 0 in
     let rec tally = function

@@ -16,12 +16,13 @@
 
    A source or workload request reads the stored program hash to build
    its result key, so a hit never re-encodes or re-hashes the executable;
-   a source hit still hashes the request's source text, and only a
-   workload hit costs nothing that grows with the program.  A .cbin/.bbin
-   binary is not held: each request decodes and hashes it.  Artifacts are
-   prepared only on a miss.  Trust is decided once, at artifact
-   preparation ([Pipeline.prepare] runs the verifier); replays are pure,
-   which is what makes the result cache sound.  A failed compile stays
+   a source hit still hashes the request's source text (streamed, with
+   no copy and no allocation), and only a workload hit costs nothing
+   that grows with the program.  A .cbin/.bbin binary is not held: each
+   request decodes and hashes it.  Artifacts are prepared only on a
+   miss.  Trust is decided once, at artifact preparation
+   ([Pipeline.prepare] runs the verifier); replays are pure, which is
+   what makes the result cache sound.  A failed compile stays
    poisoned in its cell, but a failed run caches nothing.  Finished
    results are additionally spooled to disk through Atomic_file, so a
    SIGKILL loses only in-flight requests: the next start reloads finished
@@ -131,7 +132,6 @@ type t = {
   mutable spooled : int;
   mutable spool_skipped : int;
   mutable inflight_peak : int;
-  mutable probe : unit -> Bisa_obs.Probe.t option;
   log : Diag.t -> unit;
 }
 
@@ -243,14 +243,11 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
       spooled = 0;
       spool_skipped = 0;
       inflight_peak = 0;
-      probe = (fun () -> None);
       log;
     }
   in
   Option.iter (load_spool t) spool_dir;
   t
-
-let set_probe_hook t hook = t.probe <- hook
 
 let note_inflight t n =
   Mutex.lock t.lock;
@@ -306,8 +303,18 @@ let load_block prog = { prog; prog_hash = Pipeline.Block.prog_hash prog }
 let load_compiled (c : Bisa_compiler.Compiler.compiled) =
   { conv = load_conv c.conv; block = load_block c.block }
 
+(* The program key hashes ["src:" ^ src], then ["\x00" ^ lib] for each
+   library, streamed, so a hit copies no source text. *)
 let compile_source t ~src ~libs =
-  let key = Codec.fnv1a64 (String.concat "\x00" (("src:" ^ src) :: libs)) in
+  let h = Codec.Fnv.create () in
+  Codec.Fnv.string h "src:";
+  Codec.Fnv.string h src;
+  List.iter
+    (fun lib ->
+      Codec.Fnv.string h "\x00";
+      Codec.Fnv.string h lib)
+    libs;
+  let key = Codec.Fnv.value h in
   memoize t t.sources key ~compute:(fun () ->
       load_compiled (Bisa_compiler.Compiler.compile ~library_funcs:libs src))
 
@@ -356,13 +363,19 @@ let reject what diags =
    configuration fingerprint x exec backend x request shape.  The exec
    backend is in the key even though the backends are differentially
    proven equivalent — the daemon caches rendered bytes, and equivalence
-   is a property we re-check in tests, not one the cache assumes. *)
+   is a property we re-check in tests, not one the cache assumes.  The
+   hashes are 16 lowercase hex digits each. *)
 let sim_key ~what ~isa ~prog_hash ~cfg ~exec ~mode ~out_cap =
-  Printf.sprintf "%s|%s|%016Lx|%016Lx|%s|%s|%s" what isa prog_hash
-    (Bisa_timing.Config.fingerprint cfg)
-    (Bisa_sim.Compile.backend_to_string exec)
-    (match mode with Proto.Timing -> "timing" | Proto.Functional -> "functional")
-    (match out_cap with None -> "full" | Some n -> string_of_int n)
+  String.concat "|"
+    [
+      what;
+      isa;
+      Codec.hex64 prog_hash;
+      Codec.hex64 (Bisa_timing.Config.fingerprint cfg);
+      Bisa_sim.Compile.backend_to_string exec;
+      (match mode with Proto.Timing -> "timing" | Proto.Functional -> "functional");
+      (match out_cap with None -> "full" | Some n -> string_of_int n);
+    ]
 
 let find_result t key =
   Mutex.lock t.lock;
@@ -428,11 +441,11 @@ let resolve t key ~prog_hash ~render launch =
     Hit (render ~cached:true entry)
   | None -> Miss { launch; settle = settle t key ~prog_hash ~render }
 
-(* A timing session over a prepared artifact, with this engine's probe
-   hook consulted once; [payload] seals its metrics and output. *)
-let timing_run (type a) t (module P : Pipeline.S with type artifact = a) config (art : a)
+(* A timing session over a prepared artifact; [payload] seals its
+   metrics and output. *)
+let timing_run (type a) (module P : Pipeline.S with type artifact = a) config (art : a)
     ~out_cap payload =
-  let s = P.session_artifact ?probe:(t.probe ()) config art in
+  let s = P.session_artifact config art in
   Option.iter (P.set_out_cap s) out_cap;
   {
     step = (fun () -> P.step s);
@@ -531,7 +544,7 @@ let plan_sim (type p a) t
         (match P.verify l.prog with [] -> () | ds -> reject "program" ds);
         functional l.prog ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
       | Proto.Timing ->
-        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+        timing_run (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
           (fun (m, out) ->
             Tim_r
               {
@@ -569,7 +582,7 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
         ~out_cap:cfg.out_cap
     in
     resolve t key ~prog_hash:l.prog_hash ~render (fun () ->
-        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+        timing_run (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
           (fun (m, _out) ->
             Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m }))
   in

@@ -79,12 +79,6 @@ val job_ops : job -> int
 
 val stats : t -> Bisa_proto.Proto.stats
 
-val set_probe_hook : t -> (unit -> Bisa_obs.Probe.t option) -> unit
-(** Called once per timing simulation this engine runs; a [Some probe]
-    return is attached to that run only (session-scoped — it never leaks
-    into another request's simulation, and cached replays never fire
-    it). *)
-
 val note_inflight : t -> int -> unit
 (** Record an observed in-flight queue depth (the server loop calls this;
     the peak is reported in {!stats}). *)

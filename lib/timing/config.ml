@@ -45,30 +45,58 @@ let with_inject inject t = { t with inject }
    is spelled out; a snapshot taken under one configuration refuses to
    restore under another.  The injector is opaque (its state is part of
    the snapshot payload, not the configuration identity), so only its
-   presence is rendered. *)
+   presence is rendered.  The text (["v1;iw=16;wb=32;...;inj=false"],
+   ints in decimal, bools as [true]/[false]) is fed to the hash piece by
+   piece and never built, so the daemon can fingerprint every request's
+   configuration without formatting a string. *)
 let fingerprint (t : t) =
-  let b = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let cache name = function
-    | None -> add "%s=none;" name
-    | Some (c : Bisa_uarch.Cache.config) ->
-      add "%s=%d/%d/%d;" name c.size_bytes c.assoc c.line_bytes
+  let module F = Bisa_base.Codec.Fnv in
+  let h = F.create () in
+  let num sep v =
+    F.string h sep;
+    F.int h v
   in
-  add "v1;iw=%d;wb=%d;wo=%d;fu=%d;dd=%d;rp=%d;l2=%d;ob=%d;" t.issue_width
-    t.window_blocks t.window_ops t.fu_count t.decode_depth t.redirect_penalty
-    t.l2_latency t.op_budget;
-  cache "ic" t.icache;
-  cache "dc" t.dcache;
+  let cache name = function
+    | None ->
+      F.string h name;
+      F.string h "none"
+    | Some (c : Bisa_uarch.Cache.config) ->
+      num name c.size_bytes;
+      num "/" c.assoc;
+      num "/" c.line_bytes
+  in
+  num "v1;iw=" t.issue_width;
+  num ";wb=" t.window_blocks;
+  num ";wo=" t.window_ops;
+  num ";fu=" t.fu_count;
+  num ";dd=" t.decode_depth;
+  num ";rp=" t.redirect_penalty;
+  num ";l2=" t.l2_latency;
+  num ";ob=" t.op_budget;
+  cache ";ic=" t.icache;
+  cache ";dc=" t.dcache;
   (match t.trace_cache with
-  | None -> add "tc=none;"
+  | None -> F.string h ";tc=none"
   | Some (c : Bisa_uarch.Trace_cache.config) ->
-    add "tc=%d/%d/%d/%d;" c.sets c.ways c.max_blocks c.max_ops);
-  add "pred=%s;" (match t.predictor with Perfect -> "perfect" | Real -> "real");
+    num ";tc=" c.sets;
+    num "/" c.ways;
+    num "/" c.max_blocks;
+    num "/" c.max_ops);
+  F.string h (match t.predictor with Perfect -> ";pred=perfect" | Real -> ";pred=real");
   let cp = t.conv_pred in
-  add "cp=%d/%d/%d/%d/%d;" cp.hist_bits cp.pht_bits cp.btb_sets cp.btb_ways
-    cp.ras_depth;
+  num ";cp=" cp.hist_bits;
+  num "/" cp.pht_bits;
+  num "/" cp.btb_sets;
+  num "/" cp.btb_ways;
+  num "/" cp.ras_depth;
   let bp = t.block_pred in
-  add "bp=%d/%d/%d/%d/%d/%b;" bp.hist_bits bp.pht_bits bp.btb_sets bp.btb_ways
-    bp.ras_depth bp.naive_history;
-  add "inj=%b" (t.inject <> None);
-  Bisa_base.Codec.fnv1a64 (Buffer.contents b)
+  num ";bp=" bp.hist_bits;
+  num "/" bp.pht_bits;
+  num "/" bp.btb_sets;
+  num "/" bp.btb_ways;
+  num "/" bp.ras_depth;
+  F.string h "/";
+  F.string h (string_of_bool bp.naive_history);
+  F.string h ";inj=";
+  F.string h (string_of_bool (Option.is_some t.inject));
+  F.value h

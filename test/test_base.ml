@@ -225,6 +225,142 @@ let test_fs_tree () =
   (* Removing a path that is already gone is a no-op. *)
   Fs.rm_rf root
 
+(* --- codec: the hash and varint contracts ---------------------------------- *)
+
+(* The closure-based FNV-1a that made every program hash, checkpoint and
+   campaign header and spool file name so far, kept as the reference
+   model for the unboxed loop. *)
+let fnv1a64_model s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001B3L)
+    s;
+  !h
+
+let hex = Printf.sprintf "%016Lx"
+
+(* Ints whose decimal or varint forms change length around them. *)
+let edge_ints =
+  [ 0; 1; -1; 9; -9; 10; -10; min_int; max_int; min_int + 1; max_int - 1 ]
+  @ List.concat_map
+      (fun k ->
+        let p = 1 lsl k in
+        [ p; p + 1; p - 1; -p; -p + 1; -p - 1 ])
+      (List.init (Sys.int_size - 1) Fun.id)
+
+let test_fnv1a64 () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check string) (Printf.sprintf "%S" s) want (hex (Codec.fnv1a64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  let rng = Rng.create 21 in
+  for i = 0 to 199 do
+    (* lengths 0-8 first, then up to 8 KB; bytes cover 0-255 *)
+    let n = if i <= 8 then i else Rng.int rng 8193 in
+    let s = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+    let want = fnv1a64_model s in
+    Alcotest.(check int64) (Printf.sprintf "fnv1a64 of %d bytes" n) want (Codec.fnv1a64 s);
+    (* the same bytes streamed in random pieces *)
+    let f = Codec.Fnv.create () in
+    let pos = ref 0 in
+    while !pos < n do
+      let k = min (n - !pos) (1 + Rng.int rng 64) in
+      Codec.Fnv.string f (String.sub s !pos k);
+      pos := !pos + k
+    done;
+    Alcotest.(check int64) (Printf.sprintf "streamed %d bytes" n) want (Codec.Fnv.value f)
+  done;
+  let ints = edge_ints @ List.init 1000 (fun _ -> Int64.to_int (Rng.next rng) asr Rng.int rng 63) in
+  List.iter
+    (fun n ->
+      let f = Codec.Fnv.create () in
+      Codec.Fnv.string f "x";
+      Codec.Fnv.int f n;
+      Codec.Fnv.int f (-n);
+      Alcotest.(check int64) (string_of_int n)
+        (fnv1a64_model ("x" ^ string_of_int n ^ string_of_int (-n)))
+        (Codec.Fnv.value f);
+      let v = Int64.of_int n in
+      Alcotest.(check string) "hex64" (hex v) (Codec.hex64 v))
+    ints;
+  List.iter
+    (fun v -> Alcotest.(check string) "hex64 edge" (hex v) (Codec.hex64 v))
+    [ Int64.min_int; Int64.max_int; -1L; 0L; 0x8000_0000_0000_0001L ];
+  Alcotest.(check string) "hash_hex" "85944171f73967e8" (Codec.hash_hex "foobar")
+
+(* The Int64 varint writer every snapshot, spool entry and campaign file
+   so far was written with, kept as the reference model. *)
+let u64_model b v =
+  let v = ref v in
+  let continue_ = ref true in
+  while !continue_ do
+    let low = Int64.to_int (Int64.logand !v 0x7FL) in
+    v := Int64.shift_right_logical !v 7;
+    if Int64.equal !v 0L then begin
+      Buffer.add_char b (Char.chr low);
+      continue_ := false
+    end
+    else Buffer.add_char b (Char.chr (low lor 0x80))
+  done
+
+let i64_model b v = u64_model b Int64.(logxor (shift_left v 1) (shift_right v 63))
+
+let test_varint_writer () =
+  let rng = Rng.create 3 in
+  let ints =
+    edge_ints
+    @ List.init 200_000 (fun _ -> Int64.to_int (Rng.next rng) asr Rng.int rng 63)
+  in
+  let i64s =
+    [ Int64.min_int; Int64.max_int ]
+    @ List.concat_map
+        (fun k ->
+          let p = Int64.shift_left 1L k in
+          Int64.[ p; succ p; pred p; neg p; succ (neg p); pred (neg p) ])
+        (List.init 64 Fun.id)
+    @ List.init 10_000 (fun _ -> Int64.shift_right (Rng.next rng) (Rng.int rng 64))
+  in
+  let floats =
+    [ 0.0; -0.0; 1.0; -1.5; nan; infinity; neg_infinity; max_float; min_float; epsilon_float ]
+    @ List.init 10_000 (fun _ -> Int64.float_of_bits (Rng.next rng))
+  in
+  (* Edge values one at a time, so a failure names its value. *)
+  List.iter
+    (fun v ->
+      let w = Codec.W.create () and b = Buffer.create 16 in
+      Codec.W.int w v;
+      i64_model b (Int64.of_int v);
+      Alcotest.(check string) (string_of_int v) (Buffer.contents b) (Codec.W.contents w))
+    edge_ints;
+  let w = Codec.W.create () and b = Buffer.create 4096 in
+  List.iter
+    (fun v ->
+      Codec.W.int w v;
+      i64_model b (Int64.of_int v))
+    ints;
+  List.iter
+    (fun v ->
+      Codec.W.i64 w v;
+      i64_model b v)
+    i64s;
+  List.iter
+    (fun v ->
+      Codec.W.float w v;
+      u64_model b (Int64.bits_of_float v))
+    floats;
+  Alcotest.(check bool) "ints, i64s and floats byte-identical" true
+    (String.equal (Buffer.contents b) (Codec.W.contents w));
+  let r = Codec.R.of_string (Codec.W.contents w) in
+  List.iter (fun v -> if Codec.R.int r <> v then Alcotest.failf "int %d read back" v) ints;
+  List.iter (fun v -> if Codec.R.i64 r <> v then Alcotest.failf "i64 %Ld read back" v) i64s;
+  List.iter
+    (fun v ->
+      if Int64.bits_of_float (Codec.R.float r) <> Int64.bits_of_float v then
+        Alcotest.failf "float %h read back" v)
+    floats;
+  Alcotest.(check bool) "all read" true (Codec.R.at_end r)
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -250,4 +386,6 @@ let suite =
     Alcotest.test_case "atomic writer raises" `Quick test_atomic_writer_raises;
     Alcotest.test_case "atomic concurrent writers" `Quick test_atomic_concurrent_writers;
     Alcotest.test_case "fs tree" `Quick test_fs_tree;
+    Alcotest.test_case "fnv1a64 matches vectors and reference model" `Quick test_fnv1a64;
+    Alcotest.test_case "varint writer matches reference model" `Quick test_varint_writer;
   ]

@@ -152,7 +152,9 @@ let test_reports_deterministic_across_workers () =
 
 (* The sharded fuzz campaigns report identically at every worker count:
    per-item state is derived from the work item (Rng.derive / one
-   generation pass), never from a shared mutable generator. *)
+   generation pass), never from a shared mutable generator, and shared
+   inputs, such as the proto corpus, are built before the campaign
+   shards. *)
 let test_campaigns_deterministic_across_workers () =
   let diff pool =
     let r = Bisa_check.Oracle.fuzz ~seed:7 ~count:25 ~pool () in
@@ -167,12 +169,24 @@ let test_campaigns_deterministic_across_workers () =
     | Ok r -> (r.mutants, r.decoded, r.rejected)
     | Error e -> Alcotest.fail e
   in
-  let seq_d = diff Pool.sequential and seq_m = decode Pool.sequential in
-  let par_d, par_m = Pool.run ~workers:4 (fun pool -> (diff pool, decode pool)) in
+  let proto pool =
+    match Bisa_check.Proto_fuzz.run ~pool ~seed:11 ~count:300 () with
+    | Ok r -> (r.mutants, r.decoded, r.rejected)
+    | Error e -> Alcotest.fail e
+  in
+  let seq_d = diff Pool.sequential
+  and seq_m = decode Pool.sequential
+  and seq_p = proto Pool.sequential in
+  let par_d, par_m, par_p =
+    Pool.run ~workers:4 (fun pool -> (diff pool, decode pool, proto pool))
+  in
   Alcotest.(check bool) "differential report identical" true (seq_d = par_d);
   Alcotest.(check bool) "decode report identical" true (seq_m = par_m);
+  Alcotest.(check bool) "proto report identical" true (seq_p = par_p);
   let _, _, rejected = seq_m in
-  Alcotest.(check bool) "mutator still rejects some mutants" true (rejected > 0)
+  Alcotest.(check bool) "mutator still rejects some mutants" true (rejected > 0);
+  let _, _, rejected = seq_p in
+  Alcotest.(check bool) "proto mutator still rejects some mutants" true (rejected > 0)
 
 let suite =
   [

@@ -465,6 +465,105 @@ let test_spool_skip_surfaced () =
   Alcotest.(check bool) "good entry reloads" true cached;
   Alcotest.(check string) "bytes intact past the damage" cold warm
 
+(* --- the cache key contract and the cost of a hit --------------------------- *)
+
+(* A spooled result is found again only under the same key and file
+   name, so both are pinned to the bytes that spools written by earlier
+   builds carry.  The program hash in the key is the compiler's output
+   for [src2] (the reply carries it too); the configuration fingerprint
+   is the default request's. *)
+let test_key_pinned () =
+  with_tmp_dir "key" @@ fun dir ->
+  let e = Engine.create ~spool_dir:dir () in
+  let req =
+    Proto.Simulate
+      {
+        src = Proto.Source { src = src2; libs = [] };
+        isa = Proto.Conv;
+        mode = Proto.Functional;
+        exec = Bisa_sim.Compile.Compiled;
+        cfg = Proto.default_sim_cfg;
+        show_output = false;
+      }
+  in
+  (match Engine.handle e req with
+  | Proto.Sim { prog_hash; _ } ->
+    Alcotest.(check string) "program hash" "18e9b4950e9fb924" (Printf.sprintf "%016Lx" prog_hash)
+  | _ -> Alcotest.fail "not a Sim response");
+  match Sys.readdir dir with
+  | [| name |] ->
+    Alcotest.(check string) "spool file name" "3f4a374a3ce381be.resp" name;
+    let r = Bisa_base.Codec.R.of_string (Bisa_base.Fs.read_file (Filename.concat dir name)) in
+    Alcotest.(check string) "magic" "BISARESP" (Bisa_base.Codec.R.string r);
+    Alcotest.(check int) "version" 1 (Bisa_base.Codec.R.int r);
+    Alcotest.(check string) "key" "sim|conv|18e9b4950e9fb924|c443bfb970df5c2a|compiled|functional|full"
+      (Bisa_base.Codec.R.string r)
+  | names -> Alcotest.failf "expected one spooled result, found %d" (Array.length names)
+
+(* Words one call of [f] allocates, in one domain, counted over 100
+   calls: minor words plus the words allocated straight in the major heap
+   (promoted words are counted in both).  OCaml 5.1's [Gc.quick_stat]
+   counts the minor heap only at a collection, so each reading empties it
+   first.  A reading's own words, and the major words the runtime may
+   book between two readings (up to about 60), are spread over the 100
+   calls. *)
+let words_per_call f =
+  let n = 100 in
+  let read () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let r0 = read () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let r1 = read () in
+  int_of_float (Float.round ((r1 -. r0) /. float_of_int n))
+
+(* A MiniC program of about [bytes] bytes of source. *)
+let sized_source bytes =
+  let b = Buffer.create bytes in
+  Buffer.add_string b "int main() {\n  int s = 0;\n";
+  let i = ref 0 in
+  while Buffer.length b < bytes - 40 do
+    Buffer.add_string b (Printf.sprintf "  s = s + %d;\n" (!i mod 7));
+    incr i
+  done;
+  Buffer.add_string b "  print_int(s);\n  return 0;\n}\n";
+  Buffer.contents b
+
+(* A warm hit costs what finding its result costs: the key, the lookups
+   and the reply.  A Source hit hashes its text but copies none of it, so
+   a program eight times longer costs the same words. *)
+let test_hit_allocation () =
+  let e = Engine.create () in
+  let small = sim ~s:(sized_source 512) () and large = sim ~s:(sized_source 4096) () in
+  let reqs = [ ("cell", cell ()); ("0.5 KB source", small); ("4 KB source", large) ] in
+  let hit_words (what, req) =
+    for _ = 1 to 2 do
+      match Engine.handle e req with
+      | Proto.Err ds ->
+        Alcotest.failf "%s: unexpected Err: %s" what
+          (String.concat "; " (List.map Diag.render ds))
+      | _ -> ()
+    done;
+    words_per_call (fun () -> Engine.handle e req)
+  in
+  match List.map hit_words reqs with
+  | [ cell_w; small_w; large_w ] ->
+    Printf.printf "hit words: cell %d, 0.5 KB source %d, 4 KB source %d\n" cell_w small_w
+      large_w;
+    Alcotest.(check bool) (Printf.sprintf "cell hit: %d words <= 200" cell_w) true (cell_w <= 200);
+    Alcotest.(check bool)
+      (Printf.sprintf "0.5 KB source hit: %d words <= 320" small_w)
+      true (small_w <= 320);
+    Alcotest.(check bool)
+      (Printf.sprintf "4 KB source hit: %d words <= 0.5 KB's %d + 16" large_w small_w)
+      true
+      (large_w <= small_w + 16)
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "decode robustness" `Quick test_decode_robustness;
@@ -485,6 +584,8 @@ let suite =
     Alcotest.test_case "malformed source answers Err" `Quick test_malformed_source_err;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
+    Alcotest.test_case "cache key and spool name pinned" `Quick test_key_pinned;
+    Alcotest.test_case "cache hits allocate a bounded amount" `Quick test_hit_allocation;
     Alcotest.test_case "spool damage is counted and logged" `Quick
       test_spool_skip_surfaced;
   ]

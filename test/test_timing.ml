@@ -307,6 +307,93 @@ let test_steady_state_allocation () =
   let block = Block.session_artifact cfg (Block.prepare c.block) in
   words_per_step "block step" block Block.step 8.0
 
+(* The Printf rendering [Config.fingerprint] hashed until it streamed
+   the same text into the hash, kept as the reference model: checkpoint
+   and campaign headers and the daemon's cache keys all carry this
+   value. *)
+let fingerprint_model (t : Config.t) =
+  let b = Buffer.create 256 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let cache name = function
+    | None -> add "%s=none;" name
+    | Some (c : Bisa_uarch.Cache.config) ->
+      add "%s=%d/%d/%d;" name c.size_bytes c.assoc c.line_bytes
+  in
+  add "v1;iw=%d;wb=%d;wo=%d;fu=%d;dd=%d;rp=%d;l2=%d;ob=%d;" t.issue_width
+    t.window_blocks t.window_ops t.fu_count t.decode_depth t.redirect_penalty
+    t.l2_latency t.op_budget;
+  cache "ic" t.icache;
+  cache "dc" t.dcache;
+  (match t.trace_cache with
+  | None -> add "tc=none;"
+  | Some (c : Bisa_uarch.Trace_cache.config) ->
+    add "tc=%d/%d/%d/%d;" c.sets c.ways c.max_blocks c.max_ops);
+  add "pred=%s;" (match t.predictor with Perfect -> "perfect" | Real -> "real");
+  let cp = t.conv_pred in
+  add "cp=%d/%d/%d/%d/%d;" cp.hist_bits cp.pht_bits cp.btb_sets cp.btb_ways
+    cp.ras_depth;
+  let bp = t.block_pred in
+  add "bp=%d/%d/%d/%d/%d/%b;" bp.hist_bits bp.pht_bits bp.btb_sets bp.btb_ways
+    bp.ras_depth bp.naive_history;
+  add "inj=%b" (t.inject <> None);
+  Bisa_base.Codec.fnv1a64 (Buffer.contents b)
+
+let test_fingerprint_model () =
+  let hex = Printf.sprintf "%016Lx" in
+  Alcotest.(check string) "default" "1a56af8aa052c8a9" (hex (Config.fingerprint Config.default));
+  Alcotest.(check string) "bisad's default request" "c443bfb970df5c2a"
+    (hex (Config.fingerprint (Bisa_proto.Proto.to_config Bisa_proto.Proto.default_sim_cfg)));
+  let rng = Bisa_base.Rng.create 11 in
+  (* small values, whole-range values and their negatives *)
+  let num () =
+    match Bisa_base.Rng.int rng 4 with
+    | 0 -> Bisa_base.Rng.int rng 100
+    | 1 -> -Bisa_base.Rng.int rng 100
+    | 2 -> Int64.to_int (Bisa_base.Rng.next rng)
+    | _ -> Int64.to_int (Bisa_base.Rng.next rng) asr Bisa_base.Rng.int rng 63
+  in
+  let flip () = Bisa_base.Rng.int rng 2 = 0 in
+  let cache () =
+    if flip () then None
+    else Some { Bisa_uarch.Cache.size_bytes = num (); assoc = num (); line_bytes = num () }
+  in
+  for i = 1 to 2_000 do
+    let t =
+      {
+        Config.issue_width = num ();
+        window_blocks = num ();
+        window_ops = num ();
+        fu_count = num ();
+        decode_depth = num ();
+        redirect_penalty = num ();
+        icache = cache ();
+        dcache = cache ();
+        trace_cache =
+          (if flip () then None
+           else
+             Some
+               { Bisa_uarch.Trace_cache.sets = num (); ways = num (); max_blocks = num (); max_ops = num () });
+        l2_latency = num ();
+        predictor = (if flip () then Config.Perfect else Config.Real);
+        conv_pred =
+          { hist_bits = num (); pht_bits = num (); btb_sets = num (); btb_ways = num (); ras_depth = num () };
+        block_pred =
+          {
+            hist_bits = num ();
+            pht_bits = num ();
+            btb_sets = num ();
+            btb_ways = num ();
+            ras_depth = num ();
+            naive_history = flip ();
+          };
+        op_budget = (if i = 1 then min_int else if i = 2 then max_int else num ());
+        inject = (if flip () then None else Some (Bisa_uarch.Inject.chaos ~seed:i));
+      }
+    in
+    Alcotest.(check int64) (Printf.sprintf "random configuration %d" i) (fingerprint_model t)
+      (Config.fingerprint t)
+  done
+
 let suite =
   [
     Alcotest.test_case "engine chain" `Quick test_engine_dependency_chain;
@@ -323,4 +410,6 @@ let suite =
     Alcotest.test_case "probe equivalence" `Quick test_probe_equivalence;
     Alcotest.test_case "steady-state allocation" `Quick
       test_steady_state_allocation;
+    Alcotest.test_case "config fingerprint matches reference model" `Quick
+      test_fingerprint_model;
   ]
