@@ -18,7 +18,10 @@ let corrupt fmt =
 module W = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 4096
+  (* 256 bytes is a minor-heap block, so a short message (a request, a
+     reply, a spool entry) never touches the major heap; doubling keeps
+     a multi-hundred-KB snapshot linear. *)
+  let create () = Buffer.create 256
   let contents = Buffer.contents
   let length = Buffer.length
 
@@ -98,20 +101,39 @@ module R = struct
     t.pos <- t.pos + 1;
     c
 
-  let u64 t =
-    let rec go shift acc =
-      if shift > 63 then corrupt "varint overruns 64 bits at byte %d" t.pos;
+  (* The writer's split, read back: a varint is its first byte's group
+     and the groups after it, which a native int holds (at most nine
+     groups, 63 bits), so no byte boxes an Int64.  A tenth group past
+     bit 63 keeps only its low bit, and an eleventh byte is an overrun,
+     located where the wide reader located it. *)
+  let rest t =
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !shift > 56 then corrupt "varint overruns 64 bits at byte %d" t.pos;
       let c = byte t in
-      let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (c land 0x7F)) shift) in
-      if c land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0L
+      acc := !acc lor ((c land 0x7F) lsl !shift);
+      shift := !shift + 7;
+      more := c land 0x80 <> 0
+    done;
+    !acc
+
+  let u64 t =
+    let c = byte t in
+    if c < 0x80 then Int64.of_int c
+    else Int64.(logor (of_int (c land 0x7F)) (shift_left (of_int (rest t)) 7))
 
   let i64 t =
     let v = u64 t in
     Int64.(logxor (shift_right_logical v 1) (neg (logand v 1L)))
 
-  let int t = Int64.to_int (i64 t)
+  (* [Int64.to_int (i64 t)] without the Int64: the zigzag's magnitude is
+     the varint shifted right once, cut to 63 bits, and its sign is the
+     first group's low bit. *)
+  let int t =
+    let c = byte t in
+    let u = if c < 0x80 then c lsr 1 else ((c land 0x7F) lsr 1) lor (rest t lsl 6) in
+    u lxor -(c land 1)
+
   let bool t = int t <> 0
   let float t = Int64.float_of_bits (u64 t)
 

@@ -249,6 +249,8 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
   Option.iter (load_spool t) spool_dir;
   t
 
+let workers t = Pool.workers t.pool
+
 let note_inflight t n =
   Mutex.lock t.lock;
   if n > t.inflight_peak then t.inflight_peak <- n;
@@ -721,3 +723,10 @@ let step_job job ~slice_ops : [ `More | `Done of Proto.response ] =
     else `More
   in
   try go () with e -> `Done (err_of_exn e)
+
+(* One slice for each of [jobs], run concurrently over the engine's pool
+   (the caller's domain steps one of them), with results in [jobs]'
+   order.  Distinct jobs share only what a [Batch] already shares across
+   the pool: prepared artifacts, and the locked tables and cells they
+   seal into. *)
+let step_jobs t jobs ~slice_ops = Pool.map_list t.pool (step_job ~slice_ops) jobs

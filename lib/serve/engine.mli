@@ -26,7 +26,8 @@ val create :
   ?log:(Bisa_base.Diag.t -> unit) ->
   unit ->
   t
-(** [pool] shards [Batch] requests (default sequential).  [spool_dir] is
+(** [pool] shards [Batch] requests and steps the server loop's jobs
+    side by side (default sequential).  [spool_dir] is
     created if missing and scanned for previously spooled results;
     unreadable entries are skipped, counted in {!stats}'s
     [spool_skipped], and each reported once through [log] (default:
@@ -50,8 +51,9 @@ val handle : t -> Bisa_proto.Proto.request -> Bisa_proto.Proto.response
 
     The server loop's form of [Simulate] and [Cell]: the same resolved
     miss {!handle} runs to completion, advanced instead in bounded
-    operation slices between select rounds, so one paper-scale request
-    never monopolizes the daemon.  A sealed job lands in the same result
+    operation slices between select rounds, up to one job per pool
+    domain each round ({!step_jobs}), so one paper-scale request never
+    monopolizes the daemon.  A sealed job lands in the same result
     cache and renders the same bytes {!handle} returns.  A job holds no
     locks, cells or spool state until it seals, so abandoning one is just
     dropping it. *)
@@ -74,8 +76,20 @@ val step_job : job -> slice_ops:int -> [ `More | `Done of Bisa_proto.Proto.respo
     job with a structured [Err] and caches nothing.  Never raises; must
     not be called again after [`Done]. *)
 
+val step_jobs :
+  t -> job list -> slice_ops:int -> [ `More | `Done of Bisa_proto.Proto.response ] list
+(** {!step_job} on each of [jobs], concurrently across the engine's pool
+    (the calling domain steps one of them), with results in [jobs]'
+    order.  A round costs about one slice when [jobs] holds at most
+    [Pool.workers] jobs; on a size-1 pool it is [List.map] of
+    {!step_job}.  The jobs must be distinct. *)
+
 val job_ops : job -> int
 (** Dynamic operations retired so far, for deadline-expiry reporting. *)
+
+val workers : t -> int
+(** The pool's total parallelism ({!Bisa_base.Pool.workers}): how many
+    jobs the server loop steps per round. *)
 
 val stats : t -> Bisa_proto.Proto.stats
 

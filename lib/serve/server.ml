@@ -1,15 +1,20 @@
-(* The bisad server loop: a single-threaded select loop over a Unix
-   domain socket, speaking Proto's length-prefixed frames.
+(* The bisad server loop: a select loop over a Unix domain socket,
+   speaking Proto's length-prefixed frames.
 
-   Dispatch is serial and in submission order, but long work is
-   cooperative: a Simulate or Cell miss becomes a suspended Engine job
-   the loop advances one bounded operation slice per round, between
-   select polls — so a paper-scale simulation never blocks a concurrent
-   ping, and a per-request (or server-default) deadline can expire a
-   waiter into a structured Err at slice granularity instead of hanging
-   it.  Identical in-flight requests attach as extra waiters on one job.
-   Parallelism still lives inside the engine (Batch requests shard over
-   its pool and are scheduled as one synchronous unit).
+   Sockets, dispatch, deadlines and admission stay on the loop's domain,
+   serial and in submission order, but long work is cooperative: a
+   Simulate or Cell miss becomes a suspended Engine job (planned and
+   launched on the loop), and each round, between select polls, the loop
+   advances up to one job per pool domain by one bounded operation slice,
+   side by side through [Engine.step_jobs] — so a paper-scale simulation
+   never blocks a concurrent ping, cold jobs use every domain of the
+   engine's pool, and a per-request (or server-default) deadline can
+   expire a waiter into a structured Err at slice granularity instead of
+   hanging it.  Identical in-flight requests attach as extra waiters on
+   one job.  Parallelism lives inside the engine: its pool steps the
+   jobs, and a Batch request shards over it as one synchronous unit.
+   Replies are the bytes [Engine.handle] gives at every worker count;
+   with one worker a round steps one job, round-robin.
 
    Backpressure is genuine admission control: work-shaped requests are
    refused with a structured busy Err while [max_inflight] jobs are
@@ -69,7 +74,7 @@ type t = {
   slice_ops : int;
   mutable conns : conn list;
   mutable jobs : active list;
-  mutable cursor : int;  (* rotates which job gets this round's slice *)
+  mutable cursor : int;  (* where the next round's round-robin picks start *)
   mutable shutting_down : bool;
 }
 
@@ -321,23 +326,32 @@ let expire_and_prune t now =
         keep <> [])
       t.jobs
 
-(* One bounded slice for one job, rotating round-robin so concurrent
-   jobs share the loop fairly. *)
-let step_one t =
+(* One bounded slice for each of the next [min n workers] jobs, taken
+   round-robin from the cursor so concurrent jobs share the pool fairly,
+   and stepped side by side on its domains.  Finished jobs answer their
+   waiters in job order. *)
+let step_round t =
   match t.jobs with
   | [] -> ()
-  | jobs -> (
+  | jobs ->
     let n = List.length jobs in
-    let i = t.cursor mod n in
-    t.cursor <- t.cursor + 1;
-    let a = List.nth jobs i in
-    match Engine.step_job a.job ~slice_ops:t.slice_ops with
-    | `More -> ()
-    | `Done resp ->
-      List.iter
-        (fun w -> if (not w.wconn.dead) && not w.wconn.closing then respond w.wconn resp)
-        a.waiters;
-      t.jobs <- List.filter (fun a' -> a' != a) t.jobs)
+    let k = min n (Engine.workers t.engine) in
+    let first = t.cursor mod n in
+    t.cursor <- t.cursor + k;
+    let picked = List.filteri (fun i _ -> (i - first + n) mod n < k) jobs in
+    let results =
+      Engine.step_jobs t.engine (List.map (fun a -> a.job) picked) ~slice_ops:t.slice_ops
+    in
+    List.iter2
+      (fun a -> function
+        | `More -> ()
+        | `Done resp ->
+          List.iter
+            (fun w ->
+              if (not w.wconn.dead) && not w.wconn.closing then respond w.wconn resp)
+            a.waiters;
+          t.jobs <- List.filter (fun a' -> a' != a) t.jobs)
+      picked results
 
 let evict_idle t now =
   match t.idle_timeout with
@@ -405,7 +419,7 @@ let serve ?max_inflight ?deadline ?idle_timeout ?slice_ops ?on_ready ~engine ~pa
                 (peel_requests conn))
           (List.rev t.conns);
         expire_and_prune t (Unix.gettimeofday ());
-        step_one t;
+        step_round t;
         evict_idle t now;
         flush_writes t (Unix.gettimeofday ());
         if t.shutting_down && t.jobs = [] then begin

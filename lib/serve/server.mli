@@ -1,12 +1,13 @@
-(** The bisad server loop: a single-threaded select loop on a Unix
-    domain socket, framing via {!Bisa_proto.Proto}, dispatching into an
-    {!Engine}.
+(** The bisad server loop: a select loop on a Unix domain socket,
+    framing via {!Bisa_proto.Proto}, dispatching into an {!Engine}.
 
-    Dispatch is serial and in submission order, but long work is
-    cooperative: a [Simulate] or [Cell] miss becomes a suspended
-    {!Engine.job} advanced one bounded operation slice per select round,
-    so a paper-scale simulation never blocks a concurrent ping, and
-    request deadlines expire into structured [Err]s at slice granularity.
+    Dispatch is serial and in submission order on the loop's domain, but
+    long work is cooperative: a [Simulate] or [Cell] miss becomes a
+    suspended {!Engine.job}, and each select round advances up to
+    {!Engine.workers} jobs one bounded operation slice each, side by side
+    on the engine's pool ({!Engine.step_jobs}), so a paper-scale
+    simulation never blocks a concurrent ping, and request deadlines
+    expire into structured [Err]s at slice granularity.
     Identical in-flight requests share one job.  Backpressure is genuine
     admission control: work-shaped requests are refused with a busy [Err]
     while [max_inflight] jobs are suspended; [Ping], [Stats] and
@@ -37,5 +38,5 @@ val serve :
     of their own.  [idle_timeout] (default: none) evicts connections
     with no read/write progress that are not waiting on a job.
     [slice_ops] (default 32768) is the cooperative quantum in dynamic
-    operations — the bound on how long any single request can hold the
-    loop, and therefore on ping latency under load. *)
+    operations — the bound on how long a round's jobs can hold the loop,
+    and therefore on ping latency under load. *)

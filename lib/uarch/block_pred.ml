@@ -97,8 +97,9 @@ let train_sub t i ~dir ~n ~sub =
 
 (* Index of [v] in [arr], or -1.  A flat loop: this sits on the per-block
    training path, where a capturing local recursion would cost a closure
-   allocation per call under classic ocamlopt. *)
-let index_in arr v =
+   allocation per call under classic ocamlopt, and [v : int] makes [<>]
+   an integer compare instead of a call to the polymorphic one. *)
+let index_in (arr : int array) (v : int) =
   let n = Array.length arr in
   let i = ref 0 in
   while !i < n && Array.unsafe_get arr !i <> v do

@@ -1,8 +1,9 @@
 (* Live-server checks that must fork a real bisad child: the scripted
    client session (the real `bisad` client binary against a forked
    server, byte-identical to the one-shot CLI, cold and cached),
-   cooperative liveness under a paper-scale job, deadline expiry into the
-   structured Err, admission control, and slow-loris idle eviction.
+   cooperative liveness under a paper-scale job, cold jobs stepped side
+   by side on a two-domain pool, deadline expiry into the structured Err,
+   admission control, and slow-loris idle eviction.
 
    A separate executable (not part of test_main) because Unix.fork is
    forbidden once other domains exist, and the main suite's pool tests
@@ -39,11 +40,11 @@ let long_src =
   "int main() { int i; int s = 0; for (i = 0; i < 5000000; i = i + 1) { s = s \
    + (i ^ (s >> 3)); } print_int(s); return s & 255; }"
 
-let sim ?(s = src) ?deadline () =
+let sim ?(s = src) ?(isa = Proto.Block) ?deadline () =
   Proto.Simulate
     {
       src = Proto.Source { src = s; libs = [] };
-      isa = Proto.Block;
+      isa;
       mode = Proto.Timing;
       exec = Bisa_sim.Compile.Interp;
       cfg = { Proto.default_sim_cfg with Proto.deadline };
@@ -63,14 +64,18 @@ let with_tmp_dir name f =
 (* Fork a real server child on a fresh socket; wait for the socket to
    accept, run [f], then SIGKILL the child — only the client session
    waits for a graceful exit; the other checks must not depend on it. *)
-let with_server ?deadline ?idle_timeout ?(max_inflight = 4) name f =
+let with_server ?deadline ?idle_timeout ?slice_ops ?(max_inflight = 4) ?(workers = 1)
+    name f =
   with_tmp_dir name @@ fun dir ->
   let path = Filename.concat dir "sock" in
   match Unix.fork () with
   | 0 ->
     (try
-       let engine = Engine.create () in
-       Server.serve ~max_inflight ?deadline ?idle_timeout ~engine ~path ();
+       (* The child's pool domains start after the fork, so this process
+          stays domain-free for the checks that fork after it. *)
+       let pool = Bisa_base.Pool.create ~workers () in
+       let engine = Engine.create ~pool () in
+       Server.serve ~max_inflight ?deadline ?idle_timeout ?slice_ops ~engine ~path ();
        Unix._exit 0
      with _ -> Unix._exit 1)
   | pid ->
@@ -189,6 +194,65 @@ let test_ping_under_load () =
     (Printf.sprintf "ping answered in %.3fs with a job in flight" dt)
     (dt < 0.5)
 
+let cell ~bench ~isa =
+  Proto.Cell
+    {
+      bench;
+      scale = Some 1;
+      isa;
+      exec = Bisa_sim.Compile.Interp;
+      cfg = Proto.default_sim_cfg;
+    }
+
+(* The reply to a request sent earlier on [fd], as the bytes on the wire. *)
+let read_reply fd =
+  match Proto.read_frame fd with
+  | Some payload -> payload
+  | None -> "(connection closed without a reply)"
+
+let inflight_peak path =
+  match Client.one_shot path Proto.Stats with
+  | Proto.Stats_r s -> s.Proto.inflight_peak
+  | _ -> -1
+
+(* On a two-domain pool, two clients' different cold Cells are in flight
+   at once and stepped side by side; each client gets exactly the bytes
+   an in-process engine answers, not the other's. *)
+let test_parallel_cold_cells () =
+  with_server ~workers:2 ~slice_ops:1000 "parallel" @@ fun ~pid:_ path ->
+  let reqs =
+    [ cell ~bench:"li" ~isa:Proto.Conv; cell ~bench:"compress" ~isa:Proto.Block ]
+  in
+  let fds = List.map (send_no_wait path) reqs in
+  let replies = List.map read_reply fds in
+  List.iter Client.close fds;
+  List.iter2
+    (fun req got ->
+      let want = Proto.encode_response (Engine.handle (Engine.create ()) req) in
+      check "a side-by-side cold Cell answers the in-process engine's bytes" (got = want))
+    reqs replies;
+  let peak = inflight_peak path in
+  check (Printf.sprintf "both Cells were in flight at once (inflight_peak %d)" peak)
+    (peak = 2)
+
+(* Two paper-scale jobs stepped side by side still leave the loop a
+   round of about one slice: a ping answers between rounds. *)
+let test_ping_under_parallel_load () =
+  with_server ~workers:2 "ping2" @@ fun ~pid:_ path ->
+  let fds =
+    List.map (fun isa -> send_no_wait path (sim ~s:long_src ~isa ())) [ Proto.Block; Proto.Conv ]
+  in
+  Unix.sleepf 0.3 (* let the server read, compile, and park both jobs *);
+  let t0 = Unix.gettimeofday () in
+  (match Client.one_shot path Proto.Ping with
+  | Proto.Pong _ -> ()
+  | _ -> check "ping under two jobs did not Pong" false);
+  let dt = Unix.gettimeofday () -. t0 in
+  let peak = inflight_peak path in
+  List.iter Client.close fds;
+  check (Printf.sprintf "both jobs were in flight (inflight_peak %d)" peak) (peak >= 2);
+  check (Printf.sprintf "ping answered in %.3fs with two jobs in flight" dt) (dt < 0.5)
+
 (* A deadline-passed request comes back as the structured deadline Err —
    never retried by the client, never cached by the engine: the same
    request without a deadline then computes the full answer. *)
@@ -253,6 +317,8 @@ let () =
   in
   test_client_session ~bisad ~timing_expect ~fn_expect;
   test_ping_under_load ();
+  test_parallel_cold_cells ();
+  test_ping_under_parallel_load ();
   test_deadline_expiry ();
   test_admission_busy ();
   test_idle_eviction ();
@@ -261,5 +327,5 @@ let () =
     exit 1
   end;
   print_endline
-    "serve-live: client session, liveness, deadline expiry, admission control \
-     and idle eviction OK"
+    "serve-live: client session, liveness, parallel cold jobs, deadline expiry, \
+     admission control and idle eviction OK"

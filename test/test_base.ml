@@ -147,18 +147,20 @@ let test_textplot () =
     (Astring_free.contains_substring s "g1");
   Alcotest.(check bool) "contains label" true (Astring_free.contains_substring s "a")
 
-let tmp_target () =
+(* A path in a fresh directory, removed with whatever is left in it when
+   the check ends. *)
+let with_tmp_target f =
   let dir = Filename.temp_file "bisa_atomic" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Filename.concat dir "out.json"
+  Fun.protect ~finally:(fun () -> Fs.rm_rf dir) (fun () -> f (Filename.concat dir "out.json"))
 
 let no_temp_residue path =
   Sys.readdir (Filename.dirname path)
   |> Array.for_all (fun f -> f = Filename.basename path)
 
 let test_atomic_write () =
-  let path = tmp_target () in
+  with_tmp_target @@ fun path ->
   Atomic_file.write_string path "hello";
   Alcotest.(check string) "content" "hello" (Fs.read_file path);
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
@@ -166,7 +168,7 @@ let test_atomic_write () =
 exception Killed
 
 let test_atomic_mid_write_kill () =
-  let path = tmp_target () in
+  with_tmp_target @@ fun path ->
   Atomic_file.write_string path "previous";
   (* Die in the widest window: payload fully written, rename not yet done.
      The previous file must survive untouched and the temp file must go. *)
@@ -183,7 +185,7 @@ let test_atomic_concurrent_writers () =
   (* Two domains hammering the same path: the pid+counter temp naming
      must keep them on distinct temp files, so the final file is always
      exactly one writer's complete payload, with no residue. *)
-  let path = tmp_target () in
+  with_tmp_target @@ fun path ->
   let payload tag = String.init 4096 (fun i -> Char.chr ((tag + i) land 0x3f + 32)) in
   let writer tag () =
     for _ = 1 to 50 do
@@ -201,7 +203,7 @@ let test_atomic_concurrent_writers () =
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
 
 let test_atomic_writer_raises () =
-  let path = tmp_target () in
+  with_tmp_target @@ fun path ->
   Alcotest.check_raises "writer exception propagates" Killed (fun () ->
       Atomic_file.write path (fun oc ->
           output_string oc "partial";
@@ -210,7 +212,8 @@ let test_atomic_writer_raises () =
   Alcotest.(check bool) "no temp residue" true (no_temp_residue path)
 
 let test_fs_tree () =
-  let root = Filename.dirname (tmp_target ()) in
+  with_tmp_target @@ fun path ->
+  let root = Filename.dirname path in
   let deep = Filename.concat (Filename.concat root "a") "b" in
   Fs.mkdir_p deep;
   Fs.mkdir_p deep;
@@ -361,6 +364,135 @@ let test_varint_writer () =
     floats;
   Alcotest.(check bool) "all read" true (Codec.R.at_end r)
 
+(* The Int64 varint reader every snapshot, spool entry, campaign file and
+   request was read with so far, kept as the reference model: its values,
+   its diagnostics, and where it leaves the read position when it raises
+   (Proto locates a bad payload there). *)
+type model_reader = { ms : string; mutable mpos : int }
+
+let model_corrupt fmt =
+  Printf.ksprintf
+    (fun m -> raise (Diag.Fail (Diag.error ~component:"codec" ("corrupt snapshot: " ^ m))))
+    fmt
+
+let model_byte r =
+  if r.mpos >= String.length r.ms then model_corrupt "truncated at byte %d" r.mpos;
+  let c = Char.code r.ms.[r.mpos] in
+  r.mpos <- r.mpos + 1;
+  c
+
+let model_u64 r =
+  let rec go shift acc =
+    if shift > 63 then model_corrupt "varint overruns 64 bits at byte %d" r.mpos;
+    let c = model_byte r in
+    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (c land 0x7F)) shift) in
+    if c land 0x80 = 0 then acc else go (shift + 7) acc
+  in
+  go 0 0L
+
+let model_i64 r =
+  let v = model_u64 r in
+  Int64.(logxor (shift_right_logical v 1) (neg (logand v 1L)))
+
+(* Each way to read a varint, on the codec's reader and on the model,
+   with the value as an int64 so the outcomes compare. *)
+let varint_readers =
+  [|
+    ( "int",
+      (fun r -> Int64.of_int (Codec.R.int r)),
+      fun m -> Int64.of_int (Int64.to_int (model_i64 m)) );
+    ("i64", Codec.R.i64, model_i64);
+    ( "float",
+      (fun r -> Int64.bits_of_float (Codec.R.float r)),
+      fun m -> Int64.bits_of_float (Int64.float_of_bits (model_u64 m)) );
+    ("bool", (fun r -> if Codec.R.bool r then 1L else 0L), fun m ->
+      if Int64.to_int (model_i64 m) <> 0 then 1L else 0L);
+  |]
+
+(* Read [s] until a read fails (at the latest, one past its end), the
+   reader for each varint chosen by [pick]; every value or Diag, and the
+   position after it, must be the model's. *)
+let check_reads what s pick =
+  let r = Codec.R.of_string s and m = { ms = s; mpos = 0 } in
+  let outcome read pos x =
+    match read x with v -> Ok (v, pos x) | exception Diag.Fail d -> Error (d, pos x)
+  in
+  let rec go i =
+    let name, read, model = varint_readers.(pick i) in
+    let got = outcome read Codec.R.pos r and want = outcome model (fun m -> m.mpos) m in
+    if got <> want then
+      Alcotest.failf "%s: varint %d (%s) read differently from the model at byte %d" what i
+        name (Codec.R.pos r);
+    match got with Ok _ -> go (i + 1) | Error _ -> ()
+  in
+  go 0
+
+let test_varint_reader () =
+  let rng = Rng.create 5 in
+  (* A well-formed stream: 200,000 seeded ints and the edges as ints, the
+     64-bit edges and seeded values as i64s, seeded floats. *)
+  let w = Codec.W.create () and kinds = ref [] in
+  let put k f v =
+    f w v;
+    kinds := k :: !kinds
+  in
+  List.iter (put 0 Codec.W.int)
+    (edge_ints @ List.init 200_000 (fun _ -> Int64.to_int (Rng.next rng) asr Rng.int rng 63));
+  List.iter (put 1 Codec.W.i64)
+    ([ Int64.min_int; Int64.max_int ]
+    @ List.concat_map
+        (fun k ->
+          let p = Int64.shift_left 1L k in
+          Int64.[ p; succ p; pred p; neg p; succ (neg p); pred (neg p) ])
+        (List.init 64 Fun.id)
+    @ List.init 10_000 (fun _ -> Int64.shift_right (Rng.next rng) (Rng.int rng 64)));
+  List.iter (put 2 Codec.W.float)
+    ([ 0.0; -0.0; 1.0; -1.5; nan; infinity; neg_infinity; max_float; min_float ]
+    @ List.init 10_000 (fun _ -> Int64.float_of_bits (Rng.next rng)));
+  List.iter (put 3 Codec.W.bool) [ true; false ];
+  let kinds = Array.of_list (List.rev !kinds) in
+  let stream = Codec.W.contents w in
+  check_reads "well-formed stream" stream (fun i -> kinds.(i mod Array.length kinds));
+  (* The same bytes through every reader, so each reads foreign widths. *)
+  Array.iteri
+    (fun k (name, _, _) -> check_reads ("stream as " ^ name) stream (fun _ -> k))
+    varint_readers;
+  (* Overlong and 10-byte forms: zero-padded groups, a tenth group whose
+     bits past 63 are dropped, and an eleventh byte that overruns. *)
+  let ten last = String.make 9 '\xff' ^ String.make 1 (Char.chr last) in
+  let shapes =
+    [ "\x80\x00"; "\x80\x80\x80\x00"; "\xff\x00"; "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x00" ]
+    @ List.init 128 ten
+    @ [ ten 0x80 ^ "\x00"; ten 0xff ^ "\x01"; String.make 11 '\x80'; String.make 20 '\xff' ]
+  in
+  List.iter
+    (fun s ->
+      Array.iteri
+        (fun k (name, _, _) -> check_reads (Printf.sprintf "%S as %s" s name) s (fun _ -> k))
+        varint_readers)
+    shapes;
+  (* Every prefix of those, and of the stream's first 4 KB: truncation. *)
+  let head = String.sub stream 0 4096 in
+  List.iter
+    (fun s ->
+      for n = 0 to String.length s - 1 do
+        let k = n mod Array.length varint_readers in
+        check_reads (Printf.sprintf "%d-byte prefix" n) (String.sub s 0 n) (fun _ -> k)
+      done)
+    (head :: shapes);
+  (* Seeded random bytes, continuation bits set about three times in four,
+     so long, overlong and overrunning varints all occur. *)
+  for i = 1 to 20_000 do
+    let n = Rng.int rng 40 in
+    let s =
+      String.init n (fun _ ->
+          let b = Rng.int rng 256 in
+          Char.chr (if Rng.int rng 4 = 0 then b land 0x7F else b lor 0x80))
+    in
+    let picks = Array.init (n + 1) (fun _ -> Rng.int rng (Array.length varint_readers)) in
+    check_reads (Printf.sprintf "random string %d" i) s (fun j -> picks.(j))
+  done
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -388,4 +520,5 @@ let suite =
     Alcotest.test_case "fs tree" `Quick test_fs_tree;
     Alcotest.test_case "fnv1a64 matches vectors and reference model" `Quick test_fnv1a64;
     Alcotest.test_case "varint writer matches reference model" `Quick test_varint_writer;
+    Alcotest.test_case "varint reader matches reference model" `Quick test_varint_reader;
   ]

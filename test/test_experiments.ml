@@ -111,10 +111,12 @@ let test_compiled_default_and_parity () =
 
 module Campaign = Bisa_experiments.Campaign
 
-let fresh_dir () =
+(* A campaign directory path for one check (the campaign creates it),
+   removed when the check ends. *)
+let with_fresh_dir f =
   let d = Filename.temp_file "bisa_campaign" "" in
   Sys.remove d;
-  d
+  Fun.protect ~finally:(fun () -> Bisa_base.Fs.rm_rf d) (fun () -> f d)
 
 (* A tiny real grid through the harness (which routes every timing run
    through the campaign when one is attached). *)
@@ -142,7 +144,7 @@ let test_campaign_resume_identical () =
   Bisa_base.Pool.run ~workers:1 @@ fun seq ->
   Bisa_base.Pool.run ~workers:4 @@ fun par ->
   let golden = grid_report ~pool:seq None in
-  let d = fresh_dir () in
+  with_fresh_dir @@ fun d ->
   let open_c () =
     Some (Campaign.open_ ~dir:d ~checkpoint_every:500 ~scale:(Some 1) ~paper_caches:false ())
   in
@@ -160,7 +162,7 @@ let test_campaign_resume_identical () =
   Alcotest.(check int) "three distinct cells persisted" 3 (List.length done_cells)
 
 let test_campaign_meta_mismatch () =
-  let d = fresh_dir () in
+  with_fresh_dir @@ fun d ->
   let _ =
     Campaign.open_ ~dir:d ~scale:(Some 1) ~paper_caches:false ()
   in
@@ -170,7 +172,7 @@ let test_campaign_meta_mismatch () =
     | exception Bisa_base.Diag.Fail _ -> true)
 
 let test_campaign_timeout () =
-  let d = fresh_dir () in
+  with_fresh_dir @@ fun d ->
   (* An impossible budget: the deadline fires on the first poll window. *)
   let camp =
     Campaign.open_ ~dir:d ~checkpoint_every:500 ~timeout_s:(-1.0) ~scale:(Some 1)

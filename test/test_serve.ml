@@ -500,26 +500,32 @@ let test_key_pinned () =
       (Bisa_base.Codec.R.string r)
   | names -> Alcotest.failf "expected one spooled result, found %d" (Array.length names)
 
-(* Words one call of [f] allocates, in one domain, counted over 100
-   calls: minor words plus the words allocated straight in the major heap
-   (promoted words are counted in both).  OCaml 5.1's [Gc.quick_stat]
-   counts the minor heap only at a collection, so each reading empties it
-   first.  A reading's own words, and the major words the runtime may
-   book between two readings (up to about 60), are spread over the 100
-   calls. *)
-let words_per_call f =
+(* How much of [count] one call of [f] adds, in one domain, counted over
+   100 calls.  OCaml 5.1's [Gc.quick_stat] counts the minor heap only at
+   a collection, so each reading empties it first.  A reading's own
+   words, and the major words the runtime may book between two readings
+   (up to about 60), are spread over the 100 calls. *)
+let per_call count f =
   let n = 100 in
   let read () =
     Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.minor_words +. s.major_words -. s.promoted_words
+    count (Gc.quick_stat ())
   in
   let r0 = read () in
   for _ = 1 to n do
     ignore (Sys.opaque_identity (f ()))
   done;
   let r1 = read () in
-  int_of_float (Float.round ((r1 -. r0) /. float_of_int n))
+  (r1 -. r0) /. float_of_int n
+
+(* Words straight in the major heap: promoted words are counted in both
+   [minor_words] and [major_words]. *)
+let direct_major_words s = s.Gc.major_words -. s.promoted_words
+
+(* Words one call allocates: minor words plus direct major words. *)
+let words_per_call f =
+  int_of_float
+    (Float.round (per_call (fun s -> s.Gc.minor_words +. direct_major_words s) f))
 
 (* A MiniC program of about [bytes] bytes of source. *)
 let sized_source bytes =
@@ -564,6 +570,115 @@ let test_hit_allocation () =
       (large_w <= small_w + 16)
   | _ -> assert false
 
+(* A reply is encoded into a writer that starts as a minor-heap block, so
+   answering a request books nothing straight into the major heap (a
+   4 KB starting buffer cost about 514 direct major words a message). *)
+let test_reply_encoding_allocation () =
+  let reply = Engine.handle (Engine.create ()) (cell ()) in
+  (match reply with
+  | Proto.Cell_done _ -> ()
+  | _ -> Alcotest.fail "not a Cell_done response");
+  let words = per_call direct_major_words (fun () -> Proto.encode_response reply) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f direct major words a Cell_done reply < 1" words)
+    true (words < 1.)
+
+(* --- the server's multi-job rounds --------------------------------------- *)
+
+let src_loop n =
+  Printf.sprintf
+    "int main() { int i; int s = 0; for (i = 0; i < %d; i = i + 1) { s = s + (i ^ (s >> 3)); } print_int(s); return s & 255; }"
+    n
+
+(* Each round steps the next [min n workers] in-flight jobs, round-robin
+   from a cursor, through [Engine.step_jobs], as the server loop does;
+   returns each request's reply, in request order, and the rounds
+   taken. *)
+let run_rounds e reqs ~slice_ops =
+  let replies = Array.make (List.length reqs) None in
+  let jobs =
+    List.mapi
+      (fun i req ->
+        match Engine.start e req with
+        | Engine.Job j -> (i, j)
+        | Engine.Done _ -> Alcotest.fail "a cold request must start a job")
+      reqs
+  in
+  let rec go jobs cursor rounds =
+    match jobs with
+    | [] -> rounds
+    | _ ->
+      let n = List.length jobs in
+      let k = min n (Engine.workers e) in
+      let first = cursor mod n in
+      let picked = List.filteri (fun i _ -> (i - first + n) mod n < k) jobs in
+      let results = Engine.step_jobs e (List.map snd picked) ~slice_ops in
+      List.iter2
+        (fun (i, _) -> function `More -> () | `Done r -> replies.(i) <- Some r)
+        picked results;
+      go
+        (List.filter (fun (i, _) -> Option.is_none replies.(i)) jobs)
+        (cursor + k) (rounds + 1)
+  in
+  let rounds = go jobs 0 0 in
+  (Array.to_list (Array.map Option.get replies), rounds)
+
+(* Five distinct cold requests in flight at once — a Cell per ISA, a
+   timing and a functional Simulate, and a runaway — stepped a thousand
+   operations a slice, side by side on 1, 2 and 4 domains: each answers
+   exactly what [handle] answers on a fresh engine, every key that
+   finishes counts one miss and leaves a hit, and the runaway ends in the
+   same Err and caches nothing. *)
+let test_multi_job_rounds () =
+  let timing = sim ~s:(src_loop 3000) () in
+  let runaway =
+    match sim ~s:(src_loop 100_000) () with
+    | Proto.Simulate s -> Proto.Simulate { s with cfg = { s.cfg with Proto.budget = 20_000 } }
+    | _ -> assert false
+  in
+  let reqs =
+    [
+      ("cell conv", cell ());
+      ("cell block", cell ~isa:Proto.Block ());
+      ("timing", timing);
+      ("functional", sim ~s:(src_loop 3000) ~mode:Proto.Functional ~isa:Proto.Conv ());
+      ("runaway", runaway);
+    ]
+  in
+  let expected = List.map (fun (_, req) -> Engine.handle (Engine.create ()) req) reqs in
+  (match List.rev expected with
+  | Proto.Err (_ :: _) :: _ -> ()
+  | _ -> Alcotest.fail "the runaway must answer Err");
+  List.iter
+    (fun workers ->
+      with_pool workers @@ fun pool ->
+      let e = Engine.create ~pool () in
+      let replies, rounds = run_rounds e (List.map snd reqs) ~slice_ops:1_000 in
+      let at what = Printf.sprintf "-j%d %s" workers what in
+      Alcotest.(check bool) (at "takes many rounds") true (rounds > 10);
+      List.iter2
+        (fun ((what, _), want) got ->
+          Alcotest.(check bool) (at (what ^ ": rounds == handle on a fresh engine")) true
+            (got = want))
+        (List.combine reqs expected) replies;
+      let s = Engine.stats e in
+      Alcotest.(check (pair int int)) (at "one miss per finished key, no hit") (4, 0)
+        (s.Proto.sim_misses, s.Proto.sim_hits);
+      Alcotest.(check int) (at "the runaway caches nothing") 4 s.Proto.results;
+      List.iter2
+        (fun (what, req) want ->
+          match Engine.handle e req with
+          | Proto.Err _ as r ->
+            Alcotest.(check bool) (at (what ^ ": the same Err again")) true (r = want)
+          | Proto.Sim { cached; _ } | Proto.Cell_done { cached; _ } ->
+            Alcotest.(check bool) (at (what ^ ": leaves a hit")) true cached
+          | _ -> Alcotest.fail "not a Sim, Cell_done or Err response")
+        reqs expected;
+      let s = Engine.stats e in
+      Alcotest.(check (pair int int)) (at "then four hits") (4, 4)
+        (s.Proto.sim_misses, s.Proto.sim_hits))
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "decode robustness" `Quick test_decode_robustness;
@@ -580,12 +695,15 @@ let suite =
     Alcotest.test_case "replies carry the canonical program hash" `Quick
       test_stored_hashes;
     Alcotest.test_case "sliced job == handle" `Quick test_sliced_job;
+    Alcotest.test_case "multi-job rounds == handle (j1,j2,j4)" `Quick test_multi_job_rounds;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
     Alcotest.test_case "malformed source answers Err" `Quick test_malformed_source_err;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
     Alcotest.test_case "cache key and spool name pinned" `Quick test_key_pinned;
     Alcotest.test_case "cache hits allocate a bounded amount" `Quick test_hit_allocation;
+    Alcotest.test_case "reply encoding stays off the major heap" `Quick
+      test_reply_encoding_allocation;
     Alcotest.test_case "spool damage is counted and logged" `Quick
       test_spool_skip_surfaced;
   ]
