@@ -1,15 +1,11 @@
-(* The benchmark harness.
+(* The simulator micro-benchmarks.  The paper's tables and figures, with
+   the ablations, are [experiments --ablations]; with no mode flag this
+   prints a one-line usage that says so.
 
-   Default mode regenerates every table and figure of the paper's
-   evaluation (plus the extra studies) and prints the same rows/series the
-   paper reports — this is the artifact's headline output.
-
-   [--bechamel] instead runs Bechamel micro-benchmarks: one Test.make per
+   [--bechamel] runs Bechamel micro-benchmarks: one Test.make per
    table/figure, each timing the simulation kernel that regenerates that
    experiment on a reduced workload, so simulator-performance regressions
    are visible.
-
-   [--quick] runs the full report at scale 1 (fast iteration).
 
    [--smoke] is the CI variant of [--bechamel]: four kernels (both
    fig3 pipelines plus the interpreted and threaded-code functional
@@ -32,10 +28,7 @@
 
    [--stream] runs the suspendable-session path on a paper-scale op
    count with bounded output retention and reports throughput and peak
-   RSS; see BENCH_sim.json's "stream" entry for the checked-in baseline.
-
-   [-j N] sets the worker-domain count for the report modes (default:
-   the machine's recommended domain count; -j1 is fully sequential). *)
+   RSS; see BENCH_sim.json's "stream" entry for the checked-in baseline. *)
 
 module Pool = Bisa_base.Pool
 
@@ -398,28 +391,6 @@ let run_bechamel ~smoke () =
         (est_of k))
     ks
 
-let run_report ~quick ~pool =
-  let h =
-    if quick then Bisa_experiments.Harness.create ~scale:1 ~pool ()
-    else Bisa_experiments.Harness.create ~pool ()
-  in
-  List.iter
-    (fun (r : Bisa_experiments.Figures.report) ->
-      Printf.printf "\n===== %s: %s =====\n%s\n%s\n%!" r.id r.title r.rendered r.summary)
-    (Bisa_experiments.Figures.all h
-    @ [
-        Bisa_experiments.Extras.prediction_parity h;
-        Bisa_experiments.Extras.scientific ~pool ();
-        Bisa_experiments.Extras.trace_cache_rivalry ~pool ();
-        Bisa_experiments.Extras.inlining_study ~pool ();
-        Bisa_experiments.Extras.predication_study ~pool ();
-      ]);
-  List.iter
-    (fun (s : Bisa_experiments.Ablations.study) ->
-      Printf.printf "\n===== %s: %s =====\n%s%!" s.id s.title s.rendered)
-    (Bisa_experiments.Ablations.all ~pool ()
-    @ [ Bisa_experiments.Profile_guided.study ~pool () ])
-
 (* --- streamed paper-scale measurement ---------------------------------
 
    [--stream] runs one synthetic workload through the suspendable
@@ -505,15 +476,6 @@ let run_stream () =
     };
   ]
 
-(* Accepts "-j4", "-j 4", and "--jobs 4". *)
-let rec jobs_of = function
-  | [] -> Pool.default_workers ()
-  | ("-j" | "--jobs") :: n :: _ -> int_of_string n
-  | a :: rest ->
-    if String.length a > 2 && String.sub a 0 2 = "-j" then
-      int_of_string (String.sub a 2 (String.length a - 2))
-    else jobs_of rest
-
 let rec json_of = function
   | [] -> None
   | "--json" :: file :: _ -> Some file
@@ -574,6 +536,9 @@ let () =
     | None -> ()
     | Some baseline -> compare_against ~baseline rows
   end
-  else
-    Pool.run ~workers:(jobs_of args) @@ fun pool ->
-    run_report ~quick:(List.mem "--quick" args) ~pool
+  else begin
+    prerr_endline
+      "usage: main.exe --bechamel|--smoke|--stream [--json FILE] [--compare FILE]; the \
+       paper's tables and figures are `experiments --ablations`";
+    exit 2
+  end

@@ -1,4 +1,5 @@
-(* Compact binary state codec for checkpoint snapshots.
+(* The one byte codec: every binary format bisa reads back is written
+   and read here.
 
    The writer appends zigzag-varint integers (the zigzag of the value
    sign-extended to 64 bits, so max_int-magnitude values round-trip),
@@ -7,13 +8,9 @@
    {!Diag.Fail} instead of an exception from the depths of [String].
    Section tags frame each component's state so a snapshot that drifts
    out of sync with the code fails with the section name, not a random
-   decode error thousands of bytes later. *)
-
-let corrupt fmt =
-  Printf.ksprintf
-    (fun message ->
-      raise (Diag.Fail (Diag.error ~component:"codec" ("corrupt snapshot: " ^ message))))
-    fmt
+   decode error thousands of bytes later.  A reader built with a section
+   locates each failure at the byte it happened on; [seal]/[unseal] wrap
+   a persisted body in one checksummed envelope. *)
 
 module W = struct
   type t = Buffer.t
@@ -23,7 +20,6 @@ module W = struct
      a multi-hundred-KB snapshot linear. *)
   let create () = Buffer.create 256
   let contents = Buffer.contents
-  let length = Buffer.length
 
   (* LEB128 of a non-negative native int, low 7 bits first. *)
   let rec uint b v =
@@ -62,6 +58,9 @@ module W = struct
 
   let bool b v = int b (if v then 1 else 0)
   let float b v = u64 b (Int64.bits_of_float v)
+  let byte b v = Buffer.add_char b (Char.unsafe_chr (v land 0xFF))
+  let float64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
+  let magic = Buffer.add_string
 
   let string b s =
     int b (String.length s);
@@ -71,13 +70,12 @@ module W = struct
     int b (Bytes.length s);
     Buffer.add_bytes b s
 
-  let int_array b a =
+  let array b f a =
     int b (Array.length a);
-    Array.iter (int b) a
+    Array.iter (f b) a
 
-  let float_array b a =
-    int b (Array.length a);
-    Array.iter (float b) a
+  let int_array b a = array b int a
+  let float_array b a = array b float a
 
   let option b f = function
     | None -> bool b false
@@ -89,17 +87,36 @@ module W = struct
 end
 
 module R = struct
-  type t = { s : string; mutable pos : int }
+  (* [section = ""] is a reader built without one: its failures keep the
+     component "codec" and carry their offset in the message only. *)
+  type t = { s : string; mutable pos : int; component : string; mutable section : string }
 
-  let of_string ?(pos = 0) s = { s; pos }
+  let of_string ?(pos = 0) ?(component = "codec") ?(section = "") s =
+    { s; pos; component; section }
+
   let pos t = t.pos
   let at_end t = t.pos >= String.length t.s
+  let set_section t name = if t.section <> "" then t.section <- name
 
+  let fail t fmt =
+    Printf.ksprintf
+      (fun message ->
+        raise
+          (Diag.Fail
+             (if t.section = "" then
+                Diag.error ~component:"codec" ("corrupt snapshot: " ^ message)
+              else
+                Diag.error ~component:t.component
+                  ~loc:(Diag.at_byte ~offset:t.pos ~section:t.section)
+                  message)))
+      fmt
+
+  (* One bound check a byte: the index below it is unchecked. *)
   let byte t =
-    if t.pos >= String.length t.s then corrupt "truncated at byte %d" t.pos;
-    let c = Char.code t.s.[t.pos] in
-    t.pos <- t.pos + 1;
-    c
+    let p = t.pos in
+    if p >= String.length t.s then fail t "truncated at byte %d" p;
+    t.pos <- p + 1;
+    Char.code (String.unsafe_get t.s p)
 
   (* The writer's split, read back: a varint is its first byte's group
      and the groups after it, which a native int holds (at most nine
@@ -109,7 +126,7 @@ module R = struct
   let rest t =
     let acc = ref 0 and shift = ref 0 and more = ref true in
     while !more do
-      if !shift > 56 then corrupt "varint overruns 64 bits at byte %d" t.pos;
+      if !shift > 56 then fail t "varint overruns 64 bits at byte %d" t.pos;
       let c = byte t in
       acc := !acc lor ((c land 0x7F) lsl !shift);
       shift := !shift + 7;
@@ -136,32 +153,49 @@ module R = struct
 
   let bool t = int t <> 0
   let float t = Int64.float_of_bits (u64 t)
+  let remaining t = String.length t.s - t.pos
+
+  let float64 t =
+    if remaining t < 8 then begin
+      t.pos <- String.length t.s;
+      fail t "truncated at byte %d" t.pos
+    end;
+    let v = String.get_int64_le t.s t.pos in
+    t.pos <- t.pos + 8;
+    Int64.float_of_bits v
+
+  let magic t m =
+    let n = String.length m in
+    if remaining t < n || String.sub t.s t.pos n <> m then fail t "bad magic (expected %S)" m;
+    t.pos <- t.pos + n
 
   let string t =
     let n = int t in
-    if n < 0 || t.pos + n > String.length t.s then
-      corrupt "string of length %d overruns snapshot at byte %d" n t.pos;
+    if n < 0 || n > remaining t then
+      fail t "string of length %d overruns snapshot at byte %d" n t.pos;
     let s = String.sub t.s t.pos n in
     t.pos <- t.pos + n;
     s
 
   let bytes t = Bytes.of_string (string t)
 
-  let int_array t =
+  (* Every element is at least one byte, so a count above the bytes left
+     is malformed: checking it first bounds the allocation by the
+     input. *)
+  let array t f =
     let n = int t in
-    if n < 0 then corrupt "negative array length at byte %d" t.pos;
-    Array.init n (fun _ -> int t)
+    if n < 0 then fail t "negative array length at byte %d" t.pos;
+    if n > remaining t then fail t "array of length %d overruns input at byte %d" n t.pos;
+    Array.init n (fun _ -> f t)
 
-  let float_array t =
-    let n = int t in
-    if n < 0 then corrupt "negative array length at byte %d" t.pos;
-    Array.init n (fun _ -> float t)
-
+  let int_array t = array t int
+  let float_array t = array t float
   let option t f = if bool t then Some (f t) else None
 
   let section t name =
     let got = string t in
-    if got <> "#" ^ name then corrupt "expected section %S, found %S" ("#" ^ name) got
+    if got <> "#" ^ name then fail t "expected section %S, found %S" ("#" ^ name) got;
+    set_section t name
 end
 
 (* FNV-1a over the bytes, for content-hash binding of snapshots to the
@@ -227,3 +261,43 @@ let hex64 v =
   Bytes.unsafe_to_string b
 
 let hash_hex s = hex64 (fnv1a64 s)
+
+(* --- the sealed envelope -------------------------------------------------
+
+   magic, version, identity, body length, FNV-1a 64 of the body, body.
+   Every single-byte change is caught: in the magic, the version or the
+   length by their checks, in the identity by the caller's predicate, in
+   the hash or the body by the hash. *)
+
+let seal ~magic ~version ~id body =
+  let body = W.contents body in
+  let h = W.create () in
+  W.string h magic;
+  W.int h version;
+  W.string h id;
+  W.int h (String.length body);
+  W.i64 h (fnv1a64 body);
+  W.contents h ^ body
+
+let unseal ~component ~magic ~version ~id s =
+  let r = R.of_string ~component ~section:"envelope" s in
+  let m = R.string r in
+  if m <> magic then R.fail r "bad magic %S (expected %S)" m magic;
+  let v = R.int r in
+  if v <> version then R.fail r "format version %d (expected %d)" v version;
+  let at = R.pos r in
+  let got = R.string r in
+  if not (id got) then begin
+    r.R.pos <- at;
+    R.fail r "identity %S does not belong here (stale, foreign or renamed file)" got
+  end;
+  let len = R.int r in
+  let sum = R.i64 r in
+  if len <> R.remaining r then
+    R.fail r "body of %d bytes, but %d follow the header" len (R.remaining r);
+  let t = Fnv.create () in
+  Fnv.feed t (R.pos r) len (Bytes.unsafe_of_string s);
+  if Fnv.value t <> sum then
+    R.fail r "body checksum %s, but the body hashes to %s" (hex64 sum) (hex64 (Fnv.value t));
+  r.R.section <- "body";
+  (got, r)

@@ -244,10 +244,12 @@ let inject_garbage socket =
     Client.close fd;
     true
 
-(* Damage one finished spool entry in place — truncate it or replace it
-   with garbage — so the next restart exercises the skip-and-recompute
-   path. *)
-let inject_corrupt rng spool =
+(* Damage one finished spool entry in place — flip one seeded bit of one
+   seeded byte, which only the entry's checksum can catch, truncate it,
+   or replace it with garbage — so the next restart exercises the
+   skip-and-recompute path.  The first damage of a campaign is always the
+   flip. *)
+let inject_corrupt rng spool ~nth =
   match Sys.readdir spool with
   | exception Sys_error _ -> false
   | files -> (
@@ -259,9 +261,19 @@ let inject_corrupt rng spool =
     | l ->
       let path = Filename.concat spool (List.nth l (Rng.int rng (List.length l))) in
       (try
+         let bytes = Fs.read_file path in
+         let damaged =
+           match (if nth = 0 then 0 else Rng.int rng 3) with
+           | 0 when bytes <> "" ->
+             let b = Bytes.of_string bytes in
+             let i = Rng.int rng (Bytes.length b) in
+             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)));
+             Bytes.to_string b
+           | 1 -> ""
+           | _ -> "not a spooled result"
+         in
          let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-         if Rng.bool rng then
-           ignore (Unix.write_substring fd "not a spooled result" 0 20);
+         ignore (Unix.write_substring fd damaged 0 (String.length damaged));
          Unix.close fd;
          true
        with Unix.Unix_error _ | Sys_error _ -> false))
@@ -416,7 +428,7 @@ let campaign ?(seed = 42) ?(requests = 1000) ?dir () =
               if ok then incr adversaries;
               ok
             | Corrupt ->
-              let ok = inject_corrupt rng spool in
+              let ok = inject_corrupt rng spool ~nth:!corruptions in
               if ok then incr corruptions;
               ok
           in

@@ -5,8 +5,7 @@ module Workloads = Bisa_workloads.Workloads
 module Cache = Bisa_uarch.Cache
 module Pool = Bisa_base.Pool
 
-type row = { label : string; values : (string * float) list }
-type study = { id : string; title : string; rows : row list; rendered : string }
+type study = { id : string; title : string; rendered : string }
 
 let default_subset = [ "m88ksim"; "perl"; "li" ]
 
@@ -59,40 +58,25 @@ let enlargement_rules ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = default_
         (name, label, m, c.block.code_bytes))
       grid
   in
-  let rows =
-    List.concat_map
-      (fun group ->
-        let rows =
-          List.map
-            (fun (name, label, (m : Bisa_timing.Metrics.t), code_bytes) ->
-              Table.add_row t
-                [
-                  name;
-                  label;
-                  Table.cell_int m.cycles;
-                  Table.cell_float (Bisa_timing.Metrics.mean_block_size m);
-                  Table.cell_int code_bytes;
-                  Table.cell_int m.fault_squash_redirects;
-                ];
-              {
-                label = name ^ "/" ^ label;
-                values =
-                  [
-                    ("cycles", float_of_int m.cycles);
-                    ("block_size", Bisa_timing.Metrics.mean_block_size m);
-                    ("code_bytes", float_of_int code_bytes);
-                  ];
-              })
-            group
-        in
-        Table.add_rule t;
-        rows)
-      (Figures.chunks (List.length enlargement_variants) runs)
-  in
+  List.iter
+    (fun group ->
+      List.iter
+        (fun (name, label, (m : Bisa_timing.Metrics.t), code_bytes) ->
+          Table.add_row t
+            [
+              name;
+              label;
+              Table.cell_int m.cycles;
+              Table.cell_float (Bisa_timing.Metrics.mean_block_size m);
+              Table.cell_int code_bytes;
+              Table.cell_int m.fault_squash_redirects;
+            ])
+        group;
+      Table.add_rule t)
+    (Figures.chunks (List.length enlargement_variants) runs);
   {
     id = "ablation_rules";
     title = "Enlargement termination-rule ablation";
-    rows;
     rendered = Table.to_string t;
   }
 
@@ -126,25 +110,13 @@ let history_policy ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = default_sub
         (name, label, run_block ~exec cfg c.block))
       grid
   in
-  let rows =
-    List.map
-      (fun (name, label, (m : Bisa_timing.Metrics.t)) ->
-        Table.add_row t
-          [ name; label; Table.cell_int m.cycles; Table.cell_int m.mispredicts ];
-        {
-          label = name ^ "/" ^ label;
-          values =
-            [
-              ("cycles", float_of_int m.cycles);
-              ("mispredicts", float_of_int m.mispredicts);
-            ];
-        })
-      runs
-  in
+  List.iter
+    (fun (name, label, (m : Bisa_timing.Metrics.t)) ->
+      Table.add_row t [ name; label; Table.cell_int m.cycles; Table.cell_int m.mispredicts ])
+    runs;
   {
     id = "ablation_history";
     title = "History-length ablation";
-    rows;
     rendered = Table.to_string t;
   }
 

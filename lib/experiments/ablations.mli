@@ -13,9 +13,7 @@
     [exec] (default [Compiled]) is the functional-executor backend of
     every timing run; the studies do not depend on it. *)
 
-type row = { label : string; values : (string * float) list }
-
-type study = { id : string; title : string; rows : row list; rendered : string }
+type study = { id : string; title : string; rendered : string }
 
 val enlargement_rules :
   ?exec:Bisa_sim.Compile.backend ->

@@ -19,12 +19,9 @@ module Fs = Bisa_base.Fs
 module Checkpoint = Bisa_timing.Checkpoint
 module Metrics = Bisa_timing.Metrics
 
-let component = "campaign"
+module Codec = Bisa_base.Codec
 
-let fail fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Bisa_base.Diag.Fail (Bisa_base.Diag.error ~component msg)))
-    fmt
+let component = "campaign"
 
 exception Timed_out of { key : string; ops : int }
 
@@ -37,14 +34,15 @@ type t = {
 let default_checkpoint_every = 100_000
 
 let meta_string ~scale ~paper_caches =
-  Printf.sprintf "bisa-campaign/1\nscale=%s\npaper_caches=%b\n"
+  Printf.sprintf "bisa-campaign/2\nscale=%s\npaper_caches=%b\n"
     (match scale with Some n -> string_of_int n | None -> "default")
     paper_caches
 
 let open_ ~dir ?(checkpoint_every = default_checkpoint_every) ?timeout_s ~scale
     ~paper_caches () =
   if checkpoint_every <= 0 then
-    fail "--checkpoint-every must be positive (got %d)" checkpoint_every;
+    Bisa_base.Diag.fail ~component "--checkpoint-every must be positive (got %d)"
+      checkpoint_every;
   Fs.mkdir_p dir;
   Fs.mkdir_p (Filename.concat dir "cells");
   let meta_path = Filename.concat dir "meta" in
@@ -52,7 +50,7 @@ let open_ ~dir ?(checkpoint_every = default_checkpoint_every) ?timeout_s ~scale
   if Sys.file_exists meta_path then begin
     let found = Fs.read_file meta_path in
     if found <> expected then
-      fail
+      Bisa_base.Diag.fail ~component
         "campaign %s was created under different settings (found %S, this run \
          is %S); use a fresh directory"
         dir found expected
@@ -67,32 +65,25 @@ let key ~bench ~isa ~cfg_hash ~prog_hash =
 
 let cell_path t k ext = Filename.concat (Filename.concat t.dir "cells") (k ^ ext)
 
-(* Finished-cell manifest: a tiny versioned wrapper around Metrics. *)
+(* Finished-cell manifest: the cell's Metrics, sealed (version 2) with
+   the cell key as its identity. *)
 let cell_magic = "BISACELL"
-let cell_version = 1
+let cell_version = 2
 
 let write_done t k (m : Metrics.t) =
-  let w = Bisa_base.Codec.W.create () in
-  Bisa_base.Codec.W.string w cell_magic;
-  Bisa_base.Codec.W.int w cell_version;
-  Bisa_base.Codec.W.string w k;
+  let w = Codec.W.create () in
   Metrics.save m w;
   Bisa_base.Atomic_file.write_string (cell_path t k ".done")
-    (Bisa_base.Codec.W.contents w)
+    (Codec.seal ~magic:cell_magic ~version:cell_version ~id:k w)
 
 let read_done t k =
   let path = cell_path t k ".done" in
   if not (Sys.file_exists path) then None
   else begin
-    let r = Bisa_base.Codec.R.of_string (Fs.read_file path) in
-    let magic = try Bisa_base.Codec.R.string r with _ -> "" in
-    if magic <> cell_magic then fail "cell manifest %s is not a cell manifest" path;
-    let v = Bisa_base.Codec.R.int r in
-    if v <> cell_version then
-      fail "cell manifest %s has version %d (expected %d)" path v cell_version;
-    let stored = Bisa_base.Codec.R.string r in
-    if stored <> k then
-      fail "cell manifest %s belongs to cell %s (stale or renamed file)" path stored;
+    let _, r =
+      Codec.unseal ~component ~magic:cell_magic ~version:cell_version ~id:(String.equal k)
+        (Fs.read_file path)
+    in
     let m = Metrics.create () in
     Metrics.load m r;
     Some m

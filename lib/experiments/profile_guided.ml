@@ -106,40 +106,25 @@ let study ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = [ "gcc"; "go" ])
          fst (Bisa_timing.Pipeline.Block.run_artifact cfg art)))
       grid
   in
-  let rows =
-    List.concat_map
-      (fun group ->
-        let rows =
-          List.map
-            (fun (name, label, code_bytes, (m : Bisa_timing.Metrics.t)) ->
-              Table.add_row t
-                [
-                  name;
-                  label;
-                  Table.cell_int code_bytes;
-                  Table.cell_int m.cycles;
-                  Table.cell_int m.icache_misses;
-                  Table.cell_int m.fault_squash_redirects;
-                  Table.cell_float (Bisa_timing.Metrics.mean_block_size m);
-                ];
-              {
-                Ablations.label = name ^ "/" ^ label;
-                values =
-                  [
-                    ("code_bytes", float_of_int code_bytes);
-                    ("cycles", float_of_int m.cycles);
-                    ("icache_misses", float_of_int m.icache_misses);
-                  ];
-              })
-            group
-        in
-        Table.add_rule t;
-        rows)
-      (Figures.chunks 2 runs)
-  in
+  List.iter
+    (fun group ->
+      List.iter
+        (fun (name, label, code_bytes, (m : Bisa_timing.Metrics.t)) ->
+          Table.add_row t
+            [
+              name;
+              label;
+              Table.cell_int code_bytes;
+              Table.cell_int m.cycles;
+              Table.cell_int m.icache_misses;
+              Table.cell_int m.fault_squash_redirects;
+              Table.cell_float (Bisa_timing.Metrics.mean_block_size m);
+            ])
+        group;
+      Table.add_rule t)
+    (Figures.chunks 2 runs);
   {
     Ablations.id = "profile_guided";
     title = "Profile-guided enlargement (paper section 6)";
-    rows;
     rendered = Table.to_string t;
   }

@@ -1,94 +1,23 @@
-(* Validated binary encode/decode for both ISAs.  Every decode failure
-   raises [Malformed] carrying a structured diagnostic with the byte
+(* Validated binary encode/decode for both ISAs, written and read only
+   through Bisa_base.Codec: a raw byte for each tag and register, its
+   zigzag varints for integers, 8 IEEE-754 bytes for a float literal, its
+   input-bounded arrays for every section.  Every decode runs on a
+   located reader, so a failure raises [Malformed] carrying the byte
    offset and the section being decoded — never Stack_overflow,
    Out_of_memory or a hang, which the decode fuzzer enforces. *)
 
 exception Malformed of Bisa_base.Diag.t
 
-(* --- Primitive writers/readers ------------------------------------------- *)
+module Diag = Bisa_base.Diag
+module W = Bisa_base.Codec.W
+module R = Bisa_base.Codec.R
 
-type reader = { buf : string; mutable pos : int; mutable section : string }
-
-let reader_of ?(section = "header") buf = { buf; pos = 0; section }
-
-let fail r msg =
-  raise
-    (Malformed
-       (Bisa_base.Diag.error
-          ~loc:(Bisa_base.Diag.at_byte ~offset:r.pos ~section:r.section)
-          ~component:"encode" msg))
-
-let failf r fmt = Printf.ksprintf (fail r) fmt
-
-(* Bytes left to read; array element counts may never exceed this (every
-   element is at least one byte), which bounds decoder allocations by the
-   input size. *)
-let remaining r = String.length r.buf - r.pos
-
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let read_u8 r =
-  if r.pos >= String.length r.buf then fail r "truncated input";
-  let v = Char.code r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-(* Zigzag varint: small magnitudes of either sign stay short.  The
-   zigzag word uses all 63 bits (bit 62 of [v] lands in bit 62 of [z] for
-   a negative [v], and in the "sign" bit for [max_int]), so the loop
-   views [z] as unsigned via [lsr] and must not mask it — masking with
-   [max_int] silently dropped the top bit of max_int-magnitude values. *)
-let varint b v =
-  let z = (v lsl 1) lxor (v asr 62) in
-  let rec go z =
-    if z land lnot 0x7f = 0 then u8 b z
-    else begin
-      u8 b (0x80 lor (z land 0x7f));
-      go (z lsr 7)
-    end
-  in
-  go z
-
-let read_varint r =
-  let rec go shift acc =
-    if shift > 63 then fail r "varint overflow";
-    let byte = read_u8 r in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  let z = go 0 0 in
-  (z lsr 1) lxor (-(z land 1))
-
-let f64 b v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
-  done
-
-let read_f64 r =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (read_u8 r)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
-
-let reg b r = u8 b (Reg.flat_index r)
+let reg b r = W.byte b (Reg.flat_index r)
 
 let read_reg r =
-  let i = read_u8 r in
-  if i >= Reg.flat_count then failf r "bad register index %d" i;
+  let i = R.byte r in
+  if i >= Reg.flat_count then R.fail r "bad register index %d" i;
   Reg.of_flat_index i
-
-let str b s =
-  varint b (String.length s);
-  Buffer.add_string b s
-
-let read_str r =
-  let n = read_varint r in
-  if n < 0 || n > remaining r then fail r "bad string length";
-  let s = String.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
 
 (* --- Enums ------------------------------------------------------------------ *)
 
@@ -96,9 +25,9 @@ let cmp_tag = function
   | Cmp.Eq -> 0 | Cmp.Ne -> 1 | Cmp.Lt -> 2 | Cmp.Le -> 3 | Cmp.Gt -> 4 | Cmp.Ge -> 5
 
 let read_cmp r =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Cmp.Eq | 1 -> Cmp.Ne | 2 -> Cmp.Lt | 3 -> Cmp.Le | 4 -> Cmp.Gt | 5 -> Cmp.Ge
-  | t -> failf r "bad cmp tag %d" t
+  | t -> R.fail r "bad cmp tag %d" t
 
 let alu_tag = function
   | Op.Add -> 0 | Op.Sub -> 1 | Op.Mul -> 2 | Op.Div -> 3 | Op.Rem -> 4
@@ -109,127 +38,127 @@ let alu_tag = function
 let cmp_of_sub r t =
   match t with
   | 0 -> Cmp.Eq | 1 -> Cmp.Ne | 2 -> Cmp.Lt | 3 -> Cmp.Le | 4 -> Cmp.Gt | 5 -> Cmp.Ge
-  | _ -> failf r "bad cmp tag %d" t
+  | _ -> R.fail r "bad cmp tag %d" t
 
 let read_alu r =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Op.Add | 1 -> Op.Sub | 2 -> Op.Mul | 3 -> Op.Div | 4 -> Op.Rem
   | 5 -> Op.And | 6 -> Op.Or | 7 -> Op.Xor | 8 -> Op.Sll | 9 -> Op.Srl
   | 10 -> Op.Sra
   | t when t >= 16 && t <= 21 -> Op.Set (cmp_of_sub r (t - 16))
-  | t -> failf r "bad alu tag %d" t
+  | t -> R.fail r "bad alu tag %d" t
 
 let fpu_tag = function Op.Fadd -> 0 | Op.Fsub -> 1 | Op.Fmul -> 2 | Op.Fdiv -> 3
 
 let read_fpu r =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Op.Fadd | 1 -> Op.Fsub | 2 -> Op.Fmul | 3 -> Op.Fdiv
-  | t -> failf r "bad fpu tag %d" t
+  | t -> R.fail r "bad fpu tag %d" t
 
 (* --- Operations ---------------------------------------------------------------- *)
 
 let encode_op b (op : Op.t) =
   match op with
-  | Op.Nop -> u8 b 0
+  | Op.Nop -> W.byte b 0
   | Op.Mov (d, s) ->
-    u8 b 1;
+    W.byte b 1;
     reg b d;
     reg b s
   | Op.Li (d, v) ->
-    u8 b 2;
+    W.byte b 2;
     reg b d;
-    varint b v
+    W.int b v
   | Op.Lif (d, v) ->
-    u8 b 3;
+    W.byte b 3;
     reg b d;
-    f64 b v
+    W.float64 b v
   | Op.Alu (a, d, s1, Op.R s2) ->
-    u8 b 4;
-    u8 b (alu_tag a);
+    W.byte b 4;
+    W.byte b (alu_tag a);
     reg b d;
     reg b s1;
     reg b s2
   | Op.Alu (a, d, s1, Op.I v) ->
-    u8 b 5;
-    u8 b (alu_tag a);
+    W.byte b 5;
+    W.byte b (alu_tag a);
     reg b d;
     reg b s1;
-    varint b v
+    W.int b v
   | Op.Fpu (f, d, s1, s2) ->
-    u8 b 6;
-    u8 b (fpu_tag f);
+    W.byte b 6;
+    W.byte b (fpu_tag f);
     reg b d;
     reg b s1;
     reg b s2
   | Op.Fcmp (c, d, s1, s2) ->
-    u8 b 7;
-    u8 b (cmp_tag c);
+    W.byte b 7;
+    W.byte b (cmp_tag c);
     reg b d;
     reg b s1;
     reg b s2
   | Op.Itof (d, s) ->
-    u8 b 8;
+    W.byte b 8;
     reg b d;
     reg b s
   | Op.Ftoi (d, s) ->
-    u8 b 9;
+    W.byte b 9;
     reg b d;
     reg b s
   | Op.Load (d, base, off) ->
-    u8 b 10;
+    W.byte b 10;
     reg b d;
     reg b base;
-    varint b off
+    W.int b off
   | Op.Loadf (d, base, off) ->
-    u8 b 11;
+    W.byte b 11;
     reg b d;
     reg b base;
-    varint b off
+    W.int b off
   | Op.Store (s, base, off) ->
-    u8 b 12;
+    W.byte b 12;
     reg b s;
     reg b base;
-    varint b off
+    W.int b off
   | Op.Storef (s, base, off) ->
-    u8 b 13;
+    W.byte b 13;
     reg b s;
     reg b base;
-    varint b off
+    W.int b off
   | Op.Print s ->
-    u8 b 14;
+    W.byte b 14;
     reg b s
   | Op.Printf s ->
-    u8 b 15;
+    W.byte b 15;
     reg b s
   | Op.Select (c, d, s1, Op.R s2, t, f) ->
-    u8 b 16;
-    u8 b (cmp_tag c);
+    W.byte b 16;
+    W.byte b (cmp_tag c);
     reg b d;
     reg b s1;
     reg b s2;
     reg b t;
     reg b f
   | Op.Select (c, d, s1, Op.I v, t, f) ->
-    u8 b 17;
-    u8 b (cmp_tag c);
+    W.byte b 17;
+    W.byte b (cmp_tag c);
     reg b d;
     reg b s1;
-    varint b v;
+    W.int b v;
     reg b t;
     reg b f
 
 let decode_op r : Op.t =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Op.Nop
   | 1 ->
     let d = read_reg r in
     Op.Mov (d, read_reg r)
   | 2 ->
     let d = read_reg r in
-    Op.Li (d, read_varint r)
+    Op.Li (d, R.int r)
   | 3 ->
     let d = read_reg r in
-    Op.Lif (d, read_f64 r)
+    Op.Lif (d, R.float64 r)
   | 4 ->
     let a = read_alu r in
     let d = read_reg r in
@@ -239,7 +168,7 @@ let decode_op r : Op.t =
     let a = read_alu r in
     let d = read_reg r in
     let s1 = read_reg r in
-    Op.Alu (a, d, s1, Op.I (read_varint r))
+    Op.Alu (a, d, s1, Op.I (R.int r))
   | 6 ->
     let f = read_fpu r in
     let d = read_reg r in
@@ -259,19 +188,19 @@ let decode_op r : Op.t =
   | 10 ->
     let d = read_reg r in
     let base = read_reg r in
-    Op.Load (d, base, read_varint r)
+    Op.Load (d, base, R.int r)
   | 11 ->
     let d = read_reg r in
     let base = read_reg r in
-    Op.Loadf (d, base, read_varint r)
+    Op.Loadf (d, base, R.int r)
   | 12 ->
     let s = read_reg r in
     let base = read_reg r in
-    Op.Store (s, base, read_varint r)
+    Op.Store (s, base, R.int r)
   | 13 ->
     let s = read_reg r in
     let base = read_reg r in
-    Op.Storef (s, base, read_varint r)
+    Op.Storef (s, base, R.int r)
   | 14 -> Op.Print (read_reg r)
   | 15 -> Op.Printf (read_reg r)
   | 16 ->
@@ -285,244 +214,226 @@ let decode_op r : Op.t =
     let c = read_cmp r in
     let d = read_reg r in
     let s1 = read_reg r in
-    let v = read_varint r in
+    let v = R.int r in
     let t = read_reg r in
     Op.Select (c, d, s1, Op.I v, t, read_reg r)
-  | t -> failf r "bad op tag %d" t
+  | t -> R.fail r "bad op tag %d" t
+
+(* Every decode runs on a located reader, so a failure names its byte and
+   section; [encode.mli] promises it as [Malformed]. *)
+let decoding ~section s decode =
+  let r = R.of_string ~component:"encode" ~section s in
+  match
+    let v = decode r in
+    if not (R.at_end r) then R.fail r "trailing bytes";
+    v
+  with
+  | v -> v
+  | exception Diag.Fail d -> raise (Malformed d)
 
 let op_to_bytes op =
-  let b = Buffer.create 8 in
+  let b = W.create () in
   encode_op b op;
-  Buffer.contents b
+  W.contents b
 
-let op_of_bytes s =
-  let r = reader_of ~section:"op" s in
-  let op = decode_op r in
-  if r.pos <> String.length s then fail r "trailing bytes";
-  op
+let op_of_bytes s = decoding ~section:"op" s decode_op
 
 (* --- Conventional instructions -------------------------------------------------- *)
 
 let encode_insn b (i : int Insn.t) =
   match i with
   | Insn.Op op ->
-    u8 b 0;
+    W.byte b 0;
     encode_op b op
   | Insn.Br (c, s1, s2, l) ->
-    u8 b 1;
-    u8 b (cmp_tag c);
+    W.byte b 1;
+    W.byte b (cmp_tag c);
     reg b s1;
     reg b s2;
-    varint b l
+    W.int b l
   | Insn.Jmp l ->
-    u8 b 2;
-    varint b l
+    W.byte b 2;
+    W.int b l
   | Insn.Call l ->
-    u8 b 3;
-    varint b l
-  | Insn.Ret -> u8 b 4
+    W.byte b 3;
+    W.int b l
+  | Insn.Ret -> W.byte b 4
   | Insn.Jr s ->
-    u8 b 5;
+    W.byte b 5;
     reg b s
-  | Insn.Halt -> u8 b 6
+  | Insn.Halt -> W.byte b 6
 
 let decode_insn r : int Insn.t =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Insn.Op (decode_op r)
   | 1 ->
     let c = read_cmp r in
     let s1 = read_reg r in
     let s2 = read_reg r in
-    Insn.Br (c, s1, s2, read_varint r)
-  | 2 -> Insn.Jmp (read_varint r)
-  | 3 -> Insn.Call (read_varint r)
+    Insn.Br (c, s1, s2, R.int r)
+  | 2 -> Insn.Jmp (R.int r)
+  | 3 -> Insn.Call (R.int r)
   | 4 -> Insn.Ret
   | 5 -> Insn.Jr (read_reg r)
   | 6 -> Insn.Halt
-  | t -> failf r "bad insn tag %d" t
+  | t -> R.fail r "bad insn tag %d" t
 
 (* --- Atomic blocks --------------------------------------------------------------- *)
 
 let encode_elt b (e : int Ablock.elt) =
   match e with
   | Ablock.Op op ->
-    u8 b 0;
+    W.byte b 0;
     encode_op b op
   | Ablock.Fault (c, s1, s2, l) ->
-    u8 b 1;
-    u8 b (cmp_tag c);
+    W.byte b 1;
+    W.byte b (cmp_tag c);
     reg b s1;
     reg b s2;
-    varint b l
+    W.int b l
 
 let decode_elt r : int Ablock.elt =
-  match read_u8 r with
+  match R.byte r with
   | 0 -> Ablock.Op (decode_op r)
   | 1 ->
     let c = read_cmp r in
     let s1 = read_reg r in
     let s2 = read_reg r in
-    Ablock.Fault (c, s1, s2, read_varint r)
-  | t -> failf r "bad elt tag %d" t
+    Ablock.Fault (c, s1, s2, R.int r)
+  | t -> R.fail r "bad elt tag %d" t
 
 let encode_term b (t : int Ablock.terminator) =
   match t with
   | Ablock.Trap { cmp; rs1; rs2; taken; not_taken; succ_log2 } ->
-    u8 b 0;
-    u8 b (cmp_tag cmp);
+    W.byte b 0;
+    W.byte b (cmp_tag cmp);
     reg b rs1;
     reg b rs2;
-    varint b taken;
-    varint b not_taken;
-    u8 b succ_log2
+    W.int b taken;
+    W.int b not_taken;
+    W.byte b succ_log2
   | Ablock.Goto l ->
-    u8 b 1;
-    varint b l
+    W.byte b 1;
+    W.int b l
   | Ablock.Call { callee; ret_to } ->
-    u8 b 2;
-    varint b callee;
-    varint b ret_to
-  | Ablock.Return -> u8 b 3
+    W.byte b 2;
+    W.int b callee;
+    W.int b ret_to
+  | Ablock.Return -> W.byte b 3
   | Ablock.Ijump s ->
-    u8 b 4;
+    W.byte b 4;
     reg b s
-  | Ablock.Halt -> u8 b 5
+  | Ablock.Halt -> W.byte b 5
 
 let decode_term r : int Ablock.terminator =
-  match read_u8 r with
+  match R.byte r with
   | 0 ->
     let cmp = read_cmp r in
     let rs1 = read_reg r in
     let rs2 = read_reg r in
-    let taken = read_varint r in
-    let not_taken = read_varint r in
-    let succ_log2 = read_u8 r in
+    let taken = R.int r in
+    let not_taken = R.int r in
+    let succ_log2 = R.byte r in
     Ablock.Trap { cmp; rs1; rs2; taken; not_taken; succ_log2 }
-  | 1 -> Ablock.Goto (read_varint r)
+  | 1 -> Ablock.Goto (R.int r)
   | 2 ->
-    let callee = read_varint r in
-    Ablock.Call { callee; ret_to = read_varint r }
+    let callee = R.int r in
+    Ablock.Call { callee; ret_to = R.int r }
   | 3 -> Ablock.Return
   | 4 -> Ablock.Ijump (read_reg r)
   | 5 -> Ablock.Halt
-  | t -> failf r "bad term tag %d" t
+  | t -> R.fail r "bad term tag %d" t
 
-(* --- Shared program sections -------------------------------------------------------- *)
-
-let encode_array b f a =
-  varint b (Array.length a);
-  Array.iter (f b) a
-
-(* Every element costs at least one byte, so a count above the remaining
-   input is malformed — checking this first bounds the allocation. *)
-let decode_array r f =
-  let n = read_varint r in
-  if n < 0 || n > remaining r then failf r "bad array length %d" n;
-  Array.init n (fun _ -> f r)
+(* --- Whole programs ------------------------------------------------------------------ *)
 
 let encode_symbols b syms =
-  varint b (List.length syms);
+  W.int b (List.length syms);
   List.iter
     (fun (name, v) ->
-      str b name;
-      varint b v)
+      W.string b name;
+      W.int b v)
     syms
 
 let decode_symbols r =
-  let n = read_varint r in
-  (* Each symbol is at least two bytes (name length + value). *)
-  if n < 0 || n > remaining r / 2 then failf r "bad symbol count %d" n;
-  List.init n (fun _ ->
-      let name = read_str r in
-      (name, read_varint r))
+  Array.to_list
+    (R.array r (fun r ->
+         let name = R.string r in
+         (name, R.int r)))
 
 let magic_conv = "BISA-CONV1"
 let magic_block = "BISA-BLK1"
 
-(* --- Whole programs ------------------------------------------------------------------ *)
-
-let section r name = r.section <- name
-
-let check_magic r magic =
-  section r "magic";
-  if String.length r.buf < String.length magic
-     || String.sub r.buf 0 (String.length magic) <> magic
-  then fail r "bad magic";
-  r.pos <- String.length magic
-
 let conv_to_bytes (p : Conv_prog.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic_conv;
-  encode_array b encode_insn p.insns;
-  varint b p.entry;
-  encode_array b varint p.data;
-  varint b p.data_base;
+  let b = W.create () in
+  W.magic b magic_conv;
+  W.array b encode_insn p.insns;
+  W.int b p.entry;
+  W.int_array b p.data;
+  W.int b p.data_base;
   encode_symbols b p.symbols;
-  Buffer.contents b
+  W.contents b
 
 let conv_of_bytes s =
-  let r = reader_of s in
-  check_magic r magic_conv;
-  section r "code";
-  let insns = decode_array r decode_insn in
-  section r "entry";
-  let entry = read_varint r in
-  section r "data";
-  let data = decode_array r read_varint in
-  let data_base = read_varint r in
-  section r "symbols";
+  decoding ~section:"magic" s @@ fun r ->
+  R.magic r magic_conv;
+  R.set_section r "code";
+  let insns = R.array r decode_insn in
+  R.set_section r "entry";
+  let entry = R.int r in
+  R.set_section r "data";
+  let data = R.int_array r in
+  let data_base = R.int r in
+  R.set_section r "symbols";
   let symbols = decode_symbols r in
-  section r "trailer";
-  if r.pos <> String.length s then fail r "trailing bytes";
+  R.set_section r "trailer";
   { Conv_prog.insns; entry; data; data_base; symbols }
 
 let encode_block b (blk : int Ablock.t) =
-  encode_array b encode_elt blk.elts;
+  W.array b encode_elt blk.elts;
   encode_term b blk.term
 
 let decode_block r : int Ablock.t =
-  let elts = decode_array r decode_elt in
+  let elts = R.array r decode_elt in
   { Ablock.elts; term = decode_term r }
 
 let block_to_bytes (p : Block_prog.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic_block;
-  encode_array b encode_block p.blocks;
-  varint b p.entry;
-  encode_array b varint p.data;
-  varint b p.data_base;
+  let b = W.create () in
+  W.magic b magic_block;
+  W.array b encode_block p.blocks;
+  W.int b p.entry;
+  W.int_array b p.data;
+  W.int b p.data_base;
   encode_symbols b p.symbols;
-  encode_array b
+  W.array b
     (fun b (taken, not_taken) ->
-      encode_array b varint taken;
-      encode_array b varint not_taken)
+      W.int_array b taken;
+      W.int_array b not_taken)
     p.succ_struct;
-  encode_array b (fun b g -> encode_array b varint g) p.variant_group;
-  Buffer.contents b
+  W.array b W.int_array p.variant_group;
+  W.contents b
 
 let block_of_bytes s =
-  let r = reader_of s in
-  check_magic r magic_block;
-  section r "code";
-  let blocks = decode_array r decode_block in
-  section r "entry";
-  let entry = read_varint r in
-  section r "data";
-  let data = decode_array r read_varint in
-  let data_base = read_varint r in
-  section r "symbols";
+  decoding ~section:"magic" s @@ fun r ->
+  R.magic r magic_block;
+  R.set_section r "code";
+  let blocks = R.array r decode_block in
+  R.set_section r "entry";
+  let entry = R.int r in
+  R.set_section r "data";
+  let data = R.int_array r in
+  let data_base = R.int r in
+  R.set_section r "symbols";
   let symbols = decode_symbols r in
-  section r "succ_struct";
+  R.set_section r "succ_struct";
   let succ_struct =
-    decode_array r (fun r ->
-        let taken = decode_array r read_varint in
-        let not_taken = decode_array r read_varint in
+    R.array r (fun r ->
+        let taken = R.int_array r in
+        let not_taken = R.int_array r in
         (taken, not_taken))
   in
-  section r "variant_groups";
-  let variant_group = decode_array r (fun r -> decode_array r read_varint) in
-  section r "trailer";
-  if r.pos <> String.length s then fail r "trailing bytes";
+  R.set_section r "variant_groups";
+  let variant_group = R.array r R.int_array in
+  R.set_section r "trailer";
   let block_addr, code_bytes = Block_prog.layout blocks in
   {
     Block_prog.blocks;

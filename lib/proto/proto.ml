@@ -196,13 +196,13 @@ let write_diag w (d : Diag.t) =
     Codec.W.string w section);
   Codec.W.string w d.message
 
-let read_diag ~section r : Diag.t =
+let read_diag r : Diag.t =
   let severity =
     match Codec.R.int r with
     | 0 -> Diag.Error
     | 1 -> Diag.Warning
     | 2 -> Diag.Note
-    | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown severity tag %d" n
+    | n -> Codec.R.fail r "unknown severity tag %d" n
   in
   let dcomponent = Codec.R.string r in
   let loc =
@@ -216,7 +216,7 @@ let read_diag ~section r : Diag.t =
       let offset = Codec.R.int r in
       let sec = Codec.R.string r in
       Diag.Byte { offset; section = sec }
-    | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown location tag %d" n
+    | n -> Codec.R.fail r "unknown location tag %d" n
   in
   let message = Codec.R.string r in
   { Diag.severity; component = dcomponent; loc; message }
@@ -225,20 +225,17 @@ let write_diags w ds =
   Codec.W.int w (List.length ds);
   List.iter (write_diag w) ds
 
-let read_list ~section r read_one =
-  let n = Codec.R.int r in
-  if n < 0 then fail_at ~offset:(Codec.R.pos r) ~section "negative list length %d" n;
-  List.init n (fun _ -> read_one r)
+let read_list r read_one = Array.to_list (Codec.R.array r read_one)
 
 (* --- request codec ------------------------------------------------------ *)
 
 let write_isa w = function Conv -> Codec.W.int w 0 | Block -> Codec.W.int w 1
 
-let read_isa ~section r =
+let read_isa r =
   match Codec.R.int r with
   | 0 -> Conv
   | 1 -> Block
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown isa tag %d" n
+  | n -> Codec.R.fail r "unknown isa tag %d" n
 
 let write_src w = function
   | Source { src; libs } ->
@@ -253,15 +250,15 @@ let write_src w = function
     Codec.W.int w 2;
     Codec.W.string w b
 
-let read_src ~section r =
+let read_src r =
   match Codec.R.int r with
   | 0 ->
     let src = Codec.R.string r in
-    let libs = read_list ~section r (fun r -> Codec.R.string r) in
+    let libs = read_list r (fun r -> Codec.R.string r) in
     Source { src; libs }
   | 1 -> Conv_bin (Codec.R.string r)
   | 2 -> Block_bin (Codec.R.string r)
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown program-source tag %d" n
+  | n -> Codec.R.fail r "unknown program-source tag %d" n
 
 let write_sim_cfg w c =
   Codec.W.int w c.icache_kb;
@@ -282,19 +279,19 @@ let write_exec w = function
   | Bisa_sim.Compile.Interp -> Codec.W.int w 0
   | Bisa_sim.Compile.Compiled -> Codec.W.int w 1
 
-let read_exec ~section r =
+let read_exec r =
   match Codec.R.int r with
   | 0 -> Bisa_sim.Compile.Interp
   | 1 -> Bisa_sim.Compile.Compiled
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown exec-backend tag %d" n
+  | n -> Codec.R.fail r "unknown exec-backend tag %d" n
 
 let write_mode w = function Timing -> Codec.W.int w 0 | Functional -> Codec.W.int w 1
 
-let read_mode ~section r =
+let read_mode r =
   match Codec.R.int r with
   | 0 -> Timing
   | 1 -> Functional
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown sim-mode tag %d" n
+  | n -> Codec.R.fail r "unknown sim-mode tag %d" n
 
 let req_section = "request"
 
@@ -331,36 +328,35 @@ let rec write_request ~depth w = function
     List.iter (write_request ~depth:(depth + 1) w) reqs
 
 let rec read_request ~depth r =
-  let section = req_section in
   match Codec.R.int r with
   | 0 -> Ping
   | 1 -> Stats
   | 2 -> Shutdown
   | 3 ->
-    let src = read_src ~section r in
-    let isa = read_isa ~section r in
+    let src = read_src r in
+    let isa = read_isa r in
     Compile { src; isa }
-  | 4 -> Verify { src = read_src ~section r }
+  | 4 -> Verify { src = read_src r }
   | 5 ->
-    let src = read_src ~section r in
-    let isa = read_isa ~section r in
-    let mode = read_mode ~section r in
-    let exec = read_exec ~section r in
+    let src = read_src r in
+    let isa = read_isa r in
+    let mode = read_mode r in
+    let exec = read_exec r in
     let cfg = read_sim_cfg r in
     let show_output = Codec.R.bool r in
     Simulate { src; isa; mode; exec; cfg; show_output }
   | 6 ->
     let bench = Codec.R.string r in
     let scale = Codec.R.option r Codec.R.int in
-    let isa = read_isa ~section r in
-    let exec = read_exec ~section r in
+    let isa = read_isa r in
+    let exec = read_exec r in
     let cfg = read_sim_cfg r in
     Cell { bench; scale; isa; exec; cfg }
   | 7 ->
     if depth > 0 then
-      fail_at ~offset:(Codec.R.pos r) ~section "nested Batch request";
-    Batch (read_list ~section r (read_request ~depth:(depth + 1)))
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown request tag %d" n
+      Codec.R.fail r "nested Batch request";
+    Batch (read_list r (read_request ~depth:(depth + 1)))
+  | n -> Codec.R.fail r "unknown request tag %d" n
 
 (* --- response codec ----------------------------------------------------- *)
 
@@ -436,15 +432,14 @@ let rec write_response ~depth w = function
     write_diags w diags
 
 let rec read_response ~depth r =
-  let section = resp_section in
   match Codec.R.int r with
   | 0 -> Pong { server = Codec.R.string r }
   | 1 ->
-    let isa = read_isa ~section r in
+    let isa = read_isa r in
     let bytes = Codec.R.string r in
     let prog_hash = Codec.R.i64 r in
     Binary { isa; bytes; prog_hash }
-  | 2 -> Verdict { diags = read_list ~section r (read_diag ~section) }
+  | 2 -> Verdict { diags = read_list r read_diag }
   | 3 ->
     let stdout = Codec.R.string r in
     let notes = Codec.R.string r in
@@ -460,39 +455,25 @@ let rec read_response ~depth r =
   | 6 -> Bye
   | 7 ->
     if depth > 0 then
-      fail_at ~offset:(Codec.R.pos r) ~section "nested Batch_r response";
-    Batch_r (read_list ~section r (read_response ~depth:(depth + 1)))
-  | 8 -> Err (read_list ~section r (read_diag ~section))
-  | n -> fail_at ~offset:(Codec.R.pos r) ~section "unknown response tag %d" n
+      Codec.R.fail r "nested Batch_r response";
+    Batch_r (read_list r (read_response ~depth:(depth + 1)))
+  | 8 -> Err (read_list r read_diag)
+  | n -> Codec.R.fail r "unknown response tag %d" n
 
 (* --- payload encode/decode ---------------------------------------------- *)
 
-(* Codec reader failures carry their offset only in the message; rewrap
-   them (and the version check) so every payload rejection is a
-   [component=proto] diagnostic located at the byte the reader reached —
-   the contract the protocol fuzzer enforces. *)
+(* The reader is located, so every payload rejection is a
+   [component=proto] diagnostic at the byte it happened on — the
+   contract the protocol fuzzer enforces. *)
 let decoding ~section s f =
-  let r = Codec.R.of_string s in
-  match
-    let v = Codec.R.string r in
-    if v <> version then
-      fail_at ~offset:0 ~section "version mismatch: peer speaks %S, this end %S" v
-        version;
-    let value = f r in
-    if not (Codec.R.at_end r) then
-      fail_at ~offset:(Codec.R.pos r) ~section "%d trailing bytes after payload"
-        (String.length s - Codec.R.pos r);
-    value
-  with
-  | value -> value
-  | exception Diag.Fail d when d.Diag.component = "codec" ->
-    raise
-      (Diag.Fail
-         {
-           d with
-           Diag.component;
-           loc = Diag.at_byte ~offset:(Codec.R.pos r) ~section;
-         })
+  let r = Codec.R.of_string ~component ~section s in
+  let v = Codec.R.string r in
+  if v <> version then
+    fail_at ~offset:0 ~section "version mismatch: peer speaks %S, this end %S" v version;
+  let value = f r in
+  if not (Codec.R.at_end r) then
+    Codec.R.fail r "%d trailing bytes after payload" (String.length s - Codec.R.pos r);
+  value
 
 let encode_request q =
   let w = Codec.W.create () in

@@ -154,7 +154,7 @@ val encode_response : response -> string
 val decode_response : string -> response
 
 val write_diag : Bisa_base.Codec.W.t -> Bisa_base.Diag.t -> unit
-val read_diag : section:string -> Bisa_base.Codec.R.t -> Bisa_base.Diag.t
+val read_diag : Bisa_base.Codec.R.t -> Bisa_base.Diag.t
 
 (** {1 Framing}
 

@@ -50,15 +50,15 @@ type payload =
 
 type entry = { prog_hash : int64; payload : payload }
 
-(* Spooled-entry file format (one atomically-written file per result). *)
+(* A spooled entry is one atomically-written file per result, sealed
+   (version 2) with the result key as its identity, under a name the key
+   hashes to. *)
 let spool_magic = "BISARESP"
-let spool_version = 1
+let spool_version = 2
+let spool_name key = Codec.hash_hex key ^ ".resp"
 
 let write_entry key (e : entry) =
   let w = Codec.W.create () in
-  Codec.W.string w spool_magic;
-  Codec.W.int w spool_version;
-  Codec.W.string w key;
   Codec.W.i64 w e.prog_hash;
   (match e.payload with
   | Fun_r { out; ops; ret; notes } ->
@@ -74,17 +74,15 @@ let write_entry key (e : entry) =
   | Cell_r { summary } ->
     Codec.W.int w 2;
     Codec.W.string w summary);
-  Codec.W.contents w
+  Codec.seal ~magic:spool_magic ~version:spool_version ~id:key w
 
-let read_entry s =
-  let r = Codec.R.of_string s in
-  if Codec.R.string r <> spool_magic then
-    Diag.fail ~component "not a spooled result";
-  let v = Codec.R.int r in
-  if v <> spool_version then
-    Diag.fail ~component "spooled result has version %d (expected %d)" v
-      spool_version;
-  let key = Codec.R.string r in
+(* The entry in file [name]: its key must hash to that name. *)
+let read_entry ~name s =
+  let key, r =
+    Codec.unseal ~component ~magic:spool_magic ~version:spool_version
+      ~id:(fun key -> spool_name key = name)
+      s
+  in
   let prog_hash = Codec.R.i64 r in
   let payload =
     match Codec.R.int r with
@@ -99,7 +97,7 @@ let read_entry s =
       let summary = Codec.R.string r in
       Tim_r { out; summary }
     | 2 -> Cell_r { summary = Codec.R.string r }
-    | n -> Diag.fail ~component "unknown spooled payload tag %d" n
+    | n -> Codec.R.fail r "unknown spooled payload tag %d" n
   in
   (key, { prog_hash; payload })
 
@@ -167,7 +165,7 @@ let memoize t table key ~compute = Pool.Once.force (fst (install t table key ~co
 
 (* --- construction and the spool ----------------------------------------- *)
 
-let spool_path dir key = Filename.concat dir (Codec.hash_hex key ^ ".resp")
+let spool_path dir key = Filename.concat dir (spool_name key)
 
 let note_result t key entry =
   (* Called with the result freshly computed: record it for eviction and
@@ -198,7 +196,7 @@ let load_spool t dir =
          the bound; a request for one left on disk recomputes it. *)
       if Filename.check_suffix f ".resp" && Queue.length t.order < t.result_cap then begin
         let path = Filename.concat dir f in
-        match read_entry (Bisa_base.Fs.read_file path) with
+        match read_entry ~name:f (Bisa_base.Fs.read_file path) with
         | key, entry ->
           if not (Hashtbl.mem t.results key) then begin
             Hashtbl.add t.results key (Pool.Once.make (Fun.const entry));
@@ -211,14 +209,14 @@ let load_spool t dir =
              the count surfaces in Stats and each file gets one
              structured diagnostic, so spool damage is never silent. *)
           t.spool_skipped <- t.spool_skipped + 1;
-          let why =
+          let loc, why =
             match e with
-            | Diag.Fail d -> d.Diag.message
-            | Sys_error m -> m
-            | e -> Printexc.to_string e
+            | Diag.Fail d -> (d.Diag.loc, d.Diag.message)
+            | Sys_error m -> (Diag.No_loc, m)
+            | e -> (Diag.No_loc, Printexc.to_string e)
           in
           t.log
-            (Diag.error ~component
+            (Diag.error ~component ~loc
                (Printf.sprintf "spool: skipped unreadable entry %s: %s" path why))
       end)
     files

@@ -1,68 +1,42 @@
 (* Versioned on-disk snapshots of in-flight timing sessions.
 
-   A snapshot is a header binding the payload to the exact inputs it was
-   taken under — ISA, program content hash, configuration fingerprint —
-   followed by the session's serialized state.  Writes go through
-   Atomic_file (temp + rename), so a crash at any instant leaves either
-   the previous complete snapshot or the new one, never a torn file.
-   Readers validate the header and raise a structured Diag on any
-   mismatch: a stale or foreign snapshot is an error the caller can
-   present, never silent state corruption. *)
+   A snapshot is a sealed Codec envelope whose identity binds it to the
+   exact inputs it was taken under — ISA, program content hash,
+   configuration fingerprint — and whose body is the op count and the
+   session's serialized state.  Writes go through Atomic_file (temp +
+   rename), so a crash at any instant leaves either the previous
+   complete snapshot or the new one, never a torn file.  Loads reject a
+   stale, foreign or damaged snapshot with a located Diag: an error the
+   caller can present, never silent state corruption. *)
+
+module Codec = Bisa_base.Codec
 
 let component = "checkpoint"
 let magic = "BISACKPT"
-let version = 1
 
-let fail fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Bisa_base.Diag.Fail (Bisa_base.Diag.error ~component msg)))
-    fmt
+(* Version 2: sealed, with the op count in the body. *)
+let version = 2
 
-type header = {
-  isa : string;
-  prog_hash : int64;
-  cfg_hash : int64;
-  ops : int;  (** dynamic operations completed when the snapshot was taken *)
-}
+let identity ~isa ~prog_hash ~cfg_hash =
+  String.concat "-" [ isa; Codec.hex64 prog_hash; Codec.hex64 cfg_hash ]
 
 let save ~path ~isa ~prog_hash ~cfg_hash ~ops payload =
-  let w = Bisa_base.Codec.W.create () in
-  Bisa_base.Codec.W.string w magic;
-  Bisa_base.Codec.W.int w version;
-  Bisa_base.Codec.W.string w isa;
-  Bisa_base.Codec.W.i64 w prog_hash;
-  Bisa_base.Codec.W.i64 w cfg_hash;
-  Bisa_base.Codec.W.int w ops;
+  let w = Codec.W.create () in
+  Codec.W.int w ops;
   payload w;
-  Bisa_base.Atomic_file.write_string path (Bisa_base.Codec.W.contents w)
-
-let read_header r =
-  let m = try Bisa_base.Codec.R.string r with _ -> "" in
-  if m <> magic then fail "not a checkpoint snapshot (bad magic)";
-  let v = Bisa_base.Codec.R.int r in
-  if v <> version then fail "snapshot version %d unsupported (expected %d)" v version;
-  let isa = Bisa_base.Codec.R.string r in
-  let prog_hash = Bisa_base.Codec.R.i64 r in
-  let cfg_hash = Bisa_base.Codec.R.i64 r in
-  let ops = Bisa_base.Codec.R.int r in
-  { isa; prog_hash; cfg_hash; ops }
+  Bisa_base.Atomic_file.write_string path
+    (Codec.seal ~magic ~version ~id:(identity ~isa ~prog_hash ~cfg_hash) w)
 
 let load ~path ~isa ~prog_hash ~cfg_hash =
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    let r = Bisa_base.Codec.R.of_string data in
-    let h = read_header r in
-    if h.isa <> isa then
-      fail "snapshot %s was taken for ISA %s, not %s" path h.isa isa;
-    if h.prog_hash <> prog_hash then
-      fail "snapshot %s does not match this program (stale or foreign snapshot)" path;
-    if h.cfg_hash <> cfg_hash then
-      fail "snapshot %s was taken under a different configuration" path;
-    Some (h.ops, r)
+    let id = identity ~isa ~prog_hash ~cfg_hash in
+    let _, r =
+      Codec.unseal ~component ~magic ~version ~id:(String.equal id)
+        (Bisa_base.Fs.read_file path)
+    in
+    let ops = Codec.R.int r in
+    Some (ops, r)
   end
 
 (* Outcome of a driven run: either it completed, or the deadline fired

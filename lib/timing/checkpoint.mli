@@ -1,20 +1,15 @@
 (** Crash-safe snapshots of in-flight timing simulations.
 
-    A snapshot file is a versioned header — magic, format version, ISA
-    name, program content hash, configuration fingerprint, op count —
-    followed by the serialized session state of either pipeline.  Writes
-    are atomic (temp + rename via {!Bisa_base.Atomic_file}), so a kill at
-    any instant leaves the previous complete snapshot or the new one,
-    never a torn file.  Loads validate every header field and raise a
-    structured {!Bisa_base.Diag.Fail} (component ["checkpoint"]) on a
-    stale, foreign, or mismatched snapshot. *)
-
-type header = {
-  isa : string;
-  prog_hash : int64;
-  cfg_hash : int64;
-  ops : int;  (** dynamic operations completed when the snapshot was taken *)
-}
+    A snapshot file is a sealed {!Bisa_base.Codec} envelope (magic
+    ["BISACKPT"], format version 2) whose identity is the ISA name, the
+    program content hash and the configuration fingerprint, and whose
+    body is the op count followed by the serialized session state of
+    either pipeline.  Writes are atomic (temp + rename via
+    {!Bisa_base.Atomic_file}), so a kill at any instant leaves the
+    previous complete snapshot or the new one, never a torn file.  Loads
+    raise a structured {!Bisa_base.Diag.Fail} (component ["checkpoint"],
+    located at the offending byte) on a stale, foreign, mismatched or
+    damaged snapshot. *)
 
 val save :
   path:string ->
@@ -24,8 +19,8 @@ val save :
   ops:int ->
   (Bisa_base.Codec.W.t -> unit) ->
   unit
-(** Write a snapshot atomically: header, then the payload the callback
-    serializes (normally a pipeline session's [save]). *)
+(** Write a snapshot atomically: the op count, then the payload the
+    callback serializes (normally a pipeline session's [save]), sealed. *)
 
 val load :
   path:string ->
@@ -33,10 +28,10 @@ val load :
   prog_hash:int64 ->
   cfg_hash:int64 ->
   (int * Bisa_base.Codec.R.t) option
-(** [None] if no file exists at [path].  Otherwise validate the header
-    against the expected identity and return the snapshot's op count and
-    a reader positioned at the payload.  Raises {!Bisa_base.Diag.Fail} on
-    any mismatch. *)
+(** [None] if no file exists at [path].  Otherwise check the envelope
+    and the expected identity and return the snapshot's op count and a
+    reader positioned at the payload.  Raises {!Bisa_base.Diag.Fail} on
+    any mismatch or damage. *)
 
 type 'a outcome = Finished of 'a | Timed_out of { ops : int }
 

@@ -493,6 +493,92 @@ let test_varint_reader () =
     check_reads (Printf.sprintf "random string %d" i) s (fun j -> picks.(j))
   done
 
+(* A declared length the input cannot hold is rejected before anything
+   of that length is allocated, and as a codec Diag, never as an
+   exception from [Array.make] or [String.sub]. *)
+let test_lengths_bounded_by_input () =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let readers =
+    [
+      ("int_array", fun r -> ignore (Codec.R.int_array r : int array));
+      ("float_array", fun r -> ignore (Codec.R.float_array r : float array));
+      ("array", fun r -> ignore (Codec.R.array r Codec.R.bool : bool array));
+      ("string", fun r -> ignore (Codec.R.string r : string));
+    ]
+  in
+  List.iter
+    (fun (what, n) ->
+      let w = Codec.W.create () in
+      Codec.W.int w n;
+      Codec.W.int w 7;
+      let input = Codec.W.contents w in
+      List.iter
+        (fun (name, read) ->
+          let at = Printf.sprintf "%s, %s" what name in
+          let before = words () in
+          (match read (Codec.R.of_string input) with
+          | () -> Alcotest.failf "%s: read" at
+          | exception Diag.Fail d ->
+            Alcotest.(check string) (at ^ ": component") "codec" d.Diag.component
+          | exception e -> Alcotest.failf "%s: raised %s" at (Printexc.to_string e));
+          let used = words () -. before in
+          if used > 1_000. then Alcotest.failf "%s: allocated %.0f words" at used)
+        readers)
+    [
+      ("5-byte input", 5_000_000);
+      ("Sys.max_array_length + 1", Sys.max_array_length + 1);
+      ("max_int", max_int);
+    ]
+
+(* A sealed body reads back; a located reader names its component and
+   section; a reader built without a section fails as it always has. *)
+let test_envelope () =
+  let body = Codec.W.create () in
+  Codec.W.string body "payload";
+  let sealed = Codec.seal ~magic:"TESTMAGC" ~version:3 ~id:"cell-1" body in
+  let id, r =
+    Codec.unseal ~component:"test" ~magic:"TESTMAGC" ~version:3 ~id:(( = ) "cell-1") sealed
+  in
+  Alcotest.(check string) "identity" "cell-1" id;
+  Alcotest.(check string) "body" "payload" (Codec.R.string r);
+  Alcotest.(check bool) "at end" true (Codec.R.at_end r);
+  let rejects what ?(magic = "TESTMAGC") ?(version = 3) ?(id = "cell-1") s want =
+    match Codec.unseal ~component:"test" ~magic ~version ~id:(( = ) id) s with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Diag.Fail d ->
+      Alcotest.(check string) (what ^ ": component") "test" d.Diag.component;
+      (match d.Diag.loc with
+      | Diag.Byte { section = "envelope"; offset } ->
+        Alcotest.(check int) (what ^ ": offset") want offset
+      | _ -> Alcotest.failf "%s: not located in the envelope: %s" what (Diag.render d))
+  in
+  let n = String.length sealed in
+  rejects "other magic" ~magic:"OTHERMAG" sealed 9;
+  rejects "other version" ~version:4 sealed 10;
+  rejects "other identity" ~id:"cell-2" sealed 10;
+  rejects "truncated" (String.sub sealed 0 (n - 1)) (n - 8);
+  rejects "trailing byte" (sealed ^ "x") (n - 8);
+  let flipped = Bytes.of_string sealed in
+  Bytes.set flipped (n - 1) 'X';
+  rejects "changed body" (Bytes.to_string flipped) (n - 8);
+  let r = Codec.R.of_string ~component:"test" ~section:"head" "\x02" in
+  ignore (Codec.R.int r : int);
+  (match Codec.R.int r with
+  | _ -> Alcotest.fail "read past the end"
+  | exception Diag.Fail d ->
+    Alcotest.(check bool) "located" true
+      (d = Diag.error ~component:"test" ~loc:(Diag.at_byte ~offset:1 ~section:"head")
+             "truncated at byte 1"));
+  match Codec.R.int (Codec.R.of_string "") with
+  | _ -> Alcotest.fail "read past the end"
+  | exception Diag.Fail d ->
+    Alcotest.(check bool) "unlocated" true
+      (d = Diag.error ~component:"codec" "corrupt snapshot: truncated at byte 0")
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -521,4 +607,6 @@ let suite =
     Alcotest.test_case "fnv1a64 matches vectors and reference model" `Quick test_fnv1a64;
     Alcotest.test_case "varint writer matches reference model" `Quick test_varint_writer;
     Alcotest.test_case "varint reader matches reference model" `Quick test_varint_reader;
+    Alcotest.test_case "lengths bounded by the input" `Quick test_lengths_bounded_by_input;
+    Alcotest.test_case "sealed envelope" `Quick test_envelope;
   ]

@@ -283,6 +283,45 @@ let test_snapshot_header_validation () =
       Checkpoint.load ~path ~isa:"conv" ~prog_hash:1L ~cfg_hash:2L);
   Sys.remove path
 
+(* Into a new file, not over the old one: ext4 flushes a file truncated
+   and rewritten in place when it closes, tens of ms a write. *)
+let write_fresh path s =
+  if Sys.file_exists path then Sys.remove path;
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* A genuine mid-run snapshot with one byte changed is rejected with a
+   located diagnostic: every header byte, both ways, and 200 bytes spread
+   over the body. *)
+let test_snapshot_damage_rejected () =
+  let c = Lazy.force compiled in
+  let cfg = Config.default in
+  let s = Pipeline.Conv.session_artifact cfg (Pipeline.Conv.prepare ~exec:Compile.Interp c.conv) in
+  for _ = 1 to 50 do
+    ignore (Pipeline.Conv.step s : bool)
+  done;
+  let path = tmp_path () in
+  let prog_hash = Pipeline.Conv.prog_hash c.conv and cfg_hash = Config.fingerprint cfg in
+  Checkpoint.save ~path ~isa:Pipeline.Conv.isa ~prog_hash ~cfg_hash
+    ~ops:(Pipeline.Conv.ops s) (Pipeline.Conv.save s);
+  let good = Bisa_base.Fs.read_file path in
+  let n = String.length good in
+  let header = List.concat_map (fun i -> [ (i, 0x01); (i, 0x80) ]) (List.init 64 Fun.id) in
+  let body = List.init 200 (fun k -> (64 + (k * (n - 65) / 199), if k land 1 = 0 then 0x01 else 0x80)) in
+  List.iter
+    (fun (i, mask) ->
+      let b = Bytes.of_string good in
+      Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+      write_fresh path (Bytes.to_string b);
+      match Checkpoint.load ~path ~isa:Pipeline.Conv.isa ~prog_hash ~cfg_hash with
+      | _ -> Alcotest.failf "byte %d of %d xor 0x%02x: loaded" i n mask
+      | exception Bisa_base.Diag.Fail { loc = Bisa_base.Diag.Byte _; _ } -> ()
+      | exception Bisa_base.Diag.Fail d ->
+        Alcotest.failf "byte %d xor 0x%02x: not located: %s" i mask (Bisa_base.Diag.render d))
+    (header @ body);
+  Sys.remove path
+
 let test_drive_resume () =
   let c = Lazy.force compiled in
   let cfg = Config.default in
@@ -456,6 +495,8 @@ let suite =
       test_snapshot_header_validation;
     Alcotest.test_case "drive resume" `Quick test_drive_resume;
     Alcotest.test_case "drive deadline" `Quick test_drive_deadline;
+    Alcotest.test_case "damaged snapshot rejected at a byte" `Quick
+      test_snapshot_damage_rejected;
     Alcotest.test_case "drive crash+resume (compiled)" `Quick
       test_drive_crash_compiled;
     Alcotest.test_case "drive crash+resume (cross-backend)" `Quick

@@ -214,6 +214,51 @@ let test_campaign_timeout () =
   Alcotest.(check bool) "snapshot deleted" false (Sys.file_exists (cell ".ckpt"));
   Alcotest.(check bool) "manifest written" true (Sys.file_exists (cell ".done"))
 
+(* Every single-byte change to a finished cell's manifest, at every
+   position, is rejected with a located diagnostic. *)
+let test_campaign_cell_every_byte () =
+  with_fresh_dir @@ fun d ->
+  let camp = Campaign.open_ ~dir:d ~scale:(Some 1) ~paper_caches:false () in
+  let c = Bisa_compiler.Compiler.compile "int main() { print_int(5); return 5; }" in
+  let cfg = Bisa_timing.Config.default in
+  let art = Bisa_timing.Pipeline.Conv.prepare c.conv in
+  let run () = Campaign.run_cell camp (module Bisa_timing.Pipeline.Conv) ~bench:"tiny" cfg art in
+  let m = run () in
+  let path =
+    Filename.concat (Filename.concat d "cells")
+      (Campaign.key ~bench:"tiny" ~isa:"conv"
+         ~cfg_hash:(Bisa_timing.Config.fingerprint cfg)
+         ~prog_hash:(Bisa_timing.Pipeline.Conv.prog_hash c.conv)
+      ^ ".done")
+  in
+  let good = Bisa_base.Fs.read_file path in
+  let write s =
+    (* A new file each time: rewriting one in place makes ext4 flush it. *)
+    Sys.remove path;
+    let oc = open_out_bin path in
+    output_string oc s;
+    close_out oc
+  in
+  String.iteri
+    (fun i ch ->
+      List.iter
+        (fun mask ->
+          let b = Bytes.of_string good in
+          Bytes.set b i (Char.chr (Char.code ch lxor mask));
+          write (Bytes.to_string b);
+          match run () with
+          | _ -> Alcotest.failf "byte %d xor 0x%02x: accepted" i mask
+          | exception Bisa_base.Diag.Fail { loc = Bisa_base.Diag.Byte _; _ } -> ()
+          | exception Bisa_base.Diag.Fail dg ->
+            Alcotest.failf "byte %d xor 0x%02x: not located: %s" i mask
+              (Bisa_base.Diag.render dg))
+        [ 0x01; 0x80 ])
+    good;
+  write good;
+  Alcotest.(check string) "the intact manifest reads back"
+    (Bisa_timing.Metrics.summary ~name:"x" m)
+    (Bisa_timing.Metrics.summary ~name:"x" (run ()))
+
 let suite =
   [
     Alcotest.test_case "table1" `Quick test_table1_is_paper;
@@ -226,4 +271,6 @@ let suite =
     Alcotest.test_case "campaign resume identical" `Slow test_campaign_resume_identical;
     Alcotest.test_case "campaign meta mismatch" `Quick test_campaign_meta_mismatch;
     Alcotest.test_case "campaign timeout" `Quick test_campaign_timeout;
+    Alcotest.test_case "every campaign cell byte is checked" `Quick
+      test_campaign_cell_every_byte;
   ]

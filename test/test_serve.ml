@@ -465,6 +465,85 @@ let test_spool_skip_surfaced () =
   Alcotest.(check bool) "good entry reloads" true cached;
   Alcotest.(check string) "bytes intact past the damage" cold warm
 
+(* --- every spooled byte is checked ------------------------------------------- *)
+
+(* A cold [cell ()] on a fresh spool: its summary, and the name and
+   bytes of the one file it spooled. *)
+let spooled_cell dir =
+  match (Engine.handle (Engine.create ~spool_dir:dir ()) (cell ()), Sys.readdir dir) with
+  | Proto.Cell_done { summary; _ }, [| name |] ->
+    (summary, name, Bisa_base.Fs.read_file (Filename.concat dir name))
+  | _ -> Alcotest.fail "expected a Cell_done and one spooled file"
+
+(* A fresh engine over [dir] and the diagnostics its spool reload logged. *)
+let reload dir =
+  let diags = ref [] in
+  let e = Engine.create ~spool_dir:dir ~log:(fun d -> diags := d :: !diags) () in
+  (e, List.rev !diags)
+
+(* Into a new file, not over the old one: ext4 flushes a file truncated
+   and rewritten in place when it closes, tens of ms a write. *)
+let write_file path s =
+  if Sys.file_exists path then Sys.remove path;
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* A damaged entry is skipped with one diagnostic naming its file, and
+   the request is answered cold with the cold bytes. *)
+let check_recomputed what dir ~file (cold : string) =
+  let e, diags = reload dir in
+  (match diags with
+  | [ d ] ->
+    Alcotest.(check bool) (what ^ ": diagnostic names the file") true
+      (contains d.Diag.message file)
+  | ds -> Alcotest.failf "%s: expected one diagnostic, got %d" what (List.length ds));
+  (match Engine.handle e (cell ()) with
+  | Proto.Cell_done w ->
+    Alcotest.(check string) (what ^ ": cold bytes") cold w.summary;
+    Alcotest.(check bool) (what ^ ": not a hit") false w.cached
+  | _ -> Alcotest.fail "not a Cell_done response");
+  Alcotest.(check int) (what ^ ": skip counted") 1 (Engine.stats e).Proto.spool_skipped
+
+(* One digit of the stored summary changed in place still parses, so
+   only the body checksum can catch it. *)
+let test_spool_body_edit () =
+  with_tmp_dir "edit" @@ fun dir ->
+  let summary, name, bytes = spooled_cell dir in
+  let rec find i = if String.sub bytes i (String.length summary) = summary then i else find (i + 1) in
+  let rec digit i = if bytes.[i] >= '0' && bytes.[i] <= '9' then i else digit (i + 1) in
+  let i = digit (find 0) in
+  let b = Bytes.of_string bytes in
+  Bytes.set b i (if bytes.[i] = '9' then '8' else Char.chr (Char.code bytes.[i] + 1));
+  write_file (Filename.concat dir name) (Bytes.to_string b);
+  check_recomputed "edited digit" dir ~file:name summary
+
+(* An intact entry under another name holds some other key's result. *)
+let test_spool_key_names_file () =
+  with_tmp_dir "rename" @@ fun dir ->
+  let summary, name, _ = spooled_cell dir in
+  let renamed = "0123456789abcdef.resp" in
+  Sys.rename (Filename.concat dir name) (Filename.concat dir renamed);
+  check_recomputed "renamed entry" dir ~file:renamed summary
+
+(* Every single-byte change, at every position, is rejected with a
+   located diagnostic. *)
+let test_spool_every_byte () =
+  with_tmp_dir "flip" @@ fun dir ->
+  let _, name, bytes = spooled_cell dir in
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun mask ->
+          let b = Bytes.of_string bytes in
+          Bytes.set b i (Char.chr (Char.code c lxor mask));
+          write_file (Filename.concat dir name) (Bytes.to_string b);
+          match reload dir with
+          | _, [ { Diag.loc = Diag.Byte _; _ } ] -> ()
+          | _ -> Alcotest.failf "byte %d xor 0x%02x: not rejected at a byte" i mask)
+        [ 0x01; 0x80 ])
+    bytes
+
 (* --- the cache key contract and the cost of a hit --------------------------- *)
 
 (* A spooled result is found again only under the same key and file
@@ -495,7 +574,7 @@ let test_key_pinned () =
     Alcotest.(check string) "spool file name" "3f4a374a3ce381be.resp" name;
     let r = Bisa_base.Codec.R.of_string (Bisa_base.Fs.read_file (Filename.concat dir name)) in
     Alcotest.(check string) "magic" "BISARESP" (Bisa_base.Codec.R.string r);
-    Alcotest.(check int) "version" 1 (Bisa_base.Codec.R.int r);
+    Alcotest.(check int) "version" 2 (Bisa_base.Codec.R.int r);
     Alcotest.(check string) "key" "sim|conv|18e9b4950e9fb924|c443bfb970df5c2a|compiled|functional|full"
       (Bisa_base.Codec.R.string r)
   | names -> Alcotest.failf "expected one spooled result, found %d" (Array.length names)
@@ -706,4 +785,8 @@ let suite =
       test_reply_encoding_allocation;
     Alcotest.test_case "spool damage is counted and logged" `Quick
       test_spool_skip_surfaced;
+    Alcotest.test_case "edited spool body is recomputed" `Quick test_spool_body_edit;
+    Alcotest.test_case "spool entry key must name its file" `Quick
+      test_spool_key_names_file;
+    Alcotest.test_case "every spooled byte is checked" `Quick test_spool_every_byte;
   ]
