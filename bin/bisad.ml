@@ -5,9 +5,10 @@
    (compiled programs, prepared pipeline artifacts, finished results),
    with finished results spooled crash-safely to disk.  `bisad supervise`
    runs it under a self-healing monitor.  The other subcommands are thin
-   clients that build exactly the same typed request values the one-shot
-   CLIs build, so `bisad sim foo.c` prints byte-for-byte what
-   `bisasim foo.c` prints — cold, cached, or after a kill -9 and restart.
+   clients.  `sim`, `verify` and `cell` build their request and print the
+   reply through Bisa_cli.Request, as bisasim does with an in-process
+   engine, so `bisad sim foo.c` prints byte-for-byte what `bisasim foo.c`
+   prints — cold, cached, or after a kill -9 and restart.
 
    The daemon's checks live outside this binary: test/serve_live.ml
    drives these client subcommands against a forked server, and the
@@ -20,40 +21,18 @@ module Proto = Bisa_proto.Proto
 module Engine = Bisa_serve.Engine
 module Server = Bisa_serve.Server
 module Client = Bisa_serve.Client
+module Request = Bisa_cli.Request
 module Diag = Bisa_base.Diag
 
 let component = "bisad"
 
 let default_socket = Filename.concat (Filename.get_temp_dir_name ()) "bisad.sock"
 
-(* --- building requests from CLI inputs ---------------------------------- *)
-
-let load_src ?scale input : Proto.prog_src =
-  if Filename.check_suffix input ".cbin" then
-    Proto.Conv_bin (Bisa_base.Fs.read_file input)
-  else if Filename.check_suffix input ".bbin" then
-    Proto.Block_bin (Bisa_base.Fs.read_file input)
-  else begin
-    let src, libs = Driver.read_source ?scale ~component input in
-    Proto.Source { src; libs }
-  end
-
-(* Every diagnostic the server sent, then a nonzero exit through the
-   guard — the same shape bisasim's verifier rejection takes. *)
-let fail_diags = function
-  | [] -> Diag.fail ~component "server reported failure with no diagnostics"
-  | diags ->
-    List.iter (fun d -> prerr_endline (Diag.render d)) diags;
-    Diag.fail ~component "request failed (%d diagnostic%s)" (List.length diags)
-      (if List.length diags = 1 then "" else "s")
-
-let expect_ok = function Proto.Err diags -> fail_diags diags | resp -> resp
-
 (* --- client subcommands -------------------------------------------------- *)
 
 let ping socket =
   Driver.guard ~component @@ fun () ->
-  match expect_ok (Client.one_shot socket Proto.Ping) with
+  match Request.ok (Client.one_shot socket Proto.Ping) with
   | Proto.Pong { server } ->
     Printf.printf "%s: %s\n" socket server;
     `Ok ()
@@ -69,7 +48,7 @@ let print_stats (s : Proto.stats) =
 
 let stats socket =
   Driver.guard ~component @@ fun () ->
-  match expect_ok (Client.one_shot socket Proto.Stats) with
+  match Request.ok (Client.one_shot socket Proto.Stats) with
   | Proto.Stats_r s ->
     print_stats s;
     `Ok ()
@@ -77,7 +56,7 @@ let stats socket =
 
 let shutdown socket =
   Driver.guard ~component @@ fun () ->
-  match expect_ok (Client.one_shot socket Proto.Shutdown) with
+  match Request.ok (Client.one_shot socket Proto.Shutdown) with
   | Proto.Bye ->
     print_endline "server shut down";
     `Ok ()
@@ -85,8 +64,8 @@ let shutdown socket =
 
 let compile socket input isa scale out =
   Driver.guard ~component @@ fun () ->
-  let req = Proto.Compile { src = load_src ?scale input; isa } in
-  match expect_ok (Client.one_shot socket req) with
+  let req = Proto.Compile { src = Request.source ~component ?scale input; isa } in
+  match Request.ok (Client.one_shot socket req) with
   | Proto.Binary { isa; bytes; prog_hash } ->
     (match out with
     | Some path ->
@@ -101,51 +80,21 @@ let compile socket input isa scale out =
 
 let verify socket input scale =
   Driver.guard ~component @@ fun () ->
-  let req = Proto.Verify { src = load_src ?scale input } in
-  match expect_ok (Client.one_shot socket req) with
-  | Proto.Verdict { diags = [] } ->
-    Printf.printf "%s: verify OK\n" input;
-    `Ok ()
-  | Proto.Verdict { diags } ->
-    List.iter (fun d -> prerr_endline (Diag.render d)) diags;
-    Diag.fail ~component "verification rejected %s (%d diagnostic%s)" input
-      (List.length diags)
-      (if List.length diags = 1 then "" else "s")
-  | _ -> Diag.fail ~component "unexpected response to verify"
+  Request.print ~component ~input
+    (Client.one_shot socket (Request.verification ~component ?scale input));
+  `Ok ()
 
-let sim_request ?scale input isa functional exec cfg show_output =
-  Proto.Simulate
-    {
-      src = load_src ?scale input;
-      isa;
-      mode = (if functional then Proto.Functional else Proto.Timing);
-      exec;
-      cfg;
-      show_output;
-    }
-
-(* Print exactly what the one-shot CLI prints; daemon-side notes (machine
-   traps) go to stderr like bisasim's. *)
-let print_sim = function
-  | Proto.Sim { stdout; notes; prog_hash = _; cached = _ } ->
-    if notes <> "" then prerr_string notes;
-    print_string stdout
-  | _ -> Diag.fail ~component "unexpected response to simulate"
-
-let sim socket input isa functional exec cfg show_output scale =
+let sim socket (s : Request.sim) =
   Driver.guard ~component @@ fun () ->
-  let req = sim_request ?scale input isa functional exec cfg show_output in
-  print_sim (expect_ok (Client.one_shot socket req));
+  Request.print ~component ~input:s.input
+    (Client.one_shot socket (Request.simulation ~component s));
   `Ok ()
 
 let cell socket bench isa exec cfg scale =
   Driver.guard ~component @@ fun () ->
-  let req = Proto.Cell { bench; scale; isa; exec; cfg } in
-  match expect_ok (Client.one_shot socket req) with
-  | Proto.Cell_done { summary; prog_hash = _; cached = _ } ->
-    print_endline summary;
-    `Ok ()
-  | _ -> Diag.fail ~component "unexpected response to cell"
+  Request.print ~component ~input:bench
+    (Client.one_shot socket (Proto.Cell { bench; scale; isa; exec; cfg }));
+  `Ok ()
 
 (* --- the server ----------------------------------------------------------- *)
 
@@ -233,19 +182,6 @@ let () =
       & info [ "socket" ]
           ~env:(Cmd.Env.info "BISA_SOCKET" ~doc:"Default for $(b,--socket).")
           ~doc:"Unix domain socket the daemon listens on.")
-  in
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT"
-          ~doc:"MiniC source file, built-in workload name, or .cbin/.bbin binary.")
-  in
-  let functional =
-    Arg.(value & flag & info [ "functional" ] ~doc:"Functional execution only (no timing).")
-  in
-  let show_output =
-    Arg.(value & flag & info [ "show-output" ] ~doc:"Print the program's output stream.")
   in
   let doc_cmd name doc term = Cmd.v (Cmd.info name ~doc) term in
   let spool =
@@ -382,18 +318,15 @@ let () =
         & info [ "o"; "output" ] ~doc:"Write the executable image here.")
     in
     doc_cmd "compile" "Compile through the daemon's artifact cache."
-      Term.(ret (const compile $ socket $ input $ Args.isa $ Args.scale $ out))
+      Term.(ret (const compile $ socket $ Request.input $ Args.isa $ Args.scale $ out))
   in
   let verify_cmd =
     doc_cmd "verify" "Verify every executable the input carries."
-      Term.(ret (const verify $ socket $ input $ Args.scale))
+      Term.(ret (const verify $ socket $ Request.input $ Args.scale))
   in
   let sim_cmd =
     doc_cmd "sim" "Simulate through the daemon (byte-identical to bisasim)."
-      Term.(
-        ret
-          (const sim $ socket $ input $ Args.isa $ functional $ Args.exec
-         $ Args.sim_cfg $ show_output $ Args.scale))
+      Term.(ret (const sim $ socket $ Request.sim))
   in
   let cell_cmd =
     let bench =

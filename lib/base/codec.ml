@@ -301,3 +301,7 @@ let unseal ~component ~magic ~version ~id s =
     R.fail r "body checksum %s, but the body hashes to %s" (hex64 sum) (hex64 (Fnv.value t));
   r.R.section <- "body";
   (got, r)
+
+let unseal_file ~component ~magic ~version ~id path =
+  try unseal ~component ~magic ~version ~id (Fs.read_file path)
+  with Diag.Fail d -> raise (Diag.Fail { d with message = path ^ ": " ^ d.message })

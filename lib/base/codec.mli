@@ -113,6 +113,16 @@ val unseal :
     {!Bisa_base.Diag.Fail} of [component], located in section
     ["envelope"]. *)
 
+val unseal_file :
+  component:string ->
+  magic:string ->
+  version:int ->
+  id:(string -> bool) ->
+  string ->
+  string * R.t
+(** [unseal] of the file at a path, whose rejection also names the
+    path: ["PATH: <reason>"]. *)
+
 val fnv1a64 : string -> int64
 (** FNV-1a 64 content hash, used to bind snapshots to the exact program
     bytes and configuration they were taken under, to key the daemon's

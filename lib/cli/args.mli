@@ -8,7 +8,7 @@
 
 val icache_kb : int Cmdliner.Term.t
 (** [--icache-kb] / [BISA_ICACHE_KB]: L1 icache size in KB, 0 = perfect
-    (default 16).  Interpret with {!Driver.cache_of_kb}. *)
+    (default 16).  Interpreted by {!Bisa_proto.Proto.to_config}. *)
 
 val perfect_pred : bool Cmdliner.Term.t
 (** [--perfect-pred] / [BISA_PERFECT_PRED]: perfect branch prediction.

@@ -81,8 +81,8 @@ let read_done t k =
   if not (Sys.file_exists path) then None
   else begin
     let _, r =
-      Codec.unseal ~component ~magic:cell_magic ~version:cell_version ~id:(String.equal k)
-        (Fs.read_file path)
+      Codec.unseal_file ~component ~magic:cell_magic ~version:cell_version
+        ~id:(String.equal k) path
     in
     let m = Metrics.create () in
     Metrics.load m r;

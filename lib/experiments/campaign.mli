@@ -46,7 +46,9 @@ val run_cell :
     [bundle]) as a cell under campaign protection: return the stored
     metrics if the cell already finished, otherwise resume from its
     snapshot (if any), simulate, persist the manifest atomically, and
-    return.  Raises {!Timed_out} when [timeout_s] expires first.
+    return.  Raises {!Timed_out} when [timeout_s] expires first, and
+    {!Bisa_base.Diag.Fail}, located at the byte and naming the file, on
+    a damaged or stale manifest or snapshot.
 
     An artifact carrying threaded code runs the cell on the compiled
     functional executor.  Artifacts are derived state and the exec

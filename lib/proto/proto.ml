@@ -1,11 +1,10 @@
 (* The bisad wire protocol: typed requests and responses, their binary
    codec, and the length-prefixed framing both ends speak.
 
-   The same request values are built by the one-shot CLIs (lib/cli/Args
-   terms produce them) and by the daemon client, so "what bisasim does"
-   and "what bisad serves" cannot drift apart: both roads lead through
-   [to_config] and the render helpers below, which reproduce the one-shot
-   CLI's stdout byte for byte.
+   bisasim and the bisad client build the same request values (through
+   lib/cli/Request) and both are answered by the serving engine, so "what
+   bisasim does" and "what bisad serves" cannot drift apart: both roads
+   lead through [to_config] and the render helpers below.
 
    Every decode failure — framing or payload — is a structured
    {!Bisa_base.Diag.t} whose location is the byte offset the reader had
@@ -67,14 +66,30 @@ let default_sim_cfg =
     deadline = None;
   }
 
-let cache_of_kb = function
-  | 0 -> None
-  | kb -> Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 }
+(* The largest icache a request may ask for, in KB: 16 times the paper's
+   largest (64 KB) and 40 times the largest workload's code (gcc's
+   block-structured image, 24 KB), so no study is refused a size that
+   could change a result.  It also keeps the byte count far from
+   overflow, and the tag and LRU arrays a session allocates for the
+   cache at 512 KB, whoever sends the request. *)
+let max_icache_kb = 1024
 
+(* The checks allocate nothing unless they fail: every cache hit pays
+   for them. *)
 let to_config (c : sim_cfg) =
+  if c.icache_kb < 0 || c.icache_kb > max_icache_kb then
+    Diag.fail ~component:"config" "--icache-kb must be between 0 (a perfect icache) and %d (got %d)"
+      max_icache_kb c.icache_kb;
+  (match c.out_cap with
+  | Some n when n < 0 ->
+    Diag.fail ~component:"config" "--out-cap must be non-negative (got %d)" n
+  | _ -> ());
   {
     Bisa_timing.Config.default with
-    icache = cache_of_kb c.icache_kb;
+    icache =
+      (if c.icache_kb = 0 then None
+       else
+         Some { Bisa_uarch.Cache.size_bytes = c.icache_kb * 1024; assoc = 4; line_bytes = 32 });
     predictor =
       (if c.perfect_pred then Bisa_timing.Config.Perfect else Bisa_timing.Config.Real);
     op_budget = c.budget;

@@ -1,11 +1,11 @@
 (** The bisad wire protocol: typed requests and responses, their binary
     codec, and the length-prefixed framing both ends speak.
 
-    This is the shared vocabulary of the one-shot CLIs and the daemon:
-    the CLI argument terms ({!Bisa_cli.Args}) build these request values,
-    the daemon engine consumes them, and the render helpers reproduce the
-    one-shot CLI's stdout byte for byte, so cached daemon replies can be
-    diffed directly against [bisasim] output.
+    This is the shared vocabulary of the CLIs and the daemon: the CLI
+    terms ({!Bisa_cli.Args}, {!Bisa_cli.Request}) build these request
+    values, the serving engine consumes them — in process for
+    [bisasim], over a socket for [bisad] — and the render helpers
+    produce the stdout both print.
 
     Decode failures — framing or payload — raise {!Bisa_base.Diag.Fail}
     with component ["proto"] and a {!Bisa_base.Diag.loc} of
@@ -49,15 +49,13 @@ val default_sim_cfg : sim_cfg
 (** The one-shot CLI defaults: 16KB icache, real predictor, the default
     op budget, unbounded output retention. *)
 
-val cache_of_kb : int -> Bisa_uarch.Cache.config option
-(** [0] means a perfect (absent) icache; anything else is a 4-way,
-    32B-line cache of that size.  The single definition behind both the
-    CLIs' [--icache-kb] and the daemon's requests. *)
-
 val to_config : sim_cfg -> Bisa_timing.Config.t
 (** The one canonical [sim_cfg] -> {!Bisa_timing.Config.t} translation;
     its fingerprint is the configuration half of the daemon's cache
-    key. *)
+    key.  [icache_kb] 0 is a perfect (absent) icache, anything else a
+    4-way, 32-byte-line cache of that size.  Raises
+    {!Bisa_base.Diag.Fail} on an [icache_kb] below 0 or above 1024 (16
+    times the paper's largest icache) and on a negative [out_cap]. *)
 
 type sim_mode = Timing | Functional
 
@@ -117,9 +115,8 @@ type response =
 
 (** {1 Canonical stdout rendering}
 
-    Exactly the one-shot CLI's print statements, as strings — the daemon
-    caches and replays these, and the smoke tests diff them against the
-    real [bisasim] binary. *)
+    What [bisasim] and [bisad sim] print, as strings — the engine caches
+    and replays these. *)
 
 val render_functional : show_output:bool -> out:string -> ops:int -> ret:int -> string
 val render_timing : show_output:bool -> out:string -> summary:string -> string

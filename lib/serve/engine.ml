@@ -21,8 +21,9 @@
    that grows with the program.  A .cbin/.bbin binary is not held: each
    request decodes and hashes it.  Artifacts are prepared only on a
    miss.  Trust is decided once, at artifact preparation
-   ([Pipeline.prepare] runs the verifier); replays are pure, which is
-   what makes the result cache sound.  A failed compile stays
+   ([Pipeline.prepare] runs the verifier; a rejection answers with every
+   verifier diagnostic); replays are pure, which is what makes the
+   result cache sound.  A failed compile stays
    poisoned in its cell, but a failed run caches nothing.  Finished
    results are additionally spooled to disk through Atomic_file, so a
    SIGKILL loses only in-flight requests: the next start reloads finished
@@ -36,6 +37,8 @@ module Metrics = Bisa_timing.Metrics
 module Proto = Bisa_proto.Proto
 
 let component = "bisad"
+
+exception Rejected of Diag.t list
 
 (* --- cached result payloads -------------------------------------------- *)
 
@@ -131,6 +134,7 @@ type t = {
   mutable spool_skipped : int;
   mutable inflight_peak : int;
   log : Diag.t -> unit;
+  probe : Bisa_obs.Probe.t;  (* observes every timing session a miss launches *)
 }
 
 let hit t =
@@ -222,7 +226,7 @@ let load_spool t dir =
     files
 
 let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
-    ?(log = fun (_ : Diag.t) -> ()) () =
+    ?(log = fun (_ : Diag.t) -> ()) ?(probe = Bisa_obs.Probe.null) () =
   let t =
     {
       pool;
@@ -242,6 +246,7 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
       spool_skipped = 0;
       inflight_peak = 0;
       log;
+      probe;
     }
   in
   Option.iter (load_spool t) spool_dir;
@@ -335,27 +340,25 @@ let block_prog t (src : Proto.prog_src) =
                           a conventional binary"
 
 (* Artifact preparation is the trust boundary: [prepare] verifies, and
-   the memo makes that a per-(program, backend) one-time event.  The
-   verification rejection is poisoned into the cell, so repeat requests
-   for a bad program fail fast without re-verifying. *)
+   the memo makes that a per-(program, backend) one-time event.  [prepare]
+   stops at the verifier's first diagnostic; a rejection is answered with
+   all of them, so the verifier runs again only on a program it rejected.
+   The rejection is poisoned into the cell, so repeat requests for a bad
+   program fail fast without re-verifying. *)
+let prepare (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
+    ~exec (prog : p) =
+  match P.prepare ~exec prog with
+  | a -> a
+  | exception (Diag.Fail _ as e) -> (
+    match P.verify prog with [] -> raise e | ds -> raise (Rejected ds))
+
 let conv_artifact t ~exec (l : Pipeline.Conv.prog loaded) =
   memoize t t.conv_arts (l.prog_hash, exec) ~compute:(fun () ->
-      Pipeline.Conv.prepare ~exec l.prog)
+      prepare (module Pipeline.Conv) ~exec l.prog)
 
 let block_artifact t ~exec (l : Pipeline.Block.prog loaded) =
   memoize t t.block_arts (l.prog_hash, exec) ~compute:(fun () ->
-      Pipeline.Block.prepare ~exec l.prog)
-
-(* --- verification ------------------------------------------------------- *)
-
-let reject what diags =
-  let summary =
-    Diag.error ~component
-      (Printf.sprintf "verification rejected %s (%d diagnostic%s)" what
-         (List.length diags)
-         (if List.length diags = 1 then "" else "s"))
-  in
-  raise (Diag.Fail summary)
+      prepare (module Pipeline.Block) ~exec l.prog)
 
 (* --- the result cache ---------------------------------------------------- *)
 
@@ -441,11 +444,11 @@ let resolve t key ~prog_hash ~render launch =
     Hit (render ~cached:true entry)
   | None -> Miss { launch; settle = settle t key ~prog_hash ~render }
 
-(* A timing session over a prepared artifact; [payload] seals its
-   metrics and output. *)
-let timing_run (type a) (module P : Pipeline.S with type artifact = a) config (art : a)
+(* A timing session over a prepared artifact, observed by the engine's
+   probe; [payload] seals its metrics and output. *)
+let timing_run (type a) t (module P : Pipeline.S with type artifact = a) config (art : a)
     ~out_cap payload =
-  let s = P.session_artifact config art in
+  let s = P.session_artifact ~probe:t.probe config art in
   Option.iter (P.set_out_cap s) out_cap;
   {
     step = (fun () -> P.step s);
@@ -509,8 +512,7 @@ let key_clash what =
 let plan_sim (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
     ~(artifact : exec:Bisa_sim.Compile.backend -> p loaded -> a) ~functional
-    (l : p loaded) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
-  let config = Proto.to_config cfg in
+    (l : p loaded) ~mode ~exec ~(cfg : Proto.sim_cfg) ~config ~show_output =
   let key =
     sim_key ~what:"sim" ~isa:P.isa ~prog_hash:l.prog_hash ~cfg:config ~exec ~mode
       ~out_cap:cfg.out_cap
@@ -539,12 +541,11 @@ let plan_sim (type p a) t
       match mode with
       | Proto.Functional ->
         (* The functional path has no artifact to hide behind, so
-           verification is discharged explicitly, exactly as the
-           one-shot CLI does before running. *)
-        (match P.verify l.prog with [] -> () | ds -> reject "program" ds);
+           verification is discharged explicitly. *)
+        (match P.verify l.prog with [] -> () | ds -> raise (Rejected ds));
         functional l.prog ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
       | Proto.Timing ->
-        timing_run (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
           (fun (m, out) ->
             Tim_r
               {
@@ -556,6 +557,7 @@ let bench_key ~bench ~scale =
   bench ^ "@" ^ (match scale with None -> "default" | Some n -> string_of_int n)
 
 let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
+  let config = Proto.to_config cfg in
   let w =
     match Bisa_workloads.Workloads.find bench with
     | w -> w
@@ -567,7 +569,6 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
     memoize t t.workloads (bench_key ~bench ~scale) ~compute:(fun () ->
         load_compiled (Bisa_workloads.Workloads.compile ?scale w))
   in
-  let config = Proto.to_config cfg in
   let render ~cached e =
     match e.payload with
     | Cell_r { summary } -> Proto.Cell_done { summary; prog_hash = e.prog_hash; cached }
@@ -582,7 +583,7 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
         ~out_cap:cfg.out_cap
     in
     resolve t key ~prog_hash:l.prog_hash ~render (fun () ->
-        timing_run (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
+        timing_run t (module P) config (artifact ~exec l) ~out_cap:cfg.out_cap
           (fun (m, _out) ->
             Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m }))
   in
@@ -590,41 +591,50 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
   | Proto.Conv -> go (module Pipeline.Conv) ~artifact:(conv_artifact t) program.conv
   | Proto.Block -> go (module Pipeline.Block) ~artifact:(block_artifact t) program.block
 
-(* The one place a Simulate or Cell request is resolved: key, lookup and
-   hit accounting here; verification and the executor or session in the
-   miss's [launch]. *)
+(* The one place a Simulate or Cell request is resolved: the
+   configuration check, key, lookup and hit accounting here; verification
+   and the executor or session in the miss's [launch].  An out-of-range
+   configuration is rejected before anything is compiled. *)
 let plan t (req : Proto.request) =
   match req with
-  | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
-    plan_sim t
-      (module Pipeline.Conv)
-      ~artifact:(conv_artifact t) ~functional:conv_functional (conv_prog t src) ~mode
-      ~exec ~cfg ~show_output
-  | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
-    plan_sim t
-      (module Pipeline.Block)
-      ~artifact:(block_artifact t) ~functional:block_functional (block_prog t src)
-      ~mode ~exec ~cfg ~show_output
+  | Proto.Simulate { src; isa; mode; exec; cfg; show_output } -> (
+    let config = Proto.to_config cfg in
+    match isa with
+    | Proto.Conv ->
+      plan_sim t
+        (module Pipeline.Conv)
+        ~artifact:(conv_artifact t) ~functional:conv_functional (conv_prog t src) ~mode
+        ~exec ~cfg ~config ~show_output
+    | Proto.Block ->
+      plan_sim t
+        (module Pipeline.Block)
+        ~artifact:(block_artifact t) ~functional:block_functional (block_prog t src)
+        ~mode ~exec ~cfg ~config ~show_output)
   | Proto.Cell { bench; scale; isa; exec; cfg } ->
     plan_cell t ~bench ~scale ~isa ~exec ~cfg
   | _ -> invalid_arg "Engine.plan: not a Simulate or Cell request"
 
+(* The toolchain's failure exceptions, each as the diagnostics it
+   carries: the one mapping behind the engine's Err replies and every
+   CLI's failure line. *)
+let diags_of_exn ~component = function
+  | Bisa_compiler.Compiler.Compile_error d | Bisa_isa.Encode.Malformed d | Diag.Fail d ->
+    Some [ d ]
+  | Rejected ds -> Some ds
+  | Bisa_sim.Conv_exec.Runaway n -> Some [ Bisa_sim.Conv_exec.runaway_diag n ]
+  | Bisa_sim.Block_exec.Runaway n -> Some [ Bisa_sim.Block_exec.runaway_diag n ]
+  | Bisa_sim.Block_exec.Illegal_fetch { required; requested } ->
+    Some [ Bisa_sim.Block_exec.illegal_fetch_diag ~required ~requested ]
+  | Bisa_sim.Memory.Unaligned a ->
+    Some [ Diag.errorf ~component "unaligned memory access at 0x%x" a ]
+  | Sys_error msg -> Some [ Diag.error ~component msg ]
+  | _ -> None
+
 (* Every failure a request can legitimately produce becomes a structured
    Err response; the connection (and the daemon) survives.  Anything else
    is a bug and propagates. *)
-let err_of_exn : exn -> Proto.response = function
-  | Bisa_compiler.Compiler.Compile_error d -> Proto.Err [ d ]
-  | Bisa_isa.Encode.Malformed d -> Proto.Err [ d ]
-  | Diag.Fail d -> Proto.Err [ d ]
-  | Bisa_sim.Conv_exec.Runaway n -> Proto.Err [ Bisa_sim.Conv_exec.runaway_diag n ]
-  | Bisa_sim.Block_exec.Runaway n -> Proto.Err [ Bisa_sim.Block_exec.runaway_diag n ]
-  | Bisa_sim.Block_exec.Illegal_fetch { required; requested } ->
-    Proto.Err [ Bisa_sim.Block_exec.illegal_fetch_diag ~required ~requested ]
-  | Bisa_sim.Memory.Unaligned a ->
-    Proto.Err
-      [ Diag.error ~component (Printf.sprintf "unaligned memory access at 0x%x" a) ]
-  | Sys_error msg -> Proto.Err [ Diag.error ~component msg ]
-  | e -> raise e
+let err_of_exn e =
+  match diags_of_exn ~component e with Some ds -> Proto.Err ds | None -> raise e
 
 let note_served t =
   Mutex.lock t.lock;

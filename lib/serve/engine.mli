@@ -12,6 +12,10 @@
     decided once, at artifact preparation — replays are pure, which is
     what makes the result cache sound.
 
+    [bisasim] answers through an engine of its own, in process, and
+    [bisad serve] through a long-lived one: both print the bytes this
+    engine replies.
+
     With a spool directory, every finished result is also written to disk
     through {!Bisa_base.Atomic_file}, and reloaded (up to [result_cap]
     entries) on the next [create]: a SIGKILL loses only in-flight
@@ -24,6 +28,7 @@ val create :
   ?spool_dir:string ->
   ?result_cap:int ->
   ?log:(Bisa_base.Diag.t -> unit) ->
+  ?probe:Bisa_obs.Probe.t ->
   unit ->
   t
 (** [pool] shards [Batch] requests and steps the server loop's jobs
@@ -33,12 +38,29 @@ val create :
     [spool_skipped], and each reported once through [log] (default:
     silently dropped).  [result_cap] (default 4096) bounds the in-memory
     result cache, a reloaded spool included; eviction is insertion-order
-    FIFO, and evicted entries remain on the spool. *)
+    FIFO, and evicted entries remain on the spool.  [probe] (default
+    {!Bisa_obs.Probe.null}) observes every timing session the engine
+    launches — only misses launch one.  A trace recorder's probe is not
+    domain-safe, so pair it with the default sequential pool. *)
+
+exception Rejected of Bisa_base.Diag.t list
+(** A failure with all of its diagnostics, in order.  A verification
+    rejection carries every verifier diagnostic, and is answered as
+    [Err] of them; a client re-raises an [Err] reply as this for its
+    failure guard. *)
+
+val diags_of_exn : component:string -> exn -> Bisa_base.Diag.t list option
+(** The toolchain's failure exceptions — compile errors, malformed
+    binaries, {!Bisa_base.Diag.Fail}, {!Rejected}, executor runaways,
+    illegal fetches and unaligned accesses, and [Sys_error] — as the
+    diagnostics they carry ([component] names the ones that carry none);
+    [None] for anything else, which is a bug.  The one mapping behind
+    {!handle}'s [Err] replies and every CLI's failure line. *)
 
 val handle : t -> Bisa_proto.Proto.request -> Bisa_proto.Proto.response
-(** Serve one request.  Never raises: every failure — compile error,
-    malformed binary, verification rejection, runaway, bad workload
-    name — returns [Err diags].  A [Simulate] or [Cell] request is
+(** Serve one request.  Never raises: every failure — out-of-range
+    configuration, compile error, malformed binary, verification
+    rejection, runaway, bad workload name — returns [Err diags].  A [Simulate] or [Cell] request is
     resolved once into a cache hit or a miss; a miss runs to completion
     inside the result cache's exactly-once cell, so identical requests
     racing across the pool simulate once (one miss, the rest hits).  A

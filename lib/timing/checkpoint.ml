@@ -31,10 +31,7 @@ let load ~path ~isa ~prog_hash ~cfg_hash =
   if not (Sys.file_exists path) then None
   else begin
     let id = identity ~isa ~prog_hash ~cfg_hash in
-    let _, r =
-      Codec.unseal ~component ~magic ~version ~id:(String.equal id)
-        (Bisa_base.Fs.read_file path)
-    in
+    let _, r = Codec.unseal_file ~component ~magic ~version ~id:(String.equal id) path in
     let ops = Codec.R.int r in
     Some (ops, r)
   end

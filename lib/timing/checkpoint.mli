@@ -31,7 +31,7 @@ val load :
 (** [None] if no file exists at [path].  Otherwise check the envelope
     and the expected identity and return the snapshot's op count and a
     reader positioned at the payload.  Raises {!Bisa_base.Diag.Fail} on
-    any mismatch or damage. *)
+    any mismatch or damage, located at the byte and naming [path]. *)
 
 type 'a outcome = Finished of 'a | Timed_out of { ops : int }
 

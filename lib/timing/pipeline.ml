@@ -54,7 +54,6 @@ module type S = sig
   end
 
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
-  val prepare_trusted : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
   val bundle : ?code:code -> tables:tables -> prog -> artifact
 
   val session_artifact : ?probe:Bisa_obs.Probe.t -> Config.t -> artifact -> session
@@ -108,10 +107,6 @@ module Extend (B : BASE) :
 
   let prepare ?(exec = Bisa_sim.Compile.Compiled) prog =
     let tables = B.predecode prog in
-    bundle ?code:(code_for exec prog) ~tables prog
-
-  let prepare_trusted ?(exec = Bisa_sim.Compile.Compiled) prog =
-    let tables = B.predecode_trusted prog in
     bundle ?code:(code_for exec prog) ~tables prog
 
   let session_artifact ?probe cfg a =

@@ -13,11 +13,12 @@
 
     Preparation is the trust boundary: {!S.prepare} statically verifies
     the program (see {!Bisa_verify.Verify}) before building tables whose
-    raw indexes the engine uses unchecked.  {!S.prepare_trusted} skips
-    verification for callers that own the bounds obligations (the
-    [--no-verify] escape hatch, fuzzers).  All trust decisions happen at
-    preparation time, so replaying an artifact is pure — the property the
-    serving layer's cache is built on. *)
+    raw indexes the engine uses unchecked.  {!S.bundle} assembles an
+    artifact from tables a caller built itself, and leaves the bounds
+    obligations with that caller (the decode fuzzer, perfbench's
+    preparation split).  All trust decisions
+    happen at preparation time, so replaying an artifact is pure — the
+    property the serving layer's cache is built on. *)
 
 (** What every consumer drives.  A session comes only from an artifact
     ({!S.session_artifact} / {!S.run_artifact}), so the program witness,
@@ -109,10 +110,6 @@ module type S = sig
       build its tables, take its threaded-code handle when [exec] is
       [Compiled] (the default; [Interp] selects the dispatching
       interpreter), and hash its canonical encoding. *)
-
-  val prepare_trusted : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
-  (** [prepare] without verification — the caller asserts
-      well-formedness (the [--no-verify] escape hatch, fuzzers). *)
 
   val bundle : ?code:code -> tables:tables -> prog -> artifact
   (** Assemble an artifact from pieces built elsewhere; without [code]

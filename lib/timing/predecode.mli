@@ -87,8 +87,8 @@ val of_conv : Bisa_verify.Verify.verified_conv_prog -> t
 
 val of_conv_trusted : Bisa_isa.Conv_prog.t -> t
 (** As {!of_conv} without the witness — for explicitly-trusted callers
-    (the [--no-verify] escape hatch and fuzzers measuring the unverified
-    engine).  The caller owns the bounds obligations. *)
+    (perfbench's preparation split, which times the verifier on its
+    own).  The caller owns the bounds obligations. *)
 
 type blocks = {
   tab : t;

@@ -101,12 +101,12 @@ let test_round_trip () =
 
 (* --- cache correctness ---------------------------------------------------- *)
 
-(* The one-shot CLI's stdout for [sim ()], computed the way bisasim
-   computes it: trusted artifact, timing run, canonical rendering. *)
+(* The one-shot CLI's stdout for [sim ()], computed without the engine:
+   artifact, timing run, canonical rendering. *)
 let cli_bytes () =
   let c = Bisa_compiler.Compiler.compile src in
   let cfg = Proto.to_config Proto.default_sim_cfg in
-  let m, out = Pipeline.Block.run_artifact cfg (Pipeline.Block.prepare_trusted c.block) in
+  let m, out = Pipeline.Block.run_artifact cfg (Pipeline.Block.prepare c.block) in
   Proto.render_timing ~show_output:true
     ~out:(Bisa_sim.Output.to_string out)
     ~summary:
@@ -382,6 +382,91 @@ let test_malformed_source_err () =
           (d.Diag.loc = Diag.Src { line = 1; col = 24 })
       | _ -> Alcotest.fail "malformed float exponent must yield one Err")
     [ Proto.Conv; Proto.Block ]
+
+(* An out-of-range configuration is answered with one Err — in a timing
+   and a functional Simulate, in a Cell, inside a Batch and on the server
+   loop's path — and the same engine then serves good requests. *)
+let test_config_rejected () =
+  let bad =
+    [
+      ("negative out-cap", { Proto.default_sim_cfg with out_cap = Some (-1) });
+      ("negative icache", { Proto.default_sim_cfg with icache_kb = -4 });
+      ("icache bytes overflow", { Proto.default_sim_cfg with icache_kb = 9007199254740992 });
+      ("icache max_int", { Proto.default_sim_cfg with icache_kb = max_int });
+      ("icache above the bound", { Proto.default_sim_cfg with icache_kb = 1025 });
+    ]
+  in
+  let with_cfg cfg = function
+    | Proto.Simulate s -> Proto.Simulate { s with cfg }
+    | Proto.Cell c -> Proto.Cell { c with cfg }
+    | r -> r
+  in
+  let e = Engine.create () in
+  let rejected what = function
+    | Proto.Err [ d ] -> Alcotest.(check string) (what ^ ": component") "config" d.Diag.component
+    | Proto.Err ds -> Alcotest.failf "%s: %d diagnostics" what (List.length ds)
+    | _ -> Alcotest.failf "%s: answered instead of rejected" what
+  in
+  List.iter
+    (fun (what, cfg) ->
+      let reqs =
+        List.map (with_cfg cfg) [ sim (); sim ~mode:Proto.Functional (); cell () ]
+      in
+      List.iter (fun req -> rejected what (Engine.handle e req)) reqs;
+      (match Engine.handle e (Proto.Batch reqs) with
+      | Proto.Batch_r rs -> List.iter (rejected (what ^ " in a Batch")) rs
+      | _ -> Alcotest.fail "not a batch response");
+      List.iter
+        (fun req ->
+          match Engine.start e req with
+          | Engine.Done r -> rejected (what ^ " started") r
+          | Engine.Job _ -> Alcotest.failf "%s: started a job" what)
+        reqs)
+    bad;
+  ignore (sim_payload (Engine.handle e (sim ())));
+  ignore (sim_payload (Engine.handle e (sim ~mode:Proto.Functional ())));
+  match Engine.handle e (cell ()) with
+  | Proto.Cell_done _ -> ()
+  | _ -> Alcotest.fail "a good Cell after the rejections must answer"
+
+(* A block binary with several verifier violations: a timing and a
+   functional Simulate answer exactly the verifier's diagnostics, on
+   either path and again once the rejection is cached, and a Verify
+   returns them as its verdict. *)
+let test_rejection_diagnostics () =
+  let c = Bisa_compiler.Compiler.compile src in
+  let n = Array.length c.block.blocks in
+  let bad =
+    { c.block with entry = n + 7; symbols = ("nowhere", n + 9) :: c.block.symbols }
+  in
+  let want = Pipeline.Block.verify bad in
+  Alcotest.(check bool) "at least two violations" true (List.length want >= 2);
+  let src = Proto.Block_bin (Bisa_isa.Encode.block_to_bytes bad) in
+  let simulate mode =
+    match sim ~mode () with
+    | Proto.Simulate s -> Proto.Simulate { s with src }
+    | _ -> assert false
+  in
+  let diags = function
+    | Proto.Err ds -> ds
+    | _ -> Alcotest.fail "a rejected program must answer Err"
+  in
+  let e = Engine.create () in
+  List.iter
+    (fun (what, req) ->
+      Alcotest.(check (list string)) (what ^ ": every diagnostic")
+        (List.map Diag.render want)
+        (List.map Diag.render (diags (Engine.handle e req)));
+      Alcotest.(check bool) (what ^ ": again, the same") true
+        (diags (Engine.handle e req) = want);
+      match Engine.start (Engine.create ()) req with
+      | Engine.Done r ->
+        Alcotest.(check bool) (what ^ ": the server loop's path") true (diags r = want)
+      | Engine.Job _ -> Alcotest.failf "%s: started a job" what)
+    [ ("timing", simulate Proto.Timing); ("functional", simulate Proto.Functional) ];
+  match Engine.handle e (Proto.Verify { src }) with
+  | Proto.Verdict { diags } -> Alcotest.(check bool) "verify: every diagnostic" true (diags = want)
+  | _ -> Alcotest.fail "not a Verdict"
 
 (* --- the retrying client's schedule: pure, published, pinned --------------
 
@@ -777,6 +862,9 @@ let suite =
     Alcotest.test_case "multi-job rounds == handle (j1,j2,j4)" `Quick test_multi_job_rounds;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
     Alcotest.test_case "malformed source answers Err" `Quick test_malformed_source_err;
+    Alcotest.test_case "out-of-range configs answer Err" `Quick test_config_rejected;
+    Alcotest.test_case "rejections carry every verifier diagnostic" `Quick
+      test_rejection_diagnostics;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
     Alcotest.test_case "cache key and spool name pinned" `Quick test_key_pinned;
