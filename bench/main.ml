@@ -97,9 +97,7 @@ type kernel = { name : string; fn : unit -> unit; ops : (unit -> int) option }
 
 let kernels ~smoke () =
   let cfg icache predictor = { Bisa_timing.Config.default with icache; predictor } in
-  let icache_of_kb kb =
-    Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 }
-  in
+  let icache_of_kb kb = Some (Bisa_uarch.Cache.of_kb kb) in
   let conv_m cfg () =
     fst
       (Bisa_timing.Pipeline.Conv.run_artifact cfg (Pool.Once.force micro_conv_art))

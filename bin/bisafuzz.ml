@@ -85,29 +85,31 @@ let oracle ~pool ~seed ~count =
           --- minimal failing program ---\n\
           %s" f.shrink_evals f.reason pinpoint f.source)
 
-let decode ~pool ~seed ~count =
+(* An image campaign over the sample's conv image at [seed] and its
+   block image at [seed + 1]; both must pass before either prints. *)
+let on_images what campaign ~seed =
   let c = sample () in
   let conv_img = Bisa_isa.Encode.conv_to_bytes c.conv in
   let block_img = Bisa_isa.Encode.block_to_bytes c.block in
-  match Decode_fuzz.run ~pool Decode_fuzz.Conv ~seed ~count conv_img with
-  | Error e -> Error ("decode fuzzing (conv): " ^ e)
+  match campaign Decode_fuzz.Conv ~seed conv_img with
+  | Error e -> Error (Printf.sprintf "%s (conv): %s" what e)
   | Ok rc -> begin
-    match Decode_fuzz.run ~pool Decode_fuzz.Block ~seed:(seed + 1) ~count block_img with
-    | Error e -> Error ("decode fuzzing (block): " ^ e)
-    | Ok rb ->
-      Printf.printf
-        "decode: %d conv mutants (%d decoded, %d rejected cleanly), %d block mutants \
-         (%d decoded, %d rejected cleanly)\n"
-        rc.mutants rc.decoded rc.rejected rb.mutants rb.decoded rb.rejected;
-      Ok ()
+    match campaign Decode_fuzz.Block ~seed:(seed + 1) block_img with
+    | Error e -> Error (Printf.sprintf "%s (block): %s" what e)
+    | Ok rb -> Ok (rc, rb)
   end
 
+let decode ~pool ~seed ~count =
+  on_images "decode fuzzing" (Decode_fuzz.run ~pool ~count) ~seed
+  |> Result.map (fun ((rc : Decode_fuzz.report), (rb : Decode_fuzz.report)) ->
+         Printf.printf
+           "decode: %d conv mutants (%d decoded, %d rejected cleanly), %d block mutants \
+            (%d decoded, %d rejected cleanly)\n"
+           rc.mutants rc.decoded rc.rejected rb.mutants rb.decoded rb.rejected)
+
 (* The decode→verify→simulate trichotomy over mutated binaries of both
-   formats.  Splits the count across formats the same way `decode` does. *)
+   formats, seeded the way `decode` is. *)
 let verify ~pool ~seed ~count =
-  let c = sample () in
-  let conv_img = Bisa_isa.Encode.conv_to_bytes c.conv in
-  let block_img = Bisa_isa.Encode.block_to_bytes c.block in
   let show what (r : Decode_fuzz.trichotomy_report) =
     Printf.printf
       "verify (%s): %d mutants — %d decode-rejected, %d verify-rejected, %d \
@@ -115,18 +117,12 @@ let verify ~pool ~seed ~count =
       what r.t_mutants r.t_rejected_decode r.t_rejected_verify r.t_completed
       r.t_trapped r.t_budgeted
   in
-  match Decode_fuzz.trichotomy ~pool Decode_fuzz.Conv ~seed ~count conv_img with
-  | Error e -> Error ("verify trichotomy (conv): " ^ e)
-  | Ok rc -> begin
-    match
-      Decode_fuzz.trichotomy ~pool Decode_fuzz.Block ~seed:(seed + 1) ~count block_img
-    with
-    | Error e -> Error ("verify trichotomy (block): " ^ e)
-    | Ok rb ->
-      show "conv" rc;
-      show "block" rb;
-      Ok ()
-  end
+  on_images "verify trichotomy"
+    (fun fmt ~seed img -> Decode_fuzz.trichotomy ~pool fmt ~seed ~count img)
+    ~seed
+  |> Result.map (fun (rc, rb) ->
+         show "conv" rc;
+         show "block" rb)
 
 (* The daemon's wire codec under the same mutation pressure as the binary
    decoders: truncated or corrupted frames must yield located "proto"
@@ -134,7 +130,7 @@ let verify ~pool ~seed ~count =
 let proto ~pool ~seed ~count =
   match Bisa_check.Proto_fuzz.run ~pool ~seed ~count () with
   | Error e -> Error ("proto fuzzing: " ^ e)
-  | Ok (r : Bisa_check.Proto_fuzz.report) ->
+  | Ok r ->
     Printf.printf "proto: %d frame mutants (%d decoded, %d rejected cleanly)\n"
       r.mutants r.decoded r.rejected;
     Ok ()

@@ -32,12 +32,16 @@ let export r ~input ~trace_out ~trace_validate ~timeline =
 
 let run (sim : Request.sim) trace_out trace_sample trace_validate timeline verify_only =
   Driver.guard ~component @@ fun () ->
-  (* Only a timing run has pipeline events to record. *)
-  let recorder =
-    if (trace_out <> None || timeline) && not (sim.functional || verify_only) then
-      Some (Trace.recorder ~sample:trace_sample ())
-    else None
-  in
+  (* Only a timing run has pipeline events to record: a trace asked of
+     any other run is refused before anything runs, not dropped. *)
+  let traced = trace_out <> None || timeline in
+  if traced && (sim.functional || verify_only) then
+    Bisa_base.Diag.fail ~component "%s records a timing run, which %s does not make"
+      (if trace_out <> None then "--trace-out" else "--timeline")
+      (if verify_only then "--verify-only" else "--functional");
+  if traced && trace_sample < 1 then
+    Bisa_base.Diag.fail ~component "--trace-sample must be at least 1 (got %d)" trace_sample;
+  let recorder = if traced then Some (Trace.recorder ~sample:trace_sample ()) else None in
   let engine = Engine.create ?probe:(Option.map Trace.probe recorder) () in
   let req =
     if verify_only then Request.verification ~component ?scale:sim.scale sim.input

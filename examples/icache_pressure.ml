@@ -32,10 +32,7 @@ let () =
       List.iter
         (fun kb ->
           let cfg =
-            {
-              Bisa_timing.Config.default with
-              icache = Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 };
-            }
+            { Bisa_timing.Config.default with icache = Some (Bisa_uarch.Cache.of_kb kb) }
           in
           let mc, mb = run cfg in
           let rel m base = float_of_int (m - base) /. float_of_int base in

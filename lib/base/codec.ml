@@ -111,10 +111,17 @@ module R = struct
                   message)))
       fmt
 
+  (* A failed read: a located reader's Diag carries the offset, an
+     unlocated one's message ends with it. *)
+  let fail_read t fmt =
+    Printf.ksprintf
+      (fun m -> if t.section = "" then fail t "%s at byte %d" m t.pos else fail t "%s" m)
+      fmt
+
   (* One bound check a byte: the index below it is unchecked. *)
   let byte t =
     let p = t.pos in
-    if p >= String.length t.s then fail t "truncated at byte %d" p;
+    if p >= String.length t.s then fail_read t "truncated";
     t.pos <- p + 1;
     Char.code (String.unsafe_get t.s p)
 
@@ -126,7 +133,7 @@ module R = struct
   let rest t =
     let acc = ref 0 and shift = ref 0 and more = ref true in
     while !more do
-      if !shift > 56 then fail t "varint overruns 64 bits at byte %d" t.pos;
+      if !shift > 56 then fail_read t "varint overruns 64 bits";
       let c = byte t in
       acc := !acc lor ((c land 0x7F) lsl !shift);
       shift := !shift + 7;
@@ -158,7 +165,7 @@ module R = struct
   let float64 t =
     if remaining t < 8 then begin
       t.pos <- String.length t.s;
-      fail t "truncated at byte %d" t.pos
+      fail_read t "truncated"
     end;
     let v = String.get_int64_le t.s t.pos in
     t.pos <- t.pos + 8;
@@ -172,7 +179,7 @@ module R = struct
   let string t =
     let n = int t in
     if n < 0 || n > remaining t then
-      fail t "string of length %d overruns snapshot at byte %d" n t.pos;
+      fail_read t "string of length %d overruns snapshot" n;
     let s = String.sub t.s t.pos n in
     t.pos <- t.pos + n;
     s
@@ -184,8 +191,8 @@ module R = struct
      input. *)
   let array t f =
     let n = int t in
-    if n < 0 then fail t "negative array length at byte %d" t.pos;
-    if n > remaining t then fail t "array of length %d overruns input at byte %d" n t.pos;
+    if n < 0 then fail_read t "negative array length";
+    if n > remaining t then fail_read t "array of length %d overruns input" n;
     Array.init n (fun _ -> f t)
 
   let int_array t = array t int

@@ -1,6 +1,6 @@
 (* Wire-protocol mutation fuzzer for the bisad codec.
 
-   Mirrors Decode_fuzz for Bisa_proto: starting from valid encoded
+   A corpus of Decode_fuzz's campaign: starting from valid encoded
    request/response payloads (and framed streams of them), applies random
    bit flips, byte rewrites, truncations and junk extensions, then
    requires the decoder to either produce a value or raise [Diag.Fail]
@@ -11,12 +11,6 @@
 module Proto = Bisa_proto.Proto
 module Diag = Bisa_base.Diag
 module Rng = Bisa_base.Rng
-
-type report = {
-  mutants : int;
-  decoded : int;  (** mutants that still decoded to some value *)
-  rejected : int;  (** mutants rejected with a located "proto" Diag *)
-}
 
 (* --- the corpus ----------------------------------------------------------- *)
 
@@ -131,26 +125,10 @@ let responses : Proto.response list =
 
 (* --- the contract --------------------------------------------------------- *)
 
-(* A rejection only counts if it is the documented shape: component
-   "proto", error severity, and a byte offset within the payload naming a
-   section. *)
-let rejection_ok payload (d : Diag.t) =
-  match d.Diag.loc with
-  | Diag.Byte { offset; section }
-    when d.Diag.component = "proto"
-         && offset >= 0
-         && offset <= String.length payload
-         && section <> "" ->
-    Ok false
-  | _ ->
-    Error
-      (Printf.sprintf "rejection without a located \"proto\" diagnostic: %s"
-         (Diag.render d))
-
 let check_payload decode payload =
   match decode payload with
   | _ -> Ok true
-  | exception Diag.Fail d -> rejection_ok payload d
+  | exception Diag.Fail d -> Decode_fuzz.located ~component:"proto" payload d
   | exception exn -> Error (Printf.sprintf "decoder raised %s" (Printexc.to_string exn))
 
 (* Feed a (possibly mutated) byte stream to the framing layer in random
@@ -182,7 +160,7 @@ let check_stream rng decode stream =
         fed := !fed + n;
         go decoded
       end
-    | exception Diag.Fail d -> rejection_ok stream d
+    | exception Diag.Fail d -> Decode_fuzz.located ~component:"proto" stream d
     | exception exn ->
       Error (Printf.sprintf "framing raised %s" (Printexc.to_string exn))
   in
@@ -236,28 +214,7 @@ let check_one payloads rng =
   end
   else check_payload (decode_of kind) (Decode_fuzz.mutate rng payload)
 
-let run ?(pool = Bisa_base.Pool.sequential) ~seed ~count () =
+let run ?pool ~seed ~count () =
   match round_trip () with
   | Error e -> Error ("pristine payloads: " ^ e)
-  | Ok () ->
-    (* Mutant [i] is seeded from [Rng.derive seed i], so the campaign
-       shards across the pool deterministically (see Decode_fuzz). *)
-    let payloads = corpus () in
-    let indices = List.init count Fun.id in
-    let outcomes =
-      Bisa_base.Pool.map_list pool
-        (fun i -> (i, check_one payloads (Rng.derive seed i)))
-        indices
-    in
-    let decoded = ref 0 and rejected = ref 0 in
-    let rec tally = function
-      | [] -> Ok { mutants = count; decoded = !decoded; rejected = !rejected }
-      | (_, Ok true) :: rest ->
-        incr decoded;
-        tally rest
-      | (_, Ok false) :: rest ->
-        incr rejected;
-        tally rest
-      | (i, Error e) :: _ -> Error (Printf.sprintf "mutant %d (seed %d): %s" i seed e)
-    in
-    tally outcomes
+  | Ok () -> Decode_fuzz.tally ?pool ~seed ~count (check_one (corpus ()))

@@ -8,16 +8,13 @@
     section name.  Any other exception, a non-advancing framing loop, or
     a failed pristine round-trip is a finding. *)
 
-type report = {
-  mutants : int;
-  decoded : int;  (** mutants that still decoded to some value *)
-  rejected : int;  (** mutants rejected with a located "proto" Diag *)
-}
-
 val run :
-  ?pool:Bisa_base.Pool.t -> seed:int -> count:int -> unit -> (report, string) result
+  ?pool:Bisa_base.Pool.t ->
+  seed:int ->
+  count:int ->
+  unit ->
+  (Decode_fuzz.report, string) result
 (** [run ~seed ~count ()] first round-trips the pristine corpus, then
-    checks [count] mutants; [Error] describes the first contract
-    violation (lowest mutant index).  Mutant [i] is seeded by
-    [Rng.derive seed i], so the campaign shards across [pool] with
-    identical results at every worker count. *)
+    checks [count] mutants as one {!Decode_fuzz.tally}, whose
+    rejections must be {!Decode_fuzz.located} with component
+    ["proto"]. *)

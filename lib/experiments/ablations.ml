@@ -9,8 +9,7 @@ type study = { id : string; title : string; rendered : string }
 
 let default_subset = [ "m88ksim"; "perl"; "li" ]
 
-let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
-let base_config = Config.with_icache (Some scaled_16k) Config.default
+let base_config = Config.with_icache (Some Cache.config_16k) Config.default
 
 (* One block-core timing run of a freshly compiled variant, prepared
    under the caller's backend. *)

@@ -6,8 +6,6 @@ module Pool = Bisa_base.Pool
 module Conv = Bisa_timing.Pipeline.Conv
 module Block = Bisa_timing.Pipeline.Block
 
-let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
-
 (* These studies compile their own variants outside the Harness, so each
    prepares its programs under the backend the caller selected. *)
 let run_conv ~exec cfg prog = fst (Conv.run_artifact cfg (Conv.prepare ~exec prog))
@@ -16,7 +14,7 @@ let run_block ~exec cfg prog = fst (Block.run_artifact cfg (Block.prepare ~exec 
 let scientific ?(exec = Bisa_sim.Compile.Compiled) ?(pool = Pool.sequential) () =
   let w = Workloads.scientific in
   let c = Workloads.compile w in
-  let cfg = Config.with_icache (Some scaled_16k) Config.default in
+  let cfg = Config.with_icache (Some Cache.config_16k) Config.default in
   let mc, mb =
     match
       Pool.map_list pool
@@ -75,7 +73,7 @@ let scientific ?(exec = Bisa_sim.Compile.Compiled) ?(pool = Pool.sequential) () 
 
 let trace_cache_rivalry ?(exec = Bisa_sim.Compile.Compiled)
     ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ]) ?(pool = Pool.sequential) () =
-  let base = Config.with_icache (Some scaled_16k) Config.default in
+  let base = Config.with_icache (Some Cache.config_16k) Config.default in
   let with_tc =
     { base with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
   in
@@ -142,7 +140,7 @@ let trace_cache_rivalry ?(exec = Bisa_sim.Compile.Compiled)
 
 let predication_study ?(exec = Bisa_sim.Compile.Compiled)
     ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.sequential) () =
-  let cfg = Config.with_icache (Some scaled_16k) Config.default in
+  let cfg = Config.with_icache (Some Cache.config_16k) Config.default in
   let t =
     Table.create
       ~title:"Section 6: predicated execution (if-conversion to selects)"
@@ -218,7 +216,7 @@ let predication_study ?(exec = Bisa_sim.Compile.Compiled)
 
 let inlining_study ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = [ "li"; "gcc"; "vortex" ])
     ?(pool = Pool.sequential) () =
-  let cfg = Config.with_icache (Some scaled_16k) Config.default in
+  let cfg = Config.with_icache (Some Cache.config_16k) Config.default in
   let t =
     Table.create ~title:"Section 6: inlining lifts the call/return merge barrier"
       ~headers:

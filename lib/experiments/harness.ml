@@ -36,8 +36,6 @@ let chunks n xs =
   in
   go xs
 
-type cache_key = (int * int * int) option * Config.predictor
-
 type 'a cell = 'a Pool.Once.cell
 
 type t = {
@@ -52,7 +50,7 @@ type t = {
   exec : Bisa_sim.Compile.backend;
   lock : Mutex.t;  (* guards all tables (not the cells' contents) *)
   compiled_cache : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
-  run_cache : (string * string * cache_key, Bisa_timing.Metrics.t cell) Hashtbl.t;
+  run_cache : (string * string * int64, Bisa_timing.Metrics.t cell) Hashtbl.t;
   (* Artifacts (program witness + predecode tables + code handle +
      content hash): the form every timing run consumes, prepared once per
      program and shared by every grid configuration and worker domain
@@ -62,8 +60,6 @@ type t = {
   mutable on_compute : string -> unit;
 }
 
-let scaled_default = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
-
 let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
     ?(exec = Bisa_sim.Compile.Compiled) ?campaign () =
   let default_icache, sweep =
@@ -71,12 +67,8 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
       ( Cache.config_64k,
         [ ("16KB", Cache.config_16k); ("32KB", Cache.config_32k); ("64KB", Cache.config_64k) ] )
     else
-      ( scaled_default,
-        [
-          ("4KB", { Cache.size_bytes = Cache.kb 4; assoc = 4; line_bytes = 32 });
-          ("8KB", { Cache.size_bytes = Cache.kb 8; assoc = 4; line_bytes = 32 });
-          ("16KB", scaled_default);
-        ] )
+      ( Cache.config_16k,
+        [ ("4KB", Cache.of_kb 4); ("8KB", Cache.of_kb 8); ("16KB", Cache.config_16k) ] )
   in
   {
     scale;
@@ -143,10 +135,6 @@ let artifact_conv t =
 let artifact_block t =
   artifact t (module Bisa_timing.Pipeline.Block) t.art_block_cache (fun c -> c.block)
 
-let key_of (cfg : Config.t) : cache_key =
-  ( Option.map (fun (c : Cache.config) -> (c.size_bytes, c.assoc, c.line_bytes)) cfg.icache,
-    cfg.predictor )
-
 (* Both ISAs run through the one [Pipeline.S] contract; only the artifact
    memo differs per instantiation.  With a campaign attached, every cell
    goes through its crash-safe path: finished cells are read back from
@@ -154,7 +142,7 @@ let key_of (cfg : Config.t) : cache_key =
 let run (type p a) t
     (module P : Bisa_timing.Pipeline.S with type prog = p and type artifact = a)
     ~(artifact : Workloads.t -> a) (w : Workloads.t) (cfg : Config.t) =
-  memoize t t.run_cache (w.name, P.isa, key_of cfg)
+  memoize t t.run_cache (w.name, P.isa, Config.fingerprint cfg)
     ~label:(Printf.sprintf "run:%s/%s" w.name P.isa)
     ~compute:(fun () ->
       log "[run] %s/%s icache=%s pred=%s" w.name P.isa

@@ -6,9 +6,9 @@
     thousands to a few million operations instead of the paper's 78-232
     million, and their static footprints are KBs instead of hundreds of
     KBs.  The default icache is therefore the {e scaled} stand-in
-    (8KB, 4-way) for the paper's 64KB figure-3 cache, and the figure-6/7
-    sweep uses 2/4/8KB for the paper's 16/32/64KB.  [paper_caches] selects
-    the literal sizes instead.
+    (16KB, 4-way) for the paper's 64KB figure-3 cache, and the figure-6/7
+    sweep uses 4/8/16KB for the paper's 16/32/64KB.  [paper_caches]
+    selects the literal sizes instead.
 
     Concurrency (DESIGN.md section 9): both caches are mutex-protected
     with exactly-once fill semantics — N domains requesting the same
@@ -72,9 +72,10 @@ val artifact_block :
 val run_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Config.t -> Bisa_timing.Metrics.t
 (** Timing run of the workload's {!artifact_conv}, memoized on
-    (benchmark, isa, icache, predictor).  Safe to call concurrently from
-    pool workers; a given cell compiles and simulates exactly once.  With
-    a campaign attached the run goes through {!Campaign.run_cell}. *)
+    (benchmark, isa, {!Bisa_timing.Config.fingerprint}), so every field
+    of the configuration selects its own run.  Safe to call concurrently
+    from pool workers; a given cell compiles and simulates exactly once.
+    With a campaign attached the run goes through {!Campaign.run_cell}. *)
 
 val run_block :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Config.t -> Bisa_timing.Metrics.t

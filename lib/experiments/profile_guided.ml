@@ -87,8 +87,7 @@ let study ?(exec = Bisa_sim.Compile.Compiled) ?(workloads = [ "gcc"; "go" ])
           ("Mean block", Table.Right);
         ]
   in
-  let cache4 = { Cache.size_bytes = Cache.kb 4; assoc = 4; line_bytes = 32 } in
-  let cfg = Config.with_icache (Some cache4) Config.default in
+  let cfg = Config.with_icache (Some (Cache.of_kb 4)) Config.default in
   (* Grid: every (workload, build flavour) is an independent item — the
      profile-guided build does its own profiling run inside the task. *)
   let grid =

@@ -87,9 +87,7 @@ let to_config (c : sim_cfg) =
   {
     Bisa_timing.Config.default with
     icache =
-      (if c.icache_kb = 0 then None
-       else
-         Some { Bisa_uarch.Cache.size_bytes = c.icache_kb * 1024; assoc = 4; line_bytes = 32 });
+      (if c.icache_kb = 0 then None else Some (Bisa_uarch.Cache.of_kb c.icache_kb));
     predictor =
       (if c.perfect_pred then Bisa_timing.Config.Perfect else Bisa_timing.Config.Real);
     op_budget = c.budget;

@@ -1,9 +1,10 @@
 type config = { size_bytes : int; assoc : int; line_bytes : int }
 
 let kb n = n * 1024
-let config_16k = { size_bytes = kb 16; assoc = 4; line_bytes = 32 }
-let config_32k = { size_bytes = kb 32; assoc = 4; line_bytes = 32 }
-let config_64k = { size_bytes = kb 64; assoc = 4; line_bytes = 32 }
+let of_kb n = { size_bytes = kb n; assoc = 4; line_bytes = 32 }
+let config_16k = of_kb 16
+let config_32k = of_kb 32
+let config_64k = of_kb 64
 
 let null_hook ~addr:_ ~hit:_ = ()
 

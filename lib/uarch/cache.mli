@@ -9,10 +9,15 @@ type config = { size_bytes : int; assoc : int; line_bytes : int }
 val kb : int -> int
 (** [kb n] = n * 1024. *)
 
+val of_kb : int -> config
+(** [of_kb n] is the paper's icache geometry at [n] KB: 4-way, 32-byte
+    lines.  Every icache size the CLIs, the experiments and the bench
+    kernels name is built by it. *)
+
 val config_16k : config
 val config_32k : config
 val config_64k : config
-(** The paper's icache points: 16/32/64KB, 4-way, 32-byte lines. *)
+(** The paper's icache points: [of_kb] 16, 32 and 64. *)
 
 type t
 

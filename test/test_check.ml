@@ -124,6 +124,50 @@ let test_fault_injection_generated () =
   | Error e -> Alcotest.fail e
   | Ok r -> Alcotest.(check int) "both pipelines, two seeds" 4 r.runs
 
+(* The one located-rejection rule: a rejection counts only with the
+   component asked for and a byte offset within the input. *)
+let test_located () =
+  let module Diag = Bisa_base.Diag in
+  let input = "abcd" in
+  let at offset = Diag.at_byte ~offset ~section:"code" in
+  let verdict d = Decode_fuzz.located ~component:"encode" input d in
+  Alcotest.(check (result bool string)) "located at the end of the input" (Ok false)
+    (verdict (Diag.error ~loc:(at 4) ~component:"encode" "truncated"));
+  List.iter
+    (fun (what, d) ->
+      match verdict d with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error _ -> ())
+    [
+      ("no location", Diag.error ~component:"encode" "truncated");
+      ("another component", Diag.error ~loc:(at 1) ~component:"proto" "truncated");
+      ("past the end", Diag.error ~loc:(at 5) ~component:"encode" "truncated");
+    ]
+
+(* A campaign's outcomes come in mutant order, and its finding is the
+   lowest failing mutant, at every worker count. *)
+let test_campaign_order () =
+  let module Rng = Bisa_base.Rng in
+  let draw rng = Rng.int rng 1_000_000 in
+  let draws = List.init 60 (fun i -> draw (Rng.derive 3 i)) in
+  let bad = List.filter (fun v -> v mod 5 = 0) draws in
+  Alcotest.(check bool) "two mutants fail" true (List.length bad >= 2);
+  let first = List.hd bad in
+  let i = Option.get (List.find_index (( = ) first) draws) in
+  let picky rng =
+    let v = draw rng in
+    if v mod 5 = 0 then Error (string_of_int v) else Ok v
+  in
+  List.iter
+    (fun workers ->
+      Bisa_base.Pool.run ~workers @@ fun pool ->
+      Alcotest.(check (result (list int) string)) "outcomes in mutant order" (Ok draws)
+        (Decode_fuzz.campaign ~pool ~seed:3 ~count:60 (fun rng -> Ok (draw rng)));
+      Alcotest.(check (result (list int) string)) "lowest failing mutant"
+        (Error (Printf.sprintf "mutant %d (seed 3): %d" i first))
+        (Decode_fuzz.campaign ~pool ~seed:3 ~count:60 picky))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "differential fuzz, 200 programs" `Quick test_differential_fuzz;
@@ -134,4 +178,6 @@ let suite =
     Alcotest.test_case "fault injection campaign" `Quick test_fault_injection;
     Alcotest.test_case "fault injection on generated program" `Quick
       test_fault_injection_generated;
+    Alcotest.test_case "located rejections" `Quick test_located;
+    Alcotest.test_case "campaign order and first failure" `Quick test_campaign_order;
   ]

@@ -32,6 +32,22 @@ let test_harness_caching () =
   Alcotest.(check bool) "same object" true (m1 == m2);
   Alcotest.(check bool) "cached run is instant" true (t2 -. t1 < (t1 -. t0) /. 10.0 +. 0.01)
 
+(* The run memo is keyed on the whole configuration: a field no figure
+   varies, such as [fu_count], still selects its own run. *)
+let test_harness_memo_whole_config () =
+  let w = Bisa_workloads.Workloads.find "compress" in
+  let h = Harness.create ~scale:1 () in
+  let cfg = Harness.base_config h in
+  let narrow = { cfg with Bisa_timing.Config.fu_count = 1 } in
+  let summary m = Bisa_timing.Metrics.summary ~name:"compress" m in
+  let wide = Harness.run_conv h w cfg in
+  let after_wide = Harness.run_conv h w narrow in
+  let fresh = Harness.run_conv (Harness.create ~scale:1 ()) w narrow in
+  Alcotest.(check string) "fu_count 1 after the default = on a fresh harness"
+    (summary fresh) (summary after_wide);
+  Alcotest.(check bool) "fu_count 1 is not the default's run" true
+    (wide.cycles <> after_wide.cycles)
+
 let test_headline_direction () =
   (* m88ksim is the paper's biggest winner; even at scale 1 the
      block-structured core must win it. *)
@@ -266,6 +282,8 @@ let suite =
     Alcotest.test_case "table1" `Quick test_table1_is_paper;
     Alcotest.test_case "expected values" `Quick test_expected_values;
     Alcotest.test_case "harness caching" `Slow test_harness_caching;
+    Alcotest.test_case "harness memo keys the whole config" `Slow
+      test_harness_memo_whole_config;
     Alcotest.test_case "headline direction" `Slow test_headline_direction;
     Alcotest.test_case "sweep shape" `Quick test_sweep_shape;
     Alcotest.test_case "chunks" `Quick test_chunks;
