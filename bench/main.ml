@@ -417,22 +417,6 @@ int main() {
 |}
     iters
 
-let vm_hwm_kb () =
-  let ic = open_in "/proc/self/status" in
-  let rec go () =
-    match input_line ic with
-    | line ->
-      if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-        close_in ic;
-        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" (fun kb -> kb)
-      end
-      else go ()
-    | exception End_of_file ->
-      close_in ic;
-      0
-  in
-  go ()
-
 let run_stream () =
   let measure name iters =
     let c = Bisa_compiler.Compiler.compile (stream_source iters) in
@@ -447,7 +431,7 @@ let run_stream () =
     let t0 = Unix.gettimeofday () in
     let m, out = P.finish s in
     let dt = Unix.gettimeofday () -. t0 in
-    let hwm = vm_hwm_kb () in
+    let hwm = Bisa_base.Fs.vm_hwm_kb () in
     Printf.printf
       "%-24s %10d ops  %6.2f s  %9.0f ops/sec  peak RSS %d KB  (%d output \
        items retained)\n%!"

@@ -33,7 +33,8 @@ let export r ~input ~trace_out ~trace_validate ~timeline =
 let run (sim : Request.sim) trace_out trace_sample trace_validate timeline verify_only =
   Driver.guard ~component @@ fun () ->
   (* Only a timing run has pipeline events to record: a trace asked of
-     any other run is refused before anything runs, not dropped. *)
+     any other run is refused before anything runs, not dropped, and so
+     is a check of a trace file nothing writes. *)
   let traced = trace_out <> None || timeline in
   if traced && (sim.functional || verify_only) then
     Bisa_base.Diag.fail ~component "%s records a timing run, which %s does not make"
@@ -41,8 +42,11 @@ let run (sim : Request.sim) trace_out trace_sample trace_validate timeline verif
       (if verify_only then "--verify-only" else "--functional");
   if traced && trace_sample < 1 then
     Bisa_base.Diag.fail ~component "--trace-sample must be at least 1 (got %d)" trace_sample;
+  if trace_validate && trace_out = None then
+    Bisa_base.Diag.fail ~component
+      "--trace-validate re-reads the --trace-out file, and no --trace-out was given";
   let recorder = if traced then Some (Trace.recorder ~sample:trace_sample ()) else None in
-  let engine = Engine.create ?probe:(Option.map Trace.probe recorder) () in
+  let engine = Engine.create ~component ?probe:(Option.map Trace.probe recorder) () in
   let req =
     if verify_only then Request.verification ~component ?scale:sim.scale sim.input
     else Request.simulation ~component sim

@@ -309,6 +309,47 @@ let unseal ~component ~magic ~version ~id s =
   r.R.section <- "body";
   (got, r)
 
-let unseal_file ~component ~magic ~version ~id path =
-  try unseal ~component ~magic ~version ~id (Fs.read_file path)
-  with Diag.Fail d -> raise (Diag.Fail { d with message = path ^ ": " ^ d.message })
+(* --- sealed files (DESIGN.md section 13) -----------------------------------
+   No rename replaces a file, so ext4 never flushes one (auto_da_alloc).
+   One lock keeps two domains from removing each other's copy. *)
+
+type publish_step = Published | Removed
+
+let publish_hook = ref None
+let publish_lock = Mutex.create ()
+let step s = Option.iter (fun hook -> hook s) !publish_hook
+
+let hand_over path =
+  (try Sys.remove path with Sys_error _ -> ());
+  step Removed;
+  Sys.rename (path ^ ".next") path
+
+let write_sealed ~magic ~version ~id path body =
+  let s = seal ~magic ~version ~id body in
+  Mutex.protect publish_lock @@ fun () ->
+  (* Finish a handover a kill interrupted, so the new copy's name is free. *)
+  if Sys.file_exists (path ^ ".next") then hand_over path;
+  Atomic_file.write_string (path ^ ".next") s;
+  step Published;
+  hand_over path
+
+let read_sealed ~component ~magic ~version ~id path =
+  let rec newest = function
+    | [] -> None
+    | p :: older when not (Sys.file_exists p) -> newest older
+    | p :: older -> (
+      try Some (unseal ~component ~magic ~version ~id (Fs.read_file p))
+      with Diag.Fail d -> (
+        match newest older with
+        | Some _ as found -> found
+        | None | (exception _) -> raise (Diag.Fail { d with message = p ^ ": " ^ d.message })))
+  in
+  newest [ path ^ ".next"; path ]
+
+let remove_sealed path =
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".next" ]
+
+let sealed_names dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.map (fun f -> Option.value (Filename.chop_suffix_opt ~suffix:".next" f) ~default:f)
+  |> List.sort_uniq compare

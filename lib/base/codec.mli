@@ -18,7 +18,9 @@
 
     {!seal} and {!unseal} are the one envelope of every persisted file:
     magic, format version, identity, body length and the FNV-1a 64 hash
-    of the body, so any single changed byte is rejected. *)
+    of the body, so any single changed byte is rejected.  {!write_sealed}
+    and {!read_sealed} are the one way such a file reaches the disk and
+    comes back. *)
 
 module W : sig
   type t
@@ -113,15 +115,44 @@ val unseal :
     {!Bisa_base.Diag.Fail} of [component], located in section
     ["envelope"]. *)
 
-val unseal_file :
+(** {1 Sealed files}
+
+    The one path of checkpoint snapshots, campaign cells and spool
+    entries to the disk and back.  Nothing is fsynced: the guarantee is
+    against the death of the process (DESIGN.md section 13). *)
+
+val write_sealed : magic:string -> version:int -> id:string -> string -> W.t -> unit
+(** [write_sealed ~magic ~version ~id path body] writes [seal]'s file as
+    [PATH.next] (through {!Atomic_file.write}), removes [PATH] and renames
+    [PATH.next] to [PATH], first handing over a [PATH.next] a killed write
+    left.  A kill between any two steps leaves the newest copy findable.
+    Writers of one path in several domains take turns. *)
+
+val read_sealed :
   component:string ->
   magic:string ->
   version:int ->
   id:(string -> bool) ->
   string ->
-  string * R.t
-(** [unseal] of the file at a path, whose rejection also names the
-    path: ["PATH: <reason>"]. *)
+  (string * R.t) option
+(** [unseal] of the newest copy that unseals, [PATH.next] then [PATH];
+    [None] if neither exists.  If none unseals, the newest one's failure
+    is raised with its message naming that file: ["FILE: <reason>"]. *)
+
+val remove_sealed : string -> unit
+
+val sealed_names : string -> string list
+(** A directory's file names, sorted, each once, with a [NAME.next]
+    copy listed as [NAME], the path {!read_sealed} finds it by. *)
+
+type publish_step =
+  | Published  (** [PATH.next] is complete, [PATH] not yet removed *)
+  | Removed  (** [PATH] is gone, [PATH.next] not yet renamed to it *)
+
+val publish_hook : (publish_step -> unit) option ref
+(** Test hook run between the steps of every {!write_sealed} (the step
+    before, a temp file not yet renamed, is {!Atomic_file}'s); a hook
+    that raises dies there.  Always [None] in production. *)
 
 val fnv1a64 : string -> int64
 (** FNV-1a 64 content hash, used to bind snapshots to the exact program

@@ -49,8 +49,6 @@ let render t =
     Printf.sprintf "[%s] %s: %s: %s" (severity_to_string t.severity) t.component loc
       t.message
 
-let to_string = render
-
 (* Generic carrier for failures that do not have a dedicated exception;
    new code should prefer raising this over Failure/Invalid_argument. *)
 exception Fail of t

@@ -14,3 +14,11 @@ let rec rm_rf path =
     (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let vm_hwm_kb () =
+  match read_file "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | status ->
+    String.split_on_char '\n' status
+    |> List.find_map (fun line -> Scanf.sscanf_opt line "VmHWM: %d" Fun.id)
+    |> Option.value ~default:0

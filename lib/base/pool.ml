@@ -163,8 +163,6 @@ let map_list t f xs =
       settled
   end
 
-let map_reduce t ~map ~reduce ~init xs = List.fold_left reduce init (map_list t map xs)
-
 module Once = struct
   type 'a once_state =
     | Unforced of (unit -> 'a)
@@ -198,4 +196,35 @@ module Once = struct
         Mutex.unlock c.om;
         Printexc.raise_with_backtrace e bt
     end
+
+  (* A cell is found or installed under the table's lock and forced
+     outside it, so a slow computation never holds the table.  The hit
+     path locks by hand: [Mutex.protect]'s closure would allocate. *)
+  type ('k, 'a) table = { tm : Mutex.t; cells : ('k, 'a cell) Hashtbl.t }
+
+  let table n = { tm = Mutex.create (); cells = Hashtbl.create n }
+
+  let find t k =
+    Mutex.lock t.tm;
+    let c = Hashtbl.find_opt t.cells k in
+    Mutex.unlock t.tm;
+    c
+
+  let find_or_add t k f =
+    Mutex.lock t.tm;
+    let found = Hashtbl.find_opt t.cells k in
+    let c = match found with Some c -> c | None -> make f in
+    if Option.is_none found then Hashtbl.add t.cells k c;
+    Mutex.unlock t.tm;
+    c
+
+  let memo t k f = force (find_or_add t k f)
+
+  let remove ?cell t k =
+    Mutex.protect t.tm @@ fun () ->
+    match (cell, Hashtbl.find_opt t.cells k) with
+    | Some c, Some c' when c != c' -> ()
+    | _ -> Hashtbl.remove t.cells k
+
+  let length t = Mutex.protect t.tm (fun () -> Hashtbl.length t.cells)
 end

@@ -9,9 +9,9 @@
     [~workers:1] degenerates to plain, eager, in-order sequential
     execution with no domains spawned at all.
 
-    Determinism contract: [map_list] and [map_reduce] return results in
-    submission order no matter which domain ran which item or in what
-    order they finished, so any pipeline that derives per-item state
+    Determinism contract: [map_list] returns results in submission order
+    no matter which domain ran which item or in what order they
+    finished, so any pipeline that derives per-item state
     (e.g. {!Rng.derive} seeds) from the work item itself produces
     byte-identical output at every [workers] setting. *)
 
@@ -58,10 +58,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     raises, the exception of the {e earliest} failing item is re-raised,
     and only after every item has settled (no task outlives the call). *)
 
-val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a list -> 'c
-(** Parallel map, then an in-order sequential left fold — deterministic
-    even when [reduce] is not commutative. *)
-
 (** {1 Once cells}
 
     A domain-safe replacement for [lazy] (plain [Lazy.force] raises
@@ -74,4 +70,23 @@ module Once : sig
 
   val make : (unit -> 'a) -> 'a cell
   val force : 'a cell -> 'a
+
+  (** The one exactly-once memo: a cell per key, found or installed under
+      the table's lock and forced outside it, so for each key one caller
+      computes and the others block on its cell. *)
+  type ('k, 'a) table
+
+  val table : int -> ('k, 'a) table
+  val find : ('k, 'a) table -> 'k -> 'a cell option
+
+  val find_or_add : ('k, 'a) table -> 'k -> (unit -> 'a) -> 'a cell
+  (** [k]'s cell, installed from the thunk if absent; no other thunk runs. *)
+
+  val memo : ('k, 'a) table -> 'k -> (unit -> 'a) -> 'a
+  (** [force] of {!find_or_add}'s cell. *)
+
+  val remove : ?cell:'a cell -> ('k, 'a) table -> 'k -> unit
+  (** Drop [k]'s cell; with [~cell], only if [k] still maps to it. *)
+
+  val length : ('k, 'a) table -> int
 end

@@ -79,8 +79,6 @@ end
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-let percent_change base v = 100.0 *. (v -. base) /. base
-
 let geomean = function
   | [] -> 0.0
   | vs ->

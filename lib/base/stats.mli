@@ -44,8 +44,5 @@ end
 val ratio : int -> int -> float
 (** [ratio num den] = [num/den] as float, 0.0 when [den] = 0. *)
 
-val percent_change : float -> float -> float
-(** [percent_change base v] = 100*(v-base)/base. *)
-
 val geomean : float list -> float
 (** Geometric mean of positive values; 0.0 on empty input. *)

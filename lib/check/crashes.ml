@@ -2,15 +2,16 @@
 
    One golden pass runs a small grid (2 benchmarks x 2 configs x both
    pipelines) straight through the pipelines.  Every trial then runs the
-   same grid under a Campaign directory, kills it — either by making the
-   n-th Atomic_file write raise (in-process, covering the pre-rename
-   window) or by forking and SIGKILLing after a randomized delay — and
-   re-runs with the same directory.  The resumed report must be
+   same grid under a Campaign directory, kills it — either by raising at
+   the n-th pass of one step of a write (in-process, [with_crash_at]) or
+   by forking and SIGKILLing after a randomized delay — and re-runs with
+   the same directory.  The resumed report must be
    byte-identical to the golden one: finished cells must be reused,
-   in-flight cells must restart from their last snapshot, and no torn
+   in-flight cells must restart from their newest snapshot, and no torn
    file may ever surface. *)
 
 module Campaign = Bisa_experiments.Campaign
+module Codec = Bisa_base.Codec
 module Config = Bisa_timing.Config
 module Metrics = Bisa_timing.Metrics
 
@@ -142,28 +143,36 @@ let fresh_scratch () =
   Unix.mkdir d 0o755;
   d
 
-(* --- in-process crashes at the n-th atomic write ----------------------- *)
+(* --- in-process crashes at the n-th pass of a write step --------------- *)
 
 exception Crashed
 
-let with_crash_at n f =
+(* Crash at the [n]-th pass of [point]: after a temp file is complete
+   (["written"], every atomic write), or after a sealed write published
+   its [.next] copy (["published"]) or removed the old one (["removed"]). *)
+let with_crash_at point n f =
   let count = ref 0 in
-  Bisa_base.Atomic_file.crash_after_write_hook :=
-    Some
-      (fun () ->
-        incr count;
-        if !count = n then raise Crashed);
+  let pass p =
+    if p = point then begin
+      incr count;
+      if !count = n then raise Crashed
+    end
+  in
+  Bisa_base.Atomic_file.crash_after_write_hook := Some (fun () -> pass "written");
+  Codec.publish_hook :=
+    Some (function Codec.Published -> pass "published" | Codec.Removed -> pass "removed");
   Fun.protect
-    ~finally:(fun () -> Bisa_base.Atomic_file.crash_after_write_hook := None)
+    ~finally:(fun () ->
+      Bisa_base.Atomic_file.crash_after_write_hook := None;
+      Codec.publish_hook := None)
     f
 
-(* Run one trial that dies at the [n]-th atomic write (campaign meta,
-   checkpoint snapshot, or finished-cell manifest — whichever comes
-   n-th), then resumes.  Returns whether the crash actually fired. *)
-let hook_trial ~dir cells golden n =
-  let d = Filename.concat dir (Printf.sprintf "hook%d" n) in
+(* Run one trial that dies at the [n]-th pass of [point], then resumes.
+   Returns whether the crash actually fired. *)
+let hook_trial ~dir cells golden (point, n) =
+  let d = Filename.concat dir (Printf.sprintf "hook-%s-%d" point n) in
   let fired =
-    match with_crash_at n (fun () -> render cells (Some (open_camp d))) with
+    match with_crash_at point n (fun () -> render cells (Some (open_camp d))) with
     | (_ : string) -> false
     | exception Crashed -> true
   in
@@ -171,9 +180,9 @@ let hook_trial ~dir cells golden n =
   if resumed <> golden then
     Error
       (Printf.sprintf
-         "resume after in-process crash at atomic write %d diverged from the \
-          uninterrupted run:\n--- golden ---\n%s--- resumed ---\n%s"
-         n golden resumed)
+         "resume after in-process crash at write step %s, pass %d, diverged from \
+          the uninterrupted run:\n--- golden ---\n%s--- resumed ---\n%s"
+         point n golden resumed)
   else Ok fired
 
 (* --- forked runs SIGKILLed at randomized delays ------------------------ *)
@@ -228,11 +237,15 @@ let campaign ?(seed = 42) ?dir ?(kill_trials = 6) () =
   if timed <> golden then
     Error "an uninterrupted campaign run already diverges from the direct run"
   else begin
-    (* In-process crashes: always the very first write (campaign meta),
-       then a spread of later write indexes. *)
+    (* In-process crashes at each step: always the first pass (for a
+       temp file, the campaign meta), then a spread of later ones. *)
     let hook_points =
-      1
-      :: List.init 5 (fun _ -> 2 + Bisa_base.Rng.int rng 30)
+      List.concat_map
+        (fun point ->
+          List.map
+            (fun n -> (point, n))
+            (1 :: List.init 5 (fun _ -> 2 + Bisa_base.Rng.int rng 30)))
+        [ "written"; "published"; "removed" ]
     in
     let rec hooks points fired =
       match points with

@@ -4,10 +4,12 @@
     benchmarks, two configurations, both pipelines) under a
     {!Bisa_experiments.Campaign} directory and kills it two ways:
 
-    - {b in-process}: {!Bisa_base.Atomic_file.crash_after_write_hook}
-      raises at the n-th atomic write — including the window after the
-      temp file is complete but before the rename, the exact instant a
-      torn manifest would be created if atomicity were broken;
+    - {b in-process}: a hook raises at the n-th pass of one step of a
+      write: after a temp file is complete but before its rename
+      ({!Bisa_base.Atomic_file.crash_after_write_hook}, the instant a torn
+      manifest would appear if atomicity were broken), and after each
+      handover step of a sealed file ({!Bisa_base.Codec.publish_hook}:
+      its [.next] copy published, its old copy removed);
     - {b out-of-process}: the grid is forked and SIGKILLed after a
       randomized delay, so death lands at arbitrary instruction
       boundaries, not just at write sites.

@@ -56,8 +56,3 @@ let to_machine ?(opt = Bisa_opt.Pipeline.O1) ?(inline = false) ?(ifconvert = fal
   let typed, ir = frontend ~library_funcs src in
   let mfuncs = select_all ir ~opt ~inline ~ifconvert in
   (typed, ir, mfuncs)
-
-let compile_conventional_only ?(opt = Bisa_opt.Pipeline.O1) ?(library_funcs = []) src =
-  let typed, ir = frontend ~library_funcs src in
-  let mfuncs = select_all ir ~opt ~inline:false ~ifconvert:false in
-  (typed, Bisa_backend.Linker.link_conventional ir.globals mfuncs)

@@ -49,9 +49,3 @@ val to_machine :
   Bisa_frontend.Typed.tprogram * Bisa_ir.Ir.program * Bisa_backend.Mir.mfunc list
 (** Stop after instruction selection — for flows that link more than once
     (e.g. profile-guided enlargement compiles, profiles, then re-links). *)
-
-val compile_conventional_only :
-  ?opt:Bisa_opt.Pipeline.level ->
-  ?library_funcs:string list ->
-  string ->
-  Bisa_frontend.Typed.tprogram * Bisa_isa.Conv_prog.t

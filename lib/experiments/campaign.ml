@@ -12,7 +12,10 @@
      <dir>/meta                  campaign identity (scale, cache flavor)
      <dir>/cells/<key>.done      finished cell: serialized Metrics
      <dir>/cells/<key>.ckpt      in-flight cell: Checkpoint snapshot
-     <dir>/cells/<key>.timeout   cell that exceeded the per-cell budget *)
+     <dir>/cells/<key>.timeout   cell that exceeded the per-cell budget
+
+   A .done or .ckpt file killed in mid-handover is <key>.done.next or
+   <key>.ckpt.next (Codec.write_sealed); its reader finds it there. *)
 
 module Config = Bisa_timing.Config
 module Fs = Bisa_base.Fs
@@ -73,21 +76,15 @@ let cell_version = 2
 let write_done t k (m : Metrics.t) =
   let w = Codec.W.create () in
   Metrics.save m w;
-  Bisa_base.Atomic_file.write_string (cell_path t k ".done")
-    (Codec.seal ~magic:cell_magic ~version:cell_version ~id:k w)
+  Codec.write_sealed ~magic:cell_magic ~version:cell_version ~id:k (cell_path t k ".done") w
 
 let read_done t k =
-  let path = cell_path t k ".done" in
-  if not (Sys.file_exists path) then None
-  else begin
-    let _, r =
-      Codec.unseal_file ~component ~magic:cell_magic ~version:cell_version
-        ~id:(String.equal k) path
-    in
-    let m = Metrics.create () in
-    Metrics.load m r;
-    Some m
-  end
+  Codec.read_sealed ~component ~magic:cell_magic ~version:cell_version ~id:(String.equal k)
+    (cell_path t k ".done")
+  |> Option.map (fun (_, r) ->
+         let m = Metrics.create () in
+         Metrics.load m r;
+         m)
 
 (* A sampled wall-clock deadline: cheap enough to poll every pipeline
    step, accurate to ~1k steps. *)
@@ -97,8 +94,6 @@ let make_deadline timeout_s =
   fun () ->
     incr n;
     !n land 1023 = 0 && Unix.gettimeofday () -. start > timeout_s
-
-let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
 
 let run_cell (type p a) t
     (module P : Bisa_timing.Pipeline.S with type prog = p and type artifact = a)
@@ -117,7 +112,7 @@ let run_cell (type p a) t
     with
     | Checkpoint.Finished (m, _out) ->
       write_done t k m;
-      remove_if_exists (cell_path t k ".timeout");
+      (try Sys.remove (cell_path t k ".timeout") with Sys_error _ -> ());
       m
     | Checkpoint.Timed_out { ops } ->
       (* Record the timeout; the snapshot stays so a retry (e.g. with a

@@ -5,7 +5,7 @@
     keyed by content — the configuration's {!Bisa_timing.Config.fingerprint}
     and the program's content hash — so results are reused independently
     of execution order or worker count.  Finished cells persist their
-    {!Bisa_timing.Metrics.t} through {!Bisa_base.Atomic_file}; in-flight
+    {!Bisa_timing.Metrics.t} through {!Bisa_base.Codec.write_sealed}; in-flight
     cells leave {!Bisa_timing.Checkpoint} snapshots every
     [checkpoint_every] dynamic ops.  Killing a run at any instant and
     re-opening the same directory loses at most one checkpoint interval

@@ -36,8 +36,6 @@ let chunks n xs =
   in
   go xs
 
-type 'a cell = 'a Pool.Once.cell
-
 type t = {
   scale : int option;
   campaign : Campaign.t option;
@@ -48,15 +46,14 @@ type t = {
      uses.  Not part of the run-cache key: the backends are
      differentially tested equivalent, so metrics do not depend on it. *)
   exec : Bisa_sim.Compile.backend;
-  lock : Mutex.t;  (* guards all tables (not the cells' contents) *)
-  compiled_cache : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
-  run_cache : (string * string * int64, Bisa_timing.Metrics.t cell) Hashtbl.t;
+  compiled_cache : (string, Bisa_compiler.Compiler.compiled) Pool.Once.table;
+  run_cache : (string * string * int64, Bisa_timing.Metrics.t) Pool.Once.table;
   (* Artifacts (program witness + predecode tables + code handle +
      content hash): the form every timing run consumes, prepared once per
      program and shared by every grid configuration and worker domain
      that simulates it. *)
-  art_conv_cache : (string, Bisa_timing.Pipeline.Conv.artifact cell) Hashtbl.t;
-  art_block_cache : (string, Bisa_timing.Pipeline.Block.artifact cell) Hashtbl.t;
+  art_conv_cache : (string, Bisa_timing.Pipeline.Conv.artifact) Pool.Once.table;
+  art_block_cache : (string, Bisa_timing.Pipeline.Block.artifact) Pool.Once.table;
   mutable on_compute : string -> unit;
 }
 
@@ -77,11 +74,10 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
     sweep;
     pool;
     exec;
-    lock = Mutex.create ();
-    compiled_cache = Hashtbl.create 16;
-    run_cache = Hashtbl.create 64;
-    art_conv_cache = Hashtbl.create 16;
-    art_block_cache = Hashtbl.create 16;
+    compiled_cache = Pool.Once.table 16;
+    run_cache = Pool.Once.table 64;
+    art_conv_cache = Pool.Once.table 16;
+    art_block_cache = Pool.Once.table 16;
     on_compute = ignore;
   }
 
@@ -92,27 +88,12 @@ let benchmarks _ = Workloads.all
 let pool t = t.pool
 let set_compute_hook t hook = t.on_compute <- hook
 
-(* Find-or-compute with exactly-once semantics: the cell is installed
-   under [t.lock] and forced outside it, so one requester computes and
-   everyone else blocks on the cell.  The hook runs inside the cell's
-   thunk, so [t.on_compute label] fires exactly once per distinct key. *)
+(* The hook runs inside the thunk, which the table runs once per
+   distinct key, so [t.on_compute label] fires exactly once per key. *)
 let memoize t table key ~label ~compute =
-  Mutex.lock t.lock;
-  let cell =
-    match Hashtbl.find_opt table key with
-    | Some cell -> cell
-    | None ->
-      let hook = t.on_compute in
-      let cell =
-        Pool.Once.make (fun () ->
-            hook label;
-            compute ())
-      in
-      Hashtbl.add table key cell;
-      cell
-  in
-  Mutex.unlock t.lock;
-  Pool.Once.force cell
+  Pool.Once.memo table key (fun () ->
+      t.on_compute label;
+      compute ())
 
 let compiled t (w : Workloads.t) =
   memoize t t.compiled_cache w.name ~label:("compile:" ^ w.name) ~compute:(fun () ->

@@ -408,11 +408,3 @@ let parse src =
     | _ -> loop (decl st :: acc)
   in
   loop []
-
-let parse_expr src =
-  let st = start src in
-  let e = expr st in
-  (match peek st with
-  | Lexer.EOF -> ()
-  | _ -> error st "trailing tokens after expression");
-  e

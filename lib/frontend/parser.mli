@@ -5,6 +5,3 @@ exception Error of string * Ast.pos
 val parse : string -> Ast.program
 (** Parse a whole compilation unit.  Raises {!Error} (or {!Lexer.Error}) on
     malformed input. *)
-
-val parse_expr : string -> Ast.expr
-(** Parse a single expression — used by property tests. *)

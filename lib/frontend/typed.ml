@@ -44,8 +44,3 @@ let find_func p name =
   match List.find_opt (fun f -> f.tf_name = name) p.tfuncs with
   | Some f -> f
   | None -> invalid_arg ("Typed.find_func: unknown function " ^ name)
-
-let find_global p name =
-  match List.find_opt (fun (g : Ast.global_decl) -> g.g_name = name) p.tglobals with
-  | Some g -> g
-  | None -> invalid_arg ("Typed.find_global: unknown global " ^ name)

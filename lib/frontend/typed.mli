@@ -50,4 +50,3 @@ type tfunc = {
 type tprogram = { tglobals : Ast.global_decl list; tfuncs : tfunc list }
 
 val find_func : tprogram -> string -> tfunc
-val find_global : tprogram -> string -> Ast.global_decl

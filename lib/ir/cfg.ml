@@ -29,36 +29,6 @@ let remove_unreachable (f : Ir.func) =
     f.blocks <- blocks
   end
 
-let split_critical_edges (f : Ir.func) =
-  let n = Array.length f.blocks in
-  let pred_count = Array.make n 0 in
-  Array.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun s -> pred_count.(s) <- pred_count.(s) + 1) (Ir.successors b.term))
-    f.blocks;
-  let extra = ref [] in
-  let next = ref n in
-  Array.iter
-    (fun (b : Ir.block) ->
-      let succs = Ir.successors b.term in
-      if List.length succs > 1 then
-        b.term <-
-          Ir.map_term_labels
-            (fun l ->
-              if pred_count.(l) > 1 then begin
-                let fresh = !next in
-                incr next;
-                extra := { Ir.ops = []; term = Ir.Jmp l } :: !extra;
-                fresh
-              end
-              else l)
-            b.term)
-    f.blocks;
-  if !extra <> [] then
-    f.blocks <- Array.append f.blocks (Array.of_list (List.rev !extra))
-
-let block_order_rpo (f : Ir.func) = Digraph.rpo (digraph f)
-
 let validate (f : Ir.func) =
   let n = Array.length f.blocks in
   let nv = Array.length f.vreg_kinds in

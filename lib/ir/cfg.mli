@@ -6,12 +6,6 @@ val digraph : Ir.func -> Bisa_base.Digraph.t
 val remove_unreachable : Ir.func -> unit
 (** Delete unreachable blocks and renumber labels. *)
 
-val split_critical_edges : Ir.func -> unit
-(** Not needed by the current pipeline but provided for pass authors. *)
-
-val block_order_rpo : Ir.func -> int array
-(** Reverse-postorder block order, used by layout and linear-scan. *)
-
 val validate : Ir.func -> (unit, string) result
 (** Structural invariants: labels in range, entry exists, every vreg used
     has a kind, call continuations well formed. *)

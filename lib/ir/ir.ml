@@ -124,8 +124,6 @@ let map_term_labels f = function
   | Switch (a, cases, default) -> Switch (a, Array.map f cases, f default)
   | (Ret _ | Halt) as t -> t
 
-let vreg_kind func v = func.vreg_kinds.(v)
-
 let find_func prog name =
   match List.find_opt (fun f -> f.name = name) prog.funcs with
   | Some f -> f

@@ -95,7 +95,6 @@ val iter_term_uses : (vreg -> unit) -> terminator -> unit
 
 val successors : terminator -> label list
 val map_term_labels : (label -> label) -> terminator -> terminator
-val vreg_kind : func -> vreg -> kind
 val find_func : program -> string -> func
 val func_op_count : func -> int
 

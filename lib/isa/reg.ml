@@ -18,10 +18,6 @@ let frv = flt 2
 let range f lo hi = List.init (hi - lo + 1) (fun k -> f (lo + k))
 let int_args = range int 4 11
 let flt_args = range flt 4 11
-let int_temps = range int 12 23
-let int_saved = range int 24 30
-let flt_temps = range flt 12 23
-let flt_saved = range flt 24 31
 
 let is_int = function Int _ -> true | Flt _ -> false
 let index = function Int i | Flt i -> i

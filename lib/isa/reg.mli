@@ -37,15 +37,6 @@ val int_args : t list
 
 val flt_args : t list
 
-val int_temps : t list
-(** Caller-saved integer registers available to the allocator. *)
-
-val int_saved : t list
-(** Callee-saved integer registers available to the allocator. *)
-
-val flt_temps : t list
-val flt_saved : t list
-
 val is_int : t -> bool
 val index : t -> int
 

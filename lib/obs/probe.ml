@@ -32,4 +32,3 @@ let null =
 
 let is_null t = t == null
 let of_option = function Some p -> p | None -> null
-let cause_to_string = function Mispredict -> "mispredict" | Fault_squash -> "fault-squash"

@@ -51,5 +51,3 @@ val is_null : t -> bool
 
 val of_option : t option -> t
 (** [of_option None] is {!null}. *)
-
-val cause_to_string : redirect_cause -> string

@@ -2,7 +2,7 @@
    against a content-addressed artifact cache.
 
    Three cache layers, all exactly-once under concurrency (Pool.Once
-   cells — one requester computes, the rest block on the cell):
+   tables — one requester computes, the rest block on the cell):
 
      - loaded programs    compiled MiniC keyed by the source hash,
                           workloads by name and scale; each holds one
@@ -25,9 +25,9 @@
    verifier diagnostic); replays are pure, which is what makes the
    result cache sound.  A failed compile stays
    poisoned in its cell, but a failed run caches nothing.  Finished
-   results are additionally spooled to disk through Atomic_file, so a
-   SIGKILL loses only in-flight requests: the next start reloads finished
-   responses byte-identically, up to the in-memory bound. *)
+   results are additionally spooled to disk through Codec.write_sealed,
+   so a SIGKILL loses only in-flight requests: the next start reloads
+   finished responses byte-identically, up to the in-memory bound. *)
 
 module Pool = Bisa_base.Pool
 module Diag = Bisa_base.Diag
@@ -35,8 +35,6 @@ module Codec = Bisa_base.Codec
 module Pipeline = Bisa_timing.Pipeline
 module Metrics = Bisa_timing.Metrics
 module Proto = Bisa_proto.Proto
-
-let component = "bisad"
 
 exception Rejected of Diag.t list
 
@@ -53,14 +51,13 @@ type payload =
 
 type entry = { prog_hash : int64; payload : payload }
 
-(* A spooled entry is one atomically-written file per result, sealed
-   (version 2) with the result key as its identity, under a name the key
-   hashes to. *)
+(* A spooled entry is one sealed file per result (version 2) with the
+   result key as its identity, under a name the key hashes to. *)
 let spool_magic = "BISARESP"
 let spool_version = 2
 let spool_name key = Codec.hash_hex key ^ ".resp"
 
-let write_entry key (e : entry) =
+let write_entry dir key (e : entry) =
   let w = Codec.W.create () in
   Codec.W.i64 w e.prog_hash;
   (match e.payload with
@@ -77,15 +74,16 @@ let write_entry key (e : entry) =
   | Cell_r { summary } ->
     Codec.W.int w 2;
     Codec.W.string w summary);
-  Codec.seal ~magic:spool_magic ~version:spool_version ~id:key w
+  Codec.write_sealed ~magic:spool_magic ~version:spool_version ~id:key
+    (Filename.concat dir (spool_name key))
+    w
 
-(* The entry in file [name]: its key must hash to that name. *)
-let read_entry ~name s =
-  let key, r =
-    Codec.unseal ~component ~magic:spool_magic ~version:spool_version
-      ~id:(fun key -> spool_name key = name)
-      s
-  in
+(* The entry spooled as [name]: its key must hash to that name. *)
+let read_entry ~component dir name =
+  Codec.read_sealed ~component ~magic:spool_magic ~version:spool_version
+    ~id:(fun key -> spool_name key = name)
+    (Filename.concat dir name)
+  |> Option.map @@ fun (key, r) ->
   let prog_hash = Codec.R.i64 r in
   let payload =
     match Codec.R.int r with
@@ -104,8 +102,6 @@ let read_entry ~name s =
   in
   (key, { prog_hash; payload })
 
-type 'a cell = 'a Pool.Once.cell
-
 (* A program as the engine holds it: the executable and its content hash
    ([Pipeline.*.prog_hash]), the hash every artifact and result key built
    from it carries. *)
@@ -115,16 +111,16 @@ type 'p loaded = { prog : 'p; prog_hash : int64 }
 type program = { conv : Pipeline.Conv.prog loaded; block : Pipeline.Block.prog loaded }
 
 type t = {
+  component : string;  (* names the program answering in its diagnostics *)
   pool : Pool.t;
   spool_dir : string option;
   result_cap : int;
-  lock : Mutex.t;  (* guards the tables and counters, never a computation *)
-  sources : (int64, program cell) Hashtbl.t;
-  workloads : (string, program cell) Hashtbl.t;
-  conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact cell) Hashtbl.t;
-  block_arts :
-    (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact cell) Hashtbl.t;
-  results : (string, entry cell) Hashtbl.t;
+  lock : Mutex.t;  (* guards [order] and the counters, never a computation *)
+  sources : (int64, program) Pool.Once.table;
+  workloads : (string, program) Pool.Once.table;
+  conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact) Pool.Once.table;
+  block_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact) Pool.Once.table;
+  results : (string, entry) Pool.Once.table;
   (* Insertion order of results, for FIFO eviction at [result_cap]. *)
   order : string Queue.t;
   mutable served : int;
@@ -137,107 +133,80 @@ type t = {
   probe : Bisa_obs.Probe.t;  (* observes every timing session a miss launches *)
 }
 
-let hit t =
+(* A result served: a miss if this requester computed it, else a hit. *)
+let account t ~fresh =
   Mutex.lock t.lock;
-  t.sim_hits <- t.sim_hits + 1;
+  if fresh then t.sim_misses <- t.sim_misses + 1 else t.sim_hits <- t.sim_hits + 1;
   Mutex.unlock t.lock
-
-let miss t =
-  Mutex.lock t.lock;
-  t.sim_misses <- t.sim_misses + 1;
-  Mutex.unlock t.lock
-
-(* Find-or-compute with exactly-once semantics: the cell is installed
-   under [t.lock] and forced outside it, so one requester computes and
-   the rest block on the cell; an exception poisons it for every waiter.
-   [install] also says whether this requester installed the cell — the
-   one that accounts a fresh result. *)
-let install t table key ~compute =
-  Mutex.lock t.lock;
-  let installed =
-    match Hashtbl.find_opt table key with
-    | Some cell -> (cell, false)
-    | None ->
-      let cell = Pool.Once.make compute in
-      Hashtbl.add table key cell;
-      (cell, true)
-  in
-  Mutex.unlock t.lock;
-  installed
-
-let memoize t table key ~compute = Pool.Once.force (fst (install t table key ~compute))
 
 (* --- construction and the spool ----------------------------------------- *)
 
-let spool_path dir key = Filename.concat dir (spool_name key)
-
 let note_result t key entry =
   (* Called with the result freshly computed: record it for eviction and
-     spool it.  The spool write is atomic, so a kill at any instant
-     leaves either the whole file or nothing. *)
+     spool it.  The spool write publishes the whole file under a fresh
+     name, so a kill at any instant leaves it findable or absent. *)
   Mutex.lock t.lock;
   Queue.push key t.order;
-  if Queue.length t.order > t.result_cap then begin
-    let victim = Queue.pop t.order in
-    Hashtbl.remove t.results victim
-  end;
+  let victim =
+    if Queue.length t.order > t.result_cap then Some (Queue.pop t.order) else None
+  in
   Mutex.unlock t.lock;
+  Option.iter (Pool.Once.remove t.results) victim;
   match t.spool_dir with
   | None -> ()
   | Some dir ->
-    Bisa_base.Atomic_file.write_string (spool_path dir key) (write_entry key entry);
+    write_entry dir key entry;
     Mutex.lock t.lock;
     t.spooled <- t.spooled + 1;
     Mutex.unlock t.lock
 
 let load_spool t dir =
   Bisa_base.Fs.mkdir_p dir;
-  let files = Sys.readdir dir in
-  Array.sort compare files;
-  Array.iter
+  List.iter
     (fun f ->
       (* Reload at most [result_cap] entries, so a restart starts inside
-         the bound; a request for one left on disk recomputes it. *)
+         the bound; a request for one left on disk recomputes it.  An
+         entry killed in mid-handover is found under its [.next] name. *)
       if Filename.check_suffix f ".resp" && Queue.length t.order < t.result_cap then begin
-        let path = Filename.concat dir f in
-        match read_entry ~name:f (Bisa_base.Fs.read_file path) with
-        | key, entry ->
-          if not (Hashtbl.mem t.results key) then begin
-            Hashtbl.add t.results key (Pool.Once.make (Fun.const entry));
-            Queue.push key t.order;
-            t.spooled <- t.spooled + 1
-          end
+        match read_entry ~component:t.component dir f with
+        | None -> ()
+        | Some (key, entry) ->
+          (* Each name comes once, and each key must name its file. *)
+          ignore (Pool.Once.find_or_add t.results key (Fun.const entry));
+          Queue.push key t.order;
+          t.spooled <- t.spooled + 1
         | exception e ->
-          (* A foreign, stale or externally-corrupted file; atomic writes
-             mean it cannot be a torn one of ours.  Skip it, but loudly:
-             the count surfaces in Stats and each file gets one
-             structured diagnostic, so spool damage is never silent. *)
+          (* A foreign, stale or externally-corrupted file, or one of ours
+             torn by a power loss (writes are not fsynced; a process kill
+             cannot tear one).  Skip it, but loudly: the count surfaces
+             in Stats and each file gets one structured diagnostic, so
+             spool damage is never silent. *)
           t.spool_skipped <- t.spool_skipped + 1;
           let loc, why =
             match e with
             | Diag.Fail d -> (d.Diag.loc, d.Diag.message)
-            | Sys_error m -> (Diag.No_loc, m)
-            | e -> (Diag.No_loc, Printexc.to_string e)
+            | Sys_error m -> (Diag.No_loc, Filename.concat dir f ^ ": " ^ m)
+            | e -> (Diag.No_loc, Filename.concat dir f ^ ": " ^ Printexc.to_string e)
           in
           t.log
-            (Diag.error ~component ~loc
-               (Printf.sprintf "spool: skipped unreadable entry %s: %s" path why))
+            (Diag.error ~component:t.component ~loc ("spool: skipped unreadable entry " ^ why))
       end)
-    files
+    (Codec.sealed_names dir)
 
-let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
-    ?(log = fun (_ : Diag.t) -> ()) ?(probe = Bisa_obs.Probe.null) () =
+let create ?(component = "bisad") ?(pool = Pool.sequential) ?spool_dir
+    ?(result_cap = 4096) ?(log = fun (_ : Diag.t) -> ()) ?(probe = Bisa_obs.Probe.null) () =
   let t =
     {
+      component;
       pool;
       spool_dir;
       result_cap;
       lock = Mutex.create ();
-      sources = Hashtbl.create 64;
-      workloads = Hashtbl.create 16;
-      conv_arts = Hashtbl.create 64;
-      block_arts = Hashtbl.create 64;
-      results = Hashtbl.create 256;
+      sources = Pool.Once.table 64;
+      workloads = Pool.Once.table 16;
+      conv_arts = Pool.Once.table 64;
+      block_arts = Pool.Once.table 64;
+      results = Pool.Once.table 256;
       order = Queue.create ();
       served = 0;
       sim_hits = 0;
@@ -259,24 +228,7 @@ let note_inflight t n =
   if n > t.inflight_peak then t.inflight_peak <- n;
   Mutex.unlock t.lock
 
-(* Peak resident set, straight from the kernel's accounting. *)
-let vm_hwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let rec go () =
-      match input_line ic with
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-          close_in ic;
-          Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
-        end
-        else go ()
-      | exception End_of_file ->
-        close_in ic;
-        0
-    in
-    go ()
+let vm_hwm_kb = Bisa_base.Fs.vm_hwm_kb
 
 let stats t : Proto.stats =
   Mutex.lock t.lock;
@@ -285,8 +237,8 @@ let stats t : Proto.stats =
       Proto.served = t.served;
       sim_hits = t.sim_hits;
       sim_misses = t.sim_misses;
-      artifacts = Hashtbl.length t.conv_arts + Hashtbl.length t.block_arts;
-      results = Hashtbl.length t.results;
+      artifacts = Pool.Once.length t.conv_arts + Pool.Once.length t.block_arts;
+      results = Pool.Once.length t.results;
       spooled = t.spooled;
       spool_skipped = t.spool_skipped;
       inflight_peak = t.inflight_peak;
@@ -320,7 +272,7 @@ let compile_source t ~src ~libs =
       Codec.Fnv.string h lib)
     libs;
   let key = Codec.Fnv.value h in
-  memoize t t.sources key ~compute:(fun () ->
+  Pool.Once.memo t.sources key (fun () ->
       load_compiled (Bisa_compiler.Compiler.compile ~library_funcs:libs src))
 
 let conv_prog t (src : Proto.prog_src) =
@@ -328,16 +280,16 @@ let conv_prog t (src : Proto.prog_src) =
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).conv
   | Proto.Conv_bin b -> load_conv (Bisa_isa.Encode.conv_of_bytes b)
   | Proto.Block_bin _ ->
-    Diag.fail ~component "this request needs a conventional executable, got a \
-                          block-structured binary"
+    Diag.fail ~component:t.component
+      "this request needs a conventional executable, got a block-structured binary"
 
 let block_prog t (src : Proto.prog_src) =
   match src with
   | Proto.Source { src; libs } -> (compile_source t ~src ~libs).block
   | Proto.Block_bin b -> load_block (Bisa_isa.Encode.block_of_bytes b)
   | Proto.Conv_bin _ ->
-    Diag.fail ~component "this request needs a block-structured executable, got \
-                          a conventional binary"
+    Diag.fail ~component:t.component
+      "this request needs a block-structured executable, got a conventional binary"
 
 (* Artifact preparation is the trust boundary: [prepare] verifies, and
    the memo makes that a per-(program, backend) one-time event.  [prepare]
@@ -353,11 +305,11 @@ let prepare (type p a) (module P : Pipeline.S with type prog = p and type artifa
     match P.verify prog with [] -> raise e | ds -> raise (Rejected ds))
 
 let conv_artifact t ~exec (l : Pipeline.Conv.prog loaded) =
-  memoize t t.conv_arts (l.prog_hash, exec) ~compute:(fun () ->
+  Pool.Once.memo t.conv_arts (l.prog_hash, exec) (fun () ->
       prepare (module Pipeline.Conv) ~exec l.prog)
 
 let block_artifact t ~exec (l : Pipeline.Block.prog loaded) =
-  memoize t t.block_arts (l.prog_hash, exec) ~compute:(fun () ->
+  Pool.Once.memo t.block_arts (l.prog_hash, exec) (fun () ->
       prepare (module Pipeline.Block) ~exec l.prog)
 
 (* --- the result cache ---------------------------------------------------- *)
@@ -380,11 +332,7 @@ let sim_key ~what ~isa ~prog_hash ~cfg ~exec ~mode ~out_cap =
       (match out_cap with None -> "full" | Some n -> string_of_int n);
     ]
 
-let find_result t key =
-  Mutex.lock t.lock;
-  let cell = Hashtbl.find_opt t.results key in
-  Mutex.unlock t.lock;
-  Option.map Pool.Once.force cell
+let find_result t key = Option.map Pool.Once.force (Pool.Once.find t.results key)
 
 (* --- one request path: plan, then run ------------------------------------ *)
 
@@ -408,31 +356,28 @@ type plan =
     }
 
 (* A miss settles exactly once per key: the requester that installs the
-   result cell computes the payload and accounts the miss, and a raced
+   result cell (whose thunk alone runs) accounts the miss, and a raced
    duplicate (a Batch of identical requests, or a Batch overtaking a
    sliced job) waits on the cell and accounts a hit.  A run that raises
    (an op-budget runaway, a machine trap) takes its poisoned cell out of
    the table — it never entered [t.order], so it could never be evicted —
    unless a repeat has already replaced it; the next request recomputes. *)
 let settle t key ~prog_hash ~render compute =
-  let cell, fresh =
-    install t t.results key ~compute:(fun () -> { prog_hash; payload = compute () })
+  let fresh = ref false in
+  let cell =
+    Pool.Once.find_or_add t.results key (fun () ->
+        fresh := true;
+        { prog_hash; payload = compute () })
   in
   match Pool.Once.force cell with
   | entry ->
-    if fresh then begin
-      note_result t key entry;
-      miss t
-    end
-    else hit t;
-    render ~cached:(not fresh) entry
+    let fresh = !fresh in
+    if fresh then note_result t key entry;
+    account t ~fresh;
+    render t ~cached:(not fresh) entry
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    Mutex.lock t.lock;
-    (match Hashtbl.find_opt t.results key with
-    | Some c when c == cell -> Hashtbl.remove t.results key
-    | _ -> ());
-    Mutex.unlock t.lock;
+    Pool.Once.remove ~cell t.results key;
     Printexc.raise_with_backtrace e bt
 
 (* Look the key up: a hit is accounted and rendered now; a miss becomes
@@ -440,8 +385,8 @@ let settle t key ~prog_hash ~render compute =
 let resolve t key ~prog_hash ~render launch =
   match find_result t key with
   | Some entry ->
-    hit t;
-    Hit (render ~cached:true entry)
+    account t ~fresh:false;
+    Hit (render t ~cached:true entry)
   | None -> Miss { launch; settle = settle t key ~prog_hash ~render }
 
 (* A timing session over a prepared artifact, observed by the engine's
@@ -506,8 +451,9 @@ let block_functional prog ~exec ~budget ~out_cap =
   in
   { step; ops; finish }
 
-let key_clash what =
-  Diag.fail ~component "%s cache entry has another request's payload (key clash)" what
+let key_clash t what =
+  Diag.fail ~component:t.component "%s cache entry has another request's payload (key clash)"
+    what
 
 let plan_sim (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
@@ -517,7 +463,7 @@ let plan_sim (type p a) t
     sim_key ~what:"sim" ~isa:P.isa ~prog_hash:l.prog_hash ~cfg:config ~exec ~mode
       ~out_cap:cfg.out_cap
   in
-  let render ~cached e =
+  let render t ~cached e =
     match e.payload with
     | Fun_r { out; ops; ret; notes } ->
       Proto.Sim
@@ -535,7 +481,7 @@ let plan_sim (type p a) t
           prog_hash = e.prog_hash;
           cached;
         }
-    | Cell_r _ -> key_clash "simulate"
+    | Cell_r _ -> key_clash t "simulate"
   in
   resolve t key ~prog_hash:l.prog_hash ~render (fun () ->
       match mode with
@@ -562,17 +508,17 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
     match Bisa_workloads.Workloads.find bench with
     | w -> w
     | exception Invalid_argument _ ->
-      Diag.fail ~component "no such workload: %s (workloads: %s)" bench
+      Diag.fail ~component:t.component "no such workload: %s (workloads: %s)" bench
         (String.concat " " Bisa_workloads.Workloads.names)
   in
   let program =
-    memoize t t.workloads (bench_key ~bench ~scale) ~compute:(fun () ->
+    Pool.Once.memo t.workloads (bench_key ~bench ~scale) (fun () ->
         load_compiled (Bisa_workloads.Workloads.compile ?scale w))
   in
-  let render ~cached e =
+  let render t ~cached e =
     match e.payload with
     | Cell_r { summary } -> Proto.Cell_done { summary; prog_hash = e.prog_hash; cached }
-    | Fun_r _ | Tim_r _ -> key_clash "cell"
+    | Fun_r _ | Tim_r _ -> key_clash t "cell"
   in
   let go (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
       ~(artifact : exec:Bisa_sim.Compile.backend -> p loaded -> a) (l : p loaded) =
@@ -633,7 +579,7 @@ let diags_of_exn ~component = function
 (* Every failure a request can legitimately produce becomes a structured
    Err response; the connection (and the daemon) survives.  Anything else
    is a bug and propagates. *)
-let err_of_exn e =
+let err_of_exn ~component e =
   match diags_of_exn ~component e with Some ds -> Proto.Err ds | None -> raise e
 
 let note_served t =
@@ -678,8 +624,8 @@ let handle_one t (req : Proto.request) : Proto.response =
             done;
             run.finish ()))
     | Proto.Batch _ ->
-      Diag.fail ~component "Batch must be handled by the dispatcher, not handle_one"
-  with e -> err_of_exn e
+      Diag.fail ~component:t.component "Batch must be handled by the dispatcher, not handle_one"
+  with e -> err_of_exn ~component:t.component e
 
 (* Batch requests shard across the worker pool; sub-request order is
    preserved ([Pool.map_list]'s determinism contract), so a batch
@@ -696,7 +642,7 @@ let handle t (req : Proto.request) : Proto.response =
    daemon.  It seals through the plan's own [settle], so it caches and
    renders exactly what [handle] would have.  Abandoning one is dropping
    it: the suspended run holds no locks, no cells, no spool state. *)
-type job = { run : run; seal : unit -> Proto.response }
+type job = { run : run; seal : unit -> Proto.response; component : string }
 type started = Done of Proto.response | Job of job
 
 let job_ops j = j.run.ops ()
@@ -716,8 +662,8 @@ let start t (req : Proto.request) : started =
       | Hit resp -> Done resp
       | Miss { launch; settle } ->
         let run = launch () in
-        Job { run; seal = (fun () -> settle run.finish) }
-    with e -> Done (err_of_exn e))
+        Job { run; seal = (fun () -> settle run.finish); component = t.component }
+    with e -> Done (err_of_exn ~component:t.component e))
   | req -> Done (handle t req)
 
 (* Advance one bounded slice.  A mid-flight failure (an op-budget runaway,
@@ -730,7 +676,7 @@ let step_job job ~slice_ops : [ `More | `Done of Proto.response ] =
     else if job.run.ops () < target then go ()
     else `More
   in
-  try go () with e -> `Done (err_of_exn e)
+  try go () with e -> `Done (err_of_exn ~component:job.component e)
 
 (* One slice for each of [jobs], run concurrently over the engine's pool
    (the caller's domain steps one of them), with results in [jobs]'

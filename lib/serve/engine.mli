@@ -17,13 +17,14 @@
     engine replies.
 
     With a spool directory, every finished result is also written to disk
-    through {!Bisa_base.Atomic_file}, and reloaded (up to [result_cap]
-    entries) on the next [create]: a SIGKILL loses only in-flight
-    requests, never a finished byte. *)
+    through {!Bisa_base.Codec.write_sealed}, and reloaded (up to
+    [result_cap] entries) on the next [create]: a SIGKILL loses only
+    in-flight requests, never a finished byte. *)
 
 type t
 
 val create :
+  ?component:string ->
   ?pool:Bisa_base.Pool.t ->
   ?spool_dir:string ->
   ?result_cap:int ->
@@ -31,10 +32,12 @@ val create :
   ?probe:Bisa_obs.Probe.t ->
   unit ->
   t
-(** [pool] shards [Batch] requests and steps the server loop's jobs
-    side by side (default sequential).  [spool_dir] is
-    created if missing and scanned for previously spooled results;
-    unreadable entries are skipped, counted in {!stats}'s
+(** [component] (default ["bisad"]) names the program answering in the
+    engine's own diagnostics.  [pool] shards [Batch] requests and steps
+    the server loop's jobs side by side (default sequential).
+    [spool_dir] is created if missing and scanned for previously spooled
+    results, an entry left as [NAME.next] by a kill included; unreadable
+    entries are skipped, counted in {!stats}'s
     [spool_skipped], and each reported once through [log] (default:
     silently dropped).  [result_cap] (default 4096) bounds the in-memory
     result cache, a reloaded spool included; eviction is insertion-order
@@ -120,5 +123,4 @@ val note_inflight : t -> int -> unit
     the peak is reported in {!stats}). *)
 
 val vm_hwm_kb : unit -> int
-(** Peak resident set size of this process in KB, from
-    [/proc/self/status]; 0 where unavailable. *)
+(** {!Bisa_base.Fs.vm_hwm_kb}, the peak resident set {!stats} reports. *)

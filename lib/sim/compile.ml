@@ -32,9 +32,6 @@ type backend = Interp | Compiled
 let backends = [ ("interp", Interp); ("compiled", Compiled) ]
 let backend_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
-let backend_of_string s =
-  match List.assoc_opt s backends with Some b -> Some b | None -> None
-
 (* Comparators specialized to unboxed arguments, for [Set] and [Select]:
    resolved once at compile time. *)
 let icmp : Cmp.t -> int -> int -> bool = function

@@ -49,7 +49,6 @@
 type backend = Interp | Compiled
 
 val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
 val backends : (string * backend) list
 (** CLI enumeration for [--exec]. *)
 

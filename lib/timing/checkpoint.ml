@@ -3,9 +3,9 @@
    A snapshot is a sealed Codec envelope whose identity binds it to the
    exact inputs it was taken under — ISA, program content hash,
    configuration fingerprint — and whose body is the op count and the
-   session's serialized state.  Writes go through Atomic_file (temp +
-   rename), so a crash at any instant leaves either the previous
-   complete snapshot or the new one, never a torn file.  Loads reject a
+   session's serialized state.  Writes and loads go through
+   Codec.write_sealed / read_sealed, so a kill at any instant leaves the
+   newest complete snapshot findable, never a torn one.  Loads reject a
    stale, foreign or damaged snapshot with a located Diag: an error the
    caller can present, never silent state corruption. *)
 
@@ -24,17 +24,12 @@ let save ~path ~isa ~prog_hash ~cfg_hash ~ops payload =
   let w = Codec.W.create () in
   Codec.W.int w ops;
   payload w;
-  Bisa_base.Atomic_file.write_string path
-    (Codec.seal ~magic ~version ~id:(identity ~isa ~prog_hash ~cfg_hash) w)
+  Codec.write_sealed ~magic ~version ~id:(identity ~isa ~prog_hash ~cfg_hash) path w
 
 let load ~path ~isa ~prog_hash ~cfg_hash =
-  if not (Sys.file_exists path) then None
-  else begin
-    let id = identity ~isa ~prog_hash ~cfg_hash in
-    let _, r = Codec.unseal_file ~component ~magic ~version ~id:(String.equal id) path in
-    let ops = Codec.R.int r in
-    Some (ops, r)
-  end
+  let id = identity ~isa ~prog_hash ~cfg_hash in
+  Codec.read_sealed ~component ~magic ~version ~id:(String.equal id) path
+  |> Option.map (fun (_, r) -> (Codec.R.int r, r))
 
 (* Outcome of a driven run: either it completed, or the deadline fired
    first and the caller has a resumable snapshot at [path]. *)
@@ -54,49 +49,41 @@ let drive (type p a)
     (module P : Pipeline.S with type prog = p and type artifact = a)
     ?probe ?snapshot ?deadline (cfg : Config.t) (art : a) =
   let s = P.session_artifact ?probe cfg art in
-  let prog_hash = P.Artifact.hash art in
-  let cfg_hash = Config.fingerprint cfg in
-  let write_snapshot path =
-    save ~path ~isa:P.isa ~prog_hash ~cfg_hash ~ops:(P.ops s) (P.save s)
+  let prog_hash = P.Artifact.hash art and cfg_hash = Config.fingerprint cfg in
+  let write_snapshot () =
+    Option.iter
+      (fun (path, _) -> save ~path ~isa:P.isa ~prog_hash ~cfg_hash ~ops:(P.ops s) (P.save s))
+      snapshot
   in
-  (* Resume from an existing snapshot if one is present and valid. *)
+  (* Resume from the newest snapshot if one is present and valid. *)
   (match snapshot with
-  | Some (path, _) -> begin
-    match load ~path ~isa:P.isa ~prog_hash ~cfg_hash with
-    | Some (_ops, r) -> P.restore s r
-    | None -> ()
-  end
+  | Some (path, _) ->
+    Option.iter (fun (_ops, r) -> P.restore s r) (load ~path ~isa:P.isa ~prog_hash ~cfg_hash)
   | None -> ());
-  let next_ckpt =
-    ref
-      (match snapshot with
-      | Some (_, every) -> P.ops s + every
-      | None -> max_int)
+  let every, next_ckpt =
+    match snapshot with
+    | Some (_, every) -> (every, ref (P.ops s + every))
+    | None -> (0, ref max_int)
   in
-  let expired = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    if not (P.step s) then continue_ := false
-    else begin
-      (match snapshot with
-      | Some (path, every) when P.ops s >= !next_ckpt ->
-        write_snapshot path;
-        next_ckpt := P.ops s + every
-      | _ -> ());
-      match deadline with
-      | Some d when d () ->
-        (match snapshot with Some (path, _) -> write_snapshot path | None -> ());
-        expired := true;
-        continue_ := false
-      | _ -> ()
-    end
-  done;
-  if !expired then Timed_out { ops = P.ops s }
-  else begin
+  (* [true] once the program halts, [false] when the deadline fires. *)
+  let rec run () =
+    (not (P.step s))
+    || begin
+         if P.ops s >= !next_ckpt then begin
+           write_snapshot ();
+           next_ckpt := P.ops s + every
+         end;
+         match deadline with
+         | Some d when d () ->
+           write_snapshot ();
+           false
+         | _ -> run ()
+       end
+  in
+  if run () then begin
     let result = P.finish s in
     (* The run is complete; the snapshot has served its purpose. *)
-    (match snapshot with
-    | Some (path, _) -> ( try Sys.remove path with Sys_error _ -> ())
-    | None -> ());
+    Option.iter (fun (path, _) -> Codec.remove_sealed path) snapshot;
     Finished result
   end
+  else Timed_out { ops = P.ops s }

@@ -4,9 +4,10 @@
     ["BISACKPT"], format version 2) whose identity is the ISA name, the
     program content hash and the configuration fingerprint, and whose
     body is the op count followed by the serialized session state of
-    either pipeline.  Writes are atomic (temp + rename via
-    {!Bisa_base.Atomic_file}), so a kill at any instant leaves the
-    previous complete snapshot or the new one, never a torn file.  Loads
+    either pipeline.  Snapshots are written and found through
+    {!Bisa_base.Codec.write_sealed} and {!Bisa_base.Codec.read_sealed},
+    so a kill at any instant leaves the newest complete snapshot
+    findable (as [path] or [path.next]), never a torn one.  Loads
     raise a structured {!Bisa_base.Diag.Fail} (component ["checkpoint"],
     located at the offending byte) on a stale, foreign, mismatched or
     damaged snapshot. *)
@@ -28,9 +29,9 @@ val load :
   prog_hash:int64 ->
   cfg_hash:int64 ->
   (int * Bisa_base.Codec.R.t) option
-(** [None] if no file exists at [path].  Otherwise check the envelope
-    and the expected identity and return the snapshot's op count and a
-    reader positioned at the payload.  Raises {!Bisa_base.Diag.Fail} on
+(** [None] if no snapshot exists at [path].  Otherwise check the newest
+    one's envelope and the expected identity and return its op count and
+    a reader positioned at the payload.  Raises {!Bisa_base.Diag.Fail} on
     any mismatch or damage, located at the byte and naming [path]. *)
 
 type 'a outcome = Finished of 'a | Timed_out of { ops : int }

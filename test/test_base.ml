@@ -579,6 +579,147 @@ let test_envelope () =
     Alcotest.(check bool) "unlocated" true
       (d = Diag.error ~component:"codec" "corrupt snapshot: truncated at byte 0")
 
+(* --- sealed files: one write-and-read path ----------------------------------- *)
+
+let seal_body s =
+  let w = Codec.W.create () in
+  Codec.W.string w s;
+  w
+
+let write_sealed path s =
+  Codec.write_sealed ~magic:"TESTMAGC" ~version:3 ~id:"cell-1" path (seal_body s)
+
+(* The body of the copy [read_sealed] takes, if any. *)
+let read_sealed path =
+  Codec.read_sealed ~component:"test" ~magic:"TESTMAGC" ~version:3 ~id:(( = ) "cell-1") path
+  |> Option.map (fun (_, r) -> Codec.R.string r)
+
+(* Run [f] with both write hooks observing (or killing) every step. *)
+let with_write_hooks ~written ~step f =
+  Atomic_file.crash_after_write_hook := Some written;
+  Codec.publish_hook := Some step;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic_file.crash_after_write_hook := None;
+      Codec.publish_hook := None)
+    f
+
+(* No rename of a sealed write lands on an existing file: [PATH.next] is
+   absent when the temp file is renamed to it, and [PATH] is absent when
+   [PATH.next] is renamed to it, for a first write, for rewrites, and
+   for the handover of a [PATH.next] a killed write left.  A write that
+   renames over the live file fails here. *)
+let test_sealed_fresh_names () =
+  with_tmp_target @@ fun path ->
+  (* Each step, with whether [PATH.next] (at "written", before the temp
+     file's rename) or [PATH] (after) exists. *)
+  let observed writes =
+    let steps = ref [] in
+    let note step target = steps := (step, Sys.file_exists target) :: !steps in
+    with_write_hooks
+      ~written:(fun () -> note "written" (path ^ ".next"))
+      ~step:(function
+        | Codec.Published -> note "published" path
+        | Codec.Removed -> note "removed" path)
+      (fun () -> List.iter (write_sealed path) writes);
+    List.rev !steps
+  in
+  Alcotest.(check (list (pair string bool)))
+    "every rename's target was absent"
+    (List.concat_map
+       (fun old -> [ ("written", false); ("published", old); ("removed", false) ])
+       [ false; true; true ])
+    (observed [ "one"; "two"; "three" ]);
+  (* A write killed after publishing leaves [PATH.next] beside [PATH]:
+     the next write hands it over before publishing under its name. *)
+  (try
+     with_write_hooks ~written:ignore
+       ~step:(function Codec.Published -> raise Exit | Codec.Removed -> ())
+       (fun () -> write_sealed path "killed")
+   with Exit -> ());
+  Alcotest.(check (list (pair string bool)))
+    "a leftover .next is handed over first"
+    [ ("removed", false); ("written", false); ("published", true); ("removed", false) ]
+    (observed [ "four" ]);
+  Alcotest.(check (option string)) "newest copy reads back" (Some "four") (read_sealed path);
+  Alcotest.(check bool) "no residue" true (no_temp_residue path)
+
+exception Killed_at of string
+
+(* A kill at each step leaves the newest published copy findable; a
+   [.next] that does not unseal gives way to an older copy, and with no
+   older copy its failure names it. *)
+let test_sealed_newest_copy () =
+  with_tmp_target @@ fun path ->
+  let next = path ^ ".next" in
+  Alcotest.(check (option string)) "no copy" None (read_sealed path);
+  write_sealed path "old";
+  let killed_at point =
+    with_write_hooks
+      ~written:(fun () -> if point = "written" then raise (Killed_at point))
+      ~step:(function
+        | Codec.Published when point = "published" -> raise (Killed_at point)
+        | Codec.Removed when point = "removed" -> raise (Killed_at point)
+        | _ -> ())
+      (fun () ->
+        match write_sealed path "new" with
+        | () -> Alcotest.failf "%s: the kill did not fire" point
+        | exception Killed_at _ -> ());
+    (Sys.file_exists path, Sys.file_exists next, read_sealed path)
+  in
+  Alcotest.(check (triple bool bool (option string)))
+    "killed before .next: the old copy" (true, false, Some "old") (killed_at "written");
+  Alcotest.(check (triple bool bool (option string)))
+    "killed after .next: the new copy" (true, true, Some "new") (killed_at "published");
+  write_sealed path "old";
+  Alcotest.(check (triple bool bool (option string)))
+    "killed after the remove: .next alone" (false, true, Some "new") (killed_at "removed");
+  write_sealed path "newer";
+  Alcotest.(check (option string)) "a later write hands over" (Some "newer") (read_sealed path);
+  Alcotest.(check bool) "and leaves no .next" false (Sys.file_exists next);
+  let oc = open_out_bin next in
+  output_string oc "torn";
+  close_out oc;
+  Alcotest.(check (option string)) "a torn .next gives way" (Some "newer") (read_sealed path);
+  Sys.remove path;
+  (match read_sealed path with
+  | _ -> Alcotest.fail "a torn .next alone was accepted"
+  | exception Diag.Fail d ->
+    Alcotest.(check bool) "the failure names .next" true
+      (String.starts_with ~prefix:(next ^ ": ") d.Diag.message));
+  Codec.remove_sealed path;
+  Alcotest.(check (list string)) "removed, every copy" []
+    (Array.to_list (Sys.readdir (Filename.dirname path)))
+
+(* Two domains writing one sealed path leave one writer's complete copy
+   and nothing else, as two atomic writers do. *)
+let test_sealed_concurrent_writers () =
+  with_tmp_target @@ fun path ->
+  let payload tag = String.init 4096 (fun i -> Char.chr ((tag + i) land 0x3f + 32)) in
+  let writer tag () =
+    for _ = 1 to 50 do
+      write_sealed path (payload tag)
+    done
+  in
+  let d1 = Domain.spawn (writer 1) in
+  let d2 = Domain.spawn (writer 2) in
+  Domain.join d1;
+  Domain.join d2;
+  let got = read_sealed path in
+  Alcotest.(check bool)
+    "file is one writer's complete copy" true
+    (got = Some (payload 1) || got = Some (payload 2));
+  Alcotest.(check bool) "no residue" true (no_temp_residue path)
+
+let test_sealed_names () =
+  with_tmp_target @@ fun path ->
+  let dir = Filename.dirname path in
+  List.iter
+    (fun f -> close_out (open_out (Filename.concat dir f)))
+    [ "b.resp.next"; "a.resp"; "b.resp"; "c.resp.next"; "d.tmp" ];
+  Alcotest.(check (list string)) "each name once, .next under its own"
+    [ "a.resp"; "b.resp"; "c.resp"; "d.tmp" ] (Codec.sealed_names dir)
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -609,4 +750,9 @@ let suite =
     Alcotest.test_case "varint reader matches reference model" `Quick test_varint_reader;
     Alcotest.test_case "lengths bounded by the input" `Quick test_lengths_bounded_by_input;
     Alcotest.test_case "sealed envelope" `Quick test_envelope;
+    Alcotest.test_case "sealed write renames onto fresh names only" `Quick
+      test_sealed_fresh_names;
+    Alcotest.test_case "sealed read takes the newest copy" `Quick test_sealed_newest_copy;
+    Alcotest.test_case "sealed concurrent writers" `Quick test_sealed_concurrent_writers;
+    Alcotest.test_case "sealed names list .next copies once" `Quick test_sealed_names;
   ]

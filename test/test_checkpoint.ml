@@ -442,6 +442,63 @@ let test_drive_crash_cross_backend () =
   drive_crash_equivalence (module Pipeline.Conv) Config.default c.conv
     ~crash:Compile.Compiled ~resume:Compile.Interp "compiled crash, interp resume"
 
+(* Kill a driven run at each step of its second snapshot write: the
+   temp file complete, its [.next] copy published, the first snapshot
+   removed.  The files left must hold the newest published snapshot (the
+   first before [.next] appears, the second after), and resuming from
+   them must give the uninterrupted run's metrics and output and leave
+   no snapshot behind. *)
+let drive_killed_at_each_step (type p a)
+    (module P : Pipeline.S with type prog = p and type artifact = a) cfg (prog : p) =
+  let m_full, out_full = P.run_artifact cfg (P.prepare ~exec:Compile.Interp prog) in
+  let art = P.prepare prog in
+  let prog_hash = P.prog_hash prog and cfg_hash = Config.fingerprint cfg in
+  let files path = (Sys.file_exists path, Sys.file_exists (path ^ ".next")) in
+  List.iter
+    (fun (point, left, newest) ->
+      let what = P.isa ^ ": killed at " ^ point in
+      let path = tmp_path () in
+      let passes = ref 0 in
+      let pass p =
+        if p = point then begin
+          incr passes;
+          if !passes = 2 then raise Killed
+        end
+      in
+      Bisa_base.Atomic_file.crash_after_write_hook := Some (fun () -> pass "written");
+      Codec.publish_hook :=
+        Some (function Codec.Published -> pass "published" | Codec.Removed -> pass "removed");
+      (match
+         Fun.protect
+           ~finally:(fun () ->
+             Bisa_base.Atomic_file.crash_after_write_hook := None;
+             Codec.publish_hook := None)
+           (fun () -> Checkpoint.drive (module P) ~snapshot:(path, 400) cfg art)
+       with
+      | (_ : _ Checkpoint.outcome) -> Alcotest.fail (what ^ ": the kill must fire")
+      | exception Killed -> ());
+      Alcotest.(check (pair bool bool)) (what ^ ": files left") left (files path);
+      (match Checkpoint.load ~path ~isa:P.isa ~prog_hash ~cfg_hash with
+      | Some (ops, _) ->
+        Alcotest.(check int) (what ^ ": newest snapshot found") newest (ops / 400)
+      | None -> Alcotest.fail (what ^ ": no snapshot found"));
+      (match Checkpoint.drive (module P) ~snapshot:(path, 400) cfg art with
+      | Checkpoint.Finished (m, out) ->
+        check_metrics (what ^ ": resumed metrics == uninterrupted") m_full m;
+        Alcotest.(check bool) (what ^ ": resumed output == uninterrupted") true
+          (Output.equal out_full out)
+      | Checkpoint.Timed_out _ -> Alcotest.fail (what ^ ": no deadline was set"));
+      Alcotest.(check (pair bool bool)) (what ^ ": no snapshot after finish") (false, false)
+        (files path))
+    (* The step, the ([PATH], [PATH.next]) it leaves, and which snapshot
+       (the first or the second) that is. *)
+    [ ("written", (true, false), 1); ("published", (true, true), 2); ("removed", (false, true), 2) ]
+
+let test_drive_killed_at_each_step () =
+  let c = Lazy.force compiled in
+  drive_killed_at_each_step (module Pipeline.Conv) Config.default c.conv;
+  drive_killed_at_each_step (module Pipeline.Block) Config.default c.block
+
 (* --- streamed output ---------------------------------------------------- *)
 
 let test_sink_bounded_retention () =
@@ -504,6 +561,8 @@ let suite =
       test_drive_crash_compiled;
     Alcotest.test_case "drive crash+resume (cross-backend)" `Quick
       test_drive_crash_cross_backend;
+    Alcotest.test_case "drive killed at each write step" `Quick
+      test_drive_killed_at_each_step;
     Alcotest.test_case "sink bounded retention" `Quick test_sink_bounded_retention;
     Alcotest.test_case "session out cap" `Quick test_session_out_cap;
   ]

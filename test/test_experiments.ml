@@ -277,6 +277,33 @@ let test_campaign_cell_every_byte () =
     (Bisa_timing.Metrics.summary ~name:"x" m)
     (Bisa_timing.Metrics.summary ~name:"x" (run ()))
 
+(* A cell whose manifest write was killed after removing the old copy
+   is only [KEY.done.next]; reopening the campaign finds it there and
+   reuses it without simulating or writing anything. *)
+let test_campaign_next_only_cell () =
+  with_fresh_dir @@ fun d ->
+  let open_c () = Campaign.open_ ~dir:d ~scale:(Some 1) ~paper_caches:false () in
+  let c = Bisa_compiler.Compiler.compile "int main() { print_int(5); return 5; }" in
+  let cfg = Bisa_timing.Config.default in
+  let art = Bisa_timing.Pipeline.Conv.prepare c.conv in
+  let run camp =
+    Campaign.run_cell camp (module Bisa_timing.Pipeline.Conv) ~bench:"tiny" cfg art
+  in
+  let m = run (open_c ()) in
+  let path =
+    Filename.concat (Filename.concat d "cells")
+      (Campaign.key ~bench:"tiny" ~isa:"conv"
+         ~cfg_hash:(Bisa_timing.Config.fingerprint cfg)
+         ~prog_hash:(Bisa_timing.Pipeline.Conv.prog_hash c.conv)
+      ^ ".done")
+  in
+  Sys.rename path (path ^ ".next");
+  Alcotest.(check string) "the .next manifest is the cell's"
+    (Bisa_timing.Metrics.summary ~name:"x" m)
+    (Bisa_timing.Metrics.summary ~name:"x" (run (open_c ())));
+  Alcotest.(check (pair bool bool)) "read, not recomputed" (false, true)
+    (Sys.file_exists path, Sys.file_exists (path ^ ".next"))
+
 let suite =
   [
     Alcotest.test_case "table1" `Quick test_table1_is_paper;
@@ -293,4 +320,6 @@ let suite =
     Alcotest.test_case "campaign timeout" `Quick test_campaign_timeout;
     Alcotest.test_case "every campaign cell byte is checked" `Quick
       test_campaign_cell_every_byte;
+    Alcotest.test_case "a .next-only campaign cell is found" `Quick
+      test_campaign_next_only_cell;
   ]

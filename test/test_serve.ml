@@ -629,6 +629,23 @@ let test_spool_every_byte () =
         [ 0x01; 0x80 ])
     bytes
 
+(* An entry whose write was killed after removing the old copy is only
+   [NAME.next]; a restart finds it there and serves it cached. *)
+let test_spool_next_only () =
+  with_tmp_dir "next" @@ fun dir ->
+  let summary, name, _ = spooled_cell dir in
+  Sys.rename (Filename.concat dir name) (Filename.concat dir (name ^ ".next"));
+  let e, diags = reload dir in
+  Alcotest.(check int) "no diagnostic" 0 (List.length diags);
+  (match Engine.handle e (cell ()) with
+  | Proto.Cell_done w ->
+    Alcotest.(check string) "spooled bytes" summary w.summary;
+    Alcotest.(check bool) "served from the spool" true w.cached
+  | _ -> Alcotest.fail "not a Cell_done response");
+  let s = Engine.stats e in
+  Alcotest.(check (pair int int)) "reloaded, nothing skipped" (1, 0)
+    (s.Proto.spooled, s.Proto.spool_skipped)
+
 (* --- the cache key contract and the cost of a hit --------------------------- *)
 
 (* A spooled result is found again only under the same key and file
@@ -877,4 +894,5 @@ let suite =
     Alcotest.test_case "spool entry key must name its file" `Quick
       test_spool_key_names_file;
     Alcotest.test_case "every spooled byte is checked" `Quick test_spool_every_byte;
+    Alcotest.test_case "a .next-only spool entry reloads" `Quick test_spool_next_only;
   ]
