@@ -99,12 +99,13 @@ let compiled_legs () =
 
 let compiled_engines () = default_engines () @ compiled_legs ()
 
-(* Lockstep replay of interpreter vs. compiled executor: two fresh states
-   over the same program, advanced one step at a time, comparing every
-   step record (including mem_addrs slots and raised exceptions).  On the
-   first differing step this pinpoints the divergent fetch-unit index and
-   the dynamic-op count reached — far tighter than an end-of-run output
-   mismatch. *)
+(* Lockstep replay of the interpreter's body vs. the compiled one: two
+   fresh states over the same program, the second bound to the compiled
+   body, advanced one step at a time through the one step protocol,
+   comparing every step record (including mem_addrs slots and raised
+   exceptions).  On the first differing step this pinpoints the divergent
+   fetch-unit index and the dynamic-op count reached — far tighter than
+   an end-of-run output mismatch. *)
 let first_divergence (c : Compiler.compiled) =
   let show_exn = Printexc.to_string in
   let conv () =
@@ -112,10 +113,10 @@ let first_divergence (c : Compiler.compiled) =
     let b = Conv_exec.create c.Compiler.conv in
     Conv_exec.set_budget a exec_budget;
     Conv_exec.set_budget b exec_budget;
-    let cb = Compile.Conv.bind (conv_code c) b in
+    let body = Compile.Conv.bind (conv_code c) b in
     let rec go i =
       let pa = try Ok (Conv_exec.step a) with e -> Error (show_exn e) in
-      let pb = try Ok (Bisa_sim.Compile.Conv.step cb) with e -> Error (show_exn e) in
+      let pb = try Ok (Conv_exec.step ~body b) with e -> Error (show_exn e) in
       if pa <> pb then
         Some
           (Printf.sprintf
@@ -136,10 +137,10 @@ let first_divergence (c : Compiler.compiled) =
     let b = Block_exec.create c.Compiler.block in
     Block_exec.set_budget a exec_budget;
     Block_exec.set_budget b exec_budget;
-    let cb = Compile.Block.bind (block_code c) b in
+    let body = Compile.Block.bind (block_code c) b in
     let rec go i =
       let pa = try Ok (Block_exec.step a) with e -> Error (show_exn e) in
-      let pb = try Ok (Bisa_sim.Compile.Block.step cb) with e -> Error (show_exn e) in
+      let pb = try Ok (Block_exec.step ~body b) with e -> Error (show_exn e) in
       if pa <> pb then
         Some
           (Printf.sprintf

@@ -33,19 +33,16 @@ let collect (prog : Block_prog.t) (enlarged : Enlarge.t list) ?(budget = 50_000_
   let profile : profile = Hashtbl.create 256 in
   let exec = Block_exec.create prog in
   Block_exec.set_budget exec budget;
-  let rec go () =
-    match Block_exec.step exec with
-    | None -> ()
-    | Some step ->
-      (match step.dir_taken with
-      | Some taken ->
-        let key = attribute step.block in
-        let t, n = Option.value (Hashtbl.find_opt profile key) ~default:(0, 0) in
-        Hashtbl.replace profile key ((if taken then t + 1 else t), n + 1)
-      | None -> ());
-      go ()
-  in
-  go ();
+  let body = Block_exec.interp exec in
+  while Block_exec.step_into body ~fetch:(Block_exec.required exec) exec >= 0 do
+    (* A committed trap's direction; squashes and other terminators have none. *)
+    let dir = Block_exec.last_dir exec in
+    if dir >= 0 then begin
+      let key = attribute (Block_exec.last_block exec) in
+      let t, n = Option.value (Hashtbl.find_opt profile key) ~default:(0, 0) in
+      Hashtbl.replace profile key ((if dir = 1 then t + 1 else t), n + 1)
+    end
+  done;
   profile
 
 let bias_of (profile : profile) fname proto =

@@ -34,5 +34,6 @@ val study :
 (** Default vs profile-guided enlargement on the paper's two worst icache
     offenders (gcc, go): code size, icache misses at the small cache
     points, fault squashes, and cycles.  [exec] (default [Compiled]) is
-    the backend of the timing runs; the profiling run stays on the
-    interpreter, whose step records it reads. *)
+    the backend of the timing runs; the profiling run steps the
+    interpreter's body and reads each step's trap direction from the
+    executor's step fields. *)

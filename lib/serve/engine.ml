@@ -410,20 +410,21 @@ let functional_payload ~out ~ops ~trap =
       notes = (match trap with None -> "" | Some d -> Diag.render d ^ "\n");
     }
 
-(* The functional executors, stepped under the request's backend. *)
+(* The functional executors, stepped through the body of the request's
+   backend. *)
 let conv_functional prog ~exec ~budget ~out_cap =
   let module E = Bisa_sim.Conv_exec in
   let e = E.create prog in
   E.set_budget e budget;
   Option.iter (E.set_out_cap e) out_cap;
-  let step =
+  let body =
     match exec with
-    | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
+    | Bisa_sim.Compile.Interp -> E.interp e
     | Bisa_sim.Compile.Compiled ->
       let module C = Bisa_sim.Compile.Conv in
-      let ce = C.bind (C.compile_trusted prog) e in
-      fun () -> C.step ce <> None
+      C.bind (C.compile_trusted prog) e
   in
+  let step () = E.step_into body e in
   let ops () = E.dyn_insns e in
   let finish () =
     functional_payload ~out:(E.output e) ~ops:(ops ())
@@ -436,14 +437,14 @@ let block_functional prog ~exec ~budget ~out_cap =
   let e = E.create prog in
   E.set_budget e budget;
   Option.iter (E.set_out_cap e) out_cap;
-  let step =
+  let body =
     match exec with
-    | Bisa_sim.Compile.Interp -> fun () -> E.step e <> None
+    | Bisa_sim.Compile.Interp -> E.interp e
     | Bisa_sim.Compile.Compiled ->
       let module C = Bisa_sim.Compile.Block in
-      let ce = C.bind (C.compile_trusted prog) e in
-      fun () -> C.step ce <> None
+      C.bind (C.compile_trusted prog) e
   in
+  let step () = E.step_into body ~fetch:(E.required e) e >= 0 in
   let ops () = E.retired_ops e in
   let finish () =
     functional_payload ~out:(E.output e) ~ops:(ops ())

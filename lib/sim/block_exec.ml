@@ -29,7 +29,19 @@ type t = {
   mutable retired_blocks : int;
   mutable budget : int;
   sink : Output.Sink.sink;
+  wr_int : int array array;
+  wr_flt : int array array;
+  scratch : int array;
+  mutable last_block : int;
+  mutable last_ops : int;
+  mutable last_addrs : int array;
+  mutable last_fpos : int;
+  mutable last_next : int;
+  mutable last_dir : int;
+  mutable out_rev : Output.item list;
 }
+
+type body = int -> unit
 
 exception Runaway of int
 exception Illegal_fetch of { required : int; requested : int }
@@ -53,7 +65,27 @@ let machine_trap_diag mt =
     | Unaligned_access a ->
       Printf.sprintf "machine trap: unaligned memory access at 0x%x" a)
 
+(* The registers a block can write, per class.  The Call terminator's
+   link write is included even though it only runs on commit (when
+   nothing is restored) — the list is a static over-approximation. *)
+let written_regs (blk : int Ablock.t) =
+  let ints = ref [] and flts = ref [] in
+  let add r =
+    let i = Reg.index r in
+    if Reg.is_int r then begin
+      if not (List.mem i !ints) then ints := i :: !ints
+    end
+    else if not (List.mem i !flts) then flts := i :: !flts
+  in
+  Array.iter (fun e -> List.iter add (Ablock.elt_defs e)) blk.Ablock.elts;
+  List.iter add (Ablock.term_defs blk.Ablock.term);
+  (Array.of_list (List.rev !ints), Array.of_list (List.rev !flts))
+
 let create (prog : Block_prog.t) =
+  let written = Array.map written_regs prog.blocks in
+  let widest =
+    Array.fold_left (fun m blk -> max m (Array.length blk.Ablock.elts)) 1 prog.blocks
+  in
   let t =
     {
       prog;
@@ -69,6 +101,16 @@ let create (prog : Block_prog.t) =
       retired_blocks = 0;
       budget = 2_000_000_000;
       sink = Output.Sink.create ();
+      wr_int = Array.map fst written;
+      wr_flt = Array.map snd written;
+      scratch = Array.make widest (-1);
+      last_block = -1;
+      last_ops = 0;
+      last_addrs = [||];
+      last_fpos = -1;
+      last_next = 0;
+      last_dir = -1;
+      out_rev = [];
     }
   in
   Array.iteri
@@ -94,8 +136,25 @@ let output t =
 let read_mem t addr = Memory.load t.mem addr
 let read_memf t addr = Memory.loadf t.mem addr
 
-let snapshot_regs t = Regfile.blit ~src:t.regs ~dst:t.shadow
-let restore_regs t = Regfile.blit ~src:t.shadow ~dst:t.regs
+let last_block t = t.last_block
+let last_ops t = t.last_ops
+let last_addrs t = t.last_addrs
+let last_dir t = t.last_dir
+
+(* Shadow save/restore over the block's static written-register lists:
+   equivalent to blitting the whole register file, because registers
+   the block cannot write never change between save and restore. *)
+let copy_written ~(src : Regfile.t) ~(dst : Regfile.t) (wi : int array) (wf : int array) =
+  let si = src.ints and di = dst.ints in
+  for k = 0 to Array.length wi - 1 do
+    let r = Array.unsafe_get wi k in
+    Array.unsafe_set di r (Array.unsafe_get si r)
+  done;
+  let sf = src.flts and df = dst.flts in
+  for k = 0 to Array.length wf - 1 do
+    let r = Array.unsafe_get wf k in
+    Array.unsafe_set df r (Array.unsafe_get sf r)
+  done
 
 (* Architected clean halt: confinement for control or memory behavior the
    static verifier cannot bound (register-valued jump targets, runtime
@@ -103,117 +162,142 @@ let restore_regs t = Regfile.blit ~src:t.shadow ~dst:t.regs
    verified-but-wild-at-runtime programs halt instead of crashing. *)
 let trap_halt t mt =
   t.halted <- true;
-  t.mtrap <- Some mt;
-  None
+  t.mtrap <- Some mt
 
-let step ?fetch t =
+(* The interpreter's body: [Opsem] over the block's elements, stopping
+   at the first firing fault, then the terminator. *)
+let interp t : body =
+  let out item = t.out_rev <- item :: t.out_rev in
+  let sbuf = Some t.sbuf in
+  fun b ->
+    let blk = t.prog.blocks.(b) in
+    let elts = blk.Ablock.elts in
+    let nelts = Array.length elts in
+    let rec go k =
+      if k < nelts then
+        match elts.(k) with
+        | Ablock.Op op ->
+          t.last_addrs.(k) <- Opsem.exec ~regs:t.regs ~mem:t.mem ~sbuf ~out op;
+          go (k + 1)
+        | Ablock.Fault (c, s1, s2, target) ->
+          if Cmp.eval c (Regfile.get_i t.regs s1) (Regfile.get_i t.regs s2) then begin
+            t.last_fpos <- k;
+            t.last_next <- target
+          end
+          else go (k + 1)
+      else
+        match blk.Ablock.term with
+        | Ablock.Trap { cmp; rs1; rs2; taken; not_taken; _ } ->
+          let dir = Cmp.eval cmp (Regfile.get_i t.regs rs1) (Regfile.get_i t.regs rs2) in
+          t.last_next <- (if dir then taken else not_taken);
+          t.last_dir <- (if dir then 1 else 0)
+        | Ablock.Goto l -> t.last_next <- l
+        | Ablock.Call { callee; ret_to } ->
+          Regfile.set_i t.regs Reg.ra ret_to;
+          t.last_next <- callee
+        | Ablock.Return -> t.last_next <- Regfile.get_i t.regs Reg.ra
+        | Ablock.Ijump r -> t.last_next <- Regfile.get_i t.regs r
+        | Ablock.Halt ->
+          t.halted <- true;
+          t.last_next <- b
+    in
+    go 0
+
+(* The step protocol: halting, fetch legality, the shadow registers, the
+   body, then squash or commit with the budget charge and the trap on a
+   wild successor.  The step lands in the [last_*] fields, its addresses
+   in the reusable scratch or, with [fresh], in a new [-1]-filled array
+   a step record can keep.  Returns [-1] once halted, [0] for a
+   committed block, [1] for a fault squash. *)
+let advance ~fresh body ~fetch t =
   let nblocks = Array.length t.prog.blocks in
-  if t.halted then None
-  else if t.required < 0 || t.required >= nblocks then
-    trap_halt t (Wild_jump t.required)
+  if t.halted then -1
+  else if t.required < 0 || t.required >= nblocks then begin
+    trap_halt t (Wild_jump t.required);
+    -1
+  end
   else begin
     let b =
-      match fetch with
-      | None -> t.required
-      | Some f ->
-        if f = t.required || Block_prog.in_group t.prog ~rep:t.required f then f
-        else raise (Illegal_fetch { required = t.required; requested = f })
+      if fetch = t.required || Block_prog.in_group t.prog ~rep:t.required fetch then fetch
+      else raise (Illegal_fetch { required = t.required; requested = fetch })
     in
-    if b < 0 || b >= nblocks then trap_halt t (Wild_jump b)
+    if b < 0 || b >= nblocks then begin
+      trap_halt t (Wild_jump b);
+      -1
+    end
     else begin
-    let blk = t.prog.blocks.(b) in
-    let nelts = Array.length blk.Ablock.elts in
-    let mem_addrs = Array.make nelts (-1) in
-    snapshot_regs t;
-    Sbuf.clear t.sbuf;
-    let pending_out = ref [] in
-    let out item = pending_out := item :: !pending_out in
-    let fault_fired = ref None in
-    let k = ref 0 in
-    try
-      while !fault_fired = None && !k < nelts do
-        (match blk.Ablock.elts.(!k) with
-        | Ablock.Op op ->
-          mem_addrs.(!k) <-
-            Opsem.exec ~regs:t.regs ~mem:t.mem ~sbuf:(Some t.sbuf) ~out op
-        | Ablock.Fault (c, s1, s2, target) ->
-          if Cmp.eval c (Regfile.get_i t.regs s1) (Regfile.get_i t.regs s2) then
-            fault_fired := Some (!k, target));
-        incr k
-      done;
-      match !fault_fired with
-      | Some (pos, target) ->
-        (* Suppress the whole block. *)
-        restore_regs t;
-        Sbuf.clear t.sbuf;
-        t.dyn <- t.dyn + pos + 1;
-        if t.dyn > t.budget then raise (Runaway t.dyn);
-        if target < 0 || target >= nblocks then begin
-          t.halted <- true;
-          t.mtrap <- Some (Wild_jump target)
-        end
-        else t.required <- target;
-        Some
-          {
-            block = b;
-            ops_executed = pos + 1;
-            mem_addrs;
-            squashed = true;
-            fault_pos = Some pos;
-            next = target;
-            dir_taken = None;
-          }
-      | None ->
-        (* Terminator, then commit. *)
-        let next, dir_taken =
-          match blk.Ablock.term with
-          | Ablock.Trap { cmp; rs1; rs2; taken; not_taken; _ } ->
-            let dir = Cmp.eval cmp (Regfile.get_i t.regs rs1) (Regfile.get_i t.regs rs2) in
-            ((if dir then taken else not_taken), Some dir)
-          | Ablock.Goto l -> (l, None)
-          | Ablock.Call { callee; ret_to } ->
-            Regfile.set_i t.regs Reg.ra ret_to;
-            (callee, None)
-          | Ablock.Return -> (Regfile.get_i t.regs Reg.ra, None)
-          | Ablock.Ijump r -> (Regfile.get_i t.regs r, None)
-          | Ablock.Halt ->
-            t.halted <- true;
-            (b, None)
-        in
-        Sbuf.flush t.sbuf t.mem;
-        List.iter (fun item -> Output.Sink.push t.sink item) (List.rev !pending_out);
-        let size = nelts + 1 in
-        t.dyn <- t.dyn + size;
-        t.retired <- t.retired + size;
-        t.retired_blocks <- t.retired_blocks + 1;
-        if t.dyn > t.budget then raise (Runaway t.dyn);
-        (* Confine register-valued control flow (returns, indirect jumps):
-           a target outside the program is a machine trap, not a crash at
-           the next fetch. *)
-        if (not t.halted) && (next < 0 || next >= nblocks) then begin
-          t.halted <- true;
-          t.mtrap <- Some (Wild_jump next)
-        end
-        else if not t.halted then t.required <- next;
-        Some
-          {
-            block = b;
-            ops_executed = nelts;
-            mem_addrs;
-            squashed = false;
-            fault_pos = None;
-            next;
-            dir_taken;
-          }
-    with Memory.Unaligned a ->
-      (* Register writes are shadowed and unflushed stores buffered, so
-         the offending block's effects are discarded and the machine
-         halts cleanly. *)
-      restore_regs t;
+      let nelts = Array.length t.prog.blocks.(b).Ablock.elts in
+      let wi = t.wr_int.(b) and wf = t.wr_flt.(b) in
+      t.last_addrs <- (if fresh then Array.make nelts (-1) else t.scratch);
+      t.last_block <- b;
+      t.last_fpos <- -1;
+      t.last_dir <- -1;
+      t.out_rev <- [];
+      copy_written ~src:t.regs ~dst:t.shadow wi wf;
       Sbuf.clear t.sbuf;
-      trap_halt t (Unaligned_access a)
+      try
+        body b;
+        if t.last_fpos >= 0 then begin
+          (* Suppress the whole block. *)
+          let pos = t.last_fpos and target = t.last_next in
+          copy_written ~src:t.shadow ~dst:t.regs wi wf;
+          Sbuf.clear t.sbuf;
+          t.dyn <- t.dyn + pos + 1;
+          if t.dyn > t.budget then raise (Runaway t.dyn);
+          if target < 0 || target >= nblocks then trap_halt t (Wild_jump target)
+          else t.required <- target;
+          t.last_ops <- pos + 1;
+          1
+        end
+        else begin
+          (* The terminator ran at the end of the body; commit. *)
+          let next = t.last_next in
+          Sbuf.flush t.sbuf t.mem;
+          List.iter (fun item -> Output.Sink.push t.sink item) (List.rev t.out_rev);
+          let size = nelts + 1 in
+          t.dyn <- t.dyn + size;
+          t.retired <- t.retired + size;
+          t.retired_blocks <- t.retired_blocks + 1;
+          if t.dyn > t.budget then raise (Runaway t.dyn);
+          (* Confine register-valued control flow (returns, indirect
+             jumps): a target outside the program is a machine trap, not
+             a crash at the next fetch. *)
+          if (not t.halted) && (next < 0 || next >= nblocks) then
+            trap_halt t (Wild_jump next)
+          else if not t.halted then t.required <- next;
+          t.last_ops <- nelts;
+          0
+        end
+      with Memory.Unaligned a ->
+        (* Register writes are shadowed and unflushed stores buffered, so
+           the offending block's effects are discarded and the machine
+           halts cleanly. *)
+        copy_written ~src:t.shadow ~dst:t.regs wi wf;
+        Sbuf.clear t.sbuf;
+        trap_halt t (Unaligned_access a);
+        -1
     end
   end
+
+let step_into body ~fetch t = advance ~fresh:false body ~fetch t
+
+let step ?body ?fetch t =
+  let body = match body with Some body -> body | None -> interp t in
+  let fetch = Option.value fetch ~default:t.required in
+  match advance ~fresh:true body ~fetch t with
+  | -1 -> None
+  | r ->
+    let squashed = r = 1 in
+    Some
+      {
+        block = t.last_block;
+        ops_executed = t.last_ops;
+        mem_addrs = t.last_addrs;
+        squashed;
+        fault_pos = (if squashed then Some t.last_fpos else None);
+        next = t.last_next;
+        dir_taken = (if t.last_dir < 0 then None else Some (t.last_dir = 1));
+      }
 
 let mtrap_save w = function
   | None -> Bisa_base.Codec.W.int w 0
@@ -265,6 +349,8 @@ let load t r =
 let run prog ?(budget = 2_000_000_000) () =
   let t = create prog in
   set_budget t budget;
-  let rec go () = match step t with Some _ -> go () | None -> () in
-  go ();
+  let body = interp t in
+  while step_into body ~fetch:t.required t >= 0 do
+    ()
+  done;
   (output t, retired_ops t)

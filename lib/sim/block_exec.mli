@@ -11,7 +11,18 @@
     exactly the set a correct hardware implementation could reach — and
     the fault operations repair any divergence inside the group.  Calling
     {!step} without a fetch argument executes the representative, giving
-    the canonical execution used for differential testing. *)
+    the canonical execution used for differential testing.
+
+    {2 One step protocol, two bodies}
+
+    {!step_into} is the only implementation of the step: halting, fetch
+    legality, the shadow registers, squash, commit, the budget and
+    machine traps.  What runs inside is a {!body}: one block's elements
+    and terminator, either the interpreter's ({!interp}, [Opsem] per
+    element) or the threaded code's ({!Compile.Block.bind}).  The body
+    is chosen once, where code is bound; the step lands in the executor's
+    step fields, read through the [last_*] accessors, and {!step}
+    derives its record from them. *)
 
 type step = {
   block : int;  (** the block that was executed *)
@@ -47,12 +58,32 @@ type t = {
   mutable retired_blocks : int;
   mutable budget : int;
   sink : Output.Sink.sink;
+  wr_int : int array array;
+      (** registers each block can write, per class: the shadow
+          save/restore touches only these *)
+  wr_flt : int array array;
+  scratch : int array;  (** reusable address slots, as long as the widest block *)
+  mutable last_block : int;  (** the step fields, written by every step *)
+  mutable last_ops : int;
+  mutable last_addrs : int array;
+  mutable last_fpos : int;  (** firing fault's position, -1 = none *)
+  mutable last_next : int;  (** fault target or terminator successor *)
+  mutable last_dir : int;  (** trap direction: -1 none / 0 not taken / 1 taken *)
+  mutable out_rev : Output.item list;  (** the block's prints, newest first *)
 }
 (** The architectural state is concrete so {!Compile} (same library) can
-    drive the identical record from threaded code: both backends share
-    one state, so checkpoints, counters and output are backend-agnostic
-    by construction.  Outside [lib/sim], treat the fields as read-only
-    and go through the accessors below. *)
+    build bodies over it: both backends share one state, so checkpoints,
+    counters and output are backend-agnostic by construction.  The step
+    fields are intra-step scratch and are never saved.  Outside
+    [lib/sim], treat the fields as read-only and go through the
+    accessors below. *)
+
+type body = int -> unit
+(** Runs block [b]'s elements and terminator on the executor it was
+    built for: each memory op's address into [last_addrs], prints onto
+    [out_rev]; a firing fault sets [last_fpos] and [last_next] and stops
+    the block; otherwise the terminator sets [last_next] and [last_dir]
+    ([Halt] sets [halted]).  May raise [Memory.Unaligned]. *)
 
 exception Runaway of int
 exception Illegal_fetch of { required : int; requested : int }
@@ -71,9 +102,33 @@ val create : Bisa_isa.Block_prog.t -> t
 val required : t -> int
 (** The representative of the architecturally required next block. *)
 
-val step : ?fetch:int -> t -> step option
-(** Execute one block ([fetch] defaults to {!required}).  [None] once
+val interp : t -> body
+(** The interpreter's body: [Opsem] over each element.  The reference
+    the threaded code is checked against. *)
+
+val step_into : body -> fetch:int -> t -> int
+(** Execute block [fetch] through [body], allocating nothing: the step
+    lands in the step fields.  Returns [-1] once halted, [0] for a
+    committed block, [1] for a fault squash.  Results are valid until
+    the next step; [last_addrs] slots of non-memory ops may hold stale
+    values, so consumers gate address reads on the op's memory kind (the
+    timing engine does).  Raises {!Illegal_fetch} outside the required
+    variant group and {!Runaway} past the budget. *)
+
+val step : ?body:body -> ?fetch:int -> t -> step option
+(** {!step_into} with its results copied into a record, whose
+    [mem_addrs] is a fresh array holding [-1] in non-memory slots.
+    [body] defaults to {!interp}, [fetch] to {!required}.  [None] once
     halted. *)
+
+val last_block : t -> int
+val last_ops : t -> int
+(** [ops_executed] of the last step (body elements only). *)
+
+val last_addrs : t -> int array
+val last_dir : t -> int
+(** Trap direction of the last committed step: [-1] none / [0] not
+    taken / [1] taken. *)
 
 val halted : t -> bool
 

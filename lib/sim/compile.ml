@@ -1,13 +1,13 @@
-(* Threaded-code compilation of the functional executors: each block (and
+(* Threaded-code bodies for the functional executors: each block (and
    each conventional instruction) becomes one specialized closure that
    tail-calls its successor, with operand indices and literals resolved at
-   compile time.  The chains mutate the interpreter's own state records
-   (Block_exec.t / Conv_exec.t), so every observable — registers, memory,
-   output sink, counters, traps, checkpoints — is shared with the
-   interpreter by construction.  Where the interpreter would raise
-   (Runaway, Illegal_fetch, register-class Invalid_argument on trusted
-   malformed input), the compiled path raises at the same program point;
-   where it traps (Wild_jump, Unaligned_access), the compiled path traps.
+   compile time.  No step protocol lives here: [bind] returns a body that
+   Block_exec.step_into / Conv_exec.step_into drive exactly as they drive
+   the interpreter's, so halting, fetch legality, squash, commit, the
+   budget and machine traps have one implementation per ISA.  The chains
+   mutate the executor's own registers, memory, step fields and output;
+   on trusted malformed input they raise the interpreter's register-class
+   Invalid_argument at the same program point.
 
    Three executors are compiled here — the block chain, the conventional
    packet threads and the conventional run-to-halt chain — from one op
@@ -82,7 +82,7 @@ let ix = Reg.index
 
    [reg_op ~ints ~flts op k] compiles an op that only touches registers
    into a closure that applies the op to [ints]/[flts] — the register
-   arrays of the one binding the chain is built for — and tail-calls
+   arrays of the one executor the chain is built for — and tail-calls
    [k].  It is polymorphic in the executor's state, which only [k]
    reads, so all three executors share it.  Each arm is specialized per
    opcode and operand form: a closure per ALU function would cost a
@@ -344,31 +344,13 @@ let int_cond ~regs ~(ints : int array) (c : Cmp.t) s1 s2 (t : 's -> unit) (f : '
       fun st -> if Array.unsafe_get ints s1 >= Array.unsafe_get ints s2 then t st else f st
 
 module Block = struct
-  (* Per-binding scratch threaded through the chain.  [ints]/[flts]
-     alias the executor's register file arrays (the chains close over
-     the same arrays); everything else is intra-step state the epilogue
-     consumes. *)
-  type st = {
-    x : Block_exec.t;
-    ints : int array;
-    flts : float array;
-    sints : int array;  (* shadow register file, same aliasing *)
-    sflts : float array;
-    mutable addrs : int array;  (* this step's mem_addrs, -1-initialized *)
-    scratch : int array;  (* [step_into]'s reusable mem_addrs, max-sized *)
-    mutable fpos : int;  (* firing fault position, -1 = none *)
-    mutable ftarget : int;
-    mutable next : int;  (* terminator's successor *)
-    mutable dir : int;  (* trap direction: -1 none / 0 not-taken / 1 taken *)
-    mutable r_block : int;  (* last [step_into] results *)
-    mutable r_ops : int;
-    mutable out_rev : Output.item list;  (* pending prints, newest first *)
-  }
-
-  type chain = st -> unit
+  (* A chain runs on the executor it was built for, whose step fields
+     it writes; [ints]/[flts] are closed over as that executor's
+     register arrays. *)
+  type chain = Block_exec.t -> unit
 
   (* A handle on the program: the chains are built by [bind], so they
-     live exactly as long as the binding that executes them. *)
+     live exactly as long as the body that executes them. *)
   type code = { cprog : Block_prog.t }
 
   let prog c = c.cprog
@@ -379,18 +361,18 @@ module Block = struct
   let generic_op (x : Block_exec.t) ~pos op (k : chain) : chain =
     let sbuf = Some x.Block_exec.sbuf in
     fun st ->
-      st.addrs.(pos) <-
+      st.Block_exec.last_addrs.(pos) <-
         Opsem.exec ~regs:x.Block_exec.regs ~mem:x.Block_exec.mem ~sbuf
-          ~out:(fun item -> st.out_rev <- item :: st.out_rev)
+          ~out:(fun item -> st.Block_exec.out_rev <- item :: st.Block_exec.out_rev)
           op;
       k st
 
   (* What the atomic block changes: memory ops go through the store
      buffer, so a store waits for commit, and record their address in
-     this step's [addrs]; prints wait in [out_rev] for commit.  Every
-     other op is the shared [reg_op]. *)
+     this step's [last_addrs]; prints wait in [out_rev] for commit.
+     Every other op is the shared [reg_op]. *)
   let compile_op (x : Block_exec.t) ~pos (op : Op.t) (k : chain) : chain =
-    let ints = Regfile.ints x.Block_exec.regs and flts = Regfile.flts x.Block_exec.regs in
+    let { Regfile.ints; flts } = x.Block_exec.regs in
     let sbuf = x.Block_exec.sbuf and mem = x.Block_exec.mem in
     if not (classes_ok op) then generic_op x ~pos op k
     else
@@ -401,89 +383,89 @@ module Block = struct
           let addr = Array.unsafe_get ints b + off in
           let v = Sbuf.load sbuf mem addr in
           if d <> 0 then Array.unsafe_set ints d v;
-          st.addrs.(pos) <- addr;
+          st.Block_exec.last_addrs.(pos) <- addr;
           k st
       | Op.Loadf (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Array.unsafe_set flts d (Sbuf.loadf sbuf mem addr);
-          st.addrs.(pos) <- addr;
+          st.Block_exec.last_addrs.(pos) <- addr;
           k st
       | Op.Store (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Sbuf.store sbuf addr (Array.unsafe_get ints s);
-          st.addrs.(pos) <- addr;
+          st.Block_exec.last_addrs.(pos) <- addr;
           k st
       | Op.Storef (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Sbuf.storef sbuf addr (Array.unsafe_get flts s);
-          st.addrs.(pos) <- addr;
+          st.Block_exec.last_addrs.(pos) <- addr;
           k st
       | Op.Print s ->
         let s = ix s in
         fun st ->
-          st.out_rev <- Output.Oint (Array.unsafe_get ints s) :: st.out_rev;
+          st.Block_exec.out_rev <- Output.Oint (Array.unsafe_get ints s) :: st.out_rev;
           k st
       | Op.Printf s ->
         let s = ix s in
         fun st ->
-          st.out_rev <- Output.Oflt (Array.unsafe_get flts s) :: st.out_rev;
+          st.Block_exec.out_rev <- Output.Oflt (Array.unsafe_get flts s) :: st.out_rev;
           k st
       | _ -> reg_op ~ints ~flts op k
 
-  (* A firing fault records its position and returns without calling the
-     continuation — the rest of the block never executes, exactly like
-     the interpreter's loop exit. *)
+  (* A firing fault records its position and target and returns without
+     calling the continuation — the rest of the block never executes,
+     exactly like the interpreter's loop exit. *)
   let compile_elt (x : Block_exec.t) ~pos (elt : int Ablock.elt) (k : chain) : chain =
     match elt with
     | Ablock.Op op -> compile_op x ~pos op k
     | Ablock.Fault (c, s1, s2, target) ->
       let regs = x.Block_exec.regs in
       let fire st =
-        st.fpos <- pos;
-        st.ftarget <- target
+        st.Block_exec.last_fpos <- pos;
+        st.Block_exec.last_next <- target
       in
-      int_cond ~regs ~ints:(Regfile.ints regs) c s1 s2 fire k
+      int_cond ~regs ~ints:regs.Regfile.ints c s1 s2 fire k
 
   (* The terminator is the last link of the chain: it only runs when no
-     fault fired, mirroring the interpreter's commit path. *)
+     fault fired, mirroring the interpreter's body. *)
   let compile_term (x : Block_exec.t) ~self (term : int Ablock.terminator) : chain =
     let regs = x.Block_exec.regs in
-    let ints = Regfile.ints regs in
+    let ints = regs.Regfile.ints in
     match term with
     | Ablock.Trap { cmp; rs1; rs2; taken; not_taken; _ } ->
       let on_taken st =
-        st.next <- taken;
-        st.dir <- 1
+        st.Block_exec.last_next <- taken;
+        st.Block_exec.last_dir <- 1
       and on_not_taken st =
-        st.next <- not_taken;
-        st.dir <- 0
+        st.Block_exec.last_next <- not_taken;
+        st.Block_exec.last_dir <- 0
       in
       int_cond ~regs ~ints cmp rs1 rs2 on_taken on_not_taken
-    | Ablock.Goto l -> fun st -> st.next <- l
+    | Ablock.Goto l -> fun st -> st.Block_exec.last_next <- l
     | Ablock.Call { callee; ret_to } ->
       let ra = Reg.index Reg.ra in
       fun st ->
         (* r31: direct write, never the r0 drop (matches Regfile.set_i) *)
         Array.unsafe_set ints ra ret_to;
-        st.next <- callee
+        st.Block_exec.last_next <- callee
     | Ablock.Return ->
       let ra = Reg.index Reg.ra in
-      fun st -> st.next <- Array.unsafe_get ints ra
+      fun st -> st.Block_exec.last_next <- Array.unsafe_get ints ra
     | Ablock.Ijump r ->
       if Reg.is_int r then
         let r = ix r in
-        fun st -> st.next <- Array.unsafe_get ints r
-      else fun st -> st.next <- Regfile.get_i regs r
+        fun st -> st.Block_exec.last_next <- Array.unsafe_get ints r
+      else fun st -> st.Block_exec.last_next <- Regfile.get_i regs r
     | Ablock.Halt ->
       fun st ->
-        x.Block_exec.halted <- true;
-        st.next <- self
+        st.Block_exec.halted <- true;
+        st.Block_exec.last_next <- self
 
   let compile_block x ~self (blk : int Ablock.t) : chain =
     let n = Array.length blk.Ablock.elts in
@@ -493,248 +475,39 @@ module Block = struct
     in
     build 0
 
-  (* The registers a block can write, per class.  The Call terminator's
-     link write is included even though it only runs on commit (when
-     nothing is restored) — the list is a static over-approximation. *)
-  let written_regs (blk : int Ablock.t) =
-    let ints = ref [] and flts = ref [] in
-    let add r =
-      let i = Reg.index r in
-      if Reg.is_int r then begin
-        if not (List.mem i !ints) then ints := i :: !ints
-      end
-      else if not (List.mem i !flts) then flts := i :: !flts
-    in
-    Array.iter
-      (function
-        | Ablock.Op op -> List.iter add (Op.defs op)
-        | Ablock.Fault _ -> ())
-      blk.Ablock.elts;
-    (match blk.Ablock.term with Ablock.Call _ -> add Reg.ra | _ -> ());
-    (Array.of_list (List.rev !ints), Array.of_list (List.rev !flts))
-
   let compile_trusted (prog : Block_prog.t) = { cprog = prog }
 
   let compile (w : Bisa_verify.Verify.verified_block_prog) =
     compile_trusted (w :> Block_prog.t)
 
-  type t = {
-    cprog : Block_prog.t;
-    chains : chain array;  (* one per block *)
-    sizes : int array;  (* body elements per block *)
-    (* Registers each block can write (static), per class: the shadow
-       save/restore only touches these instead of blitting the whole
-       register file around every block. *)
-    wr_int : int array array;
-    wr_flt : int array array;
-    st : st;
-  }
-
-  let exec t = t.st.x
-
-  let bind (code : code) (x : Block_exec.t) =
+  let bind (code : code) (x : Block_exec.t) : Block_exec.body =
     let prog = code.cprog in
     if not (prog == x.Block_exec.prog || prog = x.Block_exec.prog) then
       invalid_arg "Compile.Block.bind: code compiled from a different program";
-    let written = Array.map written_regs prog.blocks in
-    let sizes = Array.map (fun blk -> Array.length blk.Ablock.elts) prog.blocks in
-    {
-      cprog = prog;
-      chains = Array.mapi (fun b blk -> compile_block x ~self:b blk) prog.blocks;
-      sizes;
-      wr_int = Array.map fst written;
-      wr_flt = Array.map snd written;
-      st =
-        {
-          x;
-          ints = Regfile.ints x.Block_exec.regs;
-          flts = Regfile.flts x.Block_exec.regs;
-          sints = Regfile.ints x.Block_exec.shadow;
-          sflts = Regfile.flts x.Block_exec.shadow;
-          addrs = [||];
-          scratch = Array.make (max 1 (Array.fold_left max 0 sizes)) (-1);
-          fpos = -1;
-          ftarget = 0;
-          next = 0;
-          dir = -1;
-          r_block = -1;
-          r_ops = 0;
-          out_rev = [];
-        };
-    }
-
-  (* Shadow save/restore over the block's static written-register lists:
-     equivalent to the interpreter's whole-file blits because registers
-     the block cannot write never change between save and restore. *)
-  let save_written st (wi : int array) (wf : int array) =
-    for k = 0 to Array.length wi - 1 do
-      let r = Array.unsafe_get wi k in
-      Array.unsafe_set st.sints r (Array.unsafe_get st.ints r)
-    done;
-    for k = 0 to Array.length wf - 1 do
-      let r = Array.unsafe_get wf k in
-      Array.unsafe_set st.sflts r (Array.unsafe_get st.flts r)
-    done
-
-  let restore_written st (wi : int array) (wf : int array) =
-    for k = 0 to Array.length wi - 1 do
-      let r = Array.unsafe_get wi k in
-      Array.unsafe_set st.ints r (Array.unsafe_get st.sints r)
-    done;
-    for k = 0 to Array.length wf - 1 do
-      let r = Array.unsafe_get wf k in
-      Array.unsafe_set st.flts r (Array.unsafe_get st.sflts r)
-    done
-
-  (* One block step, mirroring Block_exec.step line for line with the
-     element loop replaced by the chain call.  The epilogue lands in
-     [r_block]/[r_ops]/[dir] (plus [fpos]/[ftarget] or [next]) and the
-     step's addresses in [addrs]: the reusable scratch, whose slots of
-     non-memory ops keep stale values — sound for the timing engine,
-     which gates every address read on the template's memory kind — or,
-     with [fresh], a new [-1]-filled array a step record can keep.
-     Returns [-1] where Block_exec.step returns [None], [0] for a
-     committed block, [1] for a fault squash. *)
-  let advance ~fresh ~fetch t =
-    let st = t.st in
-    let x = st.x in
-    let nblocks = Array.length t.cprog.Block_prog.blocks in
-    if x.Block_exec.halted then -1
-    else if x.Block_exec.required < 0 || x.Block_exec.required >= nblocks
-    then begin
-      x.Block_exec.halted <- true;
-      x.Block_exec.mtrap <- Some (Block_exec.Wild_jump x.Block_exec.required);
-      -1
-    end
-    else begin
-      let b =
-        if
-          fetch = x.Block_exec.required
-          || Block_prog.in_group t.cprog ~rep:x.Block_exec.required fetch
-        then fetch
-        else
-          raise
-            (Block_exec.Illegal_fetch
-               { required = x.Block_exec.required; requested = fetch })
-      in
-      if b < 0 || b >= nblocks then begin
-        x.Block_exec.halted <- true;
-        x.Block_exec.mtrap <- Some (Block_exec.Wild_jump b);
-        -1
-      end
-      else begin
-        let nelts = t.sizes.(b) in
-        st.addrs <- (if fresh then Array.make nelts (-1) else st.scratch);
-        let wi = t.wr_int.(b) and wf = t.wr_flt.(b) in
-        save_written st wi wf;
-        Sbuf.clear x.Block_exec.sbuf;
-        st.fpos <- -1;
-        st.dir <- -1;
-        st.out_rev <- [];
-        try
-          t.chains.(b) st;
-          if st.fpos >= 0 then begin
-            (* Fault fired: suppress the whole block. *)
-            let pos = st.fpos and target = st.ftarget in
-            restore_written st wi wf;
-            Sbuf.clear x.Block_exec.sbuf;
-            x.Block_exec.dyn <- x.Block_exec.dyn + pos + 1;
-            if x.Block_exec.dyn > x.Block_exec.budget then
-              raise (Block_exec.Runaway x.Block_exec.dyn);
-            if target < 0 || target >= nblocks then begin
-              x.Block_exec.halted <- true;
-              x.Block_exec.mtrap <- Some (Block_exec.Wild_jump target)
-            end
-            else x.Block_exec.required <- target;
-            st.r_block <- b;
-            st.r_ops <- pos + 1;
-            st.dir <- -1;
-            1
-          end
-          else begin
-            (* Terminator already ran at the end of the chain; commit. *)
-            let next = st.next in
-            Sbuf.flush x.Block_exec.sbuf x.Block_exec.mem;
-            List.iter
-              (fun item -> Output.Sink.push x.Block_exec.sink item)
-              (List.rev st.out_rev);
-            let size = nelts + 1 in
-            x.Block_exec.dyn <- x.Block_exec.dyn + size;
-            x.Block_exec.retired <- x.Block_exec.retired + size;
-            x.Block_exec.retired_blocks <- x.Block_exec.retired_blocks + 1;
-            if x.Block_exec.dyn > x.Block_exec.budget then
-              raise (Block_exec.Runaway x.Block_exec.dyn);
-            if (not x.Block_exec.halted) && (next < 0 || next >= nblocks)
-            then begin
-              x.Block_exec.halted <- true;
-              x.Block_exec.mtrap <- Some (Block_exec.Wild_jump next)
-            end
-            else if not x.Block_exec.halted then x.Block_exec.required <- next;
-            st.r_block <- b;
-            st.r_ops <- nelts;
-            0
-          end
-        with Memory.Unaligned a ->
-          restore_written st wi wf;
-          Sbuf.clear x.Block_exec.sbuf;
-          x.Block_exec.halted <- true;
-          x.Block_exec.mtrap <- Some (Block_exec.Unaligned_access a);
-          -1
-      end
-    end
-
-  (* Zero-allocation stepping for the block timing pipeline: the results
-     are only valid until the next call. *)
-  let step_into ~fetch t = advance ~fresh:false ~fetch t
-
-  let step ?fetch t =
-    let st = t.st in
-    let fetch = Option.value fetch ~default:st.x.Block_exec.required in
-    match advance ~fresh:true ~fetch t with
-    | -1 -> None
-    | r ->
-      let squashed = r = 1 in
-      Some
-        {
-          Block_exec.block = st.r_block;
-          ops_executed = st.r_ops;
-          mem_addrs = st.addrs;
-          squashed;
-          fault_pos = (if squashed then Some st.fpos else None);
-          next = (if squashed then st.ftarget else st.next);
-          dir_taken = (if st.dir < 0 then None else Some (st.dir = 1));
-        }
-
-  let last_block t = t.st.r_block
-  let last_ops t = t.st.r_ops
-  let last_addrs t = t.st.addrs
-  let last_dir t = t.st.dir
+    let chains = Array.mapi (fun b blk -> compile_block x ~self:b blk) prog.blocks in
+    fun b -> chains.(b) x
 
   let run ?(budget = 2_000_000_000) (code : code) =
     let x = Block_exec.create code.cprog in
     Block_exec.set_budget x budget;
-    let t = bind code x in
-    while step_into ~fetch:x.Block_exec.required t >= 0 do
+    let body = bind code x in
+    while Block_exec.step_into body ~fetch:x.Block_exec.required x >= 0 do
       ()
     done;
     (Block_exec.output x, Block_exec.retired_ops x)
 end
 
 module Conv = struct
-  type st = {
-    x : Conv_exec.t;
-    saddrs : int array;  (* packet_cap-sized scratch; packets copy out *)
-    mutable count : int;
-    mutable term : Conv_exec.term_kind;
-    mutable next : int;
-    mutable last_start : int;  (* start pc of the last [step_into] packet *)
-    mutable fuel : int;  (* run chain only: remaining dyn budget, exact at
-                            every thread entry and at every faultable
-                            access, so the Unaligned handler can
-                            reconstruct the exact dyn count *)
-  }
+  (* A packet thread runs on the executor it was built for, whose step
+     fields it writes. *)
+  type thread = Conv_exec.t -> unit
 
-  type thread = st -> unit
+  (* The run chain's state: its executor and the remaining dyn budget,
+     exact at every thread entry and at every faultable access, so the
+     Unaligned handler can reconstruct the exact dyn count. *)
+  type fuel_st = { x : Conv_exec.t; mutable fuel : int }
+
+  type fast = fuel_st -> unit
 
   (* A handle on the program, as in [Block]: [bind] builds the packet
      threads and [run] the run-to-halt chain, each for its own use. *)
@@ -753,8 +526,8 @@ module Conv = struct
 
   (* Both conventional chains print straight to the sink — there is no
      atomic block to wait for — and share [reg_op] for the rest. *)
-  let print_or_reg_op (x : Conv_exec.t) (op : Op.t) (k : thread) : thread =
-    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+  let print_or_reg_op (x : Conv_exec.t) (op : Op.t) (k : 's -> unit) : 's -> unit =
+    let { Regfile.ints; flts } = x.Conv_exec.regs in
     match op with
     | Op.Print s ->
       let s = ix s in
@@ -770,39 +543,32 @@ module Conv = struct
 
   (* --- packet threads ----------------------------------------------------
 
-     [bind] builds one thread per pc; [step_into] enters the thread of
-     the packet's start and gets back one packet.  Each instruction runs
-     its prologue, then its body: an op falls through to the next pc's
+     [bind] builds one thread per pc; the body it returns enters the
+     thread of the packet's start.  Each instruction runs the body's
+     prologue, then its own code: an op falls through to the next pc's
      thread, a control instruction ends the packet by setting
-     [term]/[next]. *)
+     [last_term]/[last_next]. *)
 
-  (* Packet-cap check, budget charge and an address slot of [-1] (the
-     scratch array is reused across packets, so it must be written), in
-     the interpreter's order, before every instruction. *)
+  (* At the step's [limit] the protocol decides ([Conv_exec.stop]);
+     below it, the instruction takes its address slot, [-1] until a
+     memory op overwrites it (the array is reused across packets). *)
   let with_prologue pc (body : thread) : thread =
    fun st ->
-    let count = st.count in
-    if count >= Conv_exec.packet_cap then begin
-      st.term <- Conv_exec.Kfall;
-      st.next <- pc
-    end
+    let count = st.Conv_exec.last_count in
+    if count >= st.Conv_exec.limit then Conv_exec.stop st pc
     else begin
-      let x = st.x in
-      x.Conv_exec.dyn <- x.Conv_exec.dyn + 1;
-      if x.Conv_exec.dyn > x.Conv_exec.budget then
-        raise (Conv_exec.Runaway x.Conv_exec.dyn);
-      st.saddrs.(count) <- -1;
-      st.count <- count + 1;
+      Array.unsafe_set st.Conv_exec.last_addrs count (-1);
+      st.Conv_exec.last_count <- count + 1;
       body st
     end
 
   (* A memory op overwrites its instruction's slot with the address. *)
   let packet_op (x : Conv_exec.t) (op : Op.t) (k : thread) : thread =
-    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+    let { Regfile.ints; flts } = x.Conv_exec.regs in
     let mem = x.Conv_exec.mem in
     if not (classes_ok op) then
       fun st ->
-        st.saddrs.(st.count - 1) <- opsem x op;
+        st.Conv_exec.last_addrs.(st.Conv_exec.last_count - 1) <- opsem x op;
         k st
     else
       match op with
@@ -812,94 +578,82 @@ module Conv = struct
           let addr = Array.unsafe_get ints b + off in
           let v = Memory.load mem addr in
           if d <> 0 then Array.unsafe_set ints d v;
-          st.saddrs.(st.count - 1) <- addr;
+          st.Conv_exec.last_addrs.(st.Conv_exec.last_count - 1) <- addr;
           k st
       | Op.Loadf (d, b, off) ->
         let d = ix d and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Array.unsafe_set flts d (Memory.loadf mem addr);
-          st.saddrs.(st.count - 1) <- addr;
+          st.Conv_exec.last_addrs.(st.Conv_exec.last_count - 1) <- addr;
           k st
       | Op.Store (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Memory.store mem addr (Array.unsafe_get ints s);
-          st.saddrs.(st.count - 1) <- addr;
+          st.Conv_exec.last_addrs.(st.Conv_exec.last_count - 1) <- addr;
           k st
       | Op.Storef (s, b, off) ->
         let s = ix s and b = ix b in
         fun st ->
           let addr = Array.unsafe_get ints b + off in
           Memory.storef mem addr (Array.unsafe_get flts s);
-          st.saddrs.(st.count - 1) <- addr;
+          st.Conv_exec.last_addrs.(st.Conv_exec.last_count - 1) <- addr;
           k st
       | _ -> print_or_reg_op x op k
 
   let compile_insn (x : Conv_exec.t) ~(next : thread) pc (insn : int Insn.t) : thread =
     let regs = x.Conv_exec.regs in
-    let ints = Regfile.ints regs in
+    let ints = regs.Regfile.ints in
     let ra = Reg.index Reg.ra in
     match insn with
     | Insn.Op op -> packet_op x op next
     | Insn.Br (c, s1, s2, target) ->
       let taken st =
-        st.term <- kbr_t;
-        st.next <- target
+        st.Conv_exec.last_term <- kbr_t;
+        st.Conv_exec.last_next <- target
       and not_taken st =
-        st.term <- kbr_f;
-        st.next <- pc + 1
+        st.Conv_exec.last_term <- kbr_f;
+        st.Conv_exec.last_next <- pc + 1
       in
       int_cond ~regs ~ints c s1 s2 taken not_taken
     | Insn.Jmp target ->
       fun st ->
-        st.term <- Conv_exec.Kjmp;
-        st.next <- target
+        st.Conv_exec.last_term <- Conv_exec.Kjmp;
+        st.Conv_exec.last_next <- target
     | Insn.Call target ->
       fun st ->
         Array.unsafe_set ints ra (pc + 1);
-        st.term <- Conv_exec.Kcall;
-        st.next <- target
+        st.Conv_exec.last_term <- Conv_exec.Kcall;
+        st.Conv_exec.last_next <- target
     | Insn.Ret ->
       fun st ->
-        st.term <- Conv_exec.Kret;
-        st.next <- Array.unsafe_get ints ra
+        st.Conv_exec.last_term <- Conv_exec.Kret;
+        st.Conv_exec.last_next <- Array.unsafe_get ints ra
     | Insn.Jr r when Reg.is_int r ->
       let r = ix r in
       fun st ->
-        st.term <- Conv_exec.Kjr;
-        st.next <- Array.unsafe_get ints r
+        st.Conv_exec.last_term <- Conv_exec.Kjr;
+        st.Conv_exec.last_next <- Array.unsafe_get ints r
     | Insn.Jr r ->
       fun st ->
         let tgt = Regfile.get_i regs r in
-        st.term <- Conv_exec.Kjr;
-        st.next <- tgt
+        st.Conv_exec.last_term <- Conv_exec.Kjr;
+        st.Conv_exec.last_next <- tgt
     | Insn.Halt ->
       fun st ->
-        x.Conv_exec.halted <- true;
-        st.term <- Conv_exec.Khalt;
-        st.next <- pc
+        st.Conv_exec.halted <- true;
+        st.Conv_exec.last_term <- Conv_exec.Khalt;
+        st.Conv_exec.last_next <- pc
 
   (* One thread per pc, built backward so an op's fall-through is a
      direct call to the next pc's thread, plus the off-the-end sentinel. *)
   let packet_threads (x : Conv_exec.t) (prog : Conv_prog.t) =
     let n = Array.length prog.insns in
-    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
-    (* Fall-through off the program's end: the same cap check, then the
-       same architected Wild_jump trap as the interpreter's loop. *)
-    threads.(n) <-
-      (fun st ->
-        if st.count >= Conv_exec.packet_cap then begin
-          st.term <- Conv_exec.Kfall;
-          st.next <- n
-        end
-        else begin
-          st.x.Conv_exec.halted <- true;
-          st.x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump n);
-          st.term <- Conv_exec.Khalt;
-          st.next <- n
-        end);
+    let threads = Array.make (n + 1) (fun (_ : Conv_exec.t) -> assert false) in
+    (* Fall-through off the program's end, as in the interpreter. *)
+    threads.(n) <- (fun st -> Conv_exec.off_end st n);
     for pc = n - 1 downto 0 do
       let body = compile_insn x ~next:threads.(pc + 1) pc prog.insns.(pc) in
       threads.(pc) <- with_prologue pc body
@@ -950,7 +704,7 @@ module Conv = struct
     raise (Conv_exec.Runaway x.Conv_exec.dyn)
 
   (* [st.fuel] is post-charge for the jumping insn; the wild target
-     itself is never charged, as in the packet driver. *)
+     itself is never charged, as in the packet step. *)
   let wild st target =
     let x = st.x in
     x.Conv_exec.dyn <- x.Conv_exec.budget - st.fuel;
@@ -968,8 +722,8 @@ module Conv = struct
      paid for at the run's entry, not executed yet.  A faultable op adds
      them back around its access, so [st.fuel] is exact if the access
      raises. *)
-  let run_op (x : Conv_exec.t) ~left (op : Op.t) (k : thread) : thread =
-    let ints = Regfile.ints x.Conv_exec.regs and flts = Regfile.flts x.Conv_exec.regs in
+  let run_op (x : Conv_exec.t) ~left (op : Op.t) (k : fast) : fast =
+    let { Regfile.ints; flts } = x.Conv_exec.regs in
     let mem = x.Conv_exec.mem in
     if not (classes_ok op) then
       fun st ->
@@ -1020,16 +774,16 @@ module Conv = struct
     let insns = prog.insns in
     let n = Array.length insns in
     let regs = x.Conv_exec.regs in
-    let ints = Regfile.ints regs in
+    let ints = regs.Regfile.ints in
     let ra = Reg.index Reg.ra in
-    let fast = Array.make (n + 1) (fun (_ : st) -> assert false) in
+    let fast = Array.make (n + 1) (fun (_ : fuel_st) -> assert false) in
     (* Off the end without a control transfer: the same architected
        Wild_jump as the packet sentinel's no-room-left arm. *)
     fast.(n) <- (fun st -> wild st n);
     (* A static target from the entry at [pc]: entries past [pc] are
        built already, a back edge reads [fast] when taken, and a target
-       outside the program traps where the packet driver would. *)
-    let goto pc target : thread =
+       outside the program traps where the packet step would. *)
+    let goto pc target : fast =
       if target < 0 || target > n then fun st -> wild st target
       else if target > pc then fast.(target)
       else fun st -> (Array.unsafe_get fast target) st
@@ -1041,7 +795,7 @@ module Conv = struct
     let run = ref 0 in
     for pc = n - 1 downto 0 do
       let next = fast.(pc + 1) in
-      let single : thread =
+      let single : fast =
         match insns.(pc) with
         | Insn.Op op ->
           let body = run_op x ~left:0 op next in
@@ -1127,96 +881,18 @@ module Conv = struct
   let compile (w : Bisa_verify.Verify.verified_conv_prog) =
     compile_trusted (w :> Conv_prog.t)
 
-  type t = {
-    cprog : Conv_prog.t;
-    threads : thread array;
-    st : st;
-  }
-
-  let exec t = t.st.x
-
-  let fresh_st (x : Conv_exec.t) =
-    {
-      x;
-      saddrs = Array.make Conv_exec.packet_cap (-1);
-      count = 0;
-      term = Conv_exec.Khalt;
-      next = 0;
-      last_start = -1;
-      fuel = 0;
-    }
-
-  let bind (code : code) (x : Conv_exec.t) =
+  let bind (code : code) (x : Conv_exec.t) : Conv_exec.body =
     let prog = code.cprog in
     if not (prog == x.Conv_exec.prog || prog = x.Conv_exec.prog) then
       invalid_arg "Compile.Conv.bind: code compiled from a different program";
-    { cprog = prog; threads = packet_threads x prog; st = fresh_st x }
-
-  (* One packet, mirroring Conv_exec.step: it lands in the binding's
-     mutable fields ([last_start], [count], [term], [next]) and the
-     scratch address array, valid only until the next call — the
-     conventional timing pipeline's zero-allocation drain.  Returns
-     [false] exactly where Conv_exec.step returns [None]. *)
-  let step_into t =
-    let st = t.st in
-    let x = st.x in
-    let n = Array.length t.cprog.Conv_prog.insns in
-    if x.Conv_exec.halted then false
-    else if x.Conv_exec.pc < 0 || x.Conv_exec.pc >= n then begin
-      x.Conv_exec.halted <- true;
-      x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump x.Conv_exec.pc);
-      false
-    end
-    else begin
-      let start = x.Conv_exec.pc in
-      st.count <- 0;
-      match t.threads.(start) st with
-      | exception Memory.Unaligned a ->
-        (* Earlier instructions of the packet committed; the offender
-           halts it — no atomicity in the conventional machine. *)
-        x.Conv_exec.halted <- true;
-        x.Conv_exec.mtrap <- Some (Conv_exec.Unaligned_access a);
-        false
-      | () ->
-        if (not x.Conv_exec.halted) && (st.next < 0 || st.next >= n)
-        then begin
-          x.Conv_exec.halted <- true;
-          x.Conv_exec.mtrap <- Some (Conv_exec.Wild_jump st.next);
-          st.term <- Conv_exec.Khalt;
-          st.next <- start
-        end;
-        x.Conv_exec.pc <- st.next;
-        st.last_start <- start;
-        true
-    end
-
-  (* Fresh array per packet: the conventional pipeline's stream retains
-     packets across steps. *)
-  let step t =
-    let st = t.st in
-    if step_into t then
-      Some
-        {
-          Conv_exec.start = st.last_start;
-          count = st.count;
-          mem_addrs = Array.sub st.saddrs 0 st.count;
-          term = st.term;
-          next = st.next;
-        }
-    else None
-
-  let last_start t = t.st.last_start
-  let last_count t = t.st.count
-  let last_term t = t.st.term
-  let last_next t = t.st.next
-  let last_addrs t = t.st.saddrs
+    let threads = packet_threads x prog in
+    fun start -> threads.(start) x
 
   let run ?(budget = 2_000_000_000) (code : code) =
     let x = Conv_exec.create code.cprog in
     Conv_exec.set_budget x budget;
     let fast = fast_chain x code.cprog in
-    let st = fresh_st x in
-    st.fuel <- budget;
+    let st = { x; fuel = budget } in
     let n = Array.length code.cprog.Conv_prog.insns in
     let pc = x.Conv_exec.pc in
     (try
@@ -1224,8 +900,8 @@ module Conv = struct
        else wild st pc
      with Memory.Unaligned a ->
        (* Committed effects stay (no packet atomicity in this machine);
-          the offending access halts the run, as in [step].  [st.fuel]
-          was exact at the access. *)
+          the offending access halts the run, as in the packet step.
+          [st.fuel] was exact at the access. *)
        x.Conv_exec.dyn <- x.Conv_exec.budget - st.fuel;
        x.Conv_exec.halted <- true;
        x.Conv_exec.mtrap <- Some (Conv_exec.Unaligned_access a));

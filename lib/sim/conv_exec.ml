@@ -24,7 +24,15 @@ type t = {
   mutable dyn : int;
   mutable budget : int;
   sink : Output.Sink.sink;
+  last_addrs : int array;
+  mutable last_start : int;
+  mutable last_count : int;
+  mutable last_term : term_kind;
+  mutable last_next : int;
+  mutable limit : int;
 }
+
+type body = int -> unit
 
 exception Runaway of int
 
@@ -57,6 +65,12 @@ let create (prog : Conv_prog.t) =
       dyn = 0;
       budget = 2_000_000_000;
       sink = Output.Sink.create ();
+      last_addrs = Array.make packet_cap (-1);
+      last_start = -1;
+      last_count = 0;
+      last_term = Khalt;
+      last_next = 0;
+      limit = 0;
     }
   in
   (* Preload the data segment. *)
@@ -80,87 +94,143 @@ let output t =
 let read_mem t addr = Memory.load t.mem addr
 let read_memf t addr = Memory.loadf t.mem addr
 
-let step t =
+let last_start t = t.last_start
+let last_count t = t.last_count
+let last_term t = t.last_term
+let last_next t = t.last_next
+let last_addrs t = t.last_addrs
+
+let split t pc =
+  t.last_term <- Kfall;
+  t.last_next <- pc
+
+(* A body found [last_count] at [limit] before the instruction at [pc]:
+   the packet cap splits the packet there, else the budget is spent, so
+   that instruction is charged and raises. *)
+let stop t pc =
+  if t.last_count >= packet_cap then split t pc
+  else begin
+    t.last_count <- t.last_count + 1;
+    raise (Runaway (t.dyn + t.last_count))
+  end
+
+(* Fall-through off the program's end mid-packet: the same cap split,
+   else an architected Wild_jump trap. *)
+let off_end t pc =
+  if t.last_count >= packet_cap then split t pc
+  else begin
+    t.halted <- true;
+    t.mtrap <- Some (Wild_jump pc);
+    t.last_term <- Khalt;
+    t.last_next <- pc
+  end
+
+(* The interpreter's body: [Opsem] per instruction up to the first
+   control instruction. *)
+let interp t : body =
+  let insns = t.prog.insns in
+  let n = Array.length insns in
+  let out item = Output.Sink.push t.sink item in
+  let rec loop pc =
+    let k = t.last_count in
+    if pc >= n then off_end t pc
+    else if k >= t.limit then stop t pc
+    else begin
+      t.last_count <- k + 1;
+      t.last_addrs.(k) <- -1;
+      match insns.(pc) with
+      | Insn.Op op ->
+        t.last_addrs.(k) <- Opsem.exec ~regs:t.regs ~mem:t.mem ~sbuf:None ~out op;
+        loop (pc + 1)
+      | Insn.Br (c, s1, s2, target) ->
+        let taken = Bisa_isa.Cmp.eval c (Regfile.get_i t.regs s1) (Regfile.get_i t.regs s2) in
+        if taken then begin
+          t.last_term <- Kbr true;
+          t.last_next <- target
+        end
+        else begin
+          t.last_term <- Kbr false;
+          t.last_next <- pc + 1
+        end
+      | Insn.Jmp target ->
+        t.last_term <- Kjmp;
+        t.last_next <- target
+      | Insn.Call target ->
+        Regfile.set_i t.regs Reg.ra (pc + 1);
+        t.last_term <- Kcall;
+        t.last_next <- target
+      | Insn.Ret ->
+        t.last_term <- Kret;
+        t.last_next <- Regfile.get_i t.regs Reg.ra
+      | Insn.Jr r ->
+        t.last_term <- Kjr;
+        t.last_next <- Regfile.get_i t.regs r
+      | Insn.Halt ->
+        t.halted <- true;
+        t.last_term <- Khalt;
+        t.last_next <- pc
+    end
+  in
+  loop
+
+(* The step protocol: halting, the start's legality, the budget (the
+   body may run [limit] instructions, and each one it ran is charged
+   here), then the trap on a wild successor.  The packet lands in the
+   [last_*] fields. *)
+let step_into body t =
   let n = Array.length t.prog.insns in
-  if t.halted then None
+  if t.halted then false
   else if t.pc < 0 || t.pc >= n then begin
     (* Confinement: register-valued control flow (ret/jr) or a wild entry
        landed outside the program — an architected machine trap, not a
        crash.  Compiled programs never reach this. *)
     t.halted <- true;
     t.mtrap <- Some (Wild_jump t.pc);
-    None
+    false
   end
   else begin
     let start = t.pc in
-    let addrs = ref [] in
-    let out item = Output.Sink.push t.sink item in
-    let rec loop pc count =
-      if count >= packet_cap then (Kfall, pc, count)
-      else if pc < 0 || pc >= n then begin
-        (* Fall-through ran off the program mid-packet. *)
-        t.halted <- true;
-        t.mtrap <- Some (Wild_jump pc);
-        (Khalt, pc, count)
-      end
-      else begin
-        let insn = t.prog.insns.(pc) in
-        t.dyn <- t.dyn + 1;
-        if t.dyn > t.budget then raise (Runaway t.dyn);
-        match insn with
-        | Insn.Op op ->
-          let a = Opsem.exec ~regs:t.regs ~mem:t.mem ~sbuf:None ~out op in
-          addrs := a :: !addrs;
-          loop (pc + 1) (count + 1)
-        | Insn.Br (c, s1, s2, target) ->
-          addrs := -1 :: !addrs;
-          let taken =
-            Bisa_isa.Cmp.eval c (Regfile.get_i t.regs s1) (Regfile.get_i t.regs s2)
-          in
-          (Kbr taken, (if taken then target else pc + 1), count + 1)
-        | Insn.Jmp target ->
-          addrs := -1 :: !addrs;
-          (Kjmp, target, count + 1)
-        | Insn.Call target ->
-          addrs := -1 :: !addrs;
-          Regfile.set_i t.regs Reg.ra (pc + 1);
-          (Kcall, target, count + 1)
-        | Insn.Ret ->
-          addrs := -1 :: !addrs;
-          (Kret, Regfile.get_i t.regs Reg.ra, count + 1)
-        | Insn.Jr r ->
-          addrs := -1 :: !addrs;
-          (Kjr, Regfile.get_i t.regs r, count + 1)
-        | Insn.Halt ->
-          addrs := -1 :: !addrs;
-          t.halted <- true;
-          (Khalt, pc, count + 1)
-      end
-    in
-    match loop start 0 with
+    t.last_count <- 0;
+    t.limit <- Int.min packet_cap (t.budget - t.dyn);
+    match body start with
     | exception Memory.Unaligned a ->
       (* No atomicity to restore in the conventional machine: earlier
          instructions of the packet committed; the offender halts it. *)
+      t.dyn <- t.dyn + t.last_count;
       t.halted <- true;
       t.mtrap <- Some (Unaligned_access a);
-      None
-    | term, next, count ->
+      false
+    | exception e ->
+      t.dyn <- t.dyn + t.last_count;
+      raise e
+    | () ->
+      t.dyn <- t.dyn + t.last_count;
       (* Confine the packet's successor the same way: a wild target halts
          architecturally (presented as Khalt so the front end stops
          training on it). *)
-      let term, next =
-        if (not t.halted) && (next < 0 || next >= n) then begin
-          t.halted <- true;
-          t.mtrap <- Some (Wild_jump next);
-          (Khalt, start)
-        end
-        else (term, next)
-      in
-      t.pc <- next;
-      let mem_addrs = Array.make count (-1) in
-      List.iteri (fun i a -> mem_addrs.(count - 1 - i) <- a) !addrs;
-      Some { start; count; mem_addrs; term; next }
+      if (not t.halted) && (t.last_next < 0 || t.last_next >= n) then begin
+        t.halted <- true;
+        t.mtrap <- Some (Wild_jump t.last_next);
+        t.last_term <- Khalt;
+        t.last_next <- start
+      end;
+      t.pc <- t.last_next;
+      t.last_start <- start;
+      true
   end
+
+let step ?body t =
+  let body = match body with Some body -> body | None -> interp t in
+  if step_into body t then
+    Some
+      {
+        start = t.last_start;
+        count = t.last_count;
+        mem_addrs = Array.sub t.last_addrs 0 t.last_count;
+        term = t.last_term;
+        next = t.last_next;
+      }
+  else None
 
 let mtrap_save w = function
   | None -> Bisa_base.Codec.W.int w 0
@@ -205,6 +275,8 @@ let load t r =
 let run prog ?(budget = 2_000_000_000) () =
   let t = create prog in
   set_budget t budget;
-  let rec go () = match step t with Some _ -> go () | None -> () in
-  go ();
+  let body = interp t in
+  while step_into body t do
+    ()
+  done;
   (output t, dyn_insns t)

@@ -4,7 +4,17 @@
     time: a run of instructions ending at the first control instruction.
     Each packet records everything the timing model needs — memory
     addresses, the control outcome, the successor pc — so the timing
-    simulator replays the correct path without re-deciding semantics. *)
+    simulator replays the correct path without re-deciding semantics.
+
+    {2 One step protocol, two bodies}
+
+    {!step_into} is the only implementation of the packet step: halting,
+    the start's legality, the budget and the packet-cap split (it grants
+    the body a [limit], charges what the body ran, and decides in
+    {!stop} what reaching the limit means), and the machine traps.  What runs inside is a {!body}: the interpreter's
+    ({!interp}) or the threaded code's ({!Compile.Conv.bind}).  The
+    packet lands in the executor's step fields, read through the
+    [last_*] accessors, and {!step} derives its record from them. *)
 
 type term_kind =
   | Kbr of bool  (** conditional branch; payload = taken? *)
@@ -13,7 +23,7 @@ type term_kind =
   | Kret
   | Kjr
   | Khalt
-  | Kfall  (** packet hit the safety cap without a control instruction *)
+  | Kfall  (** packet hit the safety cap (1024) without a control instruction *)
 
 type packet = {
   start : int;  (** index of the packet's first instruction *)
@@ -40,10 +50,27 @@ type t = {
   mutable dyn : int;
   mutable budget : int;
   sink : Output.Sink.sink;
+  last_addrs : int array;  (** the step fields: one address slot per packet position *)
+  mutable last_start : int;
+  mutable last_count : int;
+  mutable last_term : term_kind;
+  mutable last_next : int;
+  mutable limit : int;  (** instructions the body may run: cap or budget left *)
 }
-(** Concrete for the same reason as {!Block_exec.t}: the compiled
-    executor ({!Compile}) mutates the identical record, so state,
-    checkpoints and counters are shared across backends. *)
+(** Concrete for the same reason as {!Block_exec.t}: the compiled body
+    ({!Compile}) mutates the identical record, so state, checkpoints and
+    counters are shared across backends.  The step fields are
+    intra-step scratch and are never saved. *)
+
+type body = int -> unit
+(** Runs the packet starting at a pc on the executor it was built for.
+    Before each instruction it calls {!stop} if [last_count] has reached
+    [limit], and otherwise writes [-1] into the instruction's address
+    slot [last_addrs.(last_count)] (a memory op then overwrites it) and
+    increments [last_count]; falling off the program it calls
+    {!off_end}.  The control instruction ending the packet sets
+    [last_term] and [last_next] ([Halt] sets [halted]).  May raise
+    [Memory.Unaligned]. *)
 
 exception Runaway of int
 
@@ -53,12 +80,37 @@ val runaway_diag : int -> Bisa_base.Diag.t
 val machine_trap_diag : machine_trap -> Bisa_base.Diag.t
 (** Warning-severity rendering of a machine trap. *)
 
-val packet_cap : int
-(** Safety cap on packet length; a packet reaching it ends in {!Kfall}. *)
-
 val create : Bisa_isa.Conv_prog.t -> t
-val step : t -> packet option
-(** [None] once halted.  Raises {!Runaway} past the instruction budget. *)
+
+val stop : t -> int -> unit
+(** A body reached [limit] before the instruction at a pc: the packet
+    cap ends the packet there in {!Kfall}; otherwise the budget is
+    spent, and that instruction is charged and raises {!Runaway}. *)
+
+val off_end : t -> int -> unit
+(** A body's fall-through off the program's end: the cap split, else a
+    [Wild_jump] machine trap presented as {!Khalt}. *)
+
+val interp : t -> body
+(** The interpreter's body: [Opsem] per instruction.  The reference the
+    threaded code is checked against. *)
+
+val step_into : body -> t -> bool
+(** Execute one packet through [body], allocating nothing: it lands in
+    the step fields, valid until the next step.  [false] once halted.
+    Raises {!Runaway} past the instruction budget. *)
+
+val step : ?body:body -> t -> packet option
+(** {!step_into} with the packet copied into a record with a fresh
+    [mem_addrs] (the conventional pipeline's trace-cache stream retains
+    packets across steps).  [body] defaults to {!interp}.  [None] once
+    halted. *)
+
+val last_start : t -> int
+val last_count : t -> int
+val last_term : t -> term_kind
+val last_next : t -> int
+val last_addrs : t -> int array
 
 val halted : t -> bool
 

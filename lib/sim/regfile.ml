@@ -3,8 +3,6 @@ module Reg = Bisa_isa.Reg
 type t = { ints : int array; flts : float array }
 
 let create () = { ints = Array.make Reg.count 0; flts = Array.make Reg.count 0.0 }
-let ints t = t.ints
-let flts t = t.flts
 
 let get_i t r =
   match r with
@@ -42,7 +40,3 @@ let load t r =
     invalid_arg "Regfile.load: register count mismatch";
   Array.blit ints 0 t.ints 0 Reg.count;
   Array.blit flts 0 t.flts 0 Reg.count
-
-let blit ~src ~dst =
-  Array.blit src.ints 0 dst.ints 0 Reg.count;
-  Array.blit src.flts 0 dst.flts 0 Reg.count

@@ -13,10 +13,10 @@ type session = {
   m : Metrics.t;
   engine : Engine.t;
   exec : Block_exec.t;
-  (* Compiled threaded-code executor bound to [exec]'s state, when the
-     session has threaded code.  Both backends mutate the same record, so
-     checkpoints and counters are backend-agnostic. *)
-  cexec : Bisa_sim.Compile.Block.t option;
+  (* The body [exec] steps through, chosen once: the threaded code when
+     the session has it, else the interpreter.  Both mutate the same
+     record, so checkpoints and counters are backend-agnostic. *)
+  body : Block_exec.body;
   icache : Cache.t option;
   pred : Block_pred.t;
   probe : Bisa_obs.Probe.t;
@@ -45,7 +45,11 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
   let engine = Engine.create cfg in
   let exec = Block_exec.create prog in
   Block_exec.set_budget exec cfg.op_budget;
-  let cexec = Option.map (fun c -> Bisa_sim.Compile.Block.bind c exec) code in
+  let body =
+    match code with
+    | Some c -> Bisa_sim.Compile.Block.bind c exec
+    | None -> Block_exec.interp exec
+  in
   let icache = Option.map Cache.create cfg.icache in
   let pred = Block_pred.create cfg.block_pred prog in
   (* One branch decides all event emission: with the null probe nothing
@@ -65,7 +69,7 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
     m = Metrics.create ();
     engine;
     exec;
-    cexec;
+    body;
     icache;
     pred;
     probe;
@@ -81,14 +85,14 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
     running = true;
   }
 
-(* Account one executed block: fetch it through the icache, run its slot
-   range through the engine, and either retire it (training the
-   predictor) or squash it at its fault.  The block arrives as scalars
-   so the interpreter's step records and the compiled executor's
-   in-place results share this one path; [dir] is the resolved trap
-   direction (-1 none, 0 not taken, 1 taken). *)
-let account s ~block ~ops_executed ~squashed ~(mem_addrs : int array) ~dir =
+(* Account the block the executor just stepped, read from its step
+   fields: fetch it through the icache, run its slot range through the
+   engine, and either retire it (training the predictor) or squash it at
+   its fault. *)
+let account s ~squashed =
   let cfg = s.cfg and m = s.m and prog = s.prog and probe = s.probe in
+  let block = Block_exec.last_block s.exec in
+  let ops_executed = Block_exec.last_ops s.exec in
   let tracing = s.tracing in
   if cfg.predictor = Config.Perfect && squashed then
     (* A perfect front end fetches the fault-free variant directly: the
@@ -122,7 +126,7 @@ let account s ~block ~ops_executed ~squashed ~(mem_addrs : int array) ~dir =
     let want = !fc + cfg.decode_depth in
     let dispatch = Engine.admit s.engine ~want ~op_count:nops in
     Engine.run_unit s.engine ~dispatch ~commit:(not squashed) s.pd.Predecode.tab
-      ~lo ~len:ops_executed ~term ~mem_addrs ~mem_off:0;
+      ~lo ~len:ops_executed ~term ~mem_addrs:(Block_exec.last_addrs s.exec) ~mem_off:0;
     let resolve = Engine.unit_resolve s.engine in
     if tracing then begin
       let uretire = Engine.unit_retire s.engine in
@@ -178,7 +182,7 @@ let account s ~block ~ops_executed ~squashed ~(mem_addrs : int array) ~dir =
         s.p_pred <- predicted;
         s.p_block <- block;
         s.p_resolve <- resolve;
-        s.p_dir <- dir
+        s.p_dir <- Block_exec.last_dir s.exec
       | Config.Perfect -> ()
     end
   end
@@ -229,25 +233,9 @@ let step s =
         end
       end
     in
-    (* The two backends evolve the same [Block_exec.t] record; the
-       compiled one reports the step in place instead of in a record. *)
-    (match s.cexec with
-    | Some ce -> begin
-      let module C = Bisa_sim.Compile.Block in
-      match C.step_into ~fetch ce with
-      | -1 -> s.running <- false
-      | rc ->
-        account s ~block:(C.last_block ce) ~ops_executed:(C.last_ops ce)
-          ~squashed:(rc = 1) ~mem_addrs:(C.last_addrs ce) ~dir:(C.last_dir ce)
-    end
-    | None -> begin
-      match Block_exec.step ~fetch s.exec with
-      | None -> s.running <- false
-      | Some st ->
-        account s ~block:st.block ~ops_executed:st.ops_executed
-          ~squashed:st.squashed ~mem_addrs:st.mem_addrs
-          ~dir:(match st.dir_taken with None -> -1 | Some t -> if t then 1 else 0)
-    end);
+    (match Block_exec.step_into s.body ~fetch s.exec with
+    | -1 -> s.running <- false
+    | rc -> account s ~squashed:(rc = 1));
     s.running
   end
 

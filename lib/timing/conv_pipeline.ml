@@ -11,10 +11,7 @@ module Trace_cache = Bisa_uarch.Trace_cache
 module Stream = struct
   type t = {
     exec : Conv_exec.t;
-    (* How to produce the next packet — [Conv_exec.step exec] for the
-       interpreter, or a compiled executor bound to the same [exec]
-       state.  Everything downstream of the stream is backend-agnostic. *)
-    stepf : unit -> Conv_exec.packet option;
+    body : Conv_exec.body;
     mutable buf : Conv_exec.packet array;
     mutable head : int;
     mutable len : int;
@@ -23,11 +20,7 @@ module Stream = struct
   let dummy : Conv_exec.packet =
     { start = 0; count = 0; mem_addrs = [||]; term = Conv_exec.Khalt; next = 0 }
 
-  let create ?stepf exec =
-    let stepf =
-      match stepf with Some f -> f | None -> fun () -> Conv_exec.step exec
-    in
-    { exec; stepf; buf = Array.make 16 dummy; head = 0; len = 0 }
+  let create body exec = { exec; body; buf = Array.make 16 dummy; head = 0; len = 0 }
 
   let push t p =
     let cap = Array.length t.buf in
@@ -44,7 +37,7 @@ module Stream = struct
 
   let refill t n =
     while t.len < n && not (Conv_exec.halted t.exec) do
-      match t.stepf () with Some p -> push t p | None -> ()
+      match Conv_exec.step ~body:t.body t.exec with Some p -> push t p | None -> ()
     done
 
   let pop t =
@@ -59,14 +52,6 @@ module Stream = struct
 
   let available t = t.len
   let get t i = t.buf.((t.head + i) mod Array.length t.buf)
-
-  (* Ring bypass for front ends that never probe ahead (no trace cache):
-     nothing is ever buffered, so the next packet comes straight from the
-     executor without touching the ring. *)
-  let rec pop_direct t =
-    if t.len > 0 then pop t
-    else if Conv_exec.halted t.exec then None
-    else match t.stepf () with Some p -> Some p | None -> pop_direct t
 
   let drop t n =
     t.head <- (t.head + n) mod Array.length t.buf;
@@ -191,10 +176,11 @@ type session = {
   m : Metrics.t;
   engine : Engine.t;
   exec : Conv_exec.t;
-  (* The compiled executor bound to [exec], when the session has threaded
-     code.  Without a trace cache, [step] drains it in place
-     ([step_into]) instead of through the stream's packet records. *)
-  cexec : Bisa_sim.Compile.Conv.t option;
+  (* The body [exec] steps through, chosen once: the threaded code when
+     the session has it, else the interpreter.  Without a trace cache,
+     [step] steps it in place; with one, through the stream's packet
+     records. *)
+  body : Conv_exec.body;
   stream : Stream.t;
   icache : Cache.t option;
   tc : Trace_cache.t option;
@@ -212,9 +198,10 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
   let engine = Engine.create cfg in
   let exec = Conv_exec.create prog in
   Conv_exec.set_budget exec cfg.op_budget;
-  let cexec = Option.map (fun c -> Bisa_sim.Compile.Conv.bind c exec) code in
-  let stepf =
-    Option.map (fun ce () -> Bisa_sim.Compile.Conv.step ce) cexec
+  let body =
+    match code with
+    | Some c -> Bisa_sim.Compile.Conv.bind c exec
+    | None -> Conv_exec.interp exec
   in
   let icache = Option.map Cache.create cfg.icache in
   let tc = Option.map Trace_cache.create cfg.trace_cache in
@@ -239,8 +226,8 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
     m = Metrics.create ();
     engine;
     exec;
-    cexec;
-    stream = Stream.create ?stepf exec;
+    body;
+    stream = Stream.create body exec;
     icache;
     tc;
     pred;
@@ -254,8 +241,8 @@ let session ?(probe = Bisa_obs.Probe.null) (cfg : Config.t) ~tables ~code
 
 (* Process one packet fetched at [fc]; [from_tc] packets are supplied by
    the trace cache (no icache access).  The packet arrives as scalars so
-   records from the stream and the compiled executor's in-place results
-   share this one path.  Returns whether its prediction was correct. *)
+   records from the stream and the executor's step fields share this one
+   path.  Returns whether its prediction was correct. *)
 let process_packet s ~from_tc ~start ~count ~(mem_addrs : int array) ~term ~next =
   let cfg = s.cfg and m = s.m and probe = s.probe and tracing = s.tracing in
   (* Trace-supplied followers ride the fetch cycle of the trace's first
@@ -385,27 +372,20 @@ let stop s =
 let step s =
   if not s.running then false
   else
-    match (s.tc, s.cexec) with
-    | None, Some ce when Stream.available s.stream = 0 ->
-      (* Nothing looks ahead and nothing is buffered: drain the compiled
-         executor in place, with no packet record and no address copy. *)
-      let module C = Bisa_sim.Compile.Conv in
-      if C.step_into ce then begin
+    match s.tc with
+    | None ->
+      (* Nothing looks ahead, so nothing is ever buffered: step in place,
+         with no packet record and no address copy. *)
+      let x = s.exec in
+      if Conv_exec.step_into s.body x then begin
         ignore
-          (process_packet s ~from_tc:false ~start:(C.last_start ce)
-             ~count:(C.last_count ce) ~mem_addrs:(C.last_addrs ce)
-             ~term:(C.last_term ce) ~next:(C.last_next ce));
+          (process_packet s ~from_tc:false ~start:(Conv_exec.last_start x)
+             ~count:(Conv_exec.last_count x) ~mem_addrs:(Conv_exec.last_addrs x)
+             ~term:(Conv_exec.last_term x) ~next:(Conv_exec.last_next x));
         true
       end
       else stop s
-    | None, _ -> begin
-      match Stream.pop_direct s.stream with
-      | None -> stop s
-      | Some p0 ->
-        ignore (process_record s ~from_tc:false p0);
-        true
-    end
-    | Some tc_, _ -> begin
+    | Some tc_ -> begin
       match Stream.pop s.stream with
       | None -> stop s
       | Some p0 ->

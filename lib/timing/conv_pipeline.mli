@@ -22,9 +22,10 @@ val session :
   session
 (** A session over a verified program's predecoded op-template [tables].
 
-    [code] (see {!Bisa_sim.Compile.Conv}) swaps the dispatching
-    interpreter for the program's threaded-code executor.  Both backends
-    drive the identical {!Bisa_sim.Conv_exec.t} state, so metrics,
+    [code] (see {!Bisa_sim.Compile.Conv}) chooses the body the session
+    steps through: the program's threaded code, or without it the
+    interpreter's.  Either runs under the one step protocol,
+    {!Bisa_sim.Conv_exec.step_into}, on the identical state, so metrics,
     outputs and checkpoints are independent of the choice.
 
     [probe] (default {!Bisa_obs.Probe.null}) receives pipeline events —

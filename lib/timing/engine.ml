@@ -458,7 +458,8 @@ let save t w =
   for i = 0 to Array.length t.sm_key - 1 do
     if t.sm_key.(i) >= 0 then pairs := (t.sm_key.(i), t.sm_val.(i)) :: !pairs
   done;
-  let pairs = List.sort compare !pairs in
+  (* Keys are distinct, so the key alone orders the pairs. *)
+  let pairs = List.sort (fun (a, _) (b, _) -> Int.compare a b) !pairs in
   W.int w (List.length pairs);
   List.iter
     (fun (k, v) ->

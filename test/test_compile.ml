@@ -54,7 +54,7 @@ let lockstep_block ?(fetch = fun _required _i -> None) ?(budget = 50_000_000)
     let f = if Block_exec.halted xi then None else fetch (Block_exec.required xi) !i in
     let si = match f with None -> Block_exec.step xi | Some f -> Block_exec.step ~fetch:f xi in
     let sc =
-      match f with None -> Compile.Block.step tc | Some f -> Compile.Block.step ~fetch:f tc
+      match f with None -> Block_exec.step ~body:tc xc | Some f -> Block_exec.step ~body:tc ~fetch:f xc
     in
     (match (si, sc) with
     | None, None -> running := false
@@ -86,7 +86,7 @@ let lockstep_conv ?(budget = 50_000_000) (prog : Bisa_isa.Conv_prog.t) =
   let i = ref 0 in
   let running = ref true in
   while !running do
-    (match (Conv_exec.step xi, Compile.Conv.step tc) with
+    (match (Conv_exec.step xi, Conv_exec.step ~body:tc xc) with
     | None, None -> running := false
     | Some a, Some b -> conv_packet_eq !i a b
     | Some _, None -> Alcotest.failf "packet %d: interp ran, compiled halted" !i
@@ -349,7 +349,7 @@ let test_reg_op_arms () =
   check "Conv.run" reference (Compile.Conv.run (Compile.Conv.compile_trusted conv));
   let x = Conv_exec.create conv in
   let t = Compile.Conv.bind (Compile.Conv.compile_trusted conv) x in
-  let rec go () = match Compile.Conv.step t with Some _ -> go () | None -> () in
+  let rec go () = match Conv_exec.step ~body:t x with Some _ -> go () | None -> () in
   go ();
   check "Conv.step" reference (Conv_exec.output x, Conv_exec.dyn_insns x);
   check "Block.run" (Block_exec.run block ())
@@ -376,7 +376,7 @@ let test_wild_ijump_trap_equivalence () =
   let code = Compile.Block.compile_trusted p in
   let x = Block_exec.create p in
   let t = Compile.Block.bind code x in
-  let rec go () = match Compile.Block.step t with Some _ -> go () | None -> () in
+  let rec go () = match Block_exec.step ~body:t x with Some _ -> go () | None -> () in
   go ();
   Alcotest.(check bool) "wild jump trap, not an exception" true
     (Block_exec.machine_trap x = Some (Block_exec.Wild_jump 999))
@@ -423,7 +423,7 @@ let test_conv_partial_packet_commits_on_trap () =
   let code = Compile.Conv.compile_trusted p in
   let x = Conv_exec.create p in
   let t = Compile.Conv.bind code x in
-  let rec go () = match Compile.Conv.step t with Some _ -> go () | None -> () in
+  let rec go () = match Conv_exec.step ~body:t x with Some _ -> go () | None -> () in
   go ();
   Alcotest.(check bool) "trap" true
     (Conv_exec.machine_trap x = Some (Conv_exec.Unaligned_access 0x103));
@@ -443,7 +443,7 @@ let test_runaway_equivalence () =
   let code = Compile.Conv.compile_trusted c.conv in
   let ec, _ =
     drive
-      (fun x -> Compile.Conv.step (Compile.Conv.bind code x))
+      (fun x -> Conv_exec.step ~body:(Compile.Conv.bind code x) x)
       Conv_exec.halted Conv_exec.set_budget Conv_exec.create c.conv
   in
   Alcotest.(check bool) "same Runaway payload" true (ei = ec)
@@ -535,7 +535,7 @@ let test_illegal_fetch_equivalence () =
     c.block.blocks;
   let x = Block_exec.create c.block in
   let t = Compile.Block.bind (Compile.Block.compile_trusted c.block) x in
-  (match Compile.Block.step ~fetch:!bad t with
+  (match Block_exec.step ~body:t ~fetch:!bad x with
   | _ -> Alcotest.fail "expected Illegal_fetch"
   | exception Block_exec.Illegal_fetch { required; requested } ->
     Alcotest.(check int) "required" req_block required;
@@ -593,12 +593,12 @@ let test_bind_rejects_foreign_program () =
   let code = Compile.Block.compile_trusted a.block in
   let x = Block_exec.create b.block in
   (match Compile.Block.bind code x with
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  | _body -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   let ccode = Compile.Conv.compile_trusted a.conv in
   let cx = Conv_exec.create b.conv in
   match Compile.Conv.bind ccode cx with
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  | _body -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 (* --- cross-backend state sharing -------------------------------------------- *)
@@ -614,7 +614,7 @@ let test_mid_run_backend_switch () =
   let flip = ref false in
   let rec go () =
     flip := not !flip;
-    match if !flip then Block_exec.step x else Compile.Block.step t with
+    match if !flip then Block_exec.step x else Block_exec.step ~body:t x with
     | Some _ -> go ()
     | None -> ()
   in
@@ -625,7 +625,7 @@ let test_mid_run_backend_switch () =
   let cx = Conv_exec.create c.conv in
   let ct = Compile.Conv.bind (Compile.Conv.compile_trusted c.conv) cx in
   let rec cgo n =
-    match if n mod 2 = 0 then Conv_exec.step cx else Compile.Conv.step ct with
+    match if n mod 2 = 0 then Conv_exec.step cx else Conv_exec.step ~body:ct cx with
     | Some _ -> cgo (n + 1)
     | None -> ()
   in

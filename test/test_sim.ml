@@ -157,7 +157,17 @@ let test_conv_exec_budget () =
   let t = Conv_exec.create c.conv in
   Conv_exec.set_budget t 1000;
   let rec go () = match Conv_exec.step t with Some _ -> go () | None -> () in
-  Alcotest.check_raises "runaway" (Conv_exec.Runaway 1001) go
+  Alcotest.check_raises "runaway" (Conv_exec.Runaway 1001) go;
+  (* Every instruction is charged before it runs, so the payload is the
+     budget plus one at every budget, packet boundaries included. *)
+  let payload budget =
+    match Conv_exec.run c.conv ~budget () with
+    | _ -> -1
+    | exception Conv_exec.Runaway n -> n
+  in
+  Alcotest.(check (list int)) "Runaway payload at budgets 0..11"
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+    (List.init 12 payload)
 
 (* --- Block executor ----------------------------------------------------------- *)
 
@@ -300,7 +310,11 @@ let test_block_wild_ijump_traps () =
   let t = run_block p in
   Alcotest.(check bool) "halted" true (Block_exec.halted t);
   Alcotest.(check bool) "wild jump trap" true
-    (Block_exec.machine_trap t = Some (Block_exec.Wild_jump 999))
+    (Block_exec.machine_trap t = Some (Block_exec.Wild_jump 999));
+  (* The block commits (one op plus its terminator) before its wild
+     successor halts the machine. *)
+  Alcotest.(check int) "dyn ops" 2 (Block_exec.dyn_ops t);
+  Alcotest.(check int) "retired ops" 2 (Block_exec.retired_ops t)
 
 let test_block_unaligned_traps () =
   let open Bisa_isa in
@@ -321,7 +335,10 @@ let test_block_unaligned_traps () =
   let t = run_block p in
   Alcotest.(check bool) "halted" true (Block_exec.halted t);
   Alcotest.(check bool) "unaligned trap" true
-    (Block_exec.machine_trap t = Some (Block_exec.Unaligned_access 3))
+    (Block_exec.machine_trap t = Some (Block_exec.Unaligned_access 3));
+  (* The offending block is discarded whole: nothing is charged. *)
+  Alcotest.(check int) "dyn ops" 0 (Block_exec.dyn_ops t);
+  Alcotest.(check int) "retired ops" 0 (Block_exec.retired_ops t)
 
 let test_conv_wild_jr_traps () =
   let open Bisa_isa in
@@ -336,11 +353,127 @@ let test_conv_wild_jr_traps () =
   in
   let t = Conv_exec.create p in
   Conv_exec.set_budget t 10_000;
-  let rec go () = match Conv_exec.step t with Some _ -> go () | None -> () in
+  let packets = ref [] in
+  let rec go () =
+    match Conv_exec.step t with
+    | Some pk ->
+      packets := pk :: !packets;
+      go ()
+    | None -> ()
+  in
   go ();
   Alcotest.(check bool) "halted" true (Conv_exec.halted t);
   Alcotest.(check bool) "wild jump trap" true
-    (Conv_exec.machine_trap t <> None)
+    (Conv_exec.machine_trap t <> None);
+  (* The packet runs whole, and its wild successor is presented as a
+     halt back at the packet's start, so the front end stops training. *)
+  (match !packets with
+  | [ pk ] ->
+    Alcotest.(check bool) "presented as Khalt" true (pk.term = Conv_exec.Khalt);
+    Alcotest.(check (list int)) "start, count, next" [ 0; 2; 0 ]
+      [ pk.start; pk.count; pk.next ]
+  | l -> Alcotest.failf "%d packets, expected one" (List.length l));
+  Alcotest.(check int) "dyn insns" 2 (Conv_exec.dyn_insns t);
+  Alcotest.(check bool) "trap names the target" true
+    (Conv_exec.machine_trap t = Some (Conv_exec.Wild_jump 999))
+
+(* --- The block step protocol's own numbers -----------------------------------
+   Pinned absolute values, recorded from the interpreter: both executor
+   bodies share one step protocol, so a slip in its budget or squash
+   accounting moves them alike and no backend comparison can see it. *)
+
+(* A counted loop (to 6) whose body block faults on every even count,
+   squashing to its sibling, which commits the same increment.  Both
+   store and print, so a squash that leaks effects shows in the output. *)
+let squash_loop () =
+  let open Bisa_isa in
+  let i n = Reg.Int n in
+  let trap =
+    Ablock.Trap
+      { cmp = Cmp.Lt; rs1 = i 5; rs2 = i 6; taken = 1; not_taken = 3; succ_log2 = 1 }
+  in
+  raw_block_prog
+    [|
+      {
+        Ablock.elts =
+          [|
+            Ablock.Op (Op.Li (i 5, 0)); Ablock.Op (Op.Li (i 6, 6)); Ablock.Op (Op.Li (i 8, 0x100));
+          |];
+        term = Ablock.Goto 1;
+      };
+      {
+        Ablock.elts =
+          [|
+            Ablock.Op (Op.Alu (Op.Add, i 5, i 5, Op.I 1));
+            Ablock.Op (Op.Alu (Op.And, i 7, i 5, Op.I 1));
+            Ablock.Fault (Cmp.Eq, i 7, Reg.zero, 2);
+            Ablock.Op (Op.Store (i 5, i 8, 0));
+            Ablock.Op (Op.Print (i 5));
+          |];
+        term = trap;
+      };
+      {
+        Ablock.elts =
+          [|
+            Ablock.Op (Op.Alu (Op.Add, i 5, i 5, Op.I 1));
+            Ablock.Op (Op.Store (i 5, i 8, 0));
+            Ablock.Op (Op.Print (i 5));
+          |];
+        term = trap;
+      };
+      {
+        Ablock.elts = [| Ablock.Op (Op.Load (i 9, i 8, 0)); Ablock.Op (Op.Print (i 9)) |];
+        term = Ablock.Halt;
+      };
+    |]
+    [| ([| 1 |], [||]); ([| 1; 3 |], [||]); ([| 1; 3 |], [||]); ([||], [||]) |]
+
+let test_block_squash_counters () =
+  let t = Block_exec.create (squash_loop ()) in
+  let trail = ref [] in
+  let rec go () =
+    match Block_exec.step t with
+    | Some s ->
+      trail :=
+        Printf.sprintf "%d:%d%s>%d@%d" s.block s.ops_executed
+          (if s.squashed then "s" else "")
+          s.next (Block_exec.dyn_ops t)
+        :: !trail;
+      go ()
+    | None -> ()
+  in
+  go ();
+  (* block:ops[s]>next@dyn after each step; a squash charges its firing
+     fault's position plus one, a commit the body plus its terminator. *)
+  Alcotest.(check (list string)) "step trail"
+    [
+      "0:3>1@4"; "1:5>1@10"; "1:3s>2@13"; "2:3>1@17"; "1:5>1@23"; "1:3s>2@26";
+      "2:3>1@30"; "1:5>1@36"; "1:3s>2@39"; "2:3>3@43"; "3:2>3@46";
+    ]
+    (List.rev !trail);
+  Alcotest.(check int) "dyn ops" 46 (Block_exec.dyn_ops t);
+  Alcotest.(check int) "retired ops" 37 (Block_exec.retired_ops t);
+  Alcotest.(check int) "retired blocks" 8 (Block_exec.retired_blocks t);
+  Alcotest.(check string) "output" "ret=0 [1; 2; 3; 4; 5; 6; 6]"
+    (Output.to_string (Block_exec.output t))
+
+(* The Runaway payload at every budget from 0 past the run's end: the
+   dyn count of the first commit or squash that exceeds the budget, or
+   -1 for a run that reaches its halt. *)
+let test_block_budget_window () =
+  let p = squash_loop () in
+  let payload budget =
+    match Block_exec.run p ~budget () with
+    | _ -> -1
+    | exception Block_exec.Runaway n -> n
+  in
+  Alcotest.(check (list int)) "Runaway payload at budgets 0..47"
+    [
+      4; 4; 4; 4; 10; 10; 10; 10; 10; 10; 13; 13; 13; 17; 17; 17; 17; 23; 23; 23; 23;
+      23; 23; 26; 26; 26; 30; 30; 30; 30; 36; 36; 36; 36; 36; 36; 39; 39; 39; 43; 43;
+      43; 43; 46; 46; 46; -1; -1;
+    ]
+    (List.init 48 payload)
 
 let test_regfile () =
   let r = Bisa_sim.Regfile.create () in
@@ -386,6 +519,8 @@ let suite =
     Alcotest.test_case "block wild ijump traps" `Quick test_block_wild_ijump_traps;
     Alcotest.test_case "block unaligned traps" `Quick test_block_unaligned_traps;
     Alcotest.test_case "conv wild jr traps" `Quick test_conv_wild_jr_traps;
+    Alcotest.test_case "block squash counters" `Quick test_block_squash_counters;
+    Alcotest.test_case "block budget window" `Quick test_block_budget_window;
     Alcotest.test_case "regfile" `Quick test_regfile;
     Alcotest.test_case "output equal compares float bits" `Quick test_output_equal_floats;
   ]
