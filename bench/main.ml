@@ -13,9 +13,18 @@
    It exits nonzero unless the compiled executor is at least 5x faster
    than the interpreter, so a threaded-code regression fails @runtest.
 
+   Every mode also counts, once per kernel and outside Bechamel, the
+   kernel's work per run and the minor-heap words one run allocates.
+   Both are exact for a given build; [--check-counts BASELINE.json]
+   (which the @bench-smoke alias passes with BENCH_sim.json) exits
+   nonzero unless every measured kernel's two counts equal the
+   baseline's, so an allocation added to the simulation loop fails
+   @runtest however fast the host runs.
+
    [--json FILE] additionally writes the micro-benchmark estimates as
    machine-readable JSON (per-kernel ns/run plus simulated-ops
-   throughput); see BENCH_sim.json for a checked-in baseline.  [--stream]
+   throughput, and the exact counts below); see BENCH_sim.json for a
+   checked-in baseline.  [--stream]
    composes: [--bechamel --stream --json FILE] writes one file holding
    both the kernel estimates and the stream row.
 
@@ -176,9 +185,29 @@ let kernels ~smoke () =
       full
   else full
 
-(* One JSON result row: kernel name, estimated ns/run, per-run work count,
-   and (for the stream mode) the peak resident set. *)
-type row = { r_name : string; r_ns : float; r_ops : int option; r_rss_kb : int option }
+(* Exact counts for one kernel, measured on the calling domain before
+   Bechamel runs: its work count and the minor-heap words of one run,
+   after a warm run (first-use compiles, table growth).  A large array
+   goes straight to the major heap and does not count; everything the
+   simulation loop allocates per op does. *)
+let counts k =
+  Option.map
+    (fun ops ->
+      let n = ops () in
+      let before = Gc.minor_words () in
+      k.fn ();
+      (n, int_of_float (Gc.minor_words () -. before)))
+    k.ops
+
+(* One JSON result row: kernel name, estimated ns/run, per-run work count
+   and minor words, and (for the stream mode) the peak resident set. *)
+type row = {
+  r_name : string;
+  r_ns : float;
+  r_ops : int option;
+  r_words : int option;
+  r_rss_kb : int option;
+}
 
 (* Minimal JSON emission (ints, floats, strings with benchmark-safe
    names) — not worth a dependency. *)
@@ -195,6 +224,11 @@ let write_json ~file ~mode rows =
         Printf.fprintf oc ", \"ops_per_run\": %d, \"ops_per_sec\": %.0f" n
           (float_of_int n /. r.r_ns *. 1e9)
       | _ -> ());
+      (match (r.r_ops, r.r_words) with
+      | Some n, Some w ->
+        Printf.fprintf oc ", \"minor_words_per_run\": %d, \"minor_words_per_op\": %.4f" w
+          (float_of_int w /. float_of_int (max 1 n))
+      | _ -> ());
       (match r.r_rss_kb with
       | Some kb -> Printf.fprintf oc ", \"peak_rss_kb\": %d" kb
       | None -> ());
@@ -203,8 +237,9 @@ let write_json ~file ~mode rows =
   Printf.fprintf oc "\n  ]\n}\n"
 
 (* Tolerant scraper for files produced by [write_json] (including the
-   checked-in BENCH_sim.json): pulls (name, ns_per_run) off each result
-   object without taking on a JSON dependency. *)
+   checked-in BENCH_sim.json): one (name, row text) pair per result
+   object, without taking on a JSON dependency.  [field row key] is the
+   number after ["key":] in that row, as text. *)
 let parse_baseline file =
   let ic = open_in_bin file in
   let s = really_input_string ic (in_channel_length ic) in
@@ -228,25 +263,81 @@ let parse_baseline file =
       | Some q1 -> (
         match String.index_from_opt s (q1 + 1) '"' with
         | None -> List.rev acc
-        | Some q2 -> (
+        | Some q2 ->
           let name = String.sub s (q1 + 1) (q2 - q1 - 1) in
-          match find "\"ns_per_run\":" q2 with
-          | None -> List.rev acc
-          | Some k ->
-            let e = ref k in
-            while
-              !e < len
-              &&
-              match s.[!e] with
-              | '0' .. '9' | '.' | ' ' | '-' | '+' | 'e' | 'E' -> true
-              | _ -> false
-            do
-              incr e
-            done;
-            let ns = float_of_string (String.trim (String.sub s k (!e - k))) in
-            collect ((name, ns) :: acc) !e)))
+          let e = Option.value (String.index_from_opt s q2 '}') ~default:len in
+          collect ((name, String.sub s q2 (e - q2)) :: acc) e))
   in
   collect [] 0
+
+let field row key =
+  let pat = "\"" ^ key ^ "\":" in
+  let m = String.length pat and len = String.length row in
+  let rec go i =
+    if i + m > len then None
+    else if String.sub row i m = pat then begin
+      let e = ref (i + m) in
+      while
+        !e < len
+        &&
+        match row.[!e] with
+        | '0' .. '9' | '.' | ' ' | '-' | '+' | 'e' | 'E' -> true
+        | _ -> false
+      do
+        incr e
+      done;
+      Some (String.trim (String.sub row (i + m) (!e - i - m)))
+    end
+    else go (i + 1)
+  in
+  go 0
+
+let read_baseline baseline =
+  let base =
+    try parse_baseline baseline
+    with Sys_error msg ->
+      Printf.eprintf "bench: cannot read %s: %s\n" baseline msg;
+      exit 2
+  in
+  if base = [] then begin
+    Printf.eprintf "bench: no result rows found in %s\n" baseline;
+    exit 2
+  end;
+  base
+
+(* The exact gate: every kernel's work count and minor words per run
+   must equal the baseline's.  Both are properties of the code, not of
+   the host, so any difference is a change in what the kernel does. *)
+let check_counts ~baseline rows =
+  let base = read_baseline baseline in
+  let bad = ref [] in
+  List.iter
+    (fun r ->
+      match (r.r_ops, r.r_words) with
+      | Some ops, Some words ->
+        let want key = Option.bind (List.assoc_opt r.r_name base) (fun row -> field row key) in
+        let got = (string_of_int ops, string_of_int words) in
+        let expect =
+          (Option.value (want "ops_per_run") ~default:"none",
+           Option.value (want "minor_words_per_run") ~default:"none")
+        in
+        if got = expect then
+          Printf.printf "  %-32s %d ops/run, %d minor words/run (as %s)\n" r.r_name ops
+            words baseline
+        else begin
+          Printf.eprintf
+            "bench-counts: %s: %d ops/run, %d minor words/run; %s has %s ops, %s words\n"
+            r.r_name ops words baseline (fst expect) (snd expect);
+          bad := r.r_name :: !bad
+        end
+      | _ -> ())
+    rows;
+  match List.rev !bad with
+  | [] -> Printf.printf "bench-counts: every kernel's counts match %s\n%!" baseline
+  | names ->
+    Printf.eprintf "bench-counts: %d kernel(s) differ from %s: %s\n%!" (List.length names)
+      baseline (String.concat ", " names);
+    exit 1
 
 (* Per-kernel delta against a previous [--json] file; any kernel more
    than 15% slower *than the run as a whole* is a regression and exits
@@ -263,15 +354,10 @@ let regression_threshold_pct = 15.0
 
 let compare_against ~baseline rows =
   let base =
-    try parse_baseline baseline
-    with Sys_error msg ->
-      Printf.eprintf "bench-compare: cannot read %s: %s\n" baseline msg;
-      exit 2
+    List.filter_map
+      (fun (name, row) -> Option.map (fun ns -> (name, float_of_string ns)) (field row "ns_per_run"))
+      (read_baseline baseline)
   in
-  if base = [] then begin
-    Printf.eprintf "bench-compare: no result rows found in %s\n" baseline;
-    exit 2
-  end;
   let ratios =
     List.filter_map
       (fun r ->
@@ -326,6 +412,7 @@ let run_bechamel ~smoke () =
   let open Bechamel in
   let open Toolkit in
   let ks = kernels ~smoke () in
+  let counted = List.map (fun k -> (k.name, counts k)) ks in
   let instances = Instance.[ monotonic_clock ] in
   let benchmark_cfg =
     if smoke then Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ()
@@ -380,10 +467,12 @@ let run_bechamel ~smoke () =
     (fun k ->
       Option.map
         (fun est ->
+          let c = List.assoc k.name counted in
           {
             r_name = k.name;
             r_ns = est;
-            r_ops = Option.map (fun f -> f ()) k.ops;
+            r_ops = Option.map fst c;
+            r_words = Option.map snd c;
             r_rss_kb = None;
           })
         (est_of k))
@@ -454,19 +543,15 @@ let run_stream () =
       r_name = "stream_conv_80M";
       r_ns = dt_big *. 1e9;
       r_ops = Some ops_big;
+      r_words = None;
       r_rss_kb = Some hwm_big;
     };
   ]
 
-let rec json_of = function
+let rec flag_value flag = function
   | [] -> None
-  | "--json" :: file :: _ -> Some file
-  | _ :: rest -> json_of rest
-
-let rec compare_of = function
-  | [] -> None
-  | "--compare" :: file :: _ -> Some file
-  | _ :: rest -> compare_of rest
+  | f :: file :: _ when f = flag -> Some file
+  | _ :: rest -> flag_value flag rest
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -474,7 +559,7 @@ let () =
   let bechamel = smoke || List.mem "--bechamel" args in
   let stream = List.mem "--stream" args in
   if bechamel || stream then begin
-    let comparing = compare_of args <> None in
+    let comparing = flag_value "--compare" args <> None in
     let rows =
       (if bechamel then
          if comparing && smoke then begin
@@ -506,7 +591,7 @@ let () =
        else [])
       @ (if stream then run_stream () else [])
     in
-    (match json_of args with
+    (match flag_value "--json" args with
     | None -> ()
     | Some file ->
       let mode =
@@ -514,13 +599,12 @@ let () =
       in
       write_json ~file ~mode rows;
       Printf.printf "wrote %s (%d rows)\n%!" file (List.length rows));
-    match compare_of args with
-    | None -> ()
-    | Some baseline -> compare_against ~baseline rows
+    Option.iter (fun baseline -> check_counts ~baseline rows) (flag_value "--check-counts" args);
+    Option.iter (fun baseline -> compare_against ~baseline rows) (flag_value "--compare" args)
   end
   else begin
     prerr_endline
-      "usage: main.exe --bechamel|--smoke|--stream [--json FILE] [--compare FILE]; the \
-       paper's tables and figures are `experiments --ablations`";
+      "usage: main.exe --bechamel|--smoke|--stream [--json FILE] [--check-counts FILE] \
+       [--compare FILE]; the paper's tables and figures are `experiments --ablations`";
     exit 2
   end

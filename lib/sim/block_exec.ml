@@ -203,6 +203,15 @@ let interp t : body =
     in
     go 0
 
+(* Hand a committed block's prints to the sink, oldest first ([out_rev]
+   holds them newest first).  A top-level function, so a block that
+   printed nothing costs no closure. *)
+let rec push_out sink = function
+  | [] -> ()
+  | item :: older ->
+    push_out sink older;
+    Output.Sink.push sink item
+
 (* The step protocol: halting, fetch legality, the shadow registers, the
    body, then squash or commit with the budget charge and the trap on a
    wild successor.  The step lands in the [last_*] fields, its addresses
@@ -253,7 +262,7 @@ let advance ~fresh body ~fetch t =
           (* The terminator ran at the end of the body; commit. *)
           let next = t.last_next in
           Sbuf.flush t.sbuf t.mem;
-          List.iter (fun item -> Output.Sink.push t.sink item) (List.rev t.out_rev);
+          push_out t.sink t.out_rev;
           let size = nelts + 1 in
           t.dyn <- t.dyn + size;
           t.retired <- t.retired + size;

@@ -24,8 +24,10 @@ let create () = { flat = Array.make flat_keys no_page; wild = Hashtbl.create 8 }
 
 exception Unaligned of int
 
+let[@inline] check_aligned addr = if addr land 7 <> 0 then raise (Unaligned addr)
+
 let[@inline] word_index addr =
-  if addr land 7 <> 0 then raise (Unaligned addr);
+  check_aligned addr;
   addr lsr 3
 
 let new_page () = { ints = Array.make page_words 0; flts = None }

@@ -14,6 +14,10 @@ exception Unaligned of int
     architected machine trap — a clean halt — rather than letting it
     escape as a crash. *)
 
+val check_aligned : int -> unit
+(** Raises {!Unaligned} unless the address is 8-byte aligned: the check
+    every access makes, for callers that must check before accessing. *)
+
 val create : unit -> t
 val load : t -> int -> int
 val store : t -> int -> int -> unit

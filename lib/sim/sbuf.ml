@@ -75,7 +75,13 @@ let loadf t mem addr =
   in
   scan (t.n - 1)
 
+(* Every address is checked before any store is written: a committing
+   block with an unaligned store traps with none of its stores in memory.
+   A squashed block's stores never execute, so they never trap. *)
 let flush t mem =
+  for i = 0 to t.n - 1 do
+    Memory.check_aligned (Array.unsafe_get t.addr i)
+  done;
   for i = 0 to t.n - 1 do
     if Bytes.unsafe_get t.kind i = '\000' then
       Memory.store mem (Array.unsafe_get t.addr i) (Array.unsafe_get t.ival i)

@@ -15,6 +15,8 @@ val storef : t -> int -> float -> unit
 val load : t -> Memory.t -> int -> int
 val loadf : t -> Memory.t -> int -> float
 val flush : t -> Memory.t -> unit
-(** Apply buffered stores in program order, then clear. *)
+(** Apply buffered stores in program order, then clear.  Raises
+    {!Memory.Unaligned} with the first unaligned address, having written
+    nothing, if any buffered address is not 8-byte aligned. *)
 
 val size : t -> int

@@ -187,17 +187,148 @@ let grow_ls t =
   t.ls_addr <- na;
   t.ls_time <- nt
 
+(* The issue path.  Every op of a unit, body or terminator, goes through
+   the same [@inline] steps: operand readiness, FU-calendar booking and,
+   when committing, the last-writer publish.
+
+   [imax] is [max] without a branch: times are cycle counts, far from the
+   ends of the int range, so [a - b] cannot overflow and its sign picks
+   the larger. *)
+let sign_shift = Sys.int_size - 1
+
+let[@inline] imax a b =
+  let d = a - b in
+  a - (d land (d asr sign_shift))
+
+let[@inline] latency info = (info lsr Predecode.info_lat_shift) land 15
+
+(* Operand readiness: [ready], raised to each use's producer completion.
+   A producer is in flight in this unit iff its slot is in [lo, lo+len)
+   (for a body op [use_def >= lo] implies the upper bound; the
+   terminator's in-flight producers are confined to the executed body),
+   and then its completion is in [comp]; otherwise the register's last
+   committed writer holds it. *)
+let[@inline] operands_ready t (tp : Predecode.t) ~lo ~len info ready =
+  let ulo =
+    (info lsr Predecode.info_off_shift)
+    + ((info lsr Predecode.info_nd_shift) land Predecode.info_cnt_mask)
+  in
+  let nu = (info lsr Predecode.info_nu_shift) land Predecode.info_cnt_mask in
+  let ready = ref ready in
+  for j = ulo to ulo + nu - 1 do
+    let d = Array.unsafe_get tp.use_def j in
+    let v =
+      if d >= lo && d - lo < len then Array.unsafe_get t.comp (d - lo)
+      else Array.unsafe_get t.reg_ready (Array.unsafe_get tp.regs j)
+    in
+    ready := imax !ready v
+  done;
+  !ready
+
+(* The calendar's slow path: step past every full cycle, then book the
+   first one with a free unit.  The fast path
+   below falls back to it only when cycle [c] is full (rare at the default
+   sixteen units), or when [fu_count] < 1, where the walk books one op
+   per cycle. *)
+let book_full t c =
+  let fu_tag = t.fu_tag and fu_count_at = t.fu_count_at in
+  let c = ref c in
+  let ci = ref (!c land ring_mask) in
+  while
+    Array.unsafe_get fu_tag !ci = !c
+    && Array.unsafe_get fu_count_at !ci >= t.fu_count
+  do
+    incr c;
+    ci := !c land ring_mask
+  done;
+  if Array.unsafe_get fu_tag !ci = !c then
+    Array.unsafe_set fu_count_at !ci (Array.unsafe_get fu_count_at !ci + 1)
+  else begin
+    Array.unsafe_set fu_tag !ci !c;
+    Array.unsafe_set fu_count_at !ci 1
+  end;
+  !c
+
+(* FU-calendar booking: the first cycle at or after [c] with a free unit.
+   A ring slot whose tag is not [c] belongs to a dead cycle and holds no
+   bookings for [c]; the tag test is arithmetic ([live] is -1 on a match,
+   else 0), so the count of cycle [c] is one masked load.  Booking writes
+   the tag and the count either way, so the ring (and a snapshot of it)
+   does not depend on which path booked. *)
+let[@inline] book t c =
+  let ci = c land ring_mask in
+  let x = Array.unsafe_get t.fu_tag ci lxor c in
+  let live = lnot ((x lor -x) asr sign_shift) in
+  let n = Array.unsafe_get t.fu_count_at ci land live in
+  if n < t.fu_count then begin
+    Array.unsafe_set t.fu_tag ci c;
+    Array.unsafe_set t.fu_count_at ci (n + 1);
+    c
+  end
+  else book_full t c
+
+(* Last-writer publish: a def reaches the scoreboard only if no later slot
+   of the unit, up to [hi], writes the same register again. *)
+let[@inline] publish t (tp : Predecode.t) ~hi info complete =
+  let off = info lsr Predecode.info_off_shift in
+  let nd = (info lsr Predecode.info_nd_shift) land Predecode.info_cnt_mask in
+  for j = off to off + nd - 1 do
+    let dn = Array.unsafe_get tp.def_next j in
+    if dn < 0 || dn > hi then begin
+      let r = Array.unsafe_get tp.regs j in
+      Array.unsafe_set t.reg_ready r (imax (Array.unsafe_get t.reg_ready r) complete)
+    end
+  done
+
+(* Issue one op no earlier than [floor] (the cycle after dispatch, or a
+   load or store's last store to its address if later): its operands
+   ready, then a unit booked.  Returns the issue cycle. *)
+let[@inline] issue t tp ~lo ~len info floor =
+  book t (operands_ready t tp ~lo ~len info floor)
+
+(* Memory ordering: the completion of the last store to [addr], committed
+   (the store map) or earlier in this unit (store-to-load forwarding). *)
+let store_done t addr =
+  let sd = ref (sm_find t addr) in
+  for i = 0 to t.ls_n - 1 do
+    if Array.unsafe_get t.ls_addr i = addr then sd := imax !sd (Array.unsafe_get t.ls_time i)
+  done;
+  !sd
+
+let load_penalty t addr =
+  match t.dcache with
+  | Some c -> if Bisa_uarch.Cache.access c addr then 0 else t.cfg.l2_latency
+  | None -> 0
+
+(* Record a unit-local store in the overlay, one entry per address. *)
+let buffer_store t addr complete =
+  let found = ref false in
+  let i = ref 0 in
+  while (not !found) && !i < t.ls_n do
+    if t.ls_addr.(!i) = addr then begin
+      t.ls_time.(!i) <- complete;
+      found := true
+    end;
+    incr i
+  done;
+  if not !found then begin
+    if t.ls_n = Array.length t.ls_addr then grow_ls t;
+    t.ls_addr.(t.ls_n) <- addr;
+    t.ls_time.(t.ls_n) <- complete;
+    t.ls_n <- t.ls_n + 1
+  end
+
 (* One fetch unit: template slots [lo, lo+len) of [tp] (plus slot [term]
    when [term >= 0]), with the k-th body op's memory address supplied as
    [mem_addrs.(mem_off + k)].
 
-   The body is a pure table walk over the pre-scheduled facts: the packed
-   [info] word supplies operand counts, latency and memory kind; a use's
-   producer is in flight in this very unit iff [use_def >= lo] (slots of a
-   unit are consecutive), in which case its completion is read straight
-   out of [comp]; a def publishes to the global scoreboard iff it is the
-   unit's last writer, decided by [def_next] falling outside the unit.
-   Nothing is recomputed per dynamic op and nothing is allocated.
+   The walk reads the pre-scheduled facts: the packed [info] word
+   supplies operand counts, latency and memory kind; a use's producer is
+   in flight in this very unit iff [use_def >= lo] (slots of a unit are
+   consecutive), in which case its completion is read straight out of
+   [comp]; a def publishes to the global scoreboard iff it is the unit's
+   last writer, decided by [def_next] falling outside the unit.  Nothing
+   is recomputed per dynamic op and nothing is allocated.
 
    Bounds discipline: the slot range, [term] and the [mem_addrs] span are
    validated here once; register indexes were validated at predecode-build
@@ -223,217 +354,63 @@ let run_unit t ~dispatch ~commit (tp : Predecode.t) ~lo ~len ~term
   end;
   t.ls_n <- 0;
   let info_tab = tp.Predecode.info in
-  let use_def = tp.Predecode.use_def in
-  let def_next = tp.Predecode.def_next in
-  let regs = tp.Predecode.regs in
-  let comp = t.comp in
-  let reg_ready = t.reg_ready in
-  let fu_tag = t.fu_tag and fu_count_at = t.fu_count_at in
-  let fu_count = t.fu_count in
   let dmin = dispatch + 1 in
   (* Highest slot this unit executes: its defs shadow earlier in-unit defs
      of the same register up to here. *)
   let hi = if term >= 0 then term else lo + len - 1 in
-  let resolve = ref dispatch and retire = ref dispatch in
-  let has_mem =
+  let retire = ref dispatch in
+  if
     Array.unsafe_get tp.Predecode.mem_prefix (lo + len)
-    > Array.unsafe_get tp.Predecode.mem_prefix lo
-  in
-  if not has_mem then
-    (* Fast path: no memory op in the unit — no store-map probes, no
-       per-op address test, no dcache. *)
+    = Array.unsafe_get tp.Predecode.mem_prefix lo
+  then
+    (* No memory op in the unit: no store-map probes, no per-op address
+       test, no dcache. *)
     for k = 0 to len - 1 do
       let info = Array.unsafe_get info_tab (lo + k) in
-      let off = info lsr Predecode.info_off_shift in
-      let nd = (info lsr Predecode.info_nd_shift) land Predecode.info_cnt_mask in
-      let nu = (info lsr Predecode.info_nu_shift) land Predecode.info_cnt_mask in
-      let ready = ref dispatch in
-      let ulo = off + nd in
-      for j = ulo to ulo + nu - 1 do
-        let d = Array.unsafe_get use_def j in
-        let v =
-          if d >= lo then Array.unsafe_get comp (d - lo)
-          else Array.unsafe_get reg_ready (Array.unsafe_get regs j)
-        in
-        if v > !ready then ready := v
-      done;
-      let c = ref (if !ready > dmin then !ready else dmin) in
-      let ci = ref (!c land ring_mask) in
-      while
-        Array.unsafe_get fu_tag !ci = !c
-        && Array.unsafe_get fu_count_at !ci >= fu_count
-      do
-        incr c;
-        ci := !c land ring_mask
-      done;
-      if Array.unsafe_get fu_tag !ci = !c then
-        Array.unsafe_set fu_count_at !ci (Array.unsafe_get fu_count_at !ci + 1)
-      else begin
-        Array.unsafe_set fu_tag !ci !c;
-        Array.unsafe_set fu_count_at !ci 1
-      end;
-      let complete =
-        !c + ((info lsr Predecode.info_lat_shift) land 15)
-      in
-      Array.unsafe_set comp k complete;
-      if commit then
-        for j = off to ulo - 1 do
-          let dn = Array.unsafe_get def_next j in
-          if dn < 0 || dn > hi then begin
-            let r = Array.unsafe_get regs j in
-            if complete > Array.unsafe_get reg_ready r then
-              Array.unsafe_set reg_ready r complete
-          end
-        done;
-      resolve := complete;
-      if complete > !retire then retire := complete
+      let complete = issue t tp ~lo ~len info dmin + latency info in
+      Array.unsafe_set t.comp k complete;
+      if commit then publish t tp ~hi info complete;
+      retire := imax !retire complete
     done
   else
     for k = 0 to len - 1 do
       let info = Array.unsafe_get info_tab (lo + k) in
-      let off = info lsr Predecode.info_off_shift in
-      let nd = (info lsr Predecode.info_nd_shift) land Predecode.info_cnt_mask in
-      let nu = (info lsr Predecode.info_nu_shift) land Predecode.info_cnt_mask in
-      let ready = ref dispatch in
-      let ulo = off + nd in
-      for j = ulo to ulo + nu - 1 do
-        let d = Array.unsafe_get use_def j in
-        let v =
-          if d >= lo then Array.unsafe_get comp (d - lo)
-          else Array.unsafe_get reg_ready (Array.unsafe_get regs j)
-        in
-        if v > !ready then ready := v
-      done;
       let addr = Array.unsafe_get mem_addrs (mem_off + k) in
       let kind = if addr >= 0 then info land Predecode.info_mem_mask else 0 in
-      if kind <> 0 then begin
-        (* Memory ordering: wait for the last store to this address, unit-
-           local stores (store-to-load forwarding) included. *)
-        let sd = ref (sm_find t addr) in
-        for i = 0 to t.ls_n - 1 do
-          if t.ls_addr.(i) = addr && t.ls_time.(i) > !sd then sd := t.ls_time.(i)
-        done;
-        if !sd > !ready then ready := !sd
-      end;
-      let c = ref (if !ready > dmin then !ready else dmin) in
-      let ci = ref (!c land ring_mask) in
-      while
-        Array.unsafe_get fu_tag !ci = !c
-        && Array.unsafe_get fu_count_at !ci >= fu_count
-      do
-        incr c;
-        ci := !c land ring_mask
-      done;
-      if Array.unsafe_get fu_tag !ci = !c then
-        Array.unsafe_set fu_count_at !ci (Array.unsafe_get fu_count_at !ci + 1)
-      else begin
-        Array.unsafe_set fu_tag !ci !c;
-        Array.unsafe_set fu_count_at !ci 1
-      end;
-      let issue = !c in
-      let lat = (info lsr Predecode.info_lat_shift) land 15 in
-      let lat =
-        if kind = 1 then begin
-          let hit =
-            match t.dcache with
-            | Some c -> Bisa_uarch.Cache.access c addr
-            | None -> true
-          in
-          if hit then lat else lat + t.cfg.l2_latency
-        end
-        else lat
+      let floor = if kind <> 0 then imax dmin (store_done t addr) else dmin in
+      let c = issue t tp ~lo ~len info floor in
+      let complete =
+        c + latency info + if kind = Predecode.mem_load then load_penalty t addr else 0
       in
-      let complete = issue + lat in
-      Array.unsafe_set comp k complete;
-      if commit then
-        for j = off to ulo - 1 do
-          let dn = Array.unsafe_get def_next j in
-          if dn < 0 || dn > hi then begin
-            let r = Array.unsafe_get regs j in
-            if complete > Array.unsafe_get reg_ready r then
-              Array.unsafe_set reg_ready r complete
-          end
-        done;
-      if kind = 2 then begin
-        let found = ref false in
-        let i = ref 0 in
-        while (not !found) && !i < t.ls_n do
-          if t.ls_addr.(!i) = addr then begin
-            t.ls_time.(!i) <- complete;
-            found := true
-          end;
-          incr i
-        done;
-        if not !found then begin
-          if t.ls_n = Array.length t.ls_addr then grow_ls t;
-          t.ls_addr.(t.ls_n) <- addr;
-          t.ls_time.(t.ls_n) <- complete;
-          t.ls_n <- t.ls_n + 1
-        end
-      end;
-      resolve := complete;
-      if complete > !retire then retire := complete
+      Array.unsafe_set t.comp k complete;
+      if commit then publish t tp ~hi info complete;
+      if kind = Predecode.mem_store then buffer_store t addr complete;
+      retire := imax !retire complete
     done;
   (* Terminator slot: never a memory op (the table classifies terminators
-     mem-none, and direct callers' terminators carried no address either).
-     Its producers must be in the executed body, so the in-flight test
-     also bounds the [comp] index. *)
-  if term >= 0 then begin
-    let info = Array.unsafe_get info_tab term in
-    let off = info lsr Predecode.info_off_shift in
-    let nd = (info lsr Predecode.info_nd_shift) land Predecode.info_cnt_mask in
-    let nu = (info lsr Predecode.info_nu_shift) land Predecode.info_cnt_mask in
-    let ready = ref dispatch in
-    let ulo = off + nd in
-    for j = ulo to ulo + nu - 1 do
-      let d = Array.unsafe_get use_def j in
-      let v =
-        if d >= lo && d - lo < len then Array.unsafe_get comp (d - lo)
-        else Array.unsafe_get reg_ready (Array.unsafe_get regs j)
-      in
-      if v > !ready then ready := v
-    done;
-    let c = ref (if !ready > dmin then !ready else dmin) in
-    let ci = ref (!c land ring_mask) in
-    while
-      Array.unsafe_get fu_tag !ci = !c
-      && Array.unsafe_get fu_count_at !ci >= fu_count
-    do
-      incr c;
-      ci := !c land ring_mask
-    done;
-    if Array.unsafe_get fu_tag !ci = !c then
-      Array.unsafe_set fu_count_at !ci (Array.unsafe_get fu_count_at !ci + 1)
-    else begin
-      Array.unsafe_set fu_tag !ci !c;
-      Array.unsafe_set fu_count_at !ci 1
-    end;
-    let complete = !c + ((info lsr Predecode.info_lat_shift) land 15) in
-    if commit then
-      for j = off to ulo - 1 do
-        let dn = Array.unsafe_get def_next j in
-        if dn < 0 || dn > hi then begin
-          let r = Array.unsafe_get regs j in
-          if complete > Array.unsafe_get reg_ready r then
-            Array.unsafe_set reg_ready r complete
-        end
-      done;
-    resolve := complete;
-    if complete > !retire then retire := complete
-  end;
+     mem-none, and direct callers' terminators carried no address either). *)
+  let resolve =
+    if term >= 0 then begin
+      let info = Array.unsafe_get info_tab term in
+      let complete = issue t tp ~lo ~len info dmin + latency info in
+      if commit then publish t tp ~hi info complete;
+      retire := imax !retire complete;
+      complete
+    end
+    else if len > 0 then Array.unsafe_get t.comp (len - 1)
+    else dispatch
+  in
   if commit then
     for i = 0 to t.ls_n - 1 do
       sm_bump t t.ls_addr.(i) t.ls_time.(i)
     done;
   let nops = if term >= 0 then len + 1 else len in
   (* In-order retirement: monotonic times. *)
-  let retire_time =
-    if !retire > t.last_retire_time then !retire else t.last_retire_time
-  in
+  let retire_time = imax !retire t.last_retire_time in
   t.last_retire_time <- retire_time;
   win_push t retire_time nops;
   t.window_ops <- t.window_ops + nops;
-  t.u_resolve <- !resolve;
+  t.u_resolve <- resolve;
   t.u_retire <- retire_time
 
 let unit_resolve t = t.u_resolve

@@ -239,6 +239,46 @@ let test_template_checkpoint () =
   template_checkpoint_equivalence (module Pipeline.Block) Config.default c.block
     ~steps:60
 
+(* The round trips above compare a session with itself, so they cannot
+   see a change in what the timing state is.  These MD5s of mid-run
+   snapshots were recorded from the engine before its issue path was
+   rewritten branch-free: the register-ready times, the issue calendar,
+   the store map, the window and the caches must come out the same,
+   byte for byte.  A mismatch is a model change, not a reason to
+   re-record. *)
+let snapshot_pins =
+  [
+    ("block", "7c6d17cf88d52c1af5ec1d9eb565d8cb");
+    ("conv", "c82e3fd4ea3955d882f950fd923d802c");
+    ("conv+tc", "1d064cda24c4b9af96fb4ec58e72caad");
+  ]
+
+let snapshot_md5 (type p) (module P : Pipeline.S with type prog = p) cfg (prog : p)
+    ~steps =
+  let s = P.session_artifact cfg (P.prepare prog) in
+  let live = ref true in
+  for _ = 1 to steps do
+    if !live then live := P.step s
+  done;
+  Alcotest.(check bool) (P.isa ^ ": snapshot taken mid-run") true !live;
+  let w = Codec.W.create () in
+  P.save s w;
+  Digest.to_hex (Digest.string (Codec.W.contents w))
+
+let test_snapshot_bytes_pinned () =
+  let c = Lazy.force compiled in
+  let tc = { Config.default with trace_cache = Some Bisa_uarch.Trace_cache.default_config } in
+  let got =
+    [
+      ("block", snapshot_md5 (module Pipeline.Block) Config.default c.block ~steps:1000);
+      ("conv", snapshot_md5 (module Pipeline.Conv) Config.default c.conv ~steps:2000);
+      ("conv+tc", snapshot_md5 (module Pipeline.Conv) tc c.conv ~steps:800);
+    ]
+  in
+  List.iter
+    (fun (what, want) -> Alcotest.(check string) (what ^ " snapshot md5") want (List.assoc what got))
+    snapshot_pins
+
 let test_cross_backend_roundtrip_tc () =
   (* Same legs with the trace-cache front end live: its fill buffers and
      table contents must survive the backend switch too. *)
@@ -551,6 +591,7 @@ let suite =
       test_template_checkpoint;
     Alcotest.test_case "cross-backend session roundtrip (trace cache)" `Quick
       test_cross_backend_roundtrip_tc;
+    Alcotest.test_case "mid-run snapshot bytes pinned" `Quick test_snapshot_bytes_pinned;
     Alcotest.test_case "snapshot header validation" `Quick
       test_snapshot_header_validation;
     Alcotest.test_case "drive resume" `Quick test_drive_resume;

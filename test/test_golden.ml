@@ -154,6 +154,46 @@ let test_golden_metrics_compiled_sharded () =
   Bisa_base.Pool.run ~workers:4 @@ fun pool ->
   check_against_goldens (grid ~exec:Compile.Compiled pool)
 
+(* The issue calendar at one and two functional units, where most ops
+   find their first-choice cycle full and book a later one.  The grid
+   above runs sixteen units, where a full cycle is rare, so only these
+   pins see the calendar's full-cycle path.  Recorded from the engine
+   before its issue path was rewritten branch-free; as above, a mismatch
+   is a model change.  A [Config] may hold any [fu_count]: at zero or
+   below the calendar has always booked one op per cycle, as at one. *)
+let narrow_goldens =
+  [
+    ( "micro/conv/fu1",
+      "cy=38832 ro=38697 rb=6033 fu=6033 sqb=0 sqo=0 mp=9 fsr=0 ica=10003 icm=8 dca=3072 dcm=144 tch=0 tcs=0 h=1:1,2:2058,3:1541,5:1,6:384,13:1536,15:512," );
+    ( "micro/block/fu1",
+      "cy=38990 ro=38827 rb=4105 fu=4110 sqb=5 sqo=10 mp=9 fsr=5 ica=8605 icm=17 dca=3072 dcm=144 tch=0 tcs=0 h=1:1,2:1,3:1663,5:4,6:3,8:385,14:3,15:2045," );
+    ( "micro/conv/fu2",
+      "cy=19498 ro=38697 rb=6033 fu=6033 sqb=0 sqo=0 mp=9 fsr=0 ica=10003 icm=8 dca=3072 dcm=144 tch=0 tcs=0 h=1:1,2:2058,3:1541,5:1,6:384,13:1536,15:512," );
+    ( "micro/block/fu2",
+      "cy=19596 ro=38827 rb=4105 fu=4110 sqb=5 sqo=10 mp=9 fsr=5 ica=8605 icm=17 dca=3072 dcm=144 tch=0 tcs=0 h=1:1,2:1,3:1663,5:4,6:3,8:385,14:3,15:2045," );
+  ]
+
+let test_narrow_issue () =
+  let c = Bisa_compiler.Compiler.compile micro_source in
+  let conv_art = Conv.prepare c.conv and block_art = Block.prepare c.block in
+  let run isa fu_count =
+    let cfg = { Config.default with fu_count } in
+    fingerprint
+      (if isa = "conv" then fst (Conv.run_artifact cfg conv_art)
+       else fst (Block.run_artifact cfg block_art))
+  in
+  List.iter
+    (fun isa ->
+      List.iter
+        (fun fu ->
+          let key = Printf.sprintf "micro/%s/fu%d" isa fu in
+          Alcotest.(check string) key (List.assoc key narrow_goldens) (run isa fu))
+        [ 1; 2 ];
+      let one = List.assoc (Printf.sprintf "micro/%s/fu1" isa) narrow_goldens in
+      Alcotest.(check string) ("micro/" ^ isa ^ "/fu0 == fu1") one (run isa 0);
+      Alcotest.(check string) ("micro/" ^ isa ^ "/fu-3 == fu1") one (run isa (-3)))
+    [ "conv"; "block" ]
+
 (* Bytes allocated per simulated op.  The timing engine's hot path is
    allocation-free; what remains is the functional executor's trace
    production (packet records, address lists), measured at ~320 bytes/op.
@@ -252,6 +292,7 @@ let suite =
       test_golden_metrics_compiled;
     Alcotest.test_case "compiled goldens identical when sharded over 4 domains" `Slow
       test_golden_metrics_compiled_sharded;
+    Alcotest.test_case "narrow issue calendar pinned" `Quick test_narrow_issue;
     Alcotest.test_case "simulation allocation budget" `Quick test_allocation_budget;
     Alcotest.test_case "compiled-exec allocation budget" `Quick
       test_compiled_allocation_budget;

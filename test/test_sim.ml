@@ -340,6 +340,46 @@ let test_block_unaligned_traps () =
   Alcotest.(check int) "dyn ops" 0 (Block_exec.dyn_ops t);
   Alcotest.(check int) "retired ops" 0 (Block_exec.retired_ops t)
 
+(* An unaligned store discards its whole block, under either body: the
+   commit checks every buffered address before it writes any, so the
+   block's earlier aligned store never reaches memory. *)
+let test_block_unaligned_store_discards_block () =
+  let open Bisa_isa in
+  let p =
+    raw_block_prog
+      [|
+        {
+          Ablock.elts =
+            [|
+              Ablock.Op (Op.Li (Reg.Int 5, 0x100));
+              Ablock.Op (Op.Li (Reg.Int 6, 77));
+              Ablock.Op (Op.Store (Reg.Int 6, Reg.Int 5, 0));
+              Ablock.Op (Op.Store (Reg.Int 6, Reg.Int 5, 3));
+            |];
+          term = Ablock.Halt;
+        };
+      |]
+      [| ([||], [||]) |]
+  in
+  let compiled = Bisa_sim.Compile.Block.compile_trusted p in
+  List.iter
+    (fun (name, body) ->
+      let t = Block_exec.create p in
+      Block_exec.set_budget t 10_000;
+      let body = body t in
+      while Block_exec.step ?body t <> None do
+        ()
+      done;
+      Alcotest.(check bool) (name ^ ": unaligned trap") true
+        (Block_exec.machine_trap t = Some (Block_exec.Unaligned_access 0x103));
+      Alcotest.(check int) (name ^ ": earlier store discarded") 0 (Block_exec.read_mem t 0x100);
+      Alcotest.(check int) (name ^ ": dyn ops") 0 (Block_exec.dyn_ops t);
+      Alcotest.(check int) (name ^ ": retired ops") 0 (Block_exec.retired_ops t))
+    [
+      ("interp", fun _ -> None);
+      ("compiled", fun t -> Some (Bisa_sim.Compile.Block.bind compiled t));
+    ]
+
 let test_conv_wild_jr_traps () =
   let open Bisa_isa in
   let p =
@@ -518,6 +558,8 @@ let suite =
     Alcotest.test_case "variant equivalence" `Quick test_variant_equivalence;
     Alcotest.test_case "block wild ijump traps" `Quick test_block_wild_ijump_traps;
     Alcotest.test_case "block unaligned traps" `Quick test_block_unaligned_traps;
+    Alcotest.test_case "block unaligned store discards the block" `Quick
+      test_block_unaligned_store_discards_block;
     Alcotest.test_case "conv wild jr traps" `Quick test_conv_wild_jr_traps;
     Alcotest.test_case "block squash counters" `Quick test_block_squash_counters;
     Alcotest.test_case "block budget window" `Quick test_block_budget_window;

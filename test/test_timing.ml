@@ -279,10 +279,10 @@ int main() {
 |}
 
 (* The untraced step loop must not allocate per step once warm beyond
-   what it measures today: 0.454 words per conv step and 4.091 per block
-   step (BTB fills and output consing).  Each bound is about twice that:
-   one more option per conv step, or four more words per block step,
-   fails here. *)
+   what it measures today: 0.454 words per conv step and 0.091 per block
+   step (BTB fills and output consing).  Each bound is one word: one
+   more option per conv step, or a closure per committed block, fails
+   here. *)
 let test_steady_state_allocation () =
   let c = Bisa_compiler.Compiler.compile alloc_sample in
   let words_per_step name session step bound =
@@ -305,7 +305,7 @@ let test_steady_state_allocation () =
   let conv = Conv.session_artifact cfg (Conv.prepare c.conv) in
   words_per_step "conv step" conv Conv.step 1.0;
   let block = Block.session_artifact cfg (Block.prepare c.block) in
-  words_per_step "block step" block Block.step 8.0
+  words_per_step "block step" block Block.step 1.0
 
 (* The Printf rendering [Config.fingerprint] hashed until it streamed
    the same text into the hash, kept as the reference model: checkpoint
